@@ -176,8 +176,9 @@ def cmd_reduce(args) -> int:
     charge = _build_charge(args, q)
     stab = StabilityCondition(alg, charge)
     word = parse_braid_word(args.word or "")
-    start_vertex = args.start - 1
-    start = apply_braid(alg, word, simple_object(alg, start_vertex))
+    if not 1 <= args.start <= q.vertex_count:
+        raise ValueError(f"--start {args.start} out of range 1..{q.vertex_count}")
+    start = apply_braid(alg, word, simple_object(alg, args.start - 1))
     trace = reduce_to_stable(stab, start, strategy=args.strategy)
     report = {
         "charge": charge.to_json_dict(),

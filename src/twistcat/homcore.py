@@ -11,8 +11,9 @@ a square-zero degree +1 differential matrix.  Sign conventions, fixed once:
 * the cone of a closed degree-0 map f: X -> Y places Y first, then X[1],
   with differential blocks d_Y, f, -d_X.
 
-All ranks and cohomology dimensions are exact rational computations; a
-mod-p prescreen is used only to certify vanishing (see linalg).
+Hom-complex differentials are assembled as sparse columns, and every rank,
+cohomology dimension and cocycle representative comes from the exact sparse
+echelon in linalg.
 """
 
 from __future__ import annotations
@@ -310,7 +311,7 @@ class HomComplex:
         for d, triples in self.basis.items():
             for pos, triple in enumerate(triples):
                 self.index[triple] = pos
-        self._matrices: dict[int, list[list[Fraction]]] = {}
+        self._matrices: dict[int, list[linalg.Vector]] = {}
 
     def degrees(self) -> list[int]:
         return sorted(self.basis)
@@ -318,13 +319,14 @@ class HomComplex:
     def dim_at(self, d: int) -> int:
         return len(self.basis.get(d, ()))
 
-    def matrix(self, d: int) -> list[list[Fraction]]:
-        """Matrix of D: Hom^d -> Hom^{d+1} in the triple bases (rows = image)."""
+    def matrix(self, d: int) -> list[linalg.Vector]:
+        """Sparse columns of D: Hom^d -> Hom^{d+1}, one per Hom^d basis triple,
+        indexed by the Hom^{d+1} triples."""
         if d in self._matrices:
             return self._matrices[d]
         dom = self.basis.get(d, [])
         cod = self.basis.get(d + 1, [])
-        rows = [[Fraction(0)] * len(dom) for _ in cod]
+        cols: list[linalg.Vector] = []
         if dom and cod:
             sign = Fraction(-1 if d % 2 == 0 else 1)
             d_x = self.source.differential
@@ -335,18 +337,22 @@ class HomComplex:
             x_by_target: dict[int, list[tuple[int, AlgebraElement]]] = {}
             for (g1, g2), elem in d_x.items():
                 x_by_target.setdefault(g1, []).append((g2, elem))
-            for col, (g, h, b) in enumerate(dom):
+            for g, h, b in dom:
                 belem = AlgebraElement.of(b)
+                col: linalg.Vector = {}
                 for h2, elem in y_by_source.get(h, ()):
                     for b2, coeff in (belem * elem).terms.items():
                         row = self.index[(g, h2, b2)]
-                        rows[row][col] += coeff
+                        col[row] = col.get(row, 0) + coeff
                 for g2, elem in x_by_target.get(g, ()):
                     for b2, coeff in (elem * belem).terms.items():
                         row = self.index[(g2, h, b2)]
-                        rows[row][col] += sign * coeff
-        self._matrices[d] = rows
-        return rows
+                        col[row] = col.get(row, 0) + sign * coeff
+                cols.append({row: c for row, c in col.items() if c})
+        else:
+            cols = [{} for _ in dom]
+        self._matrices[d] = cols
+        return cols
 
     def cohomology_dim(self, d: int) -> int:
         n = self.dim_at(d)
@@ -354,22 +360,17 @@ class HomComplex:
             return 0
         return n - linalg.rank(self.matrix(d)) - linalg.rank(self.matrix(d - 1))
 
-    def cohomology_dim_mod_p(self, d: int) -> int:
-        n = self.dim_at(d)
-        if n == 0:
-            return 0
-        return n - linalg.rank_mod_p(self.matrix(d)) - linalg.rank_mod_p(self.matrix(d - 1))
-
     def dims(self) -> dict[int, int]:
         return {d: dim for d in self.degrees() if (dim := self.cohomology_dim(d)) != 0}
 
-    def _vector_to_morphism(self, d: int, vec: list[Fraction]) -> Morphism:
+    def _vector_to_morphism(self, d: int, vec: linalg.Vector) -> Morphism:
+        basis = self.basis[d]
         entries: Entries = {}
-        for coeff, (g, h, b) in zip(vec, self.basis[d]):
-            if coeff:
-                add = AlgebraElement.of(b, coeff)
-                key = (h, g)
-                entries[key] = entries[key] + add if key in entries else add
+        for pos, coeff in sorted(vec.items()):
+            g, h, b = basis[pos]
+            add = AlgebraElement.of(b, coeff)
+            key = (h, g)
+            entries[key] = entries[key] + add if key in entries else add
         return Morphism(self.source, self.target, d, entries, validate=False)
 
     def cocycle_reps(self, d: int) -> list[Morphism]:
@@ -378,12 +379,7 @@ class HomComplex:
         if n == 0:
             return []
         kernel = linalg.nullspace(self.matrix(d), n)
-        below = self.matrix(d - 1)
-        image = []
-        if below and below[0]:
-            for col in range(len(below[0])):
-                image.append([below[row][col] for row in range(len(below))])
-        reps = linalg.complement_reps(kernel, image, n)
+        reps = linalg.complement_reps(kernel, self.matrix(d - 1), n)
         return [self._vector_to_morphism(d, vec) for vec in reps]
 
     def all_cohomology_reps(self) -> list[tuple[int, Morphism]]:
@@ -400,45 +396,18 @@ def hom_dims(x: TwistedComplex, y: TwistedComplex) -> dict[int, int]:
 
 
 def hom0_is_nonzero(x: TwistedComplex, y: TwistedComplex) -> bool:
-    """Whether H^0 Hom(x, y) != 0; mod-p certifies vanishing, exact confirms the rest."""
-    hc = HomComplex(x, y)
-    n = hc.dim_at(0)
-    if n == 0:
-        return False
-    try:
-        if n - linalg.rank_mod_p(hc.matrix(0)) - linalg.rank_mod_p(hc.matrix(-1)) == 0:
-            return False
-    except ZeroDivisionError:
-        pass
-    return hc.cohomology_dim(0) > 0
-
-
-_SPHERICAL_SIGNATURE = {0: 1, 2: 1}
+    """Whether H^0 Hom(x, y) != 0, by the exact dimension."""
+    return HomComplex(x, y).cohomology_dim(0) > 0
 
 
 def is_spherical(x: TwistedComplex) -> bool:
     """True when Hom(x, x) has one dimension in degree 0 and one in degree 2.
 
-    The mod-p dimensions bound the exact ones from above while the Euler
-    characteristic agrees over both fields, so a mod-p signature match plus
-    the characteristic forces the exact signature; anything else falls back
-    to the exact computation.
+    The exact dimensions are computed on the minimal model of x, which is
+    homotopy equivalent to x and has the smaller Hom complex.
     """
     reduced = minimize(x)
-    if reduced.is_zero:
-        return False
-    hc = HomComplex(reduced, reduced)
-    try:
-        dims_p = {
-            d: dim for d in hc.degrees() if (dim := hc.cohomology_dim_mod_p(d)) != 0
-        }
-    except ZeroDivisionError:
-        return hc.dims() == _SPHERICAL_SIGNATURE
-    if dims_p == _SPHERICAL_SIGNATURE:
-        return True
-    if dims_p.get(0, 0) == 0 or dims_p.get(2, 0) == 0:
-        return False
-    return hc.dims() == _SPHERICAL_SIGNATURE
+    return HomComplex(reduced, reduced).dims() == {0: 1, 2: 1}
 
 
 def _iso_candidates(reps: list[Morphism]) -> Iterable[Morphism]:

@@ -1,45 +1,107 @@
-"""Dense exact linear algebra over Fraction.
+"""Exact sparse linear algebra over Fraction.
 
-Matrices are lists of rows acting on column vectors: M[r][c].  A mod-p rank
-is also provided as a sound prescreen: rank mod p never exceeds the rational
-rank, so cohomology dimensions computed mod p bound the rational ones from
-above.  Callers may therefore trust "zero mod p" verdicts outright and must
-confirm nonzero ones exactly.
+A vector is a dict {index: Fraction} that holds only its nonzero entries; a
+matrix is a list of such vectors, its columns, so column c is the image of
+the c-th basis vector.  Rank, kernel basis and complement are all computed
+by one incremental echelon: each inserted column is reduced at its lowest
+nonzero index against the pivots found so far, carrying along the
+combination of inserted columns that produced it.  Inserting the columns of
+a matrix in order makes the pivots those of the reduced row echelon form,
+and the combinations that dependent columns reduce to are exactly its kernel
+basis, one vector per free column.
+
+The Hom-complex matrices this serves have entries 0 and ±1 and are very
+sparse; this is the sparse Gaussian elimination of Bar-Natan, "Fast Khovanov
+homology computations" (arXiv:math/0606318).
+
+The dense mod-p rank at the end of the module is not used by the engine; it
+stays because the benchmark tracer (perfbench/tracer.py) wraps it by name.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+Vector = dict[int, Fraction]
+
 FILTER_PRIME = 2_147_483_647
 
 
-def rank(rows: list[list[Fraction]]) -> int:
-    if not rows or not rows[0]:
-        return 0
-    mat = [row[:] for row in rows]
-    nrows, ncols = len(mat), len(mat[0])
-    rk = 0
-    for c in range(ncols):
-        pivot_row = None
-        for r in range(rk, nrows):
-            if mat[r][c] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        mat[rk], mat[pivot_row] = mat[pivot_row], mat[rk]
-        pivot = mat[rk][c]
-        for r in range(rk + 1, nrows):
-            if mat[r][c] != 0:
-                factor = mat[r][c] / pivot
-                row, top = mat[r], mat[rk]
-                for j in range(c, ncols):
-                    row[j] -= factor * top[j]
-        rk += 1
-        if rk == nrows:
-            break
-    return rk
+def _subtract(vec: Vector, coeff: Fraction, other: Vector) -> None:
+    """vec -= coeff * other, in place, keeping only nonzero entries."""
+    for i, x in other.items():
+        y = vec.get(i, 0) - coeff * x
+        if y:
+            vec[i] = y
+        else:
+            del vec[i]
+
+
+class _SparseEchelon:
+    """Pivot vectors keyed by their lowest index, each with the combination of
+    inserted vectors it equals."""
+
+    def __init__(self):
+        self.pivots: dict[int, tuple[Vector, Vector]] = {}
+        self.inserted = 0
+
+    def insert(self, vec: Vector) -> Vector | None:
+        """Add vec to the span.
+
+        Returns None when vec was independent of the vectors inserted before
+        it; otherwise the combination of inserted vectors (vec's own
+        coefficient 1) that vanishes.
+        """
+        vec = dict(vec)
+        comb = {self.inserted: Fraction(1)}
+        self.inserted += 1
+        while vec:
+            low = min(vec)
+            hit = self.pivots.get(low)
+            if hit is None:
+                inv = Fraction(1) / vec[low]
+                self.pivots[low] = (
+                    {i: x * inv for i, x in vec.items()},
+                    {j: x * inv for j, x in comb.items()},
+                )
+                return None
+            factor = vec[low]
+            _subtract(vec, factor, hit[0])
+            _subtract(comb, factor, hit[1])
+        return comb
+
+
+def rank(cols: list[Vector]) -> int:
+    """Rank of the matrix with columns `cols`."""
+    ech = _SparseEchelon()
+    for col in cols:
+        ech.insert(col)
+    return len(ech.pivots)
+
+
+def nullspace(cols: list[Vector], ncols: int) -> list[Vector]:
+    """Basis of the kernel of the map with columns `cols` (ncols of them).
+
+    One vector per free column, in column order: the free column's
+    coefficient is 1 and the others sit on earlier pivot columns, which is
+    the kernel basis read off the reduced row echelon form.
+    """
+    if len(cols) != ncols:
+        raise ValueError(f"expected {ncols} columns, got {len(cols)}")
+    ech = _SparseEchelon()
+    return [comb for col in cols if (comb := ech.insert(col)) is not None]
+
+
+def complement_reps(space: list[Vector], subspace: list[Vector], ncols: int) -> list[Vector]:
+    """Vectors from `space`, in order, completing `subspace` to a basis of their joint span.
+
+    `ncols` is the dimension of the ambient space; sparse vectors do not
+    need it, and it stays so that the positional signature is unchanged.
+    """
+    ech = _SparseEchelon()
+    for vec in subspace:
+        ech.insert(vec)
+    return [vec for vec in space if ech.insert(vec) is None]
 
 
 def rank_mod_p(rows: list[list[Fraction]], p: int = FILTER_PRIME) -> int:
@@ -77,82 +139,3 @@ def rank_mod_p(rows: list[list[Fraction]], p: int = FILTER_PRIME) -> int:
         if rk == nrows:
             break
     return rk
-
-
-def _rref(rows: list[list[Fraction]], ncols: int):
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
-    mat = [row[:] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                factor = mat[i][c]
-                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    return mat, pivots
-
-
-def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the kernel of the column action x -> M x."""
-    if ncols == 0:
-        return []
-    if not rows:
-        return [[Fraction(1 if j == c else 0) for j in range(ncols)] for c in range(ncols)]
-    mat, pivots = _rref(rows, ncols)
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -mat[r][fc]
-        basis.append(vec)
-    return basis
-
-
-class _Echelon:
-    """Incremental echelon used to pick vectors independent of a subspace."""
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.rows: list[tuple[int, list[Fraction]]] = []
-
-    def _reduce(self, vec: list[Fraction]) -> list[Fraction]:
-        vec = vec[:]
-        for pivot_col, row in self.rows:
-            if vec[pivot_col] != 0:
-                factor = vec[pivot_col]
-                vec = [x - factor * y for x, y in zip(vec, row)]
-        return vec
-
-    def insert(self, vec: list[Fraction]) -> bool:
-        """Add vec to the span; True when it was independent."""
-        red = self._reduce(vec)
-        for c in range(self.ncols):
-            if red[c] != 0:
-                inv = 1 / red[c]
-                self.rows.append((c, [x * inv for x in red]))
-                return True
-        return False
-
-
-def complement_reps(
-    space: list[list[Fraction]], subspace: list[list[Fraction]], ncols: int
-) -> list[list[Fraction]]:
-    """Vectors from `space` completing `subspace` to a basis of their joint span."""
-    ech = _Echelon(ncols)
-    for vec in subspace:
-        ech.insert(vec)
-    return [vec for vec in space if ech.insert(vec)]

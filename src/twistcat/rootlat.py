@@ -38,7 +38,13 @@ class QuiverGraph:
                 raise ValueError(f"loop at vertex {a} is not allowed")
             if not (0 <= a < vertex_count and 0 <= b < vertex_count):
                 raise ValueError(f"edge ({a},{b}) out of range")
-            edges.add((min(a, b), max(a, b)))
+            edge = (min(a, b), max(a, b))
+            if edge in edges:
+                raise ValueError(
+                    f"repeated edge between vertices {a + 1} and {b + 1} (numbered from 1): "
+                    "multiple edges are not of finite type"
+                )
+            edges.add(edge)
         return cls(vertex_count, frozenset(edges))
 
     def adjacent(self, i: int, j: int) -> bool:

@@ -190,13 +190,22 @@ class CentralCharge:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CentralCharge":
+        if not isinstance(data, dict):
+            raise ValueError("charge must be a JSON object keyed by vertex")
         values = []
         for i in range(len(data)):
             key = str(i + 1)
             if key not in data:
                 raise ValueError(f"charge is missing vertex {key}")
-            nre, dre, nim, dim = data[key]
-            values.append(ExactComplex(Fraction(nre, dre), Fraction(nim, dim)))
+            try:
+                nre, dre, nim, dim = data[key]
+                values.append(ExactComplex(Fraction(nre, dre), Fraction(nim, dim)))
+            except (ValueError, TypeError, ZeroDivisionError):
+                raise ValueError(
+                    f"charge of vertex {key} must be four integers "
+                    f"[re num, re den, im num, im den] with nonzero denominators, "
+                    f"got {data[key]!r}"
+                ) from None
         return cls(values)
 
 

@@ -353,6 +353,8 @@ def suite_twist_inversion(type_name: str, cases: int = 200, max_len: int = 6, se
 
 def run_verify(type_name: str, seeds: int = 5, seed: int = 0) -> list[SuiteResult]:
     """The batch harness behind the verify command."""
+    if seeds < 1:
+        raise ValueError(f"seeds must be at least 1, got {seeds}")
     q = named_quiver(type_name)
     results = [
         suite_stable_constructions(type_name, charges=seeds, seed=seed),

@@ -35,11 +35,13 @@ def test_roots_human_output(capsys):
 
 
 def test_roots_rejects_affine_quiver(tmp_path, capsys):
-    bad = tmp_path / "affine.quiver"
-    bad.write_text("3\n1 2\n2 3\n1 3\n")
-    code, _, err = run(capsys, "roots", "--quiver", str(bad))
-    assert code == 2
-    assert "finite" in err
+    # the triangle (affine A2) and the Kronecker quiver (affine A1, a double edge)
+    for text in ("3\n1 2\n2 3\n1 3\n", "2\n1 2\n1 2\n"):
+        bad = tmp_path / "affine.quiver"
+        bad.write_text(text)
+        code, _, err = run(capsys, "roots", "--quiver", str(bad))
+        assert code == 2
+        assert "finite" in err
 
 
 def test_stable_command_figure_configuration(capsys, charge_file):
@@ -119,6 +121,31 @@ def test_reduce_command(capsys, charge_file):
     assert report["trace"]["steps"][0]["checks"]["spread_strictly_decreases"] == "ok"
 
 
+def test_reduce_command_start_out_of_range(capsys, charge_file):
+    for start in ("0", "4"):
+        code, _, err = run(
+            capsys, "reduce", "--type", "A3", "--charge", charge_file,
+            "--word", "s1", "--start", start,
+        )
+        assert code == 2
+        assert f"--start {start} out of range 1..3" in err
+
+
+def test_charge_file_with_malformed_entry_exits_2(tmp_path, capsys):
+    good = a3_reference_charge().to_json_dict()
+    for entry in ([1, 0, 1, 1], [1, 1, "1", 2], 7, [1, 1, 1]):
+        path = tmp_path / "charge.json"
+        path.write_text(json.dumps({**good, "2": entry}))
+        code, _, err = run(
+            capsys, "stable", "--type", "A3", "--charge", str(path), "--root", "0,1,0",
+        )
+        assert code == 2
+        assert "vertex 2" in err and "Traceback" not in err
+    path.write_text("[1, 2]")
+    code, _, err = run(capsys, "stable", "--type", "A3", "--charge", str(path), "--root", "0,1,0")
+    assert code == 2
+
+
 def test_reduce_command_empty_word(capsys, charge_file):
     code, out, _ = run(
         capsys, "reduce", "--type", "A3", "--charge", charge_file,
@@ -168,6 +195,17 @@ def test_verify_command(capsys):
     assert {s["name"] for s in report["suites"]} >= {
         "stable constructions", "reduction (bottom)", "sandwich triangles",
     }
+
+
+def test_verify_rejects_seeds_below_one(capsys):
+    for seeds in ("0", "-1"):
+        code, out, err = run(capsys, "verify", "--type", "A2", "--seeds", seeds)
+        assert code == 2
+        assert "seeds must be at least 1" in err and "ALL PASS" not in out
+    # uniqueness runs no cases on A1; the smallest valid run still passes
+    code, out, _ = run(capsys, "verify", "--type", "A1", "--seeds", "1")
+    assert code == 0
+    assert "ALL PASS" in out
 
 
 def test_verify_unknown_type(capsys):
