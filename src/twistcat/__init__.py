@@ -22,7 +22,7 @@ from .rootlat import (
     root_sequence,
     simple_root,
 )
-from .zigzag import AlgebraElement, BasisElement, ZigzagAlgebra, multiply
+from .zigzag import AlgebraElement, BasisElement, ZigzagAlgebra
 from .homcore import (
     Generator,
     Morphism,
@@ -54,6 +54,8 @@ from .stability import (
     CentralCharge,
     ExactComplex,
     Phase,
+    Phases,
+    ProbeHit,
     StabilityCondition,
     load_charge,
     random_generic_charge,

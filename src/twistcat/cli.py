@@ -72,18 +72,34 @@ def _parse_root(text: str, q: QuiverGraph):
     return coords
 
 
-def _parse_expression(text: str) -> WeylWord:
+def _check_vertex(token: str, vertex: int, q: QuiverGraph) -> None:
+    """Reject a 0-based vertex outside the quiver, naming the 1-based token the user typed."""
+    if not 0 <= vertex < q.vertex_count:
+        raise ValueError(f"vertex {vertex + 1} in {token} out of range 1..{q.vertex_count}")
+
+
+def _parse_expression(text: str, q: QuiverGraph) -> WeylWord:
     """Reflection words like "s2 s3 s1 a2": rightmost-first reflections of a base root."""
     tokens = text.split()
     if not tokens or not tokens[-1].startswith("a") or not tokens[-1][1:].isdigit():
         raise ValueError(f"expression {text!r} must end with a base root like a2")
     base = int(tokens[-1][1:]) - 1
+    _check_vertex(tokens[-1], base, q)
     letters = []
     for token in tokens[:-1]:
         if not token.startswith("s") or not token[1:].isdigit():
             raise ValueError(f"bad reflection {token!r} in expression")
         letters.append(int(token[1:]) - 1)
+        _check_vertex(token, letters[-1], q)
     return WeylWord(base=base, letters=tuple(reversed(letters)))
+
+
+def _parse_word(text: str, q: QuiverGraph) -> BraidWord:
+    """A braid word whose letters all name vertices of q."""
+    word = parse_braid_word(text)
+    for v, e in word.letters:
+        _check_vertex(f"s{v + 1}" + ("'" if e == -1 else ""), v, q)
+    return word
 
 
 def _emit(report: dict, as_json: bool, lines) -> None:
@@ -126,7 +142,7 @@ def cmd_stable(args) -> int:
     w = _parse_root(args.root, q)
     expression = None
     if args.expression:
-        expression = _parse_expression(args.expression)
+        expression = _parse_expression(args.expression, q)
         if evaluate_word(q, expression) != w:
             raise ValueError("--expression does not evaluate to --root")
     build = stab.stable_build(w, expression)
@@ -142,8 +158,8 @@ def cmd_stable(args) -> int:
             )
         )
         obj = apply_braid(alg, flipped, simple_object(alg, build.word.base))
-    spread = stab.spread(obj)
-    heart = stab.heart_test(obj)
+    phases = stab.phi_probes(obj)
+    spread, heart = phases.spread, phases.in_heart
     report = {
         "charge": charge.to_json_dict(),
         "root": list(w),
@@ -175,7 +191,7 @@ def cmd_reduce(args) -> int:
     alg = ZigzagAlgebra(q)
     charge = _build_charge(args, q)
     stab = StabilityCondition(alg, charge)
-    word = parse_braid_word(args.word or "")
+    word = _parse_word(args.word or "", q)
     if not 1 <= args.start <= q.vertex_count:
         raise ValueError(f"--start {args.start} out of range 1..{q.vertex_count}")
     start = apply_braid(alg, word, simple_object(alg, args.start - 1))
@@ -206,7 +222,7 @@ def cmd_align(args) -> int:
     alg = ZigzagAlgebra(q)
     charge = _build_charge(args, q)
     stab = StabilityCondition(alg, charge)
-    transport = parse_braid_word(args.word or "")
+    transport = _parse_word(args.word or "", q)
     result = heart_align(stab, OrbitStability(transport))
     report = {
         "charge": charge.to_json_dict(),

@@ -361,7 +361,10 @@ class HomComplex:
         return n - linalg.rank(self.matrix(d)) - linalg.rank(self.matrix(d - 1))
 
     def dims(self) -> dict[int, int]:
-        return {d: dim for d in self.degrees() if (dim := self.cohomology_dim(d)) != 0}
+        """Nonzero cohomology dimensions by degree, ranking each differential once."""
+        ranks = {d: linalg.rank(self.matrix(d)) for d in self.degrees() if d + 1 in self.basis}
+        dims = {d: self.dim_at(d) - ranks.get(d, 0) - ranks.get(d - 1, 0) for d in self.degrees()}
+        return {d: dim for d, dim in dims.items() if dim != 0}
 
     def _vector_to_morphism(self, d: int, vec: linalg.Vector) -> Morphism:
         basis = self.basis[d]

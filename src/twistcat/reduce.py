@@ -22,7 +22,7 @@ from .homcore import (
     simple_object,
 )
 from .rootlat import Root
-from .stability import Phase, ProbeHit, StabilityCondition, StableBuild
+from .stability import Phase, Phases, StabilityCondition, StableBuild
 from .twists import BraidWord, apply_braid, twist, untwist
 
 BOTTOM = "bottom"
@@ -89,54 +89,65 @@ def _default_budget(stab: StabilityCondition, y: TwistedComplex) -> int:
     return max(16, 4 * len(stab.roots) * (hi - lo + 3))
 
 
-def _certify(
-    direction: str,
-    lo: ProbeHit,
-    hi: ProbeHit,
-    new_lo: ProbeHit,
-    new_hi: ProbeHit,
-    narrow_clause_ok: bool,
-) -> dict[str, str]:
-    """Assert the step conclusions; returns the per-clause record."""
-    spread = hi.phase - lo.phase
-    new_spread = new_hi.phase - new_lo.phase
-    checks: dict[str, str] = {}
-    if direction == BOTTOM:
-        if not new_lo.phase > lo.phase:
-            raise InvariantViolation(
-                f"bottom phase failed to strictly improve: {lo.phase} -> {new_lo.phase}"
-            )
-        checks["bottom_strict_improvement"] = "ok"
-        clause = "wide_spread_top_non_deterioration" if spread >= Phase.integer(1) \
-            else "narrow_spread_top_non_deterioration"
-        if not narrow_clause_ok:
-            checks[clause] = "skipped: hypothesis not established"
-        elif new_hi.phase > hi.phase:
-            raise InvariantViolation(
-                f"top phase deteriorated: {hi.phase} -> {new_hi.phase}"
-            )
-        else:
-            checks[clause] = "ok"
-    else:
-        if not new_hi.phase < hi.phase:
-            raise InvariantViolation(
-                f"top phase failed to strictly improve: {hi.phase} -> {new_hi.phase}"
-            )
-        checks["top_strict_improvement"] = "ok"
-        clause = "wide_spread_bottom_non_deterioration" if spread >= Phase.integer(1) \
-            else "narrow_spread_bottom_non_deterioration"
-        if not narrow_clause_ok:
-            checks[clause] = "skipped: hypothesis not established"
-        elif new_lo.phase < lo.phase:
-            raise InvariantViolation(
-                f"bottom phase deteriorated: {lo.phase} -> {new_lo.phase}"
-            )
-        else:
-            checks[clause] = "ok"
-    if not new_spread < spread:
-        raise InvariantViolation(f"spread failed to decrease: {spread} -> {new_spread}")
+def _moved_in(end: str, old: Phase, new: Phase) -> bool:
+    """Whether the phase at this end moved strictly inward: up at the bottom, down at the top."""
+    return new > old if end == BOTTOM else new < old
+
+
+def _certify(direction: str, before: Phases, after: Phases) -> dict[str, str]:
+    """Assert the step conclusions; returns the per-clause record.
+
+    The driven end strictly improves, the other end does not deteriorate
+    (the wide- or narrow-spread clause, by the spread before the step), and
+    the spread strictly decreases.
+    """
+    other = TOP if direction == BOTTOM else BOTTOM
+    old, new = getattr(before, direction).phase, getattr(after, direction).phase
+    if not _moved_in(direction, old, new):
+        raise InvariantViolation(f"{direction} phase failed to strictly improve: {old} -> {new}")
+    checks = {f"{direction}_strict_improvement": "ok"}
+    old, new = getattr(before, other).phase, getattr(after, other).phase
+    if _moved_in(other, new, old):  # the way back is inward: the step moved outward
+        raise InvariantViolation(f"{other} phase deteriorated: {old} -> {new}")
+    width = "wide" if before.spread >= Phase.integer(1) else "narrow"
+    checks[f"{width}_spread_{other}_non_deterioration"] = "ok"
+    if not after.spread < before.spread:
+        raise InvariantViolation(
+            f"spread failed to decrease: {before.spread} -> {after.spread}"
+        )
     checks["spread_strictly_decreases"] = "ok"
     return checks
+
+
+def _step(
+    stab: StabilityCondition,
+    x: TwistedComplex,
+    y: TwistedComplex,
+    phases: Phases,
+    direction: str,
+) -> tuple[TwistedComplex, Phases, StepRecord]:
+    """Untwist (bottom) or twist (top) y by the spherical x sitting at that
+    end of its phases, measure again and certify the step."""
+    if direction == BOTTOM:
+        new, exponent = untwist(x, y, _spherical_checked=True), -1
+    else:
+        new, exponent = twist(x, y, _spherical_checked=True), 1
+    after = stab.phi_probes(new)
+    witness = getattr(phases, direction)
+    record = StepRecord(
+        direction=direction,
+        root=witness.root,
+        shift=witness.shift,
+        exponent=exponent,
+        phi_minus_before=phases.bottom.phase,
+        phi_minus_after=after.bottom.phase,
+        phi_plus_before=phases.top.phase,
+        phi_plus_after=after.top.phase,
+        spread_before=phases.spread,
+        spread_after=after.spread,
+        checks=_certify(direction, phases, after),
+    )
+    return new, after, record
 
 
 def reduce_to_stable(
@@ -158,50 +169,22 @@ def reduce_to_stable(
         raise ValueError("reduction is defined for spherical objects only")
     budget = step_budget if step_budget is not None else _default_budget(stab, start)
     cur = start
-    lo, hi = stab.phi_probes(cur)
+    phases = stab.phi_probes(cur)
     steps: list[StepRecord] = []
     recon = BraidWord()
-    while True:
-        spread = hi.phase - lo.phase
-        if spread.is_zero():
-            break
+    # spherical objects keep Hom^0(Y, Y) one-dimensional and have no
+    # negative self-homs; twists preserve both, so the step hypotheses
+    # hold throughout the loop.
+    while not phases.spread.is_zero():
         if len(steps) >= budget:
             raise InvariantViolation(
                 f"reduction exceeded its step budget of {budget}; "
                 "either the budget is too small or termination failed"
             )
-        if strategy == BOTTOM:
-            build = stab.stable_build(lo.root)
-            new = untwist(build.obj, cur, _spherical_checked=True)
-            exponent = -1
-            witness = lo
-        else:
-            build = stab.stable_build(hi.root)
-            new = twist(build.obj, cur, _spherical_checked=True)
-            exponent = 1
-            witness = hi
-        new_lo, new_hi = stab.phi_probes(new)
-        # spherical objects keep Hom^0(Y, Y) one-dimensional and have no
-        # negative self-homs; twists preserve both, so the narrow-spread
-        # clause hypotheses hold throughout the loop.
-        checks = _certify(strategy, lo, hi, new_lo, new_hi, narrow_clause_ok=True)
-        steps.append(
-            StepRecord(
-                direction=strategy,
-                root=build.root,
-                shift=witness.shift,
-                exponent=exponent,
-                phi_minus_before=lo.phase,
-                phi_minus_after=new_lo.phase,
-                phi_plus_before=hi.phase,
-                phi_plus_after=new_hi.phase,
-                spread_before=spread,
-                spread_after=new_hi.phase - new_lo.phase,
-                checks=checks,
-            )
-        )
-        recon = _conjugated_twist_word(build, -exponent).then(recon)
-        cur, lo, hi = new, new_lo, new_hi
+        build = stab.stable_build(getattr(phases, strategy).root)
+        cur, phases, record = _step(stab, build.obj, cur, phases, strategy)
+        steps.append(record)
+        recon = _conjugated_twist_word(build, -record.exponent).then(recon)
     return ReductionTrace(strategy, start, cur, steps, recon)
 
 
@@ -222,52 +205,24 @@ def certify_step(
     x = minimize(x)
     if not is_spherical(x):
         raise HypothesisNotMet("the twisting object must be spherical")
-    x_lo, x_hi = stab.phi_probes(x)
-    if not (x_hi.phase - x_lo.phase).is_zero():
+    x_phases = stab.phi_probes(x)
+    if not x_phases.spread.is_zero():
         raise HypothesisNotMet("the twisting object must be semistable")
-    lo, hi = stab.phi_probes(y)
-    spread = hi.phase - lo.phase
-    if spread.is_zero():
+    phases = stab.phi_probes(y)
+    if phases.spread.is_zero():
         raise HypothesisNotMet(
             "y is already semistable; the stable object of its phase is a direct summand"
         )
-    if direction == BOTTOM and x_lo.phase != lo.phase:
-        raise HypothesisNotMet("x does not sit at the bottom phase of y")
-    if direction == TOP and x_lo.phase != hi.phase:
-        raise HypothesisNotMet("x does not sit at the top phase of y")
+    if x_phases.bottom.phase != getattr(phases, direction).phase:
+        raise HypothesisNotMet(f"x does not sit at the {direction} phase of y")
     self_homs = hom_dims(y, y)
     if any(d < 0 for d in self_homs):
         raise HypothesisNotMet("y has self-homs in negative degrees")
-    narrow_ok = True
-    if spread < Phase.integer(1):
-        narrow_ok = self_homs.get(0) == 1
-        if not narrow_ok:
-            raise HypothesisNotMet(
-                "the narrow-spread clause needs a one-dimensional endomorphism space"
-            )
-    if direction == BOTTOM:
-        new = untwist(x, y, _spherical_checked=True)
-        exponent = -1
-        witness = lo
-    else:
-        new = twist(x, y, _spherical_checked=True)
-        exponent = 1
-        witness = hi
-    new_lo, new_hi = stab.phi_probes(new)
-    checks = _certify(direction, lo, hi, new_lo, new_hi, narrow_ok)
-    return StepRecord(
-        direction=direction,
-        root=witness.root,
-        shift=witness.shift,
-        exponent=exponent,
-        phi_minus_before=lo.phase,
-        phi_minus_after=new_lo.phase,
-        phi_plus_before=hi.phase,
-        phi_plus_after=new_hi.phase,
-        spread_before=spread,
-        spread_after=new_hi.phase - new_lo.phase,
-        checks=checks,
-    )
+    if phases.spread < Phase.integer(1) and self_homs.get(0) != 1:
+        raise HypothesisNotMet(
+            "the narrow-spread clause needs a one-dimensional endomorphism space"
+        )
+    return _step(stab, x, y, phases, direction)[2]
 
 
 def sandwich_check(
@@ -277,10 +232,11 @@ def sandwich_check(
     last: TwistedComplex,
 ) -> bool:
     """Both middle-term phase inequalities for an exact triangle first -> middle -> last."""
-    f_lo, f_hi = stab.phi_bounds(first)
-    m_lo, m_hi = stab.phi_bounds(middle)
-    l_lo, l_hi = stab.phi_bounds(last)
-    return m_lo >= min(f_lo, l_lo) and m_hi <= max(f_hi, l_hi)
+    outer_a, inner, outer_b = (stab.phi_probes(obj) for obj in (first, middle, last))
+    return (
+        inner.bottom.phase >= min(outer_a.bottom.phase, outer_b.bottom.phase)
+        and inner.top.phase <= max(outer_a.top.phase, outer_b.top.phase)
+    )
 
 
 @dataclass(frozen=True)
@@ -327,42 +283,25 @@ def heart_align(
     simples = [simple_object(alg, v) for v in range(n)]
     word = orbit.transport.inverse()
     cur = minimize(apply_braid(alg, word, direct_sum(*simples)))
-    lo, hi = stab.phi_probes(cur)
+    phases = stab.phi_probes(cur)
     budget = step_budget if step_budget is not None else _default_budget(stab, cur)
     steps: list[StepRecord] = []
-    while hi.phase - lo.phase >= Phase.integer(1):
+    while phases.spread >= Phase.integer(1):
         if len(steps) >= budget:
             raise InvariantViolation(
                 f"heart alignment exceeded its step budget of {budget}"
             )
-        build = stab.stable_build(lo.root)
-        new = untwist(build.obj, cur, _spherical_checked=True)
-        new_lo, new_hi = stab.phi_probes(new)
-        checks = _certify(BOTTOM, lo, hi, new_lo, new_hi, narrow_clause_ok=True)
-        steps.append(
-            StepRecord(
-                direction=BOTTOM,
-                root=build.root,
-                shift=lo.shift,
-                exponent=-1,
-                phi_minus_before=lo.phase,
-                phi_minus_after=new_lo.phase,
-                phi_plus_before=hi.phase,
-                phi_plus_after=new_hi.phase,
-                spread_before=hi.phase - lo.phase,
-                spread_after=new_hi.phase - new_lo.phase,
-                checks=checks,
-            )
-        )
+        build = stab.stable_build(phases.bottom.root)
+        cur, phases, record = _step(stab, build.obj, cur, phases, BOTTOM)
+        steps.append(record)
         word = word.then(_conjugated_twist_word(build, -1))
-        cur, lo, hi = new, new_lo, new_hi
-    floor = Phase.integer(lo.phase.shift)
-    alpha_base = floor if hi.phase < floor + 1 else lo.phase
+    lo, hi = phases.bottom.phase, phases.top.phase
+    floor = Phase.integer(lo.shift)
+    alpha_base = floor if hi < floor + 1 else lo
     alpha = alpha_base + orbit.rotation if orbit.rotation is not None else alpha_base
     for v in range(n):
-        transported = apply_braid(alg, word, simples[v])
-        t_lo, t_hi = stab.phi_bounds(transported)
-        if not (t_lo >= alpha_base and t_hi < alpha_base + 1):
+        window = stab.phi_probes(apply_braid(alg, word, simples[v]))
+        if not (window.bottom.phase >= alpha_base and window.top.phase < alpha_base + 1):
             raise InvariantViolation(
                 f"realigned simple {v} escapes the [alpha, alpha+1) window"
             )

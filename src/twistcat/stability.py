@@ -241,9 +241,27 @@ def _charge_is_generic(charge: CentralCharge, roots: list[Root]) -> bool:
 
 
 class ProbeHit(NamedTuple):
+    """A phase witnessed by a nonzero Hom^0 with the stable object of root, shifted."""
+
     phase: Phase
     root: Root
     shift: int
+
+
+class Phases(NamedTuple):
+    """The witnessed bottom and top phases of one object, from one probe."""
+
+    bottom: ProbeHit
+    top: ProbeHit
+
+    spread = property(
+        lambda self: self.top.phase - self.bottom.phase,
+        doc="Top phase minus bottom phase; zero exactly on semistable objects.",
+    )
+    in_heart = property(
+        lambda self: Phase.integer(0) <= self.bottom.phase and self.top.phase < Phase.integer(1),
+        doc="Whether both phases, and so every phase of the object, lie in [0, 1).",
+    )
 
 
 @dataclass
@@ -363,8 +381,12 @@ class StabilityCondition:
         out.sort(key=lambda item: item[0], reverse=(side == "top"))
         return out
 
-    def phi_probes(self, y: TwistedComplex) -> tuple[ProbeHit, ProbeHit]:
-        """Witnessed bottom and top phases of an object with spherical factors."""
+    def phi_probes(self, y: TwistedComplex) -> Phases:
+        """Witnessed bottom and top phases of an object with spherical factors.
+
+        This is the one phase measurement; read the spread and heart
+        membership off the returned Phases instead of probing again.
+        """
         if y.is_zero:
             raise ValueError("the zero object has no phases")
         self.require_generic()
@@ -382,17 +404,4 @@ class StabilityCondition:
                 break
         if top is None:
             raise InvariantViolation("no stable object maps to the probe target")
-        return bottom, top
-
-    def phi_bounds(self, y: TwistedComplex) -> tuple[Phase, Phase]:
-        lo, hi = self.phi_probes(y)
-        return lo.phase, hi.phase
-
-    def spread(self, y: TwistedComplex) -> Phase:
-        lo, hi = self.phi_bounds(y)
-        return hi - lo
-
-    def heart_test(self, y: TwistedComplex) -> bool:
-        """Whether every phase of y lies in [0, 1)."""
-        lo, hi = self.phi_bounds(y)
-        return Phase.integer(0) <= lo and hi < Phase.integer(1)
+        return Phases(bottom, top)

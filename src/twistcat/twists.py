@@ -84,76 +84,61 @@ def _require_spherical(x: TwistedComplex, checked: bool) -> None:
         raise ValueError("twist functors are only defined for spherical objects")
 
 
-def _evaluation_morphism(x: TwistedComplex, y: TwistedComplex) -> Morphism | None:
-    """Evaluation from (cohomology of Hom(x, y)) tensor x into y; None when Hom vanishes."""
-    reps = HomComplex(x, y).all_cohomology_reps()
+Triangle = tuple[TwistedComplex, TwistedComplex, TwistedComplex]
+
+
+def _triangle(
+    x: TwistedComplex, y: TwistedComplex, exponent: int, checked: bool
+) -> Triangle | None:
+    """The exact triangle of the twist (exponent 1) or untwist (-1) of y by x.
+
+    Exponent 1 takes the evaluation map from (cohomology of Hom(x, y))
+    tensor x into y and returns (tensor, y, twist); exponent -1 takes the
+    adjoint map from y into x tensor the dual of Hom(y, x) and returns
+    (untwist, y, tensor).  None when the Hom space vanishes.
+    """
+    _require_spherical(x, checked)
+    source, target = (x, y) if exponent == 1 else (y, x)
+    reps = HomComplex(source, target).all_cohomology_reps()
     if not reps:
         return None
-    blocks = [x.shift(-d) for d, _ in reps]
+    blocks = [x.shift(-exponent * d) for d, _ in reps]
     tensor = direct_sum(*blocks)
     entries: Entries = {}
     offset = 0
     for (d, rep), block in zip(reps, blocks):
         for (h, g), elem in rep.entries.items():
-            entries[(h, g + offset)] = elem
+            entries[(h, g + offset) if exponent == 1 else (h + offset, g)] = elem
         offset += len(block.generators)
-    return Morphism(tensor, y, 0, entries, validate=False)
-
-
-def _coevaluation_morphism(x: TwistedComplex, y: TwistedComplex) -> Morphism | None:
-    """Adjoint map from y into x tensor the dual of Hom(y, x); None when Hom vanishes."""
-    reps = HomComplex(y, x).all_cohomology_reps()
-    if not reps:
-        return None
-    blocks = [x.shift(d) for d, _ in reps]
-    tensor = direct_sum(*blocks)
-    entries: Entries = {}
-    offset = 0
-    for (d, rep), block in zip(reps, blocks):
-        for (h, g), elem in rep.entries.items():
-            entries[(h + offset, g)] = elem
-        offset += len(block.generators)
-    return Morphism(y, tensor, 0, entries, validate=False)
+    if exponent == 1:
+        return tensor, y, minimize(cone(Morphism(tensor, y, 0, entries, validate=False)))
+    return minimize(cone(Morphism(y, tensor, 0, entries, validate=False)).shift(-1)), y, tensor
 
 
 def twist(x: TwistedComplex, y: TwistedComplex, _spherical_checked: bool = False) -> TwistedComplex:
     """Positive spherical twist of y by x, minimized."""
-    _require_spherical(x, _spherical_checked)
-    evaluation = _evaluation_morphism(x, y)
-    if evaluation is None:
-        return minimize(y)
-    return minimize(cone(evaluation))
+    triangle = _triangle(x, y, 1, _spherical_checked)
+    return triangle[2] if triangle else minimize(y)
 
 
 def untwist(x: TwistedComplex, y: TwistedComplex, _spherical_checked: bool = False) -> TwistedComplex:
     """Inverse spherical twist of y by x, minimized; two-sided inverse of twist."""
-    _require_spherical(x, _spherical_checked)
-    coevaluation = _coevaluation_morphism(x, y)
-    if coevaluation is None:
-        return minimize(y)
-    return minimize(cone(coevaluation).shift(-1))
+    triangle = _triangle(x, y, -1, _spherical_checked)
+    return triangle[0] if triangle else minimize(y)
 
 
 def twist_triangle(
     x: TwistedComplex, y: TwistedComplex, _spherical_checked: bool = False
-) -> tuple[TwistedComplex, TwistedComplex, TwistedComplex] | None:
+) -> Triangle | None:
     """The exact triangle (tensor -> y -> twist) of a positive twist, or None if Hom = 0."""
-    _require_spherical(x, _spherical_checked)
-    evaluation = _evaluation_morphism(x, y)
-    if evaluation is None:
-        return None
-    return evaluation.source, y, minimize(cone(evaluation))
+    return _triangle(x, y, 1, _spherical_checked)
 
 
 def untwist_triangle(
     x: TwistedComplex, y: TwistedComplex, _spherical_checked: bool = False
-) -> tuple[TwistedComplex, TwistedComplex, TwistedComplex] | None:
+) -> Triangle | None:
     """The exact triangle (untwist -> y -> tensor) of an inverse twist, or None if Hom = 0."""
-    _require_spherical(x, _spherical_checked)
-    coevaluation = _coevaluation_morphism(x, y)
-    if coevaluation is None:
-        return None
-    return minimize(cone(coevaluation).shift(-1)), y, coevaluation.target
+    return _triangle(x, y, -1, _spherical_checked)
 
 
 def apply_braid(

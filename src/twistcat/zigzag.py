@@ -153,7 +153,3 @@ class ZigzagAlgebra:
             b.source == source_vertex and b.target == target_vertex for b in elem.terms
         )
 
-
-def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Module-level synonym for the algebra product (a then b)."""
-    return a * b

@@ -1,16 +1,15 @@
-import random
 from fractions import Fraction
 
 import pytest
 
 from twistcat import (
-    BraidWord,
     CentralCharge,
     ExactComplex,
     StabilityCondition,
     ZigzagAlgebra,
     named_quiver,
 )
+from twistcat.verify import random_word  # noqa: F401  (shared with the test modules)
 
 
 def a3_reference_charge() -> CentralCharge:
@@ -26,13 +25,6 @@ def a3_reference_charge() -> CentralCharge:
 
 def a2_reference_charge() -> CentralCharge:
     return CentralCharge([ExactComplex.of(-1, Fraction(1, 2)), ExactComplex.of(0, 1)])
-
-
-def random_word(rng: random.Random, n_vertices: int, max_len: int, min_len: int = 1) -> BraidWord:
-    length = rng.randint(min_len, max_len)
-    return BraidWord(
-        tuple((rng.randrange(n_vertices), rng.choice((1, -1))) for _ in range(length))
-    )
 
 
 @pytest.fixture(scope="session")

@@ -64,9 +64,10 @@ def test_criterion_1_figure_configuration():
     obj = build.obj
     if not is_spherical(obj):
         failures.append("object is not spherical")
-    if not stab.heart_test(obj):
+    phases = stab.phi_probes(obj)
+    if not phases.in_heart:
         failures.append("object is not in the standard heart")
-    if not stab.spread(obj).is_zero():
+    if not phases.spread.is_zero():
         failures.append("object has nonzero spread")
     if obj.k_class() != (1, 1, 1):
         failures.append(f"class {obj.k_class()} != (1, 1, 1)")

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from twistcat.cli import main
+from twistcat.verify import SuiteResult
 from conftest import a3_reference_charge
 
 
@@ -108,6 +109,14 @@ def test_stable_command_bad_root(capsys, charge_file):
     )
     assert code == 2
     assert "coordinates" in err
+    for expression, token, vertex in (("s4 a1", "s4", 4), ("a4", "a4", 4), ("s2 a0", "a0", 0)):
+        code, _, err = run(
+            capsys, "stable", "--type", "A3", "--charge", charge_file,
+            "--root", "1,0,0", "--expression", expression,
+        )
+        assert code == 2
+        assert f"vertex {vertex} in {token} out of range 1..3" in err
+        assert "Traceback" not in err
 
 
 def test_reduce_command(capsys, charge_file):
@@ -185,6 +194,13 @@ def test_bad_braid_word(capsys, charge_file):
     )
     assert code == 2
     assert "braid letter" in err
+    for command in (("reduce", "--start", "1"), ("align",)):
+        code, _, err = run(
+            capsys, command[0], "--type", "A3", "--charge", charge_file,
+            "--word", "s1 s9'", *command[1:],
+        )
+        assert code == 2
+        assert "vertex 9 in s9' out of range 1..3" in err
 
 
 def test_verify_command(capsys):
@@ -206,6 +222,19 @@ def test_verify_rejects_seeds_below_one(capsys):
     code, out, _ = run(capsys, "verify", "--type", "A1", "--seeds", "1")
     assert code == 0
     assert "ALL PASS" in out
+    code, out, _ = run(capsys, "verify", "--type", "A1", "--seeds", "1", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["ok"]
+    assert all(s["cases"] > 0 for s in report["suites"])
+    assert "stable object uniqueness" not in {s["name"] for s in report["suites"]}
+
+
+def test_suite_without_cases_fails():
+    empty = SuiteResult("empty", 0, [], 0.0)
+    assert not empty.ok
+    assert empty.summary() == "empty: FAIL (no cases) [0 cases, 0.0s]"
+    assert SuiteResult("one", 1, [], 0.0).ok
 
 
 def test_verify_unknown_type(capsys):

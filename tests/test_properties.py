@@ -1,0 +1,92 @@
+"""Property tests on braid images of simples in types A3 and D4.
+
+Examples are derandomized and the example database is off, so every run
+draws the same inputs.
+"""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from twistcat import (
+    BraidWord,
+    Phase,
+    StabilityCondition,
+    ZigzagAlgebra,
+    apply_braid,
+    is_isomorphic,
+    minimize,
+    named_quiver,
+    random_generic_charge,
+    simple_object,
+    twist,
+    twist_triangle,
+    untwist,
+    untwist_triangle,
+)
+from twistcat.homcore import HomComplex
+
+ALGEBRAS = {name: ZigzagAlgebra(named_quiver(name)) for name in ("A3", "D4")}
+
+SETTINGS = settings(derandomize=True, database=None, max_examples=12, deadline=None)
+
+
+@st.composite
+def braid_images(draw, max_len: int = 5):
+    """An algebra and a braid image of one of its simples."""
+    alg = ALGEBRAS[draw(st.sampled_from(sorted(ALGEBRAS)))]
+    n = alg.quiver.vertex_count
+    letters = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from((1, -1))), max_size=max_len)
+    )
+    vertex = draw(st.integers(0, n - 1))
+    return alg, apply_braid(alg, BraidWord(tuple(letters)), simple_object(alg, vertex))
+
+
+@SETTINGS
+@given(braid_images(), st.integers(0, 3))
+def test_untwist_inverts_twist(image, v):
+    alg, y = image
+    x = simple_object(alg, v % alg.quiver.vertex_count)
+    assert is_isomorphic(untwist(x, twist(x, y)), y)
+
+
+@SETTINGS
+@given(braid_images(), st.integers(0, 3))
+def test_triangles_end_in_the_twists(image, v):
+    alg, y = image
+    x = simple_object(alg, v % alg.quiver.vertex_count)
+    forward = twist_triangle(x, y)
+    backward = untwist_triangle(x, y)
+    if forward is None:
+        assert twist(x, y) == minimize(y)
+    else:
+        assert forward[1] == y
+        assert forward[2] == twist(x, y)
+    if backward is None:
+        assert untwist(x, y) == minimize(y)
+    else:
+        assert backward[1] == y
+        assert backward[0] == untwist(x, y)
+
+
+@SETTINGS
+@given(braid_images(), st.integers(0, 3), st.integers(-2, 2))
+def test_dims_match_degreewise_cohomology(image, v, shift):
+    alg, y = image
+    x = simple_object(alg, v % alg.quiver.vertex_count, shift)
+    for source, target in ((x, y), (y, x), (y, y)):
+        hom = HomComplex(source, target)
+        by_degree = {d: hom.cohomology_dim(d) for d in hom.degrees()}
+        assert hom.dims() == {d: n for d, n in by_degree.items() if n}
+
+
+@SETTINGS
+@given(braid_images(max_len=4), st.integers(0, 2**32))
+def test_phases_spread_is_top_minus_bottom(image, seed):
+    alg, y = image
+    stab = StabilityCondition(alg, random_generic_charge(alg.quiver, random.Random(seed)))
+    phases = stab.phi_probes(y)
+    bottom, top = phases
+    assert phases.spread == top.phase - bottom.phase
+    assert phases.in_heart == (Phase.integer(0) <= bottom.phase and top.phase < Phase.integer(1))

@@ -4,6 +4,7 @@ import pytest
 
 from twistcat import (
     BraidWord,
+    ExactComplex,
     HypothesisNotMet,
     InvariantViolation,
     OrbitStability,
@@ -23,6 +24,8 @@ from twistcat import (
     twist,
     twist_triangle,
 )
+from twistcat.reduce import _certify
+from twistcat.stability import Phases, ProbeHit
 from conftest import random_word
 
 
@@ -70,8 +73,8 @@ def test_both_strategies_reach_stable_objects(alg_a3):
         y = apply_braid(alg_a3, random_word(rng, 3, 8), simple_object(alg_a3, rng.randrange(3)))
         bottom = reduce_to_stable(stab, y, "bottom")
         top = reduce_to_stable(stab, y, "top")
-        assert stab.spread(bottom.final).is_zero()
-        assert stab.spread(top.final).is_zero()
+        assert stab.phi_probes(bottom.final).spread.is_zero()
+        assert stab.phi_probes(top.final).spread.is_zero()
 
 
 def test_reduce_rejects_nonspherical(stab_a2, alg_a2):
@@ -102,9 +105,9 @@ def test_certify_step_wide_spread_clause(stab_a2, alg_a2):
     wide = None
     for _ in range(50):
         y = apply_braid(alg_a2, random_word(rng, 2, 6), simple_object(alg_a2, rng.randrange(2)))
-        lo, hi = stab_a2.phi_probes(y)
-        if hi.phase - lo.phase >= Phase.integer(1):
-            wide = (y, lo)
+        phases = stab_a2.phi_probes(y)
+        if phases.spread >= Phase.integer(1):
+            wide = (y, phases.bottom)
             break
     assert wide is not None, "no wide-spread object found in 50 draws"
     y, lo = wide
@@ -159,8 +162,6 @@ def test_heart_align_single_transport(stab_a2):
 def test_heart_align_rotation_passthrough(stab_a2):
     from fractions import Fraction
 
-    from twistcat import ExactComplex
-
     rotation = Phase.of(ExactComplex.of(Fraction(1, 2), Fraction(1, 3)), 1)
     plain = heart_align(stab_a2, OrbitStability(parse_braid_word("s1")))
     rotated = heart_align(stab_a2, OrbitStability(parse_braid_word("s1"), rotation))
@@ -180,8 +181,7 @@ def test_heart_align_random_transports(alg_a3):
         stab = StabilityCondition(alg_a3, random_generic_charge(q, rng))
         transport = random_word(rng, 3, 6, min_len=0)
         result = heart_align(stab, OrbitStability(transport))
-        lo, hi = stab.phi_bounds(result.final)
-        assert hi - lo < Phase.integer(1)
+        assert stab.phi_probes(result.final).spread < Phase.integer(1)
 
 
 def test_trace_serialization_shape(stab_a2, unstable_a2):
@@ -193,3 +193,63 @@ def test_trace_serialization_shape(stab_a2, unstable_a2):
     assert step["exponent"] == -1
     assert step["spread_after"]["approx"] == 0.0
     assert "witness" in step["phi_minus_before"]
+
+
+# -- the step certificate, on hand-built probe hits ------------------------
+
+def _hit(shift, re, im=1):
+    """A probe hit at phase shift + arg(re + i im)/pi."""
+    return ProbeHit(Phase(shift, ExactComplex.of(re, im)), (1, 0), shift)
+
+
+def _certify_phases(direction, before, after):
+    return _certify(direction, Phases(*before), Phases(*after))
+
+
+WIDE = (_hit(0, 1), _hit(1, 0))  # phases 0.25 and 1.5
+
+
+def test_certify_accepts_a_wide_bottom_step():
+    checks = _certify_phases("bottom", WIDE, (_hit(0, 0), _hit(1, 1)))
+    assert checks == {
+        "bottom_strict_improvement": "ok",
+        "wide_spread_top_non_deterioration": "ok",
+        "spread_strictly_decreases": "ok",
+    }
+
+
+def test_certify_accepts_a_narrow_top_step():
+    checks = _certify_phases("top", (_hit(0, 1), _hit(0, -1)), (_hit(0, 1), _hit(0, 0)))
+    assert checks == {
+        "top_strict_improvement": "ok",
+        "narrow_spread_bottom_non_deterioration": "ok",
+        "spread_strictly_decreases": "ok",
+    }
+
+
+@pytest.mark.parametrize(
+    "direction, after, message",
+    [
+        ("bottom", (_hit(0, 1), _hit(1, 1)),
+         "bottom phase failed to strictly improve: Phase(0.250000) -> Phase(0.250000)"),
+        ("bottom", (_hit(0, 0), _hit(1, -1)),
+         "top phase deteriorated: Phase(1.500000) -> Phase(1.750000)"),
+        ("top", (_hit(0, 0), _hit(1, -1)),
+         "top phase failed to strictly improve: Phase(1.500000) -> Phase(1.750000)"),
+        ("top", (_hit(0, 1, 0), _hit(1, 1)),
+         "bottom phase deteriorated: Phase(0.250000) -> Phase(0.000000)"),
+    ],
+)
+def test_certify_rejects_a_bad_end(direction, after, message):
+    with pytest.raises(InvariantViolation) as err:
+        _certify_phases(direction, WIDE, after)
+    assert str(err.value) == message
+
+
+def test_certify_rejects_a_spread_that_does_not_decrease(monkeypatch):
+    # with consistent phase arithmetic the two end checks imply this one, so
+    # pin the last clause by making every phase difference equal
+    monkeypatch.setattr(Phase, "__sub__", lambda self, other: Phase.integer(1))
+    with pytest.raises(InvariantViolation) as err:
+        _certify_phases("bottom", WIDE, (_hit(0, 0), _hit(1, 1)))
+    assert str(err.value) == "spread failed to decrease: Phase(1.000000) -> Phase(1.000000)"

@@ -147,8 +147,9 @@ def test_stable_object_figure_word(stab_a3, alg_a3):
     obj = build.obj
     assert obj.k_class() == (1, 1, 1)
     assert is_spherical(obj)
-    assert stab_a3.heart_test(obj)
-    assert stab_a3.spread(obj).is_zero()
+    phases = stab_a3.phi_probes(obj)
+    assert phases.in_heart
+    assert phases.spread.is_zero()
     assert is_isomorphic(obj, stab_a3.stable_object((1, 1, 1)))
 
 
@@ -159,36 +160,36 @@ def test_stable_object_rejects_wrong_word(stab_a3):
 
 def test_phi_bounds_examples(stab_a3, alg_a3):
     p1, p2 = simple_object(alg_a3, 0), simple_object(alg_a3, 1)
-    lo, hi = stab_a3.phi_bounds(p2)
+    lo, hi = (hit.phase for hit in stab_a3.phi_probes(p2))
     assert lo == hi == Phase(0, ExactComplex.of(0, 1))
     summed = direct_sum(p1, p2.shift(1))
-    lo, hi = stab_a3.phi_bounds(summed)
+    phases = stab_a3.phi_probes(summed)
+    lo, hi = phases.bottom.phase, phases.top.phase
     assert lo == Phase(0, ExactComplex.of(-1, Fraction(1, 2)))
     assert hi == Phase(1, ExactComplex.of(0, 1))
     assert math.isclose(float(lo), 0.8524163823495667)
     assert math.isclose(float(hi), 1.5)
-    spread = stab_a3.spread(summed)
-    assert math.isclose(float(spread), 0.6475836176504333)
-    assert not stab_a3.heart_test(summed)
+    assert math.isclose(float(phases.spread), 0.6475836176504333)
+    assert not phases.in_heart
 
 
 def test_unstable_flip_example(stab_a2, alg_a2):
     flipped = apply_braid(alg_a2, parse_braid_word("s1'"), simple_object(alg_a2, 1))
-    spread = stab_a2.spread(flipped)
+    spread = stab_a2.phi_probes(flipped).spread
     assert not spread.is_zero()
     assert spread > Phase.integer(0)
 
 
 def test_phi_bounds_rejects_zero(stab_a2, alg_a2):
     with pytest.raises(ValueError):
-        stab_a2.phi_bounds(zero_object(alg_a2))
+        stab_a2.phi_probes(zero_object(alg_a2))
 
 
 def test_heart_examples(stab_a2, alg_a2):
     p1, p2 = simple_object(alg_a2, 0), simple_object(alg_a2, 1)
-    assert stab_a2.heart_test(direct_sum(p1, p2))
-    assert not stab_a2.heart_test(direct_sum(p1, p2.shift(1)))
-    assert stab_a2.spread(stab_a2.stable_object((1, 1))).is_zero()
+    assert stab_a2.phi_probes(direct_sum(p1, p2)).in_heart
+    assert not stab_a2.phi_probes(direct_sum(p1, p2.shift(1))).in_heart
+    assert stab_a2.phi_probes(stab_a2.stable_object((1, 1))).spread.is_zero()
 
 
 def test_heart_criterion_for_simple_twists(stab_a3, alg_a3):
@@ -202,9 +203,9 @@ def test_heart_criterion_for_simple_twists(stab_a3, alg_a3):
         for v in range(3):
             p = simple_object(alg_a3, v)
             into = hom_dims(p, x).get(0, 0)
-            assert stab_a3.heart_test(untwist(p, x)) == (into == 0), (v, pieces)
+            assert stab_a3.phi_probes(untwist(p, x)).in_heart == (into == 0), (v, pieces)
             onto = hom_dims(x, p).get(0, 0)
-            assert stab_a3.heart_test(twist(p, x)) == (onto == 0), (v, pieces)
+            assert stab_a3.phi_probes(twist(p, x)).in_heart == (onto == 0), (v, pieces)
 
 
 def test_phase_zero_charge_is_legal():
@@ -213,9 +214,10 @@ def test_phase_zero_charge_is_legal():
     stab = StabilityCondition(alg, CentralCharge([ExactComplex.of(1, 0)]))
     assert stab.validate_generic()
     p = simple_object(alg, 0)
-    lo, hi = stab.phi_bounds(p)
-    assert lo == hi == Phase.integer(0)
-    assert stab.heart_test(p)
+    phases = stab.phi_probes(p)
+    assert phases.bottom.phase == phases.top.phase == Phase.integer(0)
+    assert phases.in_heart
+    assert not stab.phi_probes(p.shift(1)).in_heart  # the heart window is half-open
 
 
 def test_random_generic_charges_are_generic():
@@ -236,5 +238,6 @@ def test_stable_objects_under_many_charges(alg_a3):
         for w in stab.roots:
             obj = stab.stable_object(w)
             assert obj.k_class() == w
-            assert stab.heart_test(obj)
-            assert stab.spread(obj).is_zero()
+            phases = stab.phi_probes(obj)
+            assert phases.in_heart
+            assert phases.spread.is_zero()
