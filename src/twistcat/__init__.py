@@ -9,9 +9,9 @@ from .errors import (
 from .rootlat import (
     QuiverGraph,
     WeylWord,
-    all_minimal_words,
     cartan_pairing,
     evaluate_word,
+    last_minimal_word,
     load_quiver,
     minimal_word,
     named_quiver,

@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple
 
 from . import linalg
 from .rootlat import Root
-from .zigzag import AlgebraElement, BasisElement, ZigzagAlgebra
+from .zigzag import AlgebraElement, BasisElement, ZigzagAlgebra, basis_product
 
 Entries = dict[tuple[int, int], AlgebraElement]
 
@@ -301,16 +301,11 @@ class HomComplex:
         self.source = source
         self.target = target
         self.basis: dict[int, list[tuple[int, int, BasisElement]]] = {}
-        self.index: dict[tuple[int, int, BasisElement], int] = {}
-        alg = source.alg
+        paths = source.alg.paths
         for g, (vg, sg) in enumerate(source.generators):
             for h, (vh, sh) in enumerate(target.generators):
-                for b in alg.hom_basis(vg, vh):
-                    d = b.degree + sg - sh
-                    self.basis.setdefault(d, []).append((g, h, b))
-        for d, triples in self.basis.items():
-            for pos, triple in enumerate(triples):
-                self.index[triple] = pos
+                for b, degree in paths[(vg, vh)]:
+                    self.basis.setdefault(degree + sg - sh, []).append((g, h, b))
         self._matrices: dict[int, list[linalg.Vector]] = {}
 
     def degrees(self) -> list[int]:
@@ -321,33 +316,41 @@ class HomComplex:
 
     def matrix(self, d: int) -> list[linalg.Vector]:
         """Sparse columns of D: Hom^d -> Hom^{d+1}, one per Hom^d basis triple,
-        indexed by the Hom^{d+1} triples."""
+        indexed by the Hom^{d+1} triples.
+
+        Between two generators there is at most one basis path of each
+        degree, so a Hom^{d+1} triple is fixed by its generator pair, and a
+        product of basis paths has coefficient 1: each column entry is the
+        coefficient of a differential term whose product with the column's
+        path is nonzero.
+        """
         if d in self._matrices:
             return self._matrices[d]
         dom = self.basis.get(d, [])
         cod = self.basis.get(d + 1, [])
         cols: list[linalg.Vector] = []
         if dom and cod:
-            sign = Fraction(-1 if d % 2 == 0 else 1)
-            d_x = self.source.differential
-            d_y = self.target.differential
+            negate = d % 2 == 0
+            rows = {(g, h): pos for pos, (g, h, _) in enumerate(cod)}
             y_by_source: dict[int, list[tuple[int, AlgebraElement]]] = {}
-            for (h2, h1), elem in d_y.items():
+            for (h2, h1), elem in self.target.differential.items():
                 y_by_source.setdefault(h1, []).append((h2, elem))
             x_by_target: dict[int, list[tuple[int, AlgebraElement]]] = {}
-            for (g1, g2), elem in d_x.items():
+            for (g1, g2), elem in self.source.differential.items():
                 x_by_target.setdefault(g1, []).append((g2, elem))
             for g, h, b in dom:
-                belem = AlgebraElement.of(b)
                 col: linalg.Vector = {}
                 for h2, elem in y_by_source.get(h, ()):
-                    for b2, coeff in (belem * elem).terms.items():
-                        row = self.index[(g, h2, b2)]
-                        col[row] = col.get(row, 0) + coeff
+                    for bt, coeff in elem.terms.items():
+                        if basis_product(b, bt) is not None:
+                            row = rows[(g, h2)]
+                            col[row] = col[row] + coeff if row in col else coeff
                 for g2, elem in x_by_target.get(g, ()):
-                    for b2, coeff in (elem * belem).terms.items():
-                        row = self.index[(g2, h, b2)]
-                        col[row] = col.get(row, 0) + sign * coeff
+                    for bt, coeff in elem.terms.items():
+                        if basis_product(bt, b) is not None:
+                            row = rows[(g2, h)]
+                            coeff = -coeff if negate else coeff
+                            col[row] = col[row] + coeff if row in col else coeff
                 cols.append({row: c for row, c in col.items() if c})
         else:
             cols = [{} for _ in dom]
@@ -398,9 +401,15 @@ def hom_dims(x: TwistedComplex, y: TwistedComplex) -> dict[int, int]:
     return HomComplex(x, y).dims()
 
 
-def hom0_is_nonzero(x: TwistedComplex, y: TwistedComplex) -> bool:
-    """Whether H^0 Hom(x, y) != 0, by the exact dimension."""
-    return HomComplex(x, y).cohomology_dim(0) > 0
+def hom0_is_nonzero(x: TwistedComplex, y: TwistedComplex, shift: int = 0) -> bool:
+    """Whether H^0 Hom(x, y[shift]) != 0, by the exact dimension.
+
+    This is H^shift Hom(x, y): the two complexes have the same basis, and
+    since shifting y by [shift] multiplies its differential by
+    (-1)^shift, their differentials differ by that global sign and have
+    equal ranks.  So no shifted copy of y is built.
+    """
+    return HomComplex(x, y).cohomology_dim(shift) > 0
 
 
 def is_spherical(x: TwistedComplex) -> bool:

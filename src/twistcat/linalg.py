@@ -8,7 +8,8 @@ nonzero index against the pivots found so far, carrying along the
 combination of inserted columns that produced it.  Inserting the columns of
 a matrix in order makes the pivots those of the reduced row echelon form,
 and the combinations that dependent columns reduce to are exactly its kernel
-basis, one vector per free column.
+basis, one vector per free column.  `rank` reads only the pivots and does
+not carry the combinations.
 
 The Hom-complex matrices this serves have entries 0 and ±1 and are very
 sparse; this is the sparse Gaussian elimination of Bar-Natan, "Fast Khovanov
@@ -39,10 +40,15 @@ def _subtract(vec: Vector, coeff: Fraction, other: Vector) -> None:
 
 class _SparseEchelon:
     """Pivot vectors keyed by their lowest index, each with the combination of
-    inserted vectors it equals."""
+    inserted vectors it equals.
 
-    def __init__(self):
+    With carry=False the combinations are not built (each stays empty), for
+    callers that need only the pivots.
+    """
+
+    def __init__(self, carry: bool = True):
         self.pivots: dict[int, tuple[Vector, Vector]] = {}
+        self.carry = carry
         self.inserted = 0
 
     def insert(self, vec: Vector) -> Vector | None:
@@ -50,30 +56,27 @@ class _SparseEchelon:
 
         Returns None when vec was independent of the vectors inserted before
         it; otherwise the combination of inserted vectors (vec's own
-        coefficient 1) that vanishes.
+        coefficient 1) that vanishes, or {} without carry.
         """
         vec = dict(vec)
-        comb = {self.inserted: Fraction(1)}
+        comb = {self.inserted: Fraction(1)} if self.carry else {}
         self.inserted += 1
         while vec:
             low = min(vec)
             hit = self.pivots.get(low)
             if hit is None:
-                inv = Fraction(1) / vec[low]
-                self.pivots[low] = (
-                    {i: x * inv for i, x in vec.items()},
-                    {j: x * inv for j, x in comb.items()},
-                )
+                self.pivots[low] = (vec, comb)
                 return None
-            factor = vec[low]
-            _subtract(vec, factor, hit[0])
-            _subtract(comb, factor, hit[1])
+            pivot, pivot_comb = hit
+            factor = vec[low] / pivot[low]
+            _subtract(vec, factor, pivot)
+            _subtract(comb, factor, pivot_comb)
         return comb
 
 
 def rank(cols: list[Vector]) -> int:
     """Rank of the matrix with columns `cols`."""
-    ech = _SparseEchelon()
+    ech = _SparseEchelon(carry=False)
     for col in cols:
         ech.insert(col)
     return len(ech.pivots)

@@ -217,12 +217,28 @@ def minimal_word(q: QuiverGraph, w: Root) -> WeylWord:
     every descent step lowers the height by exactly one, so the word length
     always equals height(w) - 1.
     """
+    return _greedy_word(q, w, range(q.vertex_count))
+
+
+def last_minimal_word(q: QuiverGraph, w: Root) -> WeylWord:
+    """The minimal expression from the greedy descent by the highest-index reflection.
+
+    Every minimal expression of w is a strict height descent, and
+    `minimal_word` and this one are the first and the last of them when the
+    descents are listed by their reflections, lowest index first.  So the
+    two words differ exactly when w has two or more minimal expressions.
+    """
+    return _greedy_word(q, w, range(q.vertex_count - 1, -1, -1))
+
+
+def _greedy_word(q: QuiverGraph, w: Root, vertices: range) -> WeylWord:
+    """Height descent taking, at each step, the first lowering reflection in `vertices`."""
     if not is_positive_root(q, w):
         raise ValueError(f"{w} is not a positive root")
     descent = []
     cur = w
     while root_height(cur) > 1:
-        for i in range(q.vertex_count):
+        for i in vertices:
             if pairing_with_simple(q, cur, i) > 0:
                 descent.append(i)
                 cur = reflect(q, cur, i)
@@ -230,20 +246,6 @@ def minimal_word(q: QuiverGraph, w: Root) -> WeylWord:
         else:  # pragma: no cover - unreachable in finite type
             raise RuntimeError(f"no descent available from {cur}")
     return WeylWord(base=cur.index(1), letters=tuple(reversed(descent)))
-
-
-def all_minimal_words(q: QuiverGraph, w: Root) -> list[WeylWord]:
-    """Every minimal expression of w (all strict height descents)."""
-    if not is_positive_root(q, w):
-        raise ValueError(f"{w} is not a positive root")
-    if root_height(w) == 1:
-        return [WeylWord(base=w.index(1), letters=())]
-    out = []
-    for i in range(q.vertex_count):
-        if pairing_with_simple(q, w, i) > 0:
-            for sub in all_minimal_words(q, reflect(q, w, i)):
-                out.append(WeylWord(base=sub.base, letters=sub.letters + (i,)))
-    return out
 
 
 def evaluate_word(q: QuiverGraph, word: WeylWord) -> Root:

@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
+from functools import cmp_to_key, total_ordering
 from pathlib import Path
 from typing import NamedTuple
 
@@ -231,13 +231,21 @@ def random_generic_charge(
             return charge
 
 
+def _by_arg(images: list[ExactComplex]) -> list[int]:
+    """Indices of `images` (all in H) in order of argument; images on one ray are adjacent."""
+
+    def compare(i: int, j: int) -> int:
+        c = cross(images[j], images[i])
+        return (c > 0) - (c < 0)
+
+    return sorted(range(len(images)), key=cmp_to_key(compare))
+
+
 def _charge_is_generic(charge: CentralCharge, roots: list[Root]) -> bool:
+    """No two roots on one ray: sorted by argument, no two neighbours tie."""
     images = [charge.of_root(w) for w in roots]
-    for i in range(len(images)):
-        for j in range(i + 1, len(images)):
-            if cross(images[i], images[j]) == 0:
-                return False
-    return True
+    order = _by_arg(images)
+    return all(cross(images[i], images[j]) != 0 for i, j in zip(order, order[1:]))
 
 
 class ProbeHit(NamedTuple):
@@ -294,11 +302,15 @@ class StabilityCondition:
         self.roots = positive_roots(q)
         self._generic: bool | None = None
         self._builds: dict[Root, StableBuild] = {}
+        # Z per positive root, and the positive roots in order of arg Z
+        self._z: dict[Root, ExactComplex] = {w: charge.of_root(w) for w in self.roots}
+        self._by_arg: list[Root] = [self.roots[i] for i in _by_arg(list(self._z.values()))]
 
     # -- charges and phases ------------------------------------------------
 
     def z(self, w: Root) -> ExactComplex:
-        return self.charge.of_root(w)
+        z = self._z.get(w)
+        return z if z is not None else self.charge.of_root(w)
 
     def phase_of_root(self, w: Root, shift: int = 0) -> Phase:
         return Phase(shift, self.z(w))
@@ -367,39 +379,54 @@ class StabilityCondition:
     # -- phase probing -----------------------------------------------------
 
     def _probe_candidates(self, y: TwistedComplex, side: str):
+        """Candidates (phase, root, k) for one side of the probe of y, lazily.
+
+        Each root w is tried at the shifts k of its window, the ones where
+        Hom^0 between y and S_w[k] can be nonzero.  Phase(k, Z(w)) orders by
+        k, then by arg Z(w), and a generic charge puts no two roots on one
+        ray, so the phase order is the integer order (k, position of w by
+        arg Z): ascending for the bottom, descending for the top.
+        """
         lo_y, hi_y = y.shift_range()
-        out = []
-        for w in self.roots:
-            s_obj = self.stable_build(w).obj
-            lo_s, hi_s = s_obj.shift_range()
+        windows = []
+        for w in self._by_arg:
+            lo_s, hi_s = self.stable_build(w).obj.shift_range()
             if side == "bottom":
-                k_range = range(lo_y - hi_s, hi_y - lo_s + 3)
+                windows.append((w, lo_y - hi_s, hi_y - lo_s + 3))
             else:
-                k_range = range(lo_y - hi_s - 2, hi_y - lo_s + 1)
-            for k in k_range:
-                out.append((Phase(k, self.z(w)), w, k, s_obj))
-        out.sort(key=lambda item: item[0], reverse=(side == "top"))
-        return out
+                windows.append((w, lo_y - hi_s - 2, hi_y - lo_s + 1))
+        ks = range(min(lo for _, lo, _ in windows), max(hi for _, _, hi in windows))
+        if side == "top":
+            ks = reversed(ks)
+            windows.reverse()
+        for k in ks:
+            for w, lo, hi in windows:
+                if lo <= k < hi:
+                    yield Phase(k, self._z[w]), w, k
 
     def phi_probes(self, y: TwistedComplex) -> Phases:
         """Witnessed bottom and top phases of an object with spherical factors.
 
         This is the one phase measurement; read the spread and heart
-        membership off the returned Phases instead of probing again.
+        membership off the returned Phases instead of probing again.  The
+        bottom is the first candidate S_w[k] with Hom^0(y, S_w[k]) != 0, the
+        top the first with Hom^0(S_w[k], y) != 0; both are read off the Hom
+        complex with the unshifted S_w, as H^k Hom(y, S_w) and
+        H^{-k} Hom(S_w, y).
         """
         if y.is_zero:
             raise ValueError("the zero object has no phases")
         self.require_generic()
         bottom = None
-        for phase, w, k, s_obj in self._probe_candidates(y, "bottom"):
-            if hom0_is_nonzero(y, s_obj.shift(k)):
+        for phase, w, k in self._probe_candidates(y, "bottom"):
+            if hom0_is_nonzero(y, self.stable_object(w), k):
                 bottom = ProbeHit(phase, w, k)
                 break
         if bottom is None:
             raise InvariantViolation("no stable object receives a map from the probe target")
         top = None
-        for phase, w, k, s_obj in self._probe_candidates(y, "top"):
-            if hom0_is_nonzero(s_obj.shift(k), y):
+        for phase, w, k in self._probe_candidates(y, "top"):
+            if hom0_is_nonzero(self.stable_object(w), y, -k):
                 top = ProbeHit(phase, w, k)
                 break
         if top is None:

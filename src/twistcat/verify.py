@@ -23,7 +23,13 @@ from .homcore import (
     simple_object,
 )
 from .reduce import heart_align, reduce_to_stable, sandwich_check, OrbitStability
-from .rootlat import all_minimal_words, cartan_pairing, named_quiver, positive_roots
+from .rootlat import (
+    cartan_pairing,
+    last_minimal_word,
+    minimal_word,
+    named_quiver,
+    positive_roots,
+)
 from .stability import (
     ExactComplex,
     Phase,
@@ -136,12 +142,12 @@ def suite_uniqueness(
         rng = random.Random(f"unique:{type_name}:{seed}")
         stab = StabilityCondition(alg, random_generic_charge(q, rng))
         for w in stab.roots:
-            words = all_minimal_words(q, w)
-            if len(words) < 2:
+            first_word, last_word = minimal_word(q, w), last_minimal_word(q, w)
+            if first_word == last_word:  # w has a single minimal word
                 continue
             cases += 1
-            first = stab.stable_object(w, words[0])
-            last = stab.stable_object(w, words[-1])
+            first = stab.stable_object(w, first_word)
+            last = stab.stable_object(w, last_word)
             if not is_isomorphic(first, last):
                 failures.append(f"{type_name} root {w}: builds from two minimal words differ")
     if cases < min_cases:
@@ -357,7 +363,7 @@ def run_verify(type_name: str, seeds: int = 5, seed: int = 0) -> list[SuiteResul
     q = named_quiver(type_name)
     results = [suite_stable_constructions(type_name, charges=seeds, seed=seed)]
     # uniqueness needs a root with two minimal words, which A1 lacks
-    if any(len(all_minimal_words(q, w)) >= 2 for w in positive_roots(q)):
+    if any(minimal_word(q, w) != last_minimal_word(q, w) for w in positive_roots(q)):
         results.append(suite_uniqueness((type_name,), min_cases=0, seed=seed))
     results += [
         suite_reduction(type_name, runs=seeds, max_len=8, seed=seed, orbit_checks=3),

@@ -121,6 +121,18 @@ class ZigzagAlgebra:
 
     def __init__(self, quiver: QuiverGraph):
         self.quiver = quiver
+        # (i, j) -> the basis paths i -> j with their degrees, ordered by degree
+        self.paths: dict[tuple[int, int], tuple[tuple[BasisElement, int], ...]] = {}
+        n = quiver.vertex_count
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    paths = (BasisElement("e", i, i), BasisElement("l", i, i))
+                elif quiver.adjacent(i, j):
+                    paths = (BasisElement("a", i, j),)
+                else:
+                    paths = ()
+                self.paths[(i, j)] = tuple((b, b.degree) for b in paths)
 
     def unit(self, v: int) -> AlgebraElement:
         return AlgebraElement.of(BasisElement("e", v, v))
@@ -135,11 +147,7 @@ class ZigzagAlgebra:
 
     def hom_basis(self, i: int, j: int) -> list[BasisElement]:
         """Basis of the paths i -> j, ordered by degree."""
-        if i == j:
-            return [BasisElement("e", i, i), BasisElement("l", i, i)]
-        if self.quiver.adjacent(i, j):
-            return [BasisElement("a", i, j)]
-        return []
+        return [b for b, _ in self.paths[(i, j)]]
 
     def basis(self) -> list[BasisElement]:
         out = []

@@ -88,6 +88,17 @@ def test_criterion_2_stable_construction_suite():
     _report(2, "signed lifts are stable, flips are not", failures)
 
 
+def test_criterion_2_beyond_rank_four():
+    """Criterion 2's checks on A5 and D5 (5 charges each) and E6 (2 charges)."""
+    failures = []
+    for type_name, charges in (("A5", 5), ("D5", 5), ("E6", 2)):
+        result = suite_stable_constructions(type_name, charges=charges, seed=0)
+        if not result.cases:
+            failures.append(f"{type_name}: no cases ran")
+        failures.extend(f"{type_name}: {f}" for f in result.failures)
+    _report(2, "signed lifts are stable beyond rank four", failures)
+
+
 def test_criterion_3_uniqueness_across_expressions():
     result = suite_uniqueness(("A3", "A4", "D4"), min_cases=10, seed=0)
     print(f"\n  distinct-expression roots exercised: {result.cases}")

@@ -24,23 +24,34 @@ from twistcat import (
     untwist,
     untwist_triangle,
 )
-from twistcat.homcore import HomComplex
+from twistcat.homcore import HomComplex, hom0_is_nonzero
 
 ALGEBRAS = {name: ZigzagAlgebra(named_quiver(name)) for name in ("A3", "D4")}
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=12, deadline=None)
 
 
-@st.composite
-def braid_images(draw, max_len: int = 5):
-    """An algebra and a braid image of one of its simples."""
-    alg = ALGEBRAS[draw(st.sampled_from(sorted(ALGEBRAS)))]
+def _braid_image(draw, alg, max_len):
     n = alg.quiver.vertex_count
     letters = draw(
         st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from((1, -1))), max_size=max_len)
     )
     vertex = draw(st.integers(0, n - 1))
-    return alg, apply_braid(alg, BraidWord(tuple(letters)), simple_object(alg, vertex))
+    return apply_braid(alg, BraidWord(tuple(letters)), simple_object(alg, vertex))
+
+
+@st.composite
+def braid_images(draw, max_len: int = 5):
+    """An algebra and a braid image of one of its simples."""
+    alg = ALGEBRAS[draw(st.sampled_from(sorted(ALGEBRAS)))]
+    return alg, _braid_image(draw, alg, max_len)
+
+
+@st.composite
+def braid_image_pairs(draw, max_len: int = 4):
+    """Two braid images of simples over one algebra."""
+    alg = ALGEBRAS[draw(st.sampled_from(sorted(ALGEBRAS)))]
+    return _braid_image(draw, alg, max_len), _braid_image(draw, alg, max_len)
 
 
 @SETTINGS
@@ -90,3 +101,12 @@ def test_phases_spread_is_top_minus_bottom(image, seed):
     bottom, top = phases
     assert phases.spread == top.phase - bottom.phase
     assert phases.in_heart == (Phase.integer(0) <= bottom.phase and top.phase < Phase.integer(1))
+
+
+@SETTINGS
+@given(braid_image_pairs(), st.integers(-3, 3))
+def test_hom0_reads_shifts_off_the_unshifted_complex(pair, k):
+    """H^0 Hom(x, y[k]) = H^k Hom(x, y), and H^0 Hom(s[k], y) = H^{-k} Hom(s, y)."""
+    x, y = pair
+    assert hom0_is_nonzero(x, y, k) == hom0_is_nonzero(x, y.shift(k))
+    assert hom0_is_nonzero(x, y, -k) == hom0_is_nonzero(x.shift(k), y)

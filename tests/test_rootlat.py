@@ -7,9 +7,9 @@ from twistcat import (
     NotFiniteTypeError,
     QuiverGraph,
     WeylWord,
-    all_minimal_words,
     cartan_pairing,
     evaluate_word,
+    last_minimal_word,
     minimal_word,
     named_quiver,
     positive_roots,
@@ -18,8 +18,24 @@ from twistcat import (
     root_sequence,
     simple_root,
 )
+from twistcat.rootlat import is_positive_root, pairing_with_simple, root_height
 
 RANK4_TYPES = ["A1", "A2", "A3", "A4", "D4"]
+
+
+def all_minimal_words(q, w):
+    """Oracle: every minimal expression of w, one per strict height descent,
+    listed by the descent's reflections, lowest index first."""
+    if not is_positive_root(q, w):
+        raise ValueError(f"{w} is not a positive root")
+    if root_height(w) == 1:
+        return [WeylWord(base=w.index(1), letters=())]
+    out = []
+    for i in range(q.vertex_count):
+        if pairing_with_simple(q, w, i) > 0:
+            for sub in all_minimal_words(q, reflect(q, w, i)):
+                out.append(WeylWord(base=sub.base, letters=sub.letters + (i,)))
+    return out
 
 
 def bfs_word_length(q, target):
@@ -146,6 +162,21 @@ def test_all_minimal_words(a2, a3):
     for word in words3:
         assert evaluate_word(a3, word) == (1, 1, 1)
         assert len(word) == 2
+
+
+@pytest.mark.parametrize("name", ["A3", "A4", "D4", "D5", "E6"])
+def test_greedy_descents_are_the_first_and_last_minimal_words(name):
+    """The two greedy descents are the ends of the full enumeration, so they
+    differ exactly when a root has two or more minimal words."""
+    q = named_quiver(name)
+    multi = 0
+    for w in positive_roots(q):
+        words = all_minimal_words(q, w)
+        assert minimal_word(q, w) == words[0], w
+        assert last_minimal_word(q, w) == words[-1], w
+        assert (minimal_word(q, w) != last_minimal_word(q, w)) == (len(words) >= 2), w
+        multi += len(words) >= 2
+    assert multi > 0
 
 
 def test_named_quiver_errors():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from twistcat import (
+    BraidWord,
     CentralCharge,
     ExactComplex,
     NonGenericChargeError,
@@ -21,12 +22,14 @@ from twistcat import (
     is_spherical,
     named_quiver,
     parse_braid_word,
+    positive_roots,
     random_generic_charge,
     simple_object,
     twist,
     untwist,
     zero_object,
 )
+from twistcat.stability import _charge_is_generic, cross
 from conftest import a3_reference_charge
 
 
@@ -241,3 +244,60 @@ def test_stable_objects_under_many_charges(alg_a3):
             phases = stab.phi_probes(obj)
             assert phases.in_heart
             assert phases.spread.is_zero()
+
+
+def _phase_sorted_candidates(stab, y, side):
+    """Oracle: every (root, k) of the probe windows, sorted by Phase(k, Z(root))."""
+    lo_y, hi_y = y.shift_range()
+    out = []
+    for w in stab.roots:
+        lo_s, hi_s = stab.stable_object(w).shift_range()
+        if side == "bottom":
+            k_range = range(lo_y - hi_s, hi_y - lo_s + 3)
+        else:
+            k_range = range(lo_y - hi_s - 2, hi_y - lo_s + 1)
+        out.extend((Phase(k, stab.charge.of_root(w)), w, k) for k in k_range)
+    out.sort(key=lambda item: item[0], reverse=(side == "top"))
+    return [(w, k) for _, w, k in out]
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "E6"])
+def test_probe_candidates_follow_phase_order(name):
+    """The integer (k, arg rank) order is the order of the candidates' phases."""
+    alg = ZigzagAlgebra(named_quiver(name))
+    q = alg.quiver
+    rng = random.Random(f"candidate-order:{name}")
+    for _ in range(3):
+        stab = StabilityCondition(alg, random_generic_charge(q, rng))
+        word = BraidWord(
+            tuple((rng.randrange(q.vertex_count), rng.choice((1, -1))) for _ in range(3))
+        )
+        targets = [
+            stab.stable_object(rng.choice(stab.roots)),
+            apply_braid(alg, word, simple_object(alg, rng.randrange(q.vertex_count))),
+        ]
+        for y in targets:
+            for side in ("bottom", "top"):
+                got = list(stab._probe_candidates(y, side))
+                assert [(item[1], item[2]) for item in got] == _phase_sorted_candidates(stab, y, side)
+                assert all(item[0] == stab.phase_of_root(item[1], item[2]) for item in got)
+
+
+def test_generic_charge_check_matches_all_pairs(a3, d4):
+    """Sorting by argument and comparing neighbours finds every shared ray."""
+    rng = random.Random("generic-check")
+    seen = set()
+    for q in (a3, d4):
+        roots = positive_roots(q)
+        for _ in range(200):
+            charge = CentralCharge([
+                ExactComplex.of(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(q.vertex_count)
+            ])
+            images = [charge.of_root(w) for w in roots]
+            all_pairs = all(
+                cross(images[i], images[j]) != 0
+                for i in range(len(images)) for j in range(i + 1, len(images))
+            )
+            assert _charge_is_generic(charge, roots) == all_pairs
+            seen.add(all_pairs)
+    assert seen == {True, False}
