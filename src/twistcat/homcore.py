@@ -1,11 +1,19 @@
 """Twisted complexes over a zigzag algebra.
 
 An object is a formal sum of shifted vertex projectives P_v[s] together with
-a square-zero degree +1 differential matrix.  Sign conventions, fixed once:
+a square-zero degree +1 differential matrix.
 
-* composition of entry matrices carries no extra signs; the entry (h, g) of
-  a degree-d map stores a path from vertex(g) to vertex(h) whose algebra
-  degree is shift(h) - shift(g) + d;
+Entries are rationals on implied paths: the entry (h, g) of a degree-d map
+is a multiple of the path from vertex(g) to vertex(h) of degree
+shift(h) - shift(g) + d, unique because two vertices are joined by at most
+one basis path of each degree.  A product of basis paths is nonzero exactly
+when a path of the summed degree joins its outer ends (`ZigzagAlgebra.has_path`),
+and its coefficient is then 1, so composing maps is a scalar matrix product
+masked by has_path.
+
+Sign conventions, fixed once:
+
+* composition of entry matrices carries no extra signs;
 * the differential on Hom complexes is D(f) = d_Y o f - (-1)^{|f|} f o d_X;
 * shifting by [n] multiplies the differential by (-1)^n;
 * the cone of a closed degree-0 map f: X -> Y places Y first, then X[1],
@@ -24,9 +32,9 @@ from typing import Iterable, NamedTuple
 
 from . import linalg
 from .rootlat import Root
-from .zigzag import AlgebraElement, BasisElement, ZigzagAlgebra, basis_product
+from .zigzag import ZigzagAlgebra
 
-Entries = dict[tuple[int, int], AlgebraElement]
+Entries = dict[tuple[int, int], Fraction]
 
 
 class Generator(NamedTuple):
@@ -34,27 +42,52 @@ class Generator(NamedTuple):
     shift: int
 
 
-def _compose(first: Entries, second: Entries) -> Entries:
-    """Matrix of (second o first): paths run through `first`, then `second`."""
-    by_source: dict[int, list[tuple[int, AlgebraElement]]] = {}
-    for (h, m), elem in second.items():
-        by_source.setdefault(m, []).append((h, elem))
+def _fits(alg: ZigzagAlgebra, src: Generator, tgt: Generator, degree: int) -> bool:
+    """Whether the entry from src to tgt of a degree-`degree` map has a path."""
+    return alg.has_path(src.vertex, tgt.vertex, tgt.shift - src.shift + degree)
+
+
+def _validated(entries: Entries, x: TwistedComplex, y: TwistedComplex, degree: int) -> Entries:
+    """The nonzero entries of a degree-`degree` map from x to y, as Fractions.
+
+    Every entry must be an int or a Fraction, and a nonzero one needs a path.
+    """
     out: Entries = {}
-    for (m, g), x in first.items():
-        for h, y in by_source.get(m, ()):
-            prod = x * y
-            if not prod.is_zero():
-                key = (h, g)
-                out[key] = out[key] + prod if key in out else prod
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    for (h, g), c in entries.items():
+        if type(c) not in (int, Fraction):
+            raise ValueError(f"entry {(h, g)} must be an int or a Fraction, got {c!r}")
+        if not c:
+            continue
+        if not (0 <= g < len(x.generators) and 0 <= h < len(y.generators)):
+            raise ValueError(f"entry {(h, g)} out of range")
+        src, tgt = x.generators[g], y.generators[h]
+        if not _fits(x.alg, src, tgt, degree):
+            raise ValueError(
+                f"entry {(h, g)}: no path {src.vertex}->{tgt.vertex}"
+                f" of degree {tgt.shift - src.shift + degree}"
+            )
+        out[(h, g)] = c if type(c) is Fraction else Fraction(c)
+    return out
 
 
-def _entries_combine(a: Entries, b: Entries, coeff: Fraction) -> Entries:
-    out = dict(a)
-    for key, elem in b.items():
-        add = elem.scale(coeff)
-        out[key] = out[key] + add if key in out else add
-    return {k: v for k, v in out.items() if not v.is_zero()}
+def _compose(
+    first: Entries, second: Entries, x: TwistedComplex, y: TwistedComplex, degree: int
+) -> Entries:
+    """Matrix of (second o first), a degree-`degree` map from x to y.
+
+    Every product summed into the entry (h, g) has the entry's degree, so
+    the entry survives exactly when a path of that degree joins its ends.
+    """
+    by_source: dict[int, list[tuple[int, Fraction]]] = {}
+    for (h, m), c in second.items():
+        by_source.setdefault(m, []).append((h, c))
+    out: Entries = {}
+    for (m, g), c in first.items():
+        for h, c2 in by_source.get(m, ()):
+            key = (h, g)
+            out[key] = out[key] + c * c2 if key in out else c * c2
+    xs, ys = x.generators, y.generators
+    return {(h, g): c for (h, g), c in out.items() if c and _fits(x.alg, xs[g], ys[h], degree)}
 
 
 class TwistedComplex:
@@ -71,25 +104,14 @@ class TwistedComplex:
     ):
         self.alg = alg
         self.generators = tuple(Generator(v, s) for v, s in generators)
-        diff = {k: v for k, v in (differential or {}).items() if not v.is_zero()}
-        self.differential = diff
+        diff = differential or {}
         if validate:
-            self._validate()
-
-    def _validate(self) -> None:
-        n = len(self.generators)
-        for (h, g), elem in self.differential.items():
-            if not (0 <= g < n and 0 <= h < n):
-                raise ValueError(f"differential entry ({h},{g}) out of range")
-            src, tgt = self.generators[g], self.generators[h]
-            if not self.alg.element_fits(elem, src.vertex, tgt.vertex):
-                raise ValueError(f"entry ({h},{g}) does not run {src.vertex}->{tgt.vertex}")
-            want = tgt.shift - src.shift + 1
-            if elem.homogeneous_degree() != want:
-                raise ValueError(f"entry ({h},{g}) must be homogeneous of degree {want}")
-        square = _compose(self.differential, self.differential)
-        if square:
-            raise ValueError(f"differential does not square to zero: {square}")
+            self.differential = _validated(diff, self, self, 1)
+            square = _compose(self.differential, self.differential, self, self, 2)
+            if square:
+                raise ValueError(f"differential does not square to zero: {square}")
+        else:
+            self.differential = {k: c for k, c in diff.items() if c}
 
     @property
     def is_zero(self) -> bool:
@@ -99,8 +121,9 @@ class TwistedComplex:
         if n == 0:
             return self
         gens = [Generator(v, s + n) for v, s in self.generators]
-        sign = Fraction(1 if n % 2 == 0 else -1)
-        diff = {k: v.scale(sign) for k, v in self.differential.items()}
+        diff = self.differential
+        if n % 2:
+            diff = {k: -c for k, c in diff.items()}
         return TwistedComplex(self.alg, gens, diff, validate=False)
 
     def k_class(self) -> Root:
@@ -129,15 +152,10 @@ class TwistedComplex:
     def to_json_dict(self) -> dict:
         """Deterministic JSON shape; vertices are 1-indexed externally."""
         diff = []
-        for (h, g) in sorted(self.differential):
-            elem = self.differential[(h, g)]
-            terms = [
-                [b.kind, b.source + 1, b.target + 1, c.numerator, c.denominator]
-                for b, c in sorted(
-                    elem.terms.items(), key=lambda t: (t[0].kind, t[0].source, t[0].target)
-                )
-            ]
-            diff.append([h, g, terms])
+        for (h, g), c in sorted(self.differential.items()):
+            src, tgt = self.generators[g], self.generators[h]
+            b = self.alg.path(src.vertex, tgt.vertex, tgt.shift - src.shift + 1)
+            diff.append([h, g, [[b.kind, b.source + 1, b.target + 1, c.numerator, c.denominator]]])
         return {
             "generators": [[v + 1, s] for v, s in self.generators],
             "differential": diff,
@@ -163,14 +181,14 @@ def direct_sum(*objects: TwistedComplex) -> TwistedComplex:
     offset = 0
     for obj in objects:
         gens.extend(obj.generators)
-        for (h, g), elem in obj.differential.items():
-            diff[(h + offset, g + offset)] = elem
+        for (h, g), c in obj.differential.items():
+            diff[(h + offset, g + offset)] = c
         offset += len(obj.generators)
     return TwistedComplex(alg, gens, diff, validate=False)
 
 
 class Morphism:
-    """Degree-d matrix of algebra elements between two complexes."""
+    """Degree-d matrix of rational entries on implied paths between two complexes."""
 
     __slots__ = ("source", "target", "degree", "entries")
 
@@ -185,47 +203,38 @@ class Morphism:
         self.source = source
         self.target = target
         self.degree = degree
-        self.entries = {k: v for k, v in entries.items() if not v.is_zero()}
         if validate:
-            self._validate()
-
-    def _validate(self) -> None:
-        for (h, g), elem in self.entries.items():
-            src = self.source.generators[g]
-            tgt = self.target.generators[h]
-            if not self.source.alg.element_fits(elem, src.vertex, tgt.vertex):
-                raise ValueError(f"morphism entry ({h},{g}) has wrong endpoints")
-            want = tgt.shift - src.shift + self.degree
-            if elem.homogeneous_degree() != want:
-                raise ValueError(f"morphism entry ({h},{g}) must have degree {want}")
+            self.entries = _validated(entries, source, target, degree)
+        else:
+            self.entries = {k: c for k, c in entries.items() if c}
 
     def is_zero(self) -> bool:
         return not self.entries
 
     def differential(self) -> "Morphism":
         """D(f) = d_Y o f - (-1)^{|f|} f o d_X."""
-        left = _compose(self.entries, self.target.differential)
-        right = _compose(self.source.differential, self.entries)
-        sign = Fraction(-1 if self.degree % 2 == 0 else 1)
-        return Morphism(
-            self.source, self.target, self.degree + 1,
-            _entries_combine(left, right, sign), validate=False,
-        )
+        x, y, degree = self.source, self.target, self.degree + 1
+        out = _compose(self.entries, y.differential, x, y, degree)
+        for key, c in _compose(x.differential, self.entries, x, y, degree).items():
+            c = -c if self.degree % 2 == 0 else c
+            out[key] = out[key] + c if key in out else c
+        return Morphism(x, y, degree, out, validate=False)
 
     def is_closed(self) -> bool:
         return self.differential().is_zero()
 
 
 def identity_morphism(x: TwistedComplex) -> Morphism:
-    entries = {(i, i): x.alg.unit(g.vertex) for i, g in enumerate(x.generators)}
+    entries = {(i, i): Fraction(1) for i in range(len(x.generators))}
     return Morphism(x, x, 0, entries, validate=False)
 
 
 def morphism_sum(morphisms: list[Morphism], coeffs: list[Fraction]) -> Morphism:
     first = morphisms[0]
     entries: Entries = {}
-    for f, c in zip(morphisms, coeffs):
-        entries = _entries_combine(entries, f.entries, Fraction(c))
+    for f, coeff in zip(morphisms, coeffs):
+        for key, c in f.entries.items():
+            entries[key] = entries.get(key, 0) + coeff * c
     return Morphism(first.source, first.target, first.degree, entries, validate=False)
 
 
@@ -239,57 +248,41 @@ def cone(f: Morphism) -> TwistedComplex:
     n_y = len(y.generators)
     gens = list(y.generators) + [Generator(v, s + 1) for v, s in x.generators]
     diff: Entries = dict(y.differential)
-    for (h, g), elem in x.differential.items():
-        diff[(h + n_y, g + n_y)] = -elem
-    for (h, g), elem in f.entries.items():
-        diff[(h, g + n_y)] = elem
+    for (h, g), c in x.differential.items():
+        diff[(h + n_y, g + n_y)] = -c
+    for (h, g), c in f.entries.items():
+        diff[(h, g + n_y)] = c
     return TwistedComplex(x.alg, gens, diff)
 
 
 def minimize(x: TwistedComplex) -> TwistedComplex:
     """Homotopy-equivalent reduced form: no invertible degree-0 entries remain.
 
-    Eliminates the first invertible entry in row-major order each pass, so
-    the output is deterministic.
+    An entry of degree 0 is a multiple of an idempotent, hence invertible.
+    Eliminates the first one in row-major order each pass, so the output is
+    deterministic.
     """
     gens = list(x.generators)
     diff = dict(x.differential)
     while True:
-        pivot = None
-        for (h, g) in sorted(diff):
-            elem = diff[(h, g)]
-            terms = elem.terms
-            if len(terms) == 1:
-                b, c = next(iter(terms.items()))
-                if b.kind == "e" and c != 0:
-                    pivot = (h, g, c)
-                    break
+        pivot = next(((h, g) for h, g in sorted(diff) if gens[h].shift == gens[g].shift - 1), None)
         if pivot is None:
             break
-        h, g, c = pivot
-        inv = Fraction(1) / c
-        into_h = {src: elem for (tgt, src), elem in diff.items() if tgt == h and src != g}
-        from_g = {tgt: elem for (tgt, src), elem in diff.items() if src == g and tgt != h}
-        keep = [i for i in range(len(gens)) if i not in (g, h)]
+        h, g = pivot
+        c = diff[pivot]
+        into_h = [(src, a / c) for (tgt, src), a in diff.items() if tgt == h and src not in pivot]
+        from_g = [(tgt, b) for (tgt, src), b in diff.items() if src == g and tgt not in pivot]
+        keep = [i for i in range(len(gens)) if i not in pivot]
         remap = {old: new for new, old in enumerate(keep)}
-        new_diff: Entries = {}
-        for (tgt, src), elem in diff.items():
-            if tgt in (g, h) or src in (g, h):
-                continue
-            new_diff[(remap[tgt], remap[src])] = elem
-        for src, elem_xh in into_h.items():
-            if src in (g, h):
-                continue
-            for tgt, elem_gy in from_g.items():
-                if tgt in (g, h):
-                    continue
-                corr = (elem_xh.scale(inv)) * elem_gy
-                if corr.is_zero():
-                    continue
-                key = (remap[tgt], remap[src])
-                cur = new_diff.get(key)
-                new_diff[key] = cur - corr if cur is not None else -corr
-        diff = {k: v for k, v in new_diff.items() if not v.is_zero()}
+        new_diff: Entries = {
+            (remap[t], remap[s]): e for (t, s), e in diff.items() if t in remap and s in remap
+        }
+        for src, a in into_h:
+            for tgt, b in from_g:
+                if _fits(x.alg, gens[src], gens[tgt], 1):
+                    key = (remap[tgt], remap[src])
+                    new_diff[key] = new_diff[key] - a * b if key in new_diff else -(a * b)
+        diff = {k: e for k, e in new_diff.items() if e}
         gens = [gens[i] for i in keep]
     return TwistedComplex(x.alg, gens, diff)
 
@@ -300,12 +293,13 @@ class HomComplex:
     def __init__(self, source: TwistedComplex, target: TwistedComplex):
         self.source = source
         self.target = target
-        self.basis: dict[int, list[tuple[int, int, BasisElement]]] = {}
+        # Hom degree -> the (g, h) pairs with a path of that degree; a pair fixes its path
+        self.basis: dict[int, list[tuple[int, int]]] = {}
         paths = source.alg.paths
         for g, (vg, sg) in enumerate(source.generators):
             for h, (vh, sh) in enumerate(target.generators):
-                for b, degree in paths[(vg, vh)]:
-                    self.basis.setdefault(degree + sg - sh, []).append((g, h, b))
+                for degree in paths[(vg, vh)]:
+                    self.basis.setdefault(degree + sg - sh, []).append((g, h))
         self._matrices: dict[int, list[linalg.Vector]] = {}
 
     def degrees(self) -> list[int]:
@@ -315,14 +309,14 @@ class HomComplex:
         return len(self.basis.get(d, ()))
 
     def matrix(self, d: int) -> list[linalg.Vector]:
-        """Sparse columns of D: Hom^d -> Hom^{d+1}, one per Hom^d basis triple,
-        indexed by the Hom^{d+1} triples.
+        """Sparse columns of D: Hom^d -> Hom^{d+1}, one per Hom^d basis pair,
+        indexed by the Hom^{d+1} pairs.
 
-        Between two generators there is at most one basis path of each
-        degree, so a Hom^{d+1} triple is fixed by its generator pair, and a
-        product of basis paths has coefficient 1: each column entry is the
-        coefficient of a differential term whose product with the column's
-        path is nonzero.
+        A differential entry composed with a column's path is nonzero exactly
+        when the outer pair is a Hom^{d+1} basis pair (a path of the summed
+        degree joins its ends), and its coefficient is the entry's.  No
+        entry joins a generator to itself (no degree-1 path does), so each
+        row of a column is hit at most once.
         """
         if d in self._matrices:
             return self._matrices[d]
@@ -330,28 +324,24 @@ class HomComplex:
         cod = self.basis.get(d + 1, [])
         cols: list[linalg.Vector] = []
         if dom and cod:
-            negate = d % 2 == 0
-            rows = {(g, h): pos for pos, (g, h, _) in enumerate(cod)}
-            y_by_source: dict[int, list[tuple[int, AlgebraElement]]] = {}
-            for (h2, h1), elem in self.target.differential.items():
-                y_by_source.setdefault(h1, []).append((h2, elem))
-            x_by_target: dict[int, list[tuple[int, AlgebraElement]]] = {}
-            for (g1, g2), elem in self.source.differential.items():
-                x_by_target.setdefault(g1, []).append((g2, elem))
-            for g, h, b in dom:
+            rows = {pair: pos for pos, pair in enumerate(cod)}
+            y_by_source: dict[int, list[tuple[int, Fraction]]] = {}
+            for (h2, h1), c in self.target.differential.items():
+                y_by_source.setdefault(h1, []).append((h2, c))
+            x_by_target: dict[int, list[tuple[int, Fraction]]] = {}
+            for (g1, g2), c in self.source.differential.items():
+                x_by_target.setdefault(g1, []).append((g2, -c if d % 2 == 0 else c))
+            for g, h in dom:
                 col: linalg.Vector = {}
-                for h2, elem in y_by_source.get(h, ()):
-                    for bt, coeff in elem.terms.items():
-                        if basis_product(b, bt) is not None:
-                            row = rows[(g, h2)]
-                            col[row] = col[row] + coeff if row in col else coeff
-                for g2, elem in x_by_target.get(g, ()):
-                    for bt, coeff in elem.terms.items():
-                        if basis_product(bt, b) is not None:
-                            row = rows[(g2, h)]
-                            coeff = -coeff if negate else coeff
-                            col[row] = col[row] + coeff if row in col else coeff
-                cols.append({row: c for row, c in col.items() if c})
+                for h2, c in y_by_source.get(h, ()):
+                    row = rows.get((g, h2))
+                    if row is not None:
+                        col[row] = c
+                for g2, c in x_by_target.get(g, ()):
+                    row = rows.get((g2, h))
+                    if row is not None:
+                        col[row] = c
+                cols.append(col)
         else:
             cols = [{} for _ in dom]
         self._matrices[d] = cols
@@ -372,11 +362,9 @@ class HomComplex:
     def _vector_to_morphism(self, d: int, vec: linalg.Vector) -> Morphism:
         basis = self.basis[d]
         entries: Entries = {}
-        for pos, coeff in sorted(vec.items()):
-            g, h, b = basis[pos]
-            add = AlgebraElement.of(b, coeff)
-            key = (h, g)
-            entries[key] = entries[key] + add if key in entries else add
+        for pos, c in sorted(vec.items()):
+            g, h = basis[pos]
+            entries[(h, g)] = c
         return Morphism(self.source, self.target, d, entries, validate=False)
 
     def cocycle_reps(self, d: int) -> list[Morphism]:
@@ -385,7 +373,7 @@ class HomComplex:
         if n == 0:
             return []
         kernel = linalg.nullspace(self.matrix(d), n)
-        reps = linalg.complement_reps(kernel, self.matrix(d - 1), n)
+        reps = linalg.complement_reps(kernel, self.matrix(d - 1))
         return [self._vector_to_morphism(d, vec) for vec in reps]
 
     def all_cohomology_reps(self) -> list[tuple[int, Morphism]]:
@@ -472,20 +460,25 @@ def is_isomorphic(x: TwistedComplex, y: TwistedComplex) -> bool:
 
 
 def find_shift_isomorphism(x: TwistedComplex, y: TwistedComplex) -> int | None:
-    """Shift k with x isomorphic to y[k], or None."""
+    """Shift k with x isomorphic to y[k], or None.
+
+    The degree-0 part of the zigzag algebra is semisimple and a minimal
+    complex has no entries of degree 0, so dividing out the paths of
+    positive degree kills its differential and turns a homotopy equivalence
+    of minimal complexes into an isomorphism of their sums of generators.
+    So the minimal models of isomorphic objects have the same generators:
+    the only candidate is k = min shift of minimize(x) - min shift of
+    minimize(y), and it is rejected at once when the sorted generator lists
+    of minimize(x) and minimize(y)[k] differ.
+    """
     x = minimize(x)
     y = minimize(y)
     if x.is_zero and y.is_zero:
         return 0
     if x.is_zero or y.is_zero:
         return None
-    lo_x, hi_x = x.shift_range()
-    lo_y, hi_y = y.shift_range()
-    kx = x.k_class()
-    for k in range(lo_x - hi_y - 2, hi_x - lo_y + 3):
-        shifted = y.shift(k)
-        if shifted.k_class() != kx:
-            continue
-        if is_isomorphic(x, shifted):
-            return k
-    return None
+    k = x.shift_range()[0] - y.shift_range()[0]
+    shifted = y.shift(k)
+    if sorted(x.generators) != sorted(shifted.generators):
+        return None
+    return k if is_isomorphic(x, shifted) else None

@@ -95,12 +95,8 @@ def nullspace(cols: list[Vector], ncols: int) -> list[Vector]:
     return [comb for col in cols if (comb := ech.insert(col)) is not None]
 
 
-def complement_reps(space: list[Vector], subspace: list[Vector], ncols: int) -> list[Vector]:
-    """Vectors from `space`, in order, completing `subspace` to a basis of their joint span.
-
-    `ncols` is the dimension of the ambient space; sparse vectors do not
-    need it, and it stays so that the positional signature is unchanged.
-    """
+def complement_reps(space: list[Vector], subspace: list[Vector]) -> list[Vector]:
+    """Vectors from `space`, in order, completing `subspace` to a basis of their joint span."""
     ech = _SparseEchelon()
     for vec in subspace:
         ech.insert(vec)

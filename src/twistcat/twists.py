@@ -107,8 +107,8 @@ def _triangle(
     entries: Entries = {}
     offset = 0
     for (d, rep), block in zip(reps, blocks):
-        for (h, g), elem in rep.entries.items():
-            entries[(h, g + offset) if exponent == 1 else (h + offset, g)] = elem
+        for (h, g), c in rep.entries.items():
+            entries[(h, g + offset) if exponent == 1 else (h + offset, g)] = c
         offset += len(block.generators)
     if exponent == 1:
         return tensor, y, minimize(cone(Morphism(tensor, y, 0, entries, validate=False)))

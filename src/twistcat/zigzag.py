@@ -121,8 +121,9 @@ class ZigzagAlgebra:
 
     def __init__(self, quiver: QuiverGraph):
         self.quiver = quiver
-        # (i, j) -> the basis paths i -> j with their degrees, ordered by degree
-        self.paths: dict[tuple[int, int], tuple[tuple[BasisElement, int], ...]] = {}
+        # (i, j) -> {degree: the basis path i -> j of that degree}, ordered by degree;
+        # no two basis paths share their ends and their degree
+        self.paths: dict[tuple[int, int], dict[int, BasisElement]] = {}
         n = quiver.vertex_count
         for i in range(n):
             for j in range(n):
@@ -132,7 +133,19 @@ class ZigzagAlgebra:
                     paths = (BasisElement("a", i, j),)
                 else:
                     paths = ()
-                self.paths[(i, j)] = tuple((b, b.degree) for b in paths)
+                self.paths[(i, j)] = {b.degree: b for b in paths}
+
+    def has_path(self, i: int, j: int, degree: int) -> bool:
+        """Whether a basis path i -> j of this degree exists.
+
+        A product of two basis paths is nonzero exactly when a path of the
+        summed degree joins its outer ends, and its coefficient is then 1.
+        """
+        return degree in self.paths[(i, j)]
+
+    def path(self, i: int, j: int, degree: int) -> BasisElement | None:
+        """The basis path i -> j of this degree, or None."""
+        return self.paths[(i, j)].get(degree)
 
     def unit(self, v: int) -> AlgebraElement:
         return AlgebraElement.of(BasisElement("e", v, v))
@@ -147,7 +160,7 @@ class ZigzagAlgebra:
 
     def hom_basis(self, i: int, j: int) -> list[BasisElement]:
         """Basis of the paths i -> j, ordered by degree."""
-        return [b for b, _ in self.paths[(i, j)]]
+        return list(self.paths[(i, j)].values())
 
     def basis(self) -> list[BasisElement]:
         out = []
@@ -155,9 +168,3 @@ class ZigzagAlgebra:
             for j in range(self.quiver.vertex_count):
                 out.extend(self.hom_basis(i, j))
         return out
-
-    def element_fits(self, elem: AlgebraElement, source_vertex: int, target_vertex: int) -> bool:
-        return all(
-            b.source == source_vertex and b.target == target_vertex for b in elem.terms
-        )
-

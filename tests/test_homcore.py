@@ -1,9 +1,11 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from twistcat import (
+    BraidWord,
     Generator,
     Morphism,
     TwistedComplex,
@@ -25,8 +27,8 @@ from conftest import random_word
 def staircase(alg, sign=1):
     """Three-generator extension object on A3 with differential arrows."""
     diff = {
-        (1, 0): alg.arrow(0, 1),
-        (2, 1): alg.arrow(1, 2).scale(sign),
+        (1, 0): 1,
+        (2, 1): sign,
     }
     return TwistedComplex(alg, [Generator(0, 0), Generator(1, 0), Generator(2, 0)], diff)
 
@@ -34,26 +36,51 @@ def staircase(alg, sign=1):
 def arrow_extension(alg):
     """Two-generator complex P_1 -> P_0-target on A2 (the positive twist of P_1)."""
     return TwistedComplex(
-        alg, [Generator(1, 0), Generator(0, 0)], {(0, 1): alg.arrow(0, 1)}
+        alg, [Generator(1, 0), Generator(0, 0)], {(0, 1): 1}
     )
 
 
 def test_validation_rejects_bad_degree(alg_a2):
+    # a degree-1 entry at a single vertex: there is no such path
     with pytest.raises(ValueError):
-        TwistedComplex(alg_a2, [Generator(0, 0), Generator(0, 1)], {(1, 0): alg_a2.unit(0)})
+        TwistedComplex(alg_a2, [Generator(0, 0), Generator(0, 0)], {(1, 0): 1})
 
 
-def test_validation_rejects_bad_vertices(alg_a2):
+def test_validation_rejects_bad_vertices(alg_a3):
+    # vertices 0 and 2 of A3 are not adjacent
     with pytest.raises(ValueError):
-        TwistedComplex(
-            alg_a2, [Generator(0, 0), Generator(1, 0)], {(1, 0): alg_a2.loop(0)}
-        )
+        TwistedComplex(alg_a3, [Generator(0, 0), Generator(2, 0)], {(1, 0): 1})
+
+
+@pytest.mark.parametrize("bad", [1.0, 0.0, True, "1"])
+def test_validation_rejects_inexact_entries(alg_a2, bad):
+    gens = [Generator(1, 0), Generator(0, 0)]
+    with pytest.raises(ValueError, match=r"entry \(0, 1\)"):
+        TwistedComplex(alg_a2, gens, {(0, 1): bad})
+    p = simple_object(alg_a2, 0)
+    with pytest.raises(ValueError, match=r"entry \(0, 0\)"):
+        Morphism(p, p, 0, {(0, 0): bad})
+
+
+def test_validation_rejects_algebra_elements(alg_a2):
+    # an algebra element is not an exact rational
+    with pytest.raises(ValueError, match=r"entry \(0, 1\)"):
+        TwistedComplex(alg_a2, [Generator(1, 0), Generator(0, 0)], {(0, 1): alg_a2.arrow(0, 1)})
+
+
+def test_validation_accepts_ints_and_fractions(alg_a2):
+    gens = [Generator(1, 0), Generator(0, 0)]
+    as_int = TwistedComplex(alg_a2, gens, {(0, 1): 2})
+    as_frac = TwistedComplex(alg_a2, gens, {(0, 1): Fraction(2)})
+    assert as_int == as_frac
+    assert type(as_int.differential[(0, 1)]) is Fraction
+    assert TwistedComplex(alg_a2, gens, {(0, 1): 0}).differential == {}
 
 
 def test_validation_rejects_nonsquare_zero(alg_a2):
     diff = {
-        (1, 0): alg_a2.arrow(0, 1),
-        (2, 1): alg_a2.arrow(1, 0),
+        (1, 0): 1,
+        (2, 1): 1,
     }
     with pytest.raises(ValueError):
         TwistedComplex(
@@ -68,7 +95,7 @@ def test_shift_behaviour(alg_a2):
     c = arrow_extension(alg_a2)
     assert c.shift(1).shift(-1) == c
     # odd shifts flip the differential sign
-    assert c.shift(1).differential[(0, 1)] == -alg_a2.arrow(0, 1)
+    assert c.shift(1).differential[(0, 1)] == -1
 
 
 def test_k_class_examples(alg_a2):
@@ -106,7 +133,7 @@ def test_cone_of_zero_is_sum(alg_a2):
 def test_cone_of_arrow(alg_a2):
     p2 = simple_object(alg_a2, 1)
     p1_down = simple_object(alg_a2, 0, shift=-1)
-    f = Morphism(p1_down, p2, 0, {(0, 0): alg_a2.arrow(0, 1)})
+    f = Morphism(p1_down, p2, 0, {(0, 0): 1})
     c = cone(f)
     assert c.k_class() == (1, 1)
     assert minimize(c) == c
@@ -115,7 +142,7 @@ def test_cone_of_arrow(alg_a2):
 def test_cone_rejects_nonclosed(alg_a2):
     ext = arrow_extension(alg_a2)
     # projecting onto the subobject generator does not commute with the differential
-    f = Morphism(ext, simple_object(alg_a2, 1), 0, {(0, 0): alg_a2.unit(1)})
+    f = Morphism(ext, simple_object(alg_a2, 1), 0, {(0, 0): 1})
     assert not f.is_closed()
     with pytest.raises(ValueError):
         cone(f)
@@ -123,7 +150,7 @@ def test_cone_rejects_nonclosed(alg_a2):
 
 def test_cone_rejects_wrong_degree(alg_a2):
     p1 = simple_object(alg_a2, 0)
-    f = Morphism(p1, p1.shift(-1), 1, {(0, 0): alg_a2.unit(0)})
+    f = Morphism(p1, p1.shift(-1), 1, {(0, 0): 1})
     with pytest.raises(ValueError):
         cone(f)
 
@@ -146,7 +173,7 @@ def test_minimize_cancels_padded_pair(alg_a2):
     padded = TwistedComplex(
         alg_a2,
         [Generator(1, 0), Generator(0, 0), Generator(0, -1)],
-        {(2, 1): alg_a2.unit(0)},
+        {(2, 1): 1},
     )
     assert minimize(padded) == simple_object(alg_a2, 1)
 
@@ -178,6 +205,51 @@ def test_find_shift_isomorphism(alg_a2):
     assert find_shift_isomorphism(ext, simple_object(alg_a2, 0)) is None
 
 
+def _shift_iso_by_range(x, y):
+    """The search find_shift_isomorphism replaced: every shift in a range."""
+    x = minimize(x)
+    y = minimize(y)
+    if x.is_zero and y.is_zero:
+        return 0
+    if x.is_zero or y.is_zero:
+        return None
+    lo_x, hi_x = x.shift_range()
+    lo_y, hi_y = y.shift_range()
+    kx = x.k_class()
+    for k in range(lo_x - hi_y - 2, hi_x - lo_y + 3):
+        shifted = y.shift(k)
+        if shifted.k_class() != kx:
+            continue
+        if is_isomorphic(x, shifted):
+            return k
+    return None
+
+
+@pytest.mark.parametrize("name", ["alg_a3", "alg_d4"])
+def test_forced_shift_matches_range_search(name, request):
+    alg = request.getfixturevalue(name)
+    n = alg.quiver.vertex_count
+    rng = random.Random(f"forced-shift-{name}")
+    verdicts = []
+    edges = [(i, j) for i in range(n) for j in range(n) if alg.quiver.adjacent(i, j)]
+    for _ in range(40):
+        v = rng.randrange(n)
+        word = random_word(rng, n, 4)
+        i, j = rng.choice(edges)
+        e = rng.choice((1, -1))
+        # x is one side of a braid relation; y the other side or a random image, shifted
+        x = apply_braid(alg, word.then(BraidWord(((i, e), (j, e), (i, e)))), simple_object(alg, v))
+        if rng.random() < 0.5:
+            y = apply_braid(alg, word.then(BraidWord(((j, e), (i, e), (j, e)))), simple_object(alg, v))
+        else:
+            y = apply_braid(alg, random_word(rng, n, 6), simple_object(alg, rng.randrange(n)))
+        y = y.shift(rng.randint(-3, 3))
+        want = _shift_iso_by_range(x, y)
+        assert find_shift_isomorphism(x, y) == want
+        verdicts.append(want is not None)
+    assert any(verdicts) and not all(verdicts)
+
+
 def test_direct_sum_and_zero(alg_a2):
     p1, p2 = simple_object(alg_a2, 0), simple_object(alg_a2, 1)
     s = direct_sum(p1, zero_object(alg_a2), p2)
@@ -193,3 +265,12 @@ def test_serialization_deterministic(alg_a2):
         "differential": [[0, 1, [["a", 1, 2, 1, 1]]]],
     }
     json.dumps(payload)  # must be JSON-serializable as-is
+
+
+def test_serialization_names_implied_paths(alg_a2):
+    gens = [Generator(0, 0), Generator(0, 1), Generator(0, -1)]
+    x = TwistedComplex(alg_a2, gens, {(1, 0): Fraction(1, 2), (2, 0): -3})
+    assert x.to_json_dict()["differential"] == [
+        [1, 0, [["l", 1, 1, 1, 2]]],
+        [2, 0, [["e", 1, 1, -3, 1]]],
+    ]

@@ -120,7 +120,7 @@ def test_sparse_echelon_matches_dense_reference():
 
         space = random_rows(rng, rng.randint(0, 6), nrows)
         subspace = random_rows(rng, rng.randint(0, 4), nrows)
-        reps = complement_reps([sparse(v) for v in space], [sparse(v) for v in subspace], nrows)
+        reps = complement_reps([sparse(v) for v in space], [sparse(v) for v in subspace])
         assert reps == [sparse(space[i]) for i in dense_complement(space, subspace, nrows)]
 
 
@@ -136,5 +136,5 @@ def test_rank_mod_p_agrees_on_random_small_matrices():
 def test_complement_reps():
     space = [{0: F(1)}, {1: F(1)}, {0: F(1), 1: F(1)}]
     sub = [{0: F(1), 1: F(1)}]
-    reps = complement_reps(space, sub, 2)
+    reps = complement_reps(space, sub)
     assert reps == [{0: F(1)}]

@@ -9,11 +9,14 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from twistcat import (
+    AlgebraElement,
     BraidWord,
     Phase,
     StabilityCondition,
     ZigzagAlgebra,
     apply_braid,
+    cone,
+    identity_morphism,
     is_isomorphic,
     minimize,
     named_quiver,
@@ -110,3 +113,51 @@ def test_hom0_reads_shifts_off_the_unshifted_complex(pair, k):
     x, y = pair
     assert hom0_is_nonzero(x, y, k) == hom0_is_nonzero(x, y.shift(k))
     assert hom0_is_nonzero(x, y, -k) == hom0_is_nonzero(x.shift(k), y)
+
+
+def _lift(x):
+    """The differential of x with each entry as an algebra element on its implied path."""
+    lifted = {}
+    for (h, g), c in x.differential.items():
+        src, tgt = x.generators[g], x.generators[h]
+        path = x.alg.path(src.vertex, tgt.vertex, tgt.shift - src.shift + 1)
+        assert path is not None
+        lifted[(h, g)] = AlgebraElement.of(path, c)
+    return lifted
+
+
+def _cones(image, v):
+    """Unreduced complexes around a braid image y: the cone of its identity
+    and the cones of the closed degree-0 maps between y and a simple."""
+    alg, y = image
+    x = simple_object(alg, v % alg.quiver.vertex_count)
+    maps = [identity_morphism(y)]
+    maps += HomComplex(x, y).cocycle_reps(0) + HomComplex(y, x).cocycle_reps(0)
+    return [cone(f) for f in maps]
+
+
+@SETTINGS
+@given(braid_images(), st.integers(0, 3))
+def test_lifted_differentials_square_to_zero(image, v):
+    """Rational entries under the product rule agree with algebra multiplication."""
+    for obj in [image[1]] + _cones(image, v):
+        lifted = _lift(obj)
+        n = len(obj.generators)
+        for g in range(n):
+            for h in range(n):
+                square = AlgebraElement.zero()
+                for m in range(n):
+                    if (m, g) in lifted and (h, m) in lifted:
+                        square = square + lifted[(m, g)] * lifted[(h, m)]
+                assert square.is_zero(), (h, g)
+
+
+@SETTINGS
+@given(braid_images(), st.integers(0, 3))
+def test_minimize_is_idempotent_and_leaves_no_degree_zero_entry(image, v):
+    for obj in _cones(image, v):
+        m = minimize(obj)
+        assert minimize(m) == m
+        assert m.k_class() == obj.k_class()
+        for h, g in m.differential:
+            assert m.generators[h].shift - m.generators[g].shift + 1 > 0

@@ -2,7 +2,14 @@ import itertools
 
 import pytest
 
-from twistcat import AlgebraElement, ZigzagAlgebra, named_quiver
+from collections import Counter
+
+from twistcat import AlgebraElement, BasisElement, ZigzagAlgebra, named_quiver
+from twistcat.zigzag import basis_product
+
+ADE_TYPES = (
+    [f"A{n}" for n in range(1, 10)] + [f"D{n}" for n in range(4, 10)] + ["E6", "E7", "E8"]
+)
 
 
 def test_edge_roundtrip_is_loop(alg_a2):
@@ -82,3 +89,36 @@ def test_element_arithmetic(alg_a2):
     assert mixed.homogeneous_degree() is None
     assert e.homogeneous_degree() == 0
     assert alg_a2.arrow(0, 1).homogeneous_degree() == 1
+
+
+@pytest.mark.parametrize("name", ADE_TYPES)
+def test_product_rule_matches_basis_product(name):
+    """A product of composable basis paths is nonzero exactly when a path of
+    the summed degree joins its outer ends, and then has coefficient 1."""
+    alg = ZigzagAlgebra(named_quiver(name))
+    basis = alg.basis()
+    pairs = 0
+    for x, y in itertools.product(basis, repeat=2):
+        if x.target != y.source:
+            continue
+        pairs += 1
+        prod = basis_product(x, y)
+        assert (prod is not None) == alg.has_path(x.source, y.target, x.degree + y.degree)
+        if prod is not None:
+            assert prod == alg.path(x.source, y.target, x.degree + y.degree)
+            assert AlgebraElement.of(x) * AlgebraElement.of(y) == AlgebraElement.of(prod)
+    assert pairs > 0
+
+
+@pytest.mark.parametrize("name", ADE_TYPES)
+def test_ends_and_degree_fix_the_path(name):
+    q = named_quiver(name)
+    alg = ZigzagAlgebra(q)
+    n = q.vertex_count
+    paths = [BasisElement(kind, v, v) for v in range(n) for kind in "el"]
+    paths += [BasisElement("a", i, j) for i in range(n) for j in range(n) if q.adjacent(i, j)]
+    counts = Counter((b.source, b.target, b.degree) for b in paths)
+    assert max(counts.values()) == 1
+    assert sorted(alg.basis(), key=repr) == sorted(paths, key=repr)
+    for b in paths:
+        assert alg.path(b.source, b.target, b.degree) == b
