@@ -141,7 +141,7 @@ def cmd_stable(args) -> int:
     stab = StabilityCondition(alg, charge)
     w = _parse_root(args.root, q)
     expression = None
-    if args.expression:
+    if args.expression is not None:
         expression = _parse_expression(args.expression, q)
         if evaluate_word(q, expression) != w:
             raise ValueError("--expression does not evaluate to --root")
@@ -149,6 +149,8 @@ def cmd_stable(args) -> int:
     obj = build.obj
     if args.flip is not None:
         index = args.flip - 1
+        if not build.braid.letters:
+            raise ValueError(f"--flip {args.flip}: the word of root {w} has no exponents to flip")
         if not 0 <= index < len(build.braid.letters):
             raise ValueError(f"--flip index out of range 1..{len(build.braid.letters)}")
         flipped = BraidWord(

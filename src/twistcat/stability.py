@@ -227,7 +227,8 @@ def random_generic_charge(
             for _ in range(q.vertex_count)
         ]
         charge = CentralCharge(values)
-        if _charge_is_generic(charge, roots):
+        images = [charge.of_root(w) for w in roots]
+        if _on_distinct_rays([images[i] for i in _by_arg(images)]):
             return charge
 
 
@@ -241,11 +242,9 @@ def _by_arg(images: list[ExactComplex]) -> list[int]:
     return sorted(range(len(images)), key=cmp_to_key(compare))
 
 
-def _charge_is_generic(charge: CentralCharge, roots: list[Root]) -> bool:
-    """No two roots on one ray: sorted by argument, no two neighbours tie."""
-    images = [charge.of_root(w) for w in roots]
-    order = _by_arg(images)
-    return all(cross(images[i], images[j]) != 0 for i, j in zip(order, order[1:]))
+def _on_distinct_rays(ordered: list[ExactComplex]) -> bool:
+    """Whether images listed in order of argument lie on distinct rays: no two neighbours tie."""
+    return all(cross(a, b) != 0 for a, b in zip(ordered, ordered[1:]))
 
 
 class ProbeHit(NamedTuple):
@@ -284,27 +283,57 @@ class StableBuild:
     obj: TwistedComplex
 
 
+class _ChargeFree:
+    """The stability data of one algebra that no charge changes, shared by all its conditions.
+
+    The positive roots (the finite-type check runs once), each root's
+    minimal word and root sequence, and the lift table (base vertex, signed
+    braid word) -> object; a lift enters the table only after it has passed
+    the sphericity certificate.
+
+    The record is the algebra's `charge_free` attribute, not an entry of a
+    table keyed by the algebra: every stored object refers back to its
+    algebra, so such a key would never be freed, while the attribute only
+    forms a cycle that the garbage collector reclaims.
+    """
+
+    __slots__ = ("roots", "words", "lifts")
+
+    def __init__(self, q: QuiverGraph):
+        self.roots = positive_roots(q)
+        self.words: dict[Root, tuple[WeylWord, tuple[Root, ...]]] = {}
+        for w in self.roots:
+            word = minimal_word(q, w)
+            self.words[w] = (word, tuple(root_sequence(q, word)))
+        self.lifts: dict[tuple[int, BraidWord], TwistedComplex] = {}
+
+
 class StabilityCondition:
     """A generic standard stability condition on the quiver category.
 
-    Holds the build-once cache of stable objects per positive root; lookups
-    after construction are read-only.
+    Per algebra, shared by every condition on it: the positive roots, their
+    minimal words and root sequences, and the certified signed braid lifts
+    (see `_ChargeFree`; a stable object depends on the charge only through
+    its sign vector).  Per charge, done here: the Z image of every positive
+    root, their order by argument, one genericity check, and, on first use,
+    the signs of each root's word, which select the shared lift.
     """
 
     def __init__(self, alg: ZigzagAlgebra, charge: CentralCharge):
-        q = alg.quiver
-        q.require_finite_type()
-        if len(charge) != q.vertex_count:
+        if alg.charge_free is None:
+            alg.charge_free = _ChargeFree(alg.quiver)
+        if len(charge) != alg.quiver.vertex_count:
             raise ValueError("charge length does not match the quiver")
         self.alg = alg
-        self.quiver = q
+        self.quiver = alg.quiver
         self.charge = charge
-        self.roots = positive_roots(q)
-        self._generic: bool | None = None
+        self._shared: _ChargeFree = alg.charge_free
+        self.roots = list(self._shared.roots)
         self._builds: dict[Root, StableBuild] = {}
         # Z per positive root, and the positive roots in order of arg Z
         self._z: dict[Root, ExactComplex] = {w: charge.of_root(w) for w in self.roots}
         self._by_arg: list[Root] = [self.roots[i] for i in _by_arg(list(self._z.values()))]
+        self._generic = _on_distinct_rays([self._z[w] for w in self._by_arg])
 
     # -- charges and phases ------------------------------------------------
 
@@ -316,12 +345,11 @@ class StabilityCondition:
         return Phase(shift, self.z(w))
 
     def validate_generic(self) -> bool:
-        if self._generic is None:
-            self._generic = _charge_is_generic(self.charge, self.roots)
+        """Whether no two positive roots share a ray, read off the neighbours in arg order."""
         return self._generic
 
     def require_generic(self) -> None:
-        if not self.validate_generic():
+        if not self._generic:
             raise NonGenericChargeError(
                 "charge maps two distinct positive roots to the same ray"
             )
@@ -348,27 +376,39 @@ class StabilityCondition:
         return tuple(signs)
 
     def stable_build(self, w: Root, word: WeylWord | None = None) -> StableBuild:
-        """Construct the stable object of class w by the signed braid lift."""
+        """Construct the stable object of class w by the signed braid lift.
+
+        Only the signs are worked out per charge, by the sign rule on the
+        word's root sequence; the lift they select is looked up in the
+        algebra's shared table, and built and certified spherical there the
+        first time any condition on the algebra asks for it.  The default
+        word is the root's minimal word; an explicit word takes the same
+        path.
+        """
         self.require_generic()
         if word is None:
-            if w in self._builds:
-                return self._builds[w]
-            word = minimal_word(self.quiver, w)
-            cache = True
-        else:
-            if evaluate_word(self.quiver, word) != w:
-                raise ValueError("expression does not evaluate to the requested root")
-            cache = False
-        seq = root_sequence(self.quiver, word)
+            build = self._builds.get(w)
+            if build is None:
+                if w not in self._shared.words:
+                    raise ValueError(f"{w} is not a positive root")
+                word, seq = self._shared.words[w]
+                build = self._builds[w] = self._lift(w, word, seq)
+            return build
+        if evaluate_word(self.quiver, word) != w:
+            raise ValueError("expression does not evaluate to the requested root")
+        return self._lift(w, word, root_sequence(self.quiver, word))
+
+    def _lift(self, w: Root, word: WeylWord, seq) -> StableBuild:
         signs = self.sign_rule(seq)
         braid = BraidWord(tuple(zip(word.letters, signs)))
-        obj = apply_braid(self.alg, braid, simple_object(self.alg, word.base))
-        build = StableBuild(w, word, seq, signs, braid, obj)
-        if cache:
+        lifts = self._shared.lifts
+        obj = lifts.get((word.base, braid))
+        if obj is None:
+            obj = apply_braid(self.alg, braid, simple_object(self.alg, word.base))
             if not is_spherical(obj):
                 raise InvariantViolation(f"constructed object of class {w} is not spherical")
-            self._builds[w] = build
-        return build
+            lifts[(word.base, braid)] = obj
+        return StableBuild(w, word, list(seq), signs, braid, obj)
 
     def stable_object(self, w: Root, word: WeylWord | None = None) -> TwistedComplex:
         return self.stable_build(w, word).obj

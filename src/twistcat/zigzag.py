@@ -134,6 +134,10 @@ class ZigzagAlgebra:
                 else:
                     paths = ()
                 self.paths[(i, j)] = {b.degree: b for b in paths}
+        # the stability data no charge changes (positive roots, minimal words,
+        # certified stable lifts), shared by every StabilityCondition on this
+        # algebra; set by `stability` on first use
+        self.charge_free = None
 
     def has_path(self, i: int, j: int, degree: int) -> bool:
         """Whether a basis path i -> j of this degree exists.

@@ -80,6 +80,23 @@ def test_stable_command_expression_mismatch(capsys, charge_file):
     assert "does not evaluate" in err
 
 
+def test_stable_command_empty_expression(capsys, charge_file):
+    code, out, err = run(
+        capsys, "stable", "--type", "A3", "--charge", charge_file,
+        "--root", "1,1,1", "--expression", "",
+    )
+    assert code == 2
+    assert "must end with a base root" in err
+    assert out == ""
+
+
+def test_stable_command_flip_without_exponents(capsys):
+    code, _, err = run(capsys, "stable", "--type", "A1", "--seed", "0", "--root", "1", "--flip", "1")
+    assert code == 2
+    assert "has no exponents to flip" in err
+    assert "out of range" not in err and "Traceback" not in err
+
+
 def test_stable_command_simple_root(capsys, charge_file):
     code, out, _ = run(
         capsys, "stable", "--type", "A3", "--charge", charge_file,

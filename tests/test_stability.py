@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from twistcat import (
     BraidWord,
     CentralCharge,
     ExactComplex,
+    InvariantViolation,
     NonGenericChargeError,
     Phase,
     StabilityCondition,
@@ -29,7 +32,8 @@ from twistcat import (
     untwist,
     zero_object,
 )
-from twistcat.stability import _charge_is_generic, cross
+from twistcat import stability
+from twistcat.stability import _by_arg, _on_distinct_rays, cross
 from conftest import a3_reference_charge
 
 
@@ -288,6 +292,7 @@ def test_generic_charge_check_matches_all_pairs(a3, d4):
     rng = random.Random("generic-check")
     seen = set()
     for q in (a3, d4):
+        alg = ZigzagAlgebra(q)
         roots = positive_roots(q)
         for _ in range(200):
             charge = CentralCharge([
@@ -298,6 +303,107 @@ def test_generic_charge_check_matches_all_pairs(a3, d4):
                 cross(images[i], images[j]) != 0
                 for i in range(len(images)) for j in range(i + 1, len(images))
             )
-            assert _charge_is_generic(charge, roots) == all_pairs
+            assert _on_distinct_rays([images[i] for i in _by_arg(images)]) == all_pairs
+            assert StabilityCondition(alg, charge).validate_generic() == all_pairs
             seen.add(all_pairs)
     assert seen == {True, False}
+
+
+# -- the per-algebra record shared by all charges ------------------------------
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "E6"])
+def test_shared_lifts_match_fresh_braid_lifts(name):
+    """Every stable object equals the signed braid lift built outside the record."""
+    alg = ZigzagAlgebra(named_quiver(name))
+    rng = random.Random(f"shared-lifts:{name}")
+    for _ in range(4):
+        stab = StabilityCondition(alg, random_generic_charge(alg.quiver, rng))
+        for w in stab.roots:
+            build = stab.stable_build(w)
+            assert build.signs == stab.sign_rule(build.sequence)
+            fresh = apply_braid(alg, build.braid, simple_object(alg, build.word.base))
+            assert build.obj == fresh, w
+
+
+def test_conditions_with_equal_signs_share_the_object(a3):
+    alg = ZigzagAlgebra(a3)
+    first = StabilityCondition(alg, a3_reference_charge())
+    scaled = StabilityCondition(
+        alg, CentralCharge([z.scale(Fraction(7, 3)) for z in first.charge.values])
+    )
+    rng = random.Random("shared-signs")
+    others = [StabilityCondition(alg, random_generic_charge(a3, rng)) for _ in range(4)]
+    shared_words = 0
+    for w in first.roots:
+        build = first.stable_build(w)
+        assert scaled.stable_build(w).obj is build.obj
+        for other in others:
+            if other.stable_build(w).signs == build.signs:
+                assert other.stable_build(w).obj is build.obj
+                shared_words += bool(build.signs)
+    assert shared_words > 0
+    # another algebra of the same quiver shares nothing
+    apart = StabilityCondition(ZigzagAlgebra(a3), first.charge)
+    assert apart.alg.charge_free is not alg.charge_free
+    for w in first.roots:
+        obj = apart.stable_object(w)
+        assert obj == first.stable_object(w)
+        assert obj is not first.stable_object(w)
+        assert obj.alg is apart.alg
+
+
+def test_certificate_runs_once_per_lift(monkeypatch, d4):
+    alg = ZigzagAlgebra(d4)
+    certified = []
+
+    def counting(obj, real=stability.is_spherical):
+        certified.append(obj)
+        return real(obj)
+
+    monkeypatch.setattr(stability, "is_spherical", counting)
+    rng = random.Random("certificate")
+    for _ in range(2):
+        StabilityCondition(alg, random_generic_charge(d4, rng)).stable_table()
+    lifts = alg.charge_free.lifts
+    assert len(certified) == len(lifts) < 2 * len(positive_roots(d4))
+    assert {id(obj) for obj in certified} == {id(obj) for obj in lifts.values()}
+
+
+def test_failed_certificate_raises_and_is_not_stored(monkeypatch, a3):
+    alg = ZigzagAlgebra(a3)
+    stab = StabilityCondition(alg, a3_reference_charge())
+    monkeypatch.setattr(stability, "is_spherical", lambda obj: False)
+    with pytest.raises(InvariantViolation):
+        stab.stable_build((1, 1, 1))
+    with pytest.raises(InvariantViolation):
+        stab.stable_build((1, 1, 1), WeylWord(base=1, letters=(0, 2, 1)))
+    assert alg.charge_free.lifts == {}
+    monkeypatch.undo()
+    obj = stab.stable_object((1, 1, 1))
+    assert list(alg.charge_free.lifts.values()) == [obj]
+
+
+def test_algebra_is_freed_with_its_conditions(a3):
+    alg = ZigzagAlgebra(a3)
+    stab = StabilityCondition(alg, a3_reference_charge())
+    stab.stable_table()
+    assert alg.charge_free.lifts
+    ref = weakref.ref(alg)
+    del alg, stab
+    gc.collect()
+    assert ref() is None
+
+
+def test_roots_and_sequences_are_fresh_per_condition(alg_a3):
+    first = StabilityCondition(alg_a3, a3_reference_charge())
+    second = StabilityCondition(alg_a3, a3_reference_charge())
+    roots = list(second.roots)
+    sequence = list(second.stable_build((1, 1, 1)).sequence)
+    first.roots.reverse()
+    first.roots.append((9, 9, 9))
+    first.stable_build((1, 1, 1)).sequence.clear()
+    assert second.roots == roots
+    third = StabilityCondition(alg_a3, a3_reference_charge())
+    assert third.roots == roots
+    assert third.stable_build((1, 1, 1)).sequence == sequence
