@@ -199,6 +199,8 @@ class CentralCharge:
                 raise ValueError(f"charge is missing vertex {key}")
             try:
                 nre, dre, nim, dim = data[key]
+                if any(type(c) is not int for c in (nre, dre, nim, dim)):
+                    raise TypeError
                 values.append(ExactComplex(Fraction(nre, dre), Fraction(nim, dim)))
             except (ValueError, TypeError, ZeroDivisionError):
                 raise ValueError(

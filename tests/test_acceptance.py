@@ -105,6 +105,14 @@ def test_criterion_3_uniqueness_across_expressions():
     _report(3, "uniqueness across minimal expressions", result.failures)
 
 
+def test_criterion_3_uniqueness_on_every_ade_family():
+    """Criterion 3 beyond rank four: A5, A9, D5, D9, E6, E7 and E8 (322 roots)."""
+    types = ("A5", "A9", "D5", "D9", "E6", "E7", "E8")
+    result = suite_uniqueness(types, min_cases=322, seed=0)
+    print(f"\n  distinct-expression roots exercised: {result.cases}")
+    _report(3, "uniqueness across minimal expressions on A, D and E", result.failures)
+
+
 def test_criterion_4_reduction_at_desk_scale(reduction_results):
     failures = []
     for result in reduction_results:

@@ -159,7 +159,7 @@ def test_reduce_command_start_out_of_range(capsys, charge_file):
 
 def test_charge_file_with_malformed_entry_exits_2(tmp_path, capsys):
     good = a3_reference_charge().to_json_dict()
-    for entry in ([1, 0, 1, 1], [1, 1, "1", 2], 7, [1, 1, 1]):
+    for entry in ([1, 0, 1, 1], [1, 1, "1", 2], 7, [1, 1, 1], [True, 1, 1, 1]):
         path = tmp_path / "charge.json"
         path.write_text(json.dumps({**good, "2": entry}))
         code, _, err = run(

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -7,20 +8,26 @@ import pytest
 from twistcat import (
     BraidWord,
     Generator,
+    HypothesisNotMet,
     Morphism,
     TwistedComplex,
+    ZigzagAlgebra,
     apply_braid,
     cone,
     direct_sum,
+    find_isomorphism,
     find_shift_isomorphism,
     hom_dims,
     identity_morphism,
     is_isomorphic,
     is_spherical,
     minimize,
+    named_quiver,
     simple_object,
     zero_object,
 )
+from twistcat import homcore
+from twistcat.homcore import HomComplex
 from conftest import random_word
 
 
@@ -60,6 +67,24 @@ def test_validation_rejects_inexact_entries(alg_a2, bad):
     p = simple_object(alg_a2, 0)
     with pytest.raises(ValueError, match=r"entry \(0, 0\)"):
         Morphism(p, p, 0, {(0, 0): bad})
+
+
+@pytest.mark.parametrize(
+    "gens, diff, offender",
+    [
+        ([Generator(-1, 0)], {}, r"generator \(-1, 0\)"),
+        ([Generator(5, 0)], {}, r"generator \(5, 0\)"),
+        ([Generator(1, 0.5)], {}, r"generator \(1, 0\.5\)"),
+        ([Generator(True, 0)], {}, r"generator \(True, 0\)"),
+        ([Generator(0, False)], {}, r"generator \(0, False\)"),
+        ([Generator(1, 0), Generator(0, 0)], {(0.0, 1): 1}, r"entry key \(0\.0, 1\)"),
+        ([Generator(1, 0), Generator(0, 0)], {(False, True): 1}, r"entry key \(False, True\)"),
+        ([Generator(1, 0), Generator(0, 0)], {(0, 1, 0): 1}, r"entry key \(0, 1, 0\)"),
+    ],
+)
+def test_validation_rejects_bad_generators_and_keys(alg_a2, gens, diff, offender):
+    with pytest.raises(ValueError, match=offender):
+        TwistedComplex(alg_a2, gens, diff)
 
 
 def test_validation_rejects_algebra_elements(alg_a2):
@@ -197,6 +222,102 @@ def test_is_isomorphic_basics(alg_a2):
 
 def test_is_isomorphic_detects_sign_twins(alg_a3):
     assert is_isomorphic(staircase(alg_a3, 1), staircase(alg_a3, -1))
+
+
+def _count_cones(monkeypatch) -> list:
+    """Record every cone find_isomorphism builds."""
+    built = []
+
+    def counting(f):
+        built.append(f)
+        return cone(f)
+
+    monkeypatch.setattr(homcore, "cone", counting)
+    return built
+
+
+def test_find_isomorphism_beyond_one_representative(alg_a2, monkeypatch):
+    built = _count_cones(monkeypatch)
+    p1, p2 = simple_object(alg_a2, 0), simple_object(alg_a2, 1)
+    # dim H^0 Hom = 0 and, against P1, dim 2 where End^0(P1) has dim 1: no cone
+    assert find_isomorphism(p1, p1.shift(4)) == (None, 0)
+    padded = direct_sum(p1, p1, p1.shift(1))
+    assert padded.k_class() == p1.k_class()
+    assert find_isomorphism(p1, padded) == (None, 0)
+    assert built == []
+    # equal dimensions above one are not decided, and never read as "no"
+    s = direct_sum(p1, p2)
+    with pytest.raises(HypothesisNotMet, match="= 2 > 1"):
+        find_isomorphism(s, direct_sum(p2, p1))
+    assert not is_spherical(s) and is_isomorphic(s, s)
+
+
+def _bounded_search(x, y) -> bool:
+    """The bounded candidate search find_isomorphism replaced, as an oracle:
+    each H^0 representative, then small integer combinations of them; an
+    isomorphism is a candidate whose cone is acyclic."""
+    x, y = minimize(x), minimize(y)
+    if x.is_zero or y.is_zero:
+        return x.is_zero and y.is_zero
+    if x.k_class() != y.k_class():
+        return False
+    if x == y:
+        return True
+    reps = HomComplex(x, y).cocycle_reps(0)
+    m = len(reps)
+    combos = [tuple(int(i == j) for j in range(m)) for i in range(m)]
+    if 1 < m <= 3:
+        combos += [
+            c for c in itertools.product(range(-2, 3), repeat=m) if any(c) and c.count(0) != m - 1
+        ]
+    elif m > 3:
+        pairs = itertools.combinations(range(m), 2)
+        combos += [tuple(int(k in pair) for k in range(m)) for pair in pairs]
+        combos.append((1,) * m)
+    for coeffs in combos:
+        entries = {}
+        for rep, a in zip(reps, coeffs):
+            for key, c in rep.entries.items():
+                entries[key] = entries.get(key, 0) + a * c
+        if minimize(cone(Morphism(x, y, 0, entries, validate=False))).is_zero:
+            return True
+    return False
+
+
+def _sign_twin(x, rng):
+    """x under a random diagonal ±1 change of basis: isomorphic, rarely equal."""
+    signs = [rng.choice((1, -1)) for _ in x.generators]
+    diff = {(h, g): signs[h] * signs[g] * c for (h, g), c in x.differential.items()}
+    return TwistedComplex(x.alg, x.generators, diff)
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "E6"])
+def test_find_isomorphism_matches_bounded_search(name, monkeypatch):
+    alg = ZigzagAlgebra(named_quiver(name))
+    n = alg.quiver.vertex_count
+    rng = random.Random(f"iso-oracle-{name}")
+    edges = [(i, j) for i in range(n) for j in range(n) if alg.quiver.adjacent(i, j)]
+    built = _count_cones(monkeypatch)
+    verdicts, cones = [], 0
+    for _ in range(12):
+        v = rng.randrange(n)
+        word = random_word(rng, n, 8, min_len=4)
+        i, j = rng.choice(edges)
+        e = rng.choice((1, -1))
+        x = apply_braid(alg, word.then(BraidWord(((i, e), (j, e), (i, e)))), simple_object(alg, v))
+        y = apply_braid(alg, word.then(BraidWord(((j, e), (i, e), (j, e)))), simple_object(alg, v))
+        for other in (y, y.shift(2), _sign_twin(y, rng)):
+            built.clear()
+            witness, _ = find_isomorphism(x, other)
+            assert len(built) <= 1
+            cones += len(built)
+            want = _bounded_search(x, other)
+            assert (witness is not None) == want
+            if want:
+                assert witness.degree == 0 and witness.is_closed()
+                assert minimize(cone(witness)).is_zero
+            verdicts.append(want)
+    assert any(verdicts) and not all(verdicts) and cones > 0
 
 
 def test_find_shift_isomorphism(alg_a2):

@@ -4,7 +4,9 @@ Examples are derandomized and the example database is off, so every run
 draws the same inputs.
 """
 
+import contextlib
 import random
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -13,9 +15,11 @@ from twistcat import (
     BraidWord,
     Phase,
     StabilityCondition,
+    TwistedComplex,
     ZigzagAlgebra,
     apply_braid,
     cone,
+    direct_sum,
     identity_morphism,
     is_isomorphic,
     minimize,
@@ -27,6 +31,7 @@ from twistcat import (
     untwist,
     untwist_triangle,
 )
+from twistcat import twists
 from twistcat.homcore import HomComplex, hom0_is_nonzero
 
 ALGEBRAS = {name: ZigzagAlgebra(named_quiver(name)) for name in ("A3", "D4")}
@@ -161,3 +166,38 @@ def test_minimize_is_idempotent_and_leaves_no_degree_zero_entry(image, v):
         assert m.k_class() == obj.k_class()
         for h, g in m.differential:
             assert m.generators[h].shift - m.generators[g].shift + 1 > 0
+
+
+@contextlib.contextmanager
+def _recording(outputs):
+    """Keep every complex the twists build with cone and minimize."""
+
+    def keep(fn):
+        def wrapped(arg):
+            out = fn(arg)
+            outputs.append(out)
+            return out
+
+        return wrapped
+
+    with mock.patch.object(twists, "cone", keep(cone)):
+        with mock.patch.object(twists, "minimize", keep(minimize)):
+            yield
+
+
+@SETTINGS
+@given(braid_images(), st.integers(0, 3), st.integers(-1, 1))
+def test_cone_and_minimize_outputs_pass_validation(image, v, s):
+    """cone and minimize build their results unvalidated; each must still
+    pass the validated constructor (exact entries on paths, d² = 0)."""
+    alg, y = image
+    n = alg.quiver.vertex_count
+    simple = simple_object(alg, v % n)
+    pad = cone(identity_morphism(simple_object(alg, v % n, s)))
+    outputs = [y, pad] + _cones(image, v)
+    outputs += [minimize(c) for c in outputs] + [minimize(direct_sum(pad, y, pad))]
+    with _recording(outputs):
+        twist(simple, y)
+        untwist(simple, y)
+    for out in outputs:
+        TwistedComplex(alg, out.generators, out.differential)
