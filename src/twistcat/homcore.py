@@ -113,7 +113,8 @@ class TwistedComplex:
             n = alg.quiver.vertex_count
             for v, s in self.generators:
                 if type(v) is not int or not 0 <= v < n or type(s) is not int:
-                    raise ValueError(f"generator {(v, s)} needs a vertex in 0..{n - 1} and an int shift")
+                    raise ValueError(f"generator {(v, s)} needs a vertex in 0..{n - 1}"
+                                     " and an int shift")
             self.differential = _validated(diff, self, self, 1)
             square = _compose(self.differential, self.differential, self, self, 2)
             if square:
@@ -416,9 +417,9 @@ def find_isomorphism(
 ) -> tuple[Morphism | None, int]:
     """Decide x ≅ y by a closed degree-0 map with acyclic cone.
 
-    Returns the witness (None when x ≇ y) and the number of cones built,
+    Returns the witness (None when x ≇ y) and the number of maps tried,
     0 or 1.  After minimizing, zero objects, classes and equal complexes
-    are settled directly; otherwise m = dim H^0 Hom(x, y) decides.
+    (the identity) are settled directly; otherwise m = dim H^0 Hom(x, y) decides.
     m = 0: there is no nonzero map, so x ≇ y.  m = 1: every closed
     degree-0 map is c·rep + D(h); homotopic maps have isomorphic cones and
     c ≠ 0 leaves the cone unchanged, so x ≅ y exactly when cone(rep) is
