@@ -148,18 +148,11 @@ def cmd_stable(args) -> int:
     build = stab.stable_build(w, expression)
     obj = build.obj
     if args.flip is not None:
-        index = args.flip - 1
         if not build.braid.letters:
             raise ValueError(f"--flip {args.flip}: the word of root {w} has no exponents to flip")
-        if not 0 <= index < len(build.braid.letters):
+        if not 1 <= args.flip <= len(build.braid.letters):
             raise ValueError(f"--flip index out of range 1..{len(build.braid.letters)}")
-        flipped = BraidWord(
-            tuple(
-                (v, -e) if i == index else (v, e)
-                for i, (v, e) in enumerate(build.braid.letters)
-            )
-        )
-        obj = apply_braid(alg, flipped, simple_object(alg, build.word.base))
+        obj = build.flipped(args.flip - 1)
     phases = stab.phi_probes(obj)
     spread, heart = phases.spread, phases.in_heart
     report = {
@@ -207,11 +200,9 @@ def cmd_reduce(args) -> int:
     }
     lines = [f"{len(trace.steps)} steps ({args.strategy} strategy)"]
     for s in trace.steps:
+        verb = "untwist" if s.exponent == -1 else "twist"
         lines.append(
-            f"  untwist by {tuple(s.root)}[{s.shift}]: "
-            f"spread {float(s.spread_before):.6f} -> {float(s.spread_after):.6f}"
-            if s.exponent == -1
-            else f"  twist by {tuple(s.root)}[{s.shift}]: "
+            f"  {verb} by {tuple(s.root)}[{s.shift}]: "
             f"spread {float(s.spread_before):.6f} -> {float(s.spread_after):.6f}"
         )
     lines.append(f"final class {trace.final.k_class()}")

@@ -53,6 +53,8 @@ def _validated(entries: Entries, x: TwistedComplex, y: TwistedComplex, degree: i
     Every key must be a pair of ints and every entry an int or a Fraction,
     and a nonzero entry needs a path.
     """
+    if not isinstance(entries, dict):
+        raise ValueError(f"entries {entries!r} must be a dict keyed by (target, source)")
     out: Entries = {}
     for key, c in entries.items():
         if not (type(key) is tuple and len(key) == 2 and all(type(i) is int for i in key)):
@@ -107,14 +109,22 @@ class TwistedComplex:
         validate: bool = True,
     ):
         self.alg = alg
-        self.generators = tuple(Generator(v, s) for v, s in generators)
-        diff = differential or {}
+        diff = {} if differential is None else differential
         if validate:
+            try:
+                generators = tuple(generators)
+            except TypeError:
+                raise ValueError(f"generators {generators!r} must be iterable") from None
             n = alg.quiver.vertex_count
-            for v, s in self.generators:
+            for g in generators:
+                if not (isinstance(g, (tuple, list)) and len(g) == 2):
+                    raise ValueError(f"generator {g!r} must be a (vertex, shift) pair")
+                v, s = g
                 if type(v) is not int or not 0 <= v < n or type(s) is not int:
                     raise ValueError(f"generator {(v, s)} needs a vertex in 0..{n - 1}"
                                      " and an int shift")
+        self.generators = tuple(Generator(v, s) for v, s in generators)
+        if validate:
             self.differential = _validated(diff, self, self, 1)
             square = _compose(self.differential, self.differential, self, self, 2)
             if square:
@@ -213,6 +223,8 @@ class Morphism:
         self.target = target
         self.degree = degree
         if validate:
+            if type(degree) is not int:
+                raise ValueError(f"degree {degree!r} must be an int")
             self.entries = _validated(entries, source, target, degree)
         else:
             self.entries = {k: c for k, c in entries.items() if c}

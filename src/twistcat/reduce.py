@@ -5,12 +5,14 @@ twists (or untwists) by the unique stable spherical object sitting at the
 extreme phase, re-measures both phases, and certifies that the driven end
 strictly improved, the other end did not deteriorate, and the spread
 strictly decreased.  A certified conclusion failing is an engine invariant
-violation and always raises; it is never swallowed.
+violation and always raises; it is never swallowed.  Heart alignment runs
+the same loop at the bottom end and stops once the spread is below one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import HypothesisNotMet, InvariantViolation
 from .homcore import (
@@ -31,19 +33,22 @@ TOP = "top"
 
 @dataclass
 class StepRecord:
-    """One certified twist step with its measured phase data."""
+    """One certified twist step with the phases it was certified on."""
 
     direction: str
     root: Root
     shift: int
     exponent: int
-    phi_minus_before: Phase
-    phi_minus_after: Phase
-    phi_plus_before: Phase
-    phi_plus_after: Phase
-    spread_before: Phase
-    spread_after: Phase
+    before: Phases
+    after: Phases
     checks: dict[str, str] = field(default_factory=dict)
+
+    phi_minus_before = property(lambda self: self.before.bottom.phase)
+    phi_minus_after = property(lambda self: self.after.bottom.phase)
+    phi_plus_before = property(lambda self: self.before.top.phase)
+    phi_plus_after = property(lambda self: self.after.top.phase)
+    spread_before = property(lambda self: self.before.spread)
+    spread_after = property(lambda self: self.after.spread)
 
     def to_json_dict(self) -> dict:
         return {
@@ -84,11 +89,6 @@ def _conjugated_twist_word(build: StableBuild, exponent: int) -> BraidWord:
     return build.braid.inverse().then(core).then(build.braid)
 
 
-def _default_budget(stab: StabilityCondition, y: TwistedComplex) -> int:
-    lo, hi = y.shift_range()
-    return max(16, 4 * len(stab.roots) * (hi - lo + 3))
-
-
 def _moved_in(end: str, old: Phase, new: Phase) -> bool:
     """Whether the phase at this end moved strictly inward: up at the bottom, down at the top."""
     return new > old if end == BOTTOM else new < old
@@ -120,34 +120,43 @@ def _certify(direction: str, before: Phases, after: Phases) -> dict[str, str]:
 
 
 def _step(
-    stab: StabilityCondition,
-    x: TwistedComplex,
-    y: TwistedComplex,
-    phases: Phases,
-    direction: str,
+    stab: StabilityCondition, x: TwistedComplex, y: TwistedComplex, phases: Phases, direction: str
 ) -> tuple[TwistedComplex, Phases, StepRecord]:
     """Untwist (bottom) or twist (top) y by the spherical x sitting at that
     end of its phases, measure again and certify the step."""
-    if direction == BOTTOM:
-        new, exponent = untwist(x, y, _spherical_checked=True), -1
-    else:
-        new, exponent = twist(x, y, _spherical_checked=True), 1
+    exponent = -1 if direction == BOTTOM else 1
+    new = (untwist if exponent < 0 else twist)(x, y, _spherical_checked=True)
     after = stab.phi_probes(new)
     witness = getattr(phases, direction)
-    record = StepRecord(
-        direction=direction,
-        root=witness.root,
-        shift=witness.shift,
-        exponent=exponent,
-        phi_minus_before=phases.bottom.phase,
-        phi_minus_after=after.bottom.phase,
-        phi_plus_before=phases.top.phase,
-        phi_plus_after=after.top.phase,
-        spread_before=phases.spread,
-        spread_after=after.spread,
-        checks=_certify(direction, phases, after),
-    )
+    record = StepRecord(direction, witness.root, witness.shift, exponent, phases, after)
+    record.checks = _certify(direction, phases, after)
     return new, after, record
+
+
+def _reduce(
+    stab: StabilityCondition, cur: TwistedComplex, direction: str,
+    done: Callable[[Phase], bool], step_budget: int | None,
+) -> tuple[TwistedComplex, Phases, list[StepRecord], BraidWord]:
+    """Twist at the `direction` end of the phases until `done(spread)`; returns the
+    last object, its phases, the step records and the braid word of the steps,
+    first step first, which applied to `cur` gives the last object."""
+    if step_budget is None:
+        lo, hi = cur.shift_range()
+        step_budget = max(16, 4 * len(stab.roots) * (hi - lo + 3))
+    phases = stab.phi_probes(cur)
+    steps: list[StepRecord] = []
+    word = BraidWord()
+    while not done(phases.spread):
+        if len(steps) >= step_budget:
+            raise InvariantViolation(
+                f"reduction exceeded its step budget of {step_budget}; "
+                "either the budget is too small or termination failed"
+            )
+        build = stab.stable_build(getattr(phases, direction).root)
+        cur, phases, record = _step(stab, build.obj, cur, phases, direction)
+        steps.append(record)
+        word = word.then(_conjugated_twist_word(build, record.exponent))
+    return cur, phases, steps, word
 
 
 def reduce_to_stable(
@@ -167,25 +176,11 @@ def reduce_to_stable(
     start = minimize(y)
     if not is_spherical(start):
         raise ValueError("reduction is defined for spherical objects only")
-    budget = step_budget if step_budget is not None else _default_budget(stab, start)
-    cur = start
-    phases = stab.phi_probes(cur)
-    steps: list[StepRecord] = []
-    recon = BraidWord()
     # spherical objects keep Hom^0(Y, Y) one-dimensional and have no
     # negative self-homs; twists preserve both, so the step hypotheses
     # hold throughout the loop.
-    while not phases.spread.is_zero():
-        if len(steps) >= budget:
-            raise InvariantViolation(
-                f"reduction exceeded its step budget of {budget}; "
-                "either the budget is too small or termination failed"
-            )
-        build = stab.stable_build(getattr(phases, strategy).root)
-        cur, phases, record = _step(stab, build.obj, cur, phases, strategy)
-        steps.append(record)
-        recon = _conjugated_twist_word(build, -record.exponent).then(recon)
-    return ReductionTrace(strategy, start, cur, steps, recon)
+    final, _, steps, word = _reduce(stab, start, strategy, Phase.is_zero, step_budget)
+    return ReductionTrace(strategy, start, final, steps, word.inverse())
 
 
 def certify_step(
@@ -279,28 +274,19 @@ def heart_align(
     """
     stab.require_generic()
     alg = stab.alg
-    n = stab.quiver.vertex_count
-    simples = [simple_object(alg, v) for v in range(n)]
-    word = orbit.transport.inverse()
-    cur = minimize(apply_braid(alg, word, direct_sum(*simples)))
-    phases = stab.phi_probes(cur)
-    budget = step_budget if step_budget is not None else _default_budget(stab, cur)
-    steps: list[StepRecord] = []
-    while phases.spread >= Phase.integer(1):
-        if len(steps) >= budget:
-            raise InvariantViolation(
-                f"heart alignment exceeded its step budget of {budget}"
-            )
-        build = stab.stable_build(phases.bottom.root)
-        cur, phases, record = _step(stab, build.obj, cur, phases, BOTTOM)
-        steps.append(record)
-        word = word.then(_conjugated_twist_word(build, -1))
+    simples = [simple_object(alg, v) for v in range(stab.quiver.vertex_count)]
+    transport = orbit.transport.inverse()
+    cur, phases, steps, word = _reduce(
+        stab, minimize(apply_braid(alg, transport, direct_sum(*simples))), BOTTOM,
+        lambda spread: spread < Phase.integer(1), step_budget,
+    )
+    word = transport.then(word)
     lo, hi = phases.bottom.phase, phases.top.phase
     floor = Phase.integer(lo.shift)
     alpha_base = floor if hi < floor + 1 else lo
     alpha = alpha_base + orbit.rotation if orbit.rotation is not None else alpha_base
-    for v in range(n):
-        window = stab.phi_probes(apply_braid(alg, word, simples[v]))
+    for v, simple in enumerate(simples):
+        window = stab.phi_probes(apply_braid(alg, word, simple))
         if not (window.bottom.phase >= alpha_base and window.top.phase < alpha_base + 1):
             raise InvariantViolation(
                 f"realigned simple {v} escapes the [alpha, alpha+1) window"

@@ -215,16 +215,18 @@ def load_charge(path) -> CentralCharge:
     return CentralCharge.from_json_dict(json.loads(Path(path).read_text()))
 
 
-def random_generic_charge(
-    q: QuiverGraph, rng: random.Random, max_numerator: int = 12, max_denominator: int = 8
-) -> CentralCharge:
-    """Draw small exact charges until the genericity test passes."""
+def random_generic_charge(q: QuiverGraph, rng: random.Random) -> CentralCharge:
+    """Draw small exact charges until the genericity test passes.
+
+    Each simple gets (a/b) + (c/d)i with a in -12..12, c in 1..12 and b, d
+    in 1..8.
+    """
     roots = positive_roots(q)
     while True:
         values = [
             ExactComplex(
-                Fraction(rng.randint(-max_numerator, max_numerator), rng.randint(1, max_denominator)),
-                Fraction(rng.randint(1, max_numerator), rng.randint(1, max_denominator)),
+                Fraction(rng.randint(-12, 12), rng.randint(1, 8)),
+                Fraction(rng.randint(1, 12), rng.randint(1, 8)),
             )
             for _ in range(q.vertex_count)
         ]
@@ -283,6 +285,14 @@ class StableBuild:
     signs: tuple[int, ...]
     braid: BraidWord
     obj: TwistedComplex
+
+    def flipped(self, i: int) -> TwistedComplex:
+        """The lift with exponent i (0-based) of the braid word reversed."""
+        if not 0 <= i < len(self.braid.letters):
+            raise ValueError(f"no exponent {i} in a word of {len(self.braid.letters)} letters")
+        letters = tuple((v, -e if j == i else e) for j, (v, e) in enumerate(self.braid.letters))
+        alg = self.obj.alg
+        return apply_braid(alg, BraidWord(letters), simple_object(alg, self.word.base))
 
 
 class _ChargeFree:

@@ -116,14 +116,7 @@ def suite_stable_constructions(type_name: str, charges: int = 20, seed: int = 0)
                 failures.append(f"{tag}: spread is not zero")
             for i in range(len(build.signs)):
                 cases += 1
-                flipped = BraidWord(
-                    tuple(
-                        (v, -e) if j == i else (v, e)
-                        for j, (v, e) in enumerate(build.braid.letters)
-                    )
-                )
-                other = apply_braid(alg, flipped, simple_object(alg, build.word.base))
-                phases = stab.phi_probes(other)
+                phases = stab.phi_probes(build.flipped(i))
                 if phases.spread.is_zero() and phases.in_heart:
                     failures.append(f"{tag}: flipping exponent {i} left a stable heart object")
     return SuiteResult("stable constructions", cases, failures, time.perf_counter() - t0)

@@ -69,6 +69,11 @@ def test_validation_rejects_inexact_entries(alg_a2, bad):
         Morphism(p, p, 0, {(0, 0): bad})
 
 
+def _bad_morphism(degree, entries):
+    """In place of a differential: build Morphism(P0, P0, degree, entries) on the algebra."""
+    return lambda alg: Morphism(simple_object(alg, 0), simple_object(alg, 0), degree, entries)
+
+
 @pytest.mark.parametrize(
     "gens, diff, offender",
     [
@@ -80,11 +85,18 @@ def test_validation_rejects_inexact_entries(alg_a2, bad):
         ([Generator(1, 0), Generator(0, 0)], {(0.0, 1): 1}, r"entry key \(0\.0, 1\)"),
         ([Generator(1, 0), Generator(0, 0)], {(False, True): 1}, r"entry key \(False, True\)"),
         ([Generator(1, 0), Generator(0, 0)], {(0, 1, 0): 1}, r"entry key \(0, 1, 0\)"),
+        ([None], {}, r"generator None"),
+        (5, {}, r"generators 5"),
+        ([(0, 0, 1)], {}, r"generator \(0, 0, 1\)"),
+        ([Generator(1, 0), Generator(0, 0)], [((0, 1), 1)], r"entries \[\(\(0, 1\), 1\)\]"),
+        (None, _bad_morphism(0, [((0, 0), 1)]), r"entries \[\(\(0, 0\), 1\)\]"),
+        (None, _bad_morphism("0", {}), r"degree '0'"),
+        (None, _bad_morphism(True, {}), r"degree True"),
     ],
 )
 def test_validation_rejects_bad_generators_and_keys(alg_a2, gens, diff, offender):
     with pytest.raises(ValueError, match=offender):
-        TwistedComplex(alg_a2, gens, diff)
+        diff(alg_a2) if callable(diff) else TwistedComplex(alg_a2, gens, diff)
 
 
 def test_validation_rejects_algebra_elements(alg_a2):

@@ -33,6 +33,7 @@ from twistcat import (
 )
 from twistcat import twists
 from twistcat.homcore import HomComplex, hom0_is_nonzero
+from twistcat.reduce import _conjugated_twist_word
 
 ALGEBRAS = {name: ZigzagAlgebra(named_quiver(name)) for name in ("A3", "D4")}
 
@@ -201,3 +202,14 @@ def test_cone_and_minimize_outputs_pass_validation(image, v, s):
         untwist(simple, y)
     for out in outputs:
         TwistedComplex(alg, out.generators, out.differential)
+
+
+@settings(SETTINGS, max_examples=36)
+@given(braid_images(), st.integers(0, 2**16), st.integers(0, 11))
+def test_twist_by_a_stable_object_is_its_conjugated_braid_word(image, seed, index):
+    alg, y = image
+    stab = StabilityCondition(alg, random_generic_charge(alg.quiver, random.Random(seed)))
+    build = stab.stable_build(stab.roots[index % len(stab.roots)])
+    for op, exponent in ((twist, 1), (untwist, -1)):
+        word = _conjugated_twist_word(build, exponent)
+        assert is_isomorphic(op(build.obj, y), apply_braid(alg, word, y))

@@ -10,12 +10,14 @@ from twistcat import (
     OrbitStability,
     Phase,
     StabilityCondition,
+    ZigzagAlgebra,
     apply_braid,
     certify_step,
     direct_sum,
     heart_align,
     is_isomorphic,
     minimize,
+    named_quiver,
     parse_braid_word,
     random_generic_charge,
     reduce_to_stable,
@@ -182,6 +184,70 @@ def test_heart_align_random_transports(alg_a3):
         transport = random_word(rng, 3, 6, min_len=0)
         result = heart_align(stab, OrbitStability(transport))
         assert stab.phi_probes(result.final).spread < Phase.integer(1)
+
+
+# -- the braid words and the step records on seeded multi-step runs ---------
+
+ALGEBRAS = {name: ZigzagAlgebra(named_quiver(name)) for name in ("A3", "D4")}
+# each gives at least two steps in both reductions and in the alignment
+SEEDED = [("A3", 0), ("A3", 5), ("A3", 28), ("D4", 2), ("D4", 12), ("D4", 21)]
+
+
+def _seeded_case(type_name, seed):
+    """A random generic charge, a braid word and the image of a simple under it."""
+    alg = ALGEBRAS[type_name]
+    n = alg.quiver.vertex_count
+    rng = random.Random(f"oracle:{type_name}:{seed}")
+    stab = StabilityCondition(alg, random_generic_charge(alg.quiver, rng))
+    word = random_word(rng, n, 6, min_len=4)
+    return stab, word, apply_braid(alg, word, simple_object(alg, rng.randrange(n)))
+
+
+def _twist_word(stab, root, exponent):
+    """The twist (exponent 1) or untwist (-1) by the stable object of root, as a braid word."""
+    build = stab.stable_build(root)
+    core = BraidWord(((build.word.base, exponent),))
+    return build.braid.inverse().then(core).then(build.braid)
+
+
+def _reconstruction_oracle(stab, steps):
+    """The reduction word built step by step: each step's inverse goes in front."""
+    word = BraidWord()
+    for step in steps:
+        word = _twist_word(stab, step.root, -step.exponent).then(word)
+    return word
+
+
+def _alignment_oracle(stab, transport, steps):
+    """The alignment word built step by step: the inverse transport, then each untwist."""
+    word = transport.inverse()
+    for step in steps:
+        word = word.then(_twist_word(stab, step.root, -1))
+    return word
+
+
+@pytest.mark.parametrize("type_name, seed", SEEDED)
+def test_words_match_the_step_by_step_construction(type_name, seed):
+    stab, transport, start = _seeded_case(type_name, seed)
+    for strategy in ("bottom", "top"):
+        trace = reduce_to_stable(stab, start, strategy)
+        assert len(trace.steps) >= 2
+        assert trace.word.letters == _reconstruction_oracle(stab, trace.steps).letters
+    alignment = heart_align(stab, OrbitStability(transport))
+    assert len(alignment.steps) >= 2
+    assert alignment.word.letters == _alignment_oracle(stab, transport, alignment.steps).letters
+
+
+@pytest.mark.parametrize("type_name, seed", SEEDED)
+def test_step_records_chain(type_name, seed):
+    stab, transport, start = _seeded_case(type_name, seed)
+    traces = [reduce_to_stable(stab, start, strategy) for strategy in ("bottom", "top")]
+    for trace in traces:
+        assert trace.steps[0].before == stab.phi_probes(trace.start)
+    for run in traces + [heart_align(stab, OrbitStability(transport))]:
+        for a, b in zip(run.steps, run.steps[1:]):
+            assert b.before is a.after
+        assert run.steps[-1].after == stab.phi_probes(run.final)
 
 
 def test_trace_serialization_shape(stab_a2, unstable_a2):

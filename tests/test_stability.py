@@ -185,6 +185,11 @@ def test_unstable_flip_example(stab_a2, alg_a2):
     spread = stab_a2.phi_probes(flipped).spread
     assert not spread.is_zero()
     assert spread > Phase.integer(0)
+    build = stab_a2.stable_build((1, 1))  # the lift s1 of P2
+    assert build.flipped(0) == flipped
+    for outside in (-1, 1):
+        with pytest.raises(ValueError, match=f"no exponent {outside}"):
+            build.flipped(outside)
 
 
 def test_phi_bounds_rejects_zero(stab_a2, alg_a2):
