@@ -55,10 +55,7 @@ def _build_quiver(args) -> QuiverGraph:
 
 def _build_charge(args, q: QuiverGraph) -> CentralCharge:
     if args.charge is not None:
-        charge = load_charge(args.charge)
-        if len(charge) != q.vertex_count:
-            raise ValueError("charge length does not match the quiver")
-        return charge
+        return load_charge(args.charge)
     return random_generic_charge(q, random.Random(f"charge:{args.seed}"))
 
 

@@ -191,6 +191,12 @@ def simple_object(alg: ZigzagAlgebra, v: int, shift: int = 0) -> TwistedComplex:
     return TwistedComplex(alg, [Generator(v, shift)], {}, validate=False)
 
 
+def _same_quiver(x: TwistedComplex, y: TwistedComplex) -> None:
+    """Reject two objects over algebras of different quivers; one `is` on a shared algebra."""
+    if x.alg is not y.alg and x.alg.quiver != y.alg.quiver:
+        raise ValueError("the objects live over algebras of different quivers")
+
+
 def direct_sum(*objects: TwistedComplex) -> TwistedComplex:
     if not objects:
         raise ValueError("direct_sum needs at least one summand")
@@ -199,6 +205,7 @@ def direct_sum(*objects: TwistedComplex) -> TwistedComplex:
     diff: Entries = {}
     offset = 0
     for obj in objects:
+        _same_quiver(objects[0], obj)
         gens.extend(obj.generators)
         for (h, g), c in obj.differential.items():
             diff[(h + offset, g + offset)] = c
@@ -225,6 +232,7 @@ class Morphism:
         if validate:
             if type(degree) is not int:
                 raise ValueError(f"degree {degree!r} must be an int")
+            _same_quiver(source, target)
             self.entries = _validated(entries, source, target, degree)
         else:
             self.entries = {k: c for k, c in entries.items() if c}
@@ -305,6 +313,7 @@ class HomComplex:
     """The Hom complex of two twisted complexes, with exact cohomology."""
 
     def __init__(self, source: TwistedComplex, target: TwistedComplex):
+        _same_quiver(source, target)
         self.source = source
         self.target = target
         # Hom degree -> the (g, h) pairs with a path of that degree; a pair fixes its path

@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, total_ordering
+from functools import total_ordering
 from pathlib import Path
 from typing import NamedTuple
 
@@ -131,13 +131,8 @@ class Phase:
             return Phase(self.shift + other.shift, prod)
         return Phase(self.shift + other.shift + 1, -prod)
 
-    def __sub__(self, other) -> "Phase":
-        if isinstance(other, int):
-            return Phase(self.shift - other, self.z)
-        prod = self.z * other.z.conjugate()
-        if prod.in_upper_half():
-            return Phase(self.shift - other.shift, prod)
-        return Phase(self.shift - other.shift - 1, -prod)
+    def __sub__(self, other: "Phase") -> "Phase":
+        return Phase.of(self.z * other.z.conjugate(), self.shift - other.shift)
 
     def is_zero(self) -> bool:
         return self.shift == 0 and self.z.im == 0
@@ -231,24 +226,21 @@ def random_generic_charge(q: QuiverGraph, rng: random.Random) -> CentralCharge:
             for _ in range(q.vertex_count)
         ]
         charge = CentralCharge(values)
-        images = [charge.of_root(w) for w in roots]
-        if _on_distinct_rays([images[i] for i in _by_arg(images)]):
+        if _distinct_rays([charge.of_root(w) for w in roots]):
             return charge
 
 
-def _by_arg(images: list[ExactComplex]) -> list[int]:
-    """Indices of `images` (all in H) in order of argument; images on one ray are adjacent."""
+def _arg_key(z: ExactComplex) -> tuple[bool, Fraction]:
+    """Exact sort key of z in H: increases with arg z, equal exactly on one ray.
 
-    def compare(i: int, j: int) -> int:
-        c = cross(images[j], images[i])
-        return (c > 0) - (c < 0)
-
-    return sorted(range(len(images)), key=cmp_to_key(compare))
+    On the open upper half plane arg z increases as re/im decreases.
+    """
+    return (False, 0) if z.im == 0 else (True, -z.re / z.im)
 
 
-def _on_distinct_rays(ordered: list[ExactComplex]) -> bool:
-    """Whether images listed in order of argument lie on distinct rays: no two neighbours tie."""
-    return all(cross(a, b) != 0 for a, b in zip(ordered, ordered[1:]))
+def _distinct_rays(images: list[ExactComplex]) -> bool:
+    """Whether no two of the images (all in H) lie on one ray."""
+    return len({_arg_key(z) for z in images}) == len(images)
 
 
 class ProbeHit(NamedTuple):
@@ -344,8 +336,8 @@ class StabilityCondition:
         self._builds: dict[Root, StableBuild] = {}
         # Z per positive root, and the positive roots in order of arg Z
         self._z: dict[Root, ExactComplex] = {w: charge.of_root(w) for w in self.roots}
-        self._by_arg: list[Root] = [self.roots[i] for i in _by_arg(list(self._z.values()))]
-        self._generic = _on_distinct_rays([self._z[w] for w in self._by_arg])
+        self._arg_order: list[Root] = sorted(self.roots, key=lambda w: _arg_key(self._z[w]))
+        self._generic = _distinct_rays(list(self._z.values()))
 
     # -- charges and phases ------------------------------------------------
 
@@ -357,7 +349,7 @@ class StabilityCondition:
         return Phase(shift, self.z(w))
 
     def validate_generic(self) -> bool:
-        """Whether no two positive roots share a ray, read off the neighbours in arg order."""
+        """Whether no two positive roots share a ray."""
         return self._generic
 
     def require_generic(self) -> None:
@@ -430,31 +422,39 @@ class StabilityCondition:
 
     # -- phase probing -----------------------------------------------------
 
-    def _probe_candidates(self, y: TwistedComplex, side: str):
-        """Candidates (phase, root, k) for one side of the probe of y, lazily.
+    def _first_hit(self, y: TwistedComplex, side: str) -> ProbeHit:
+        """The first S_w[k] on one side of the probe of y with a nonzero Hom^0.
 
         Each root w is tried at the shifts k of its window, the ones where
         Hom^0 between y and S_w[k] can be nonzero.  Phase(k, Z(w)) orders by
         k, then by arg Z(w), and a generic charge puts no two roots on one
         ray, so the phase order is the integer order (k, position of w by
-        arg Z): ascending for the bottom, descending for the top.
+        arg Z): ascending for the bottom, descending for the top.  Both Hom
+        tests read the complex with the unshifted S_w, as H^k Hom(y, S_w)
+        and H^{-k} Hom(S_w, y).
         """
+        bottom = side == "bottom"
         lo_y, hi_y = y.shift_range()
+        pad = 0 if bottom else -2
         windows = []
-        for w in self._by_arg:
+        for w in self._arg_order:
             lo_s, hi_s = self.stable_build(w).obj.shift_range()
-            if side == "bottom":
-                windows.append((w, lo_y - hi_s, hi_y - lo_s + 3))
-            else:
-                windows.append((w, lo_y - hi_s - 2, hi_y - lo_s + 1))
+            windows.append((w, lo_y - hi_s + pad, hi_y - lo_s + 3 + pad))
         ks = range(min(lo for _, lo, _ in windows), max(hi for _, _, hi in windows))
-        if side == "top":
+        if not bottom:
             ks = reversed(ks)
             windows.reverse()
         for k in ks:
             for w, lo, hi in windows:
-                if lo <= k < hi:
-                    yield Phase(k, self._z[w]), w, k
+                if lo <= k < hi and (
+                    hom0_is_nonzero(y, self.stable_object(w), k) if bottom
+                    else hom0_is_nonzero(self.stable_object(w), y, -k)
+                ):
+                    return ProbeHit(Phase(k, self._z[w]), w, k)
+        raise InvariantViolation(
+            "no stable object receives a map from the probe target" if bottom
+            else "no stable object maps to the probe target"
+        )
 
     def phi_probes(self, y: TwistedComplex) -> Phases:
         """Witnessed bottom and top phases of an object with spherical factors.
@@ -462,25 +462,9 @@ class StabilityCondition:
         This is the one phase measurement; read the spread and heart
         membership off the returned Phases instead of probing again.  The
         bottom is the first candidate S_w[k] with Hom^0(y, S_w[k]) != 0, the
-        top the first with Hom^0(S_w[k], y) != 0; both are read off the Hom
-        complex with the unshifted S_w, as H^k Hom(y, S_w) and
-        H^{-k} Hom(S_w, y).
+        top the first with Hom^0(S_w[k], y) != 0 (see `_first_hit`).
         """
         if y.is_zero:
             raise ValueError("the zero object has no phases")
         self.require_generic()
-        bottom = None
-        for phase, w, k in self._probe_candidates(y, "bottom"):
-            if hom0_is_nonzero(y, self.stable_object(w), k):
-                bottom = ProbeHit(phase, w, k)
-                break
-        if bottom is None:
-            raise InvariantViolation("no stable object receives a map from the probe target")
-        top = None
-        for phase, w, k in self._probe_candidates(y, "top"):
-            if hom0_is_nonzero(self.stable_object(w), y, -k):
-                top = ProbeHit(phase, w, k)
-                break
-        if top is None:
-            raise InvariantViolation("no stable object maps to the probe target")
-        return Phases(bottom, top)
+        return Phases(self._first_hit(y, "bottom"), self._first_hit(y, "top"))

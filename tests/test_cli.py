@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from twistcat import InvariantViolation
 from twistcat.cli import main
 from twistcat.verify import SuiteResult
 from conftest import a3_reference_charge
@@ -170,6 +171,41 @@ def test_charge_file_with_malformed_entry_exits_2(tmp_path, capsys):
     path.write_text("[1, 2]")
     code, _, err = run(capsys, "stable", "--type", "A3", "--charge", str(path), "--root", "0,1,0")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("stable", "--root", "0,1,0"), ("reduce", "--start", "1"), ("align",)],
+)
+def test_charge_file_of_wrong_length_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "charge.json"
+    path.write_text(json.dumps(a3_reference_charge().to_json_dict()))
+    code, out, err = run(capsys, command[0], "--type", "A2", "--charge", str(path), *command[1:])
+    assert code == 2
+    assert err == "error: charge length does not match the quiver\n" and out == ""
+
+
+def test_invariant_violation_exits_1(capsys, charge_file, monkeypatch):
+    def violate(*args, **kwargs):
+        raise InvariantViolation("spread grew")
+
+    monkeypatch.setattr("twistcat.cli.reduce_to_stable", violate)
+    code, _, err = run(
+        capsys, "reduce", "--type", "A3", "--charge", charge_file, "--word", "s1", "--start", "2",
+    )
+    assert code == 1
+    assert err == "INVARIANT VIOLATION: spread grew\n"
+
+
+def test_failing_verify_suite_exits_1(capsys, monkeypatch):
+    failing = [SuiteResult("passing", 2, [], 0.0), SuiteResult("broken", 1, ["case 0"], 0.0)]
+    monkeypatch.setattr("twistcat.cli.run_verify", lambda type_name, seeds: failing)
+    code, out, _ = run(capsys, "verify", "--type", "A2", "--seeds", "1")
+    assert code == 1
+    assert out.splitlines()[-2:] == ["broken: FAIL (1) [1 cases, 0.0s]", "FAILURES PRESENT"]
+    code, out, _ = run(capsys, "verify", "--type", "A2", "--seeds", "1", "--json")
+    assert code == 1
+    assert json.loads(out)["ok"] is False
 
 
 def test_reduce_command_empty_word(capsys, charge_file):

@@ -24,6 +24,7 @@ from twistcat import (
     minimize,
     named_quiver,
     simple_object,
+    twist,
     zero_object,
 )
 from twistcat import homcore
@@ -97,6 +98,25 @@ def _bad_morphism(degree, entries):
 def test_validation_rejects_bad_generators_and_keys(alg_a2, gens, diff, offender):
     with pytest.raises(ValueError, match=offender):
         diff(alg_a2) if callable(diff) else TwistedComplex(alg_a2, gens, diff)
+
+
+@pytest.mark.parametrize(
+    "meet",
+    [
+        lambda p, q: Morphism(p, q, 0, {(0, 0): 1}),
+        lambda p, q: direct_sum(p, q),
+        lambda p, q: hom_dims(p, q.shift(2)),
+        lambda p, q: twist(q, p),
+    ],
+    ids=["morphism", "direct_sum", "hom_dims", "twist"],
+)
+def test_objects_over_different_quivers_do_not_meet(alg_a2, alg_a3, meet):
+    with pytest.raises(ValueError, match="algebras of different quivers"):
+        meet(simple_object(alg_a2, 0), simple_object(alg_a3, 0))
+    # two algebras of one quiver stay interchangeable
+    p, q = simple_object(alg_a3, 0), simple_object(ZigzagAlgebra(named_quiver("A3")), 0)
+    meet(p, q)
+    assert hom_dims(p, q) == hom_dims(p, p)
 
 
 def test_validation_rejects_algebra_elements(alg_a2):
@@ -336,6 +356,9 @@ def test_find_shift_isomorphism(alg_a2):
     ext = arrow_extension(alg_a2)
     assert find_shift_isomorphism(ext, ext.shift(3)) == -3
     assert find_shift_isomorphism(ext, simple_object(alg_a2, 0)) is None
+    zero = zero_object(alg_a2)
+    assert find_shift_isomorphism(zero, zero) == 0
+    assert find_shift_isomorphism(zero, simple_object(alg_a2, 0)) is None
 
 
 def _shift_iso_by_range(x, y):

@@ -131,6 +131,10 @@ def test_certify_step_hypothesis_rejections(stab_a2, alg_a2, unstable_a2):
         certify_step(stab_a2, direct_sum(p1, p2), unstable_a2, "bottom")
     with pytest.raises(HypothesisNotMet):
         certify_step(stab_a2, unstable_a2, p1, "bottom")  # x itself not semistable
+    with pytest.raises(HypothesisNotMet, match="y has self-homs in negative degrees"):
+        certify_step(stab_a2, p1, direct_sum(p1, p1.shift(1)), "bottom")
+    with pytest.raises(HypothesisNotMet, match="narrow-spread clause needs a one-dimensional"):
+        certify_step(stab_a2, p2, direct_sum(p1, p2), "bottom")
 
 
 def test_sandwich_on_twist_triangle(stab_a2, alg_a2):

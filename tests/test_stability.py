@@ -33,7 +33,7 @@ from twistcat import (
     zero_object,
 )
 from twistcat import stability
-from twistcat.stability import _by_arg, _on_distinct_rays, cross
+from twistcat.stability import _distinct_rays, cross
 from conftest import a3_reference_charge
 
 
@@ -160,9 +160,11 @@ def test_stable_object_figure_word(stab_a3, alg_a3):
     assert is_isomorphic(obj, stab_a3.stable_object((1, 1, 1)))
 
 
-def test_stable_object_rejects_wrong_word(stab_a3):
+def test_stable_object_rejects_wrong_word(stab_a3, stab_a2):
     with pytest.raises(ValueError):
         stab_a3.stable_object((1, 1, 1), WeylWord(base=0, letters=(1,)))
+    with pytest.raises(ValueError, match=r"\(2, 0\) is not a positive root"):
+        stab_a2.stable_build((2, 0))
 
 
 def test_phi_bounds_examples(stab_a3, alg_a3):
@@ -271,11 +273,20 @@ def _phase_sorted_candidates(stab, y, side):
 
 
 @pytest.mark.parametrize("name", ["A3", "D4", "E6"])
-def test_probe_candidates_follow_phase_order(name):
-    """The integer (k, arg rank) order is the order of the candidates' phases."""
+def test_probe_candidates_follow_phase_order(name, monkeypatch):
+    """The integer (k, arg rank) order of the Hom tests is the order of the candidates' phases."""
     alg = ZigzagAlgebra(named_quiver(name))
     q = alg.quiver
     rng = random.Random(f"candidate-order:{name}")
+    tested = []
+    answer = [None]  # the index of the Hom test that answers yes, or None for none
+
+    def record(x, y, k):
+        # a stable object is the one of its class: (root, k) of S_w[k] as probed
+        tested.append((y.k_class(), k) if side == "bottom" else (x.k_class(), -k))
+        return len(tested) - 1 == answer[0]
+
+    monkeypatch.setattr(stability, "hom0_is_nonzero", record)
     for _ in range(3):
         stab = StabilityCondition(alg, random_generic_charge(q, rng))
         word = BraidWord(
@@ -286,14 +297,23 @@ def test_probe_candidates_follow_phase_order(name):
             apply_braid(alg, word, simple_object(alg, rng.randrange(q.vertex_count))),
         ]
         for y in targets:
-            for side in ("bottom", "top"):
-                got = list(stab._probe_candidates(y, side))
-                assert [(item[1], item[2]) for item in got] == _phase_sorted_candidates(stab, y, side)
-                assert all(item[0] == stab.phase_of_root(item[1], item[2]) for item in got)
+            for side, message in (("bottom", "receives a map from"), ("top", "maps to")):
+                want = _phase_sorted_candidates(stab, y, side)
+                tested.clear()
+                answer[0] = None
+                with pytest.raises(InvariantViolation, match=f"no stable object {message} the probe"):
+                    stab._first_hit(y, side)
+                assert tested == want
+                # a yes ends the walk, and only the hit carries a phase
+                tested.clear()
+                answer[0] = rng.randrange(len(want))
+                w, k = want[answer[0]]
+                assert stab._first_hit(y, side) == (stab.phase_of_root(w, k), w, k)
+                assert tested == want[: answer[0] + 1]
 
 
 def test_generic_charge_check_matches_all_pairs(a3, d4):
-    """Sorting by argument and comparing neighbours finds every shared ray."""
+    """Distinct exact argument keys find every shared ray."""
     rng = random.Random("generic-check")
     seen = set()
     for q in (a3, d4):
@@ -308,7 +328,7 @@ def test_generic_charge_check_matches_all_pairs(a3, d4):
                 cross(images[i], images[j]) != 0
                 for i in range(len(images)) for j in range(i + 1, len(images))
             )
-            assert _on_distinct_rays([images[i] for i in _by_arg(images)]) == all_pairs
+            assert _distinct_rays(images) == all_pairs
             assert StabilityCondition(alg, charge).validate_generic() == all_pairs
             seen.add(all_pairs)
     assert seen == {True, False}
