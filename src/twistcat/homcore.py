@@ -21,7 +21,8 @@ Sign conventions, fixed once:
 
 Hom-complex differentials are assembled as sparse columns, and every rank,
 cohomology dimension and cocycle representative comes from the exact sparse
-echelon in linalg.
+echelon in linalg.  Integral entries enter those columns as ints, so the
+Hom tests on ±1 data eliminate without building a Fraction.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from .errors import HypothesisNotMet
 from .rootlat import Root
 from .zigzag import ZigzagAlgebra
 
-Entries = dict[tuple[int, int], Fraction]
+# (target, source) -> entry; validated construction stores every entry as a Fraction
+Entries = dict[tuple[int, int], int | Fraction]
 
 
 class Generator(NamedTuple):
@@ -316,13 +318,21 @@ class HomComplex:
         _same_quiver(source, target)
         self.source = source
         self.target = target
-        # Hom degree -> the (g, h) pairs with a path of that degree; a pair fixes its path
+        # Hom degree -> the (g, h) pairs with a path of that degree; a pair fixes its path.
+        # Pairs are filed g-major, then by h, then by path degree.
         self.basis: dict[int, list[tuple[int, int]]] = {}
         paths = source.alg.paths
+        targets = list(enumerate(target.generators))
+        # source vertex -> (h, path degree - shift(h)) for every path into target generator h
+        reach: dict[int, list[tuple[int, int]]] = {}
         for g, (vg, sg) in enumerate(source.generators):
-            for h, (vh, sh) in enumerate(target.generators):
-                for degree in paths[(vg, vh)]:
-                    self.basis.setdefault(degree + sg - sh, []).append((g, h))
+            hits = reach.get(vg)
+            if hits is None:
+                hits = reach[vg] = [
+                    (h, degree - sh) for h, (vh, sh) in targets for degree in paths[(vg, vh)]
+                ]
+            for h, offset in hits:
+                self.basis.setdefault(offset + sg, []).append((g, h))
         self._matrices: dict[int, list[linalg.Vector]] = {}
 
     def degrees(self) -> list[int]:
@@ -339,7 +349,9 @@ class HomComplex:
         when the outer pair is a Hom^{d+1} basis pair (a path of the summed
         degree joins its ends), and its coefficient is the entry's.  No
         entry joins a generator to itself (no degree-1 path does), so each
-        row of a column is hit at most once.
+        row of a column is hit at most once.  An integral coefficient is
+        emitted as an int and any other as its Fraction, so `linalg.rank`
+        stays in ints on ±1 data.
         """
         if d in self._matrices:
             return self._matrices[d]
@@ -348,11 +360,13 @@ class HomComplex:
         cols: list[linalg.Vector] = []
         if dom and cod:
             rows = {pair: pos for pos, pair in enumerate(cod)}
-            y_by_source: dict[int, list[tuple[int, Fraction]]] = {}
+            y_by_source: dict[int, list[tuple[int, int | Fraction]]] = {}
             for (h2, h1), c in self.target.differential.items():
+                c = c.numerator if c.denominator == 1 else c
                 y_by_source.setdefault(h1, []).append((h2, c))
-            x_by_target: dict[int, list[tuple[int, Fraction]]] = {}
+            x_by_target: dict[int, list[tuple[int, int | Fraction]]] = {}
             for (g1, g2), c in self.source.differential.items():
+                c = c.numerator if c.denominator == 1 else c
                 x_by_target.setdefault(g1, []).append((g2, -c if d % 2 == 0 else c))
             for g, h in dom:
                 col: linalg.Vector = {}

@@ -1,19 +1,28 @@
-"""Exact sparse linear algebra over Fraction.
+"""Exact sparse linear algebra over the rationals, on int and Fraction entries.
 
-A vector is a dict {index: Fraction} that holds only its nonzero entries; a
-matrix is a list of such vectors, its columns, so column c is the image of
-the c-th basis vector.  Rank, kernel basis and complement are all computed
-by one incremental echelon: each inserted column is reduced at its lowest
-nonzero index against the pivots found so far, carrying along the
+A vector is a dict {index: int | Fraction} that holds only its nonzero
+entries; a matrix is a list of such vectors, its columns, so column c is
+the image of the c-th basis vector.  Rank, kernel basis and complement are
+all computed by one incremental echelon: each inserted column is reduced at
+its lowest nonzero index against the pivots found so far, carrying along the
 combination of inserted columns that produced it.  Inserting the columns of
 a matrix in order makes the pivots those of the reduced row echelon form,
 and the combinations that dependent columns reduce to are exactly its kernel
 basis, one vector per free column.  `rank` reads only the pivots and does
 not carry the combinations.
 
-The Hom-complex matrices this serves have entries 0 and ±1 and are very
-sparse; this is the sparse Gaussian elimination of Bar-Natan, "Fast Khovanov
-homology computations" (arXiv:math/0606318).
+Each elimination factor is an exact quotient: a // p when the entry a and
+the pivot p are both ints and p divides a, and Fraction(a, p) otherwise.
+`/` is never applied to two ints, since it would return a float.  A step
+whose pivot divides stays in ints, so `rank` runs all in ints on the
+Hom-complex matrices of ±1 data (in the test suite every pivot vector of
+a Hom-complex rank holds only ±1).  The carried combinations start at
+Fraction(1), so kernel vectors and complement representatives are
+Fraction-valued whatever the columns hold.
+
+The Hom-complex matrices this serves are very sparse; this is the sparse
+Gaussian elimination of Bar-Natan, "Fast Khovanov homology computations"
+(arXiv:math/0606318).
 
 The dense mod-p rank at the end of the module is not used by the engine; it
 stays because the benchmark tracer (perfbench/tracer.py) wraps it by name.
@@ -23,12 +32,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Vector = dict[int, Fraction]
+Vector = dict[int, int | Fraction]
 
 FILTER_PRIME = 2_147_483_647
 
 
-def _subtract(vec: Vector, coeff: Fraction, other: Vector) -> None:
+def _subtract(vec: Vector, coeff: int | Fraction, other: Vector) -> None:
     """vec -= coeff * other, in place, keeping only nonzero entries."""
     for i, x in other.items():
         y = vec.get(i, 0) - coeff * x
@@ -68,7 +77,8 @@ class _SparseEchelon:
                 self.pivots[low] = (vec, comb)
                 return None
             pivot, pivot_comb = hit
-            factor = vec[low] / pivot[low]
+            a, p = vec[low], pivot[low]
+            factor = a // p if type(a) is int and type(p) is int and not a % p else Fraction(a, p)
             _subtract(vec, factor, pivot)
             _subtract(comb, factor, pivot_comb)
         return comb

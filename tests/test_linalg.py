@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from twistcat.linalg import complement_reps, nullspace, rank, rank_mod_p
+from twistcat.linalg import _SparseEchelon, complement_reps, nullspace, rank, rank_mod_p
 
 
 def F(x):
@@ -12,7 +12,7 @@ def F(x):
 
 
 def dense_rref(rows, ncols):
-    mat = [row[:] for row in rows]
+    mat = [[Fraction(x) for x in row] for row in rows]
     pivots = []
     for c in range(ncols):
         r = len(pivots)
@@ -66,12 +66,24 @@ def columns(rows, ncols):
     return [sparse([row[c] for row in rows]) for c in range(ncols)]
 
 
-def random_rows(rng, nrows, ncols):
-    """Sparse-ish rational matrix with zero rows/columns and repeated rows."""
+def rational_entry(rng):
+    return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+
+def int_entry(rng):
+    """An int in -5..5, so some pivots do not divide the entries they eliminate."""
+    return rng.randint(-5, 5)
+
+
+def mixed_entry(rng):
+    return rational_entry(rng) if rng.random() < 0.3 else int_entry(rng)
+
+
+def random_rows(rng, nrows, ncols, entry=rational_entry):
+    """Sparse-ish matrix with zero rows/columns and repeated rows."""
     density = rng.choice([0.15, 0.4, 0.8])
     rows = [
-        [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < density else F(0)
-         for _ in range(ncols)]
+        [entry(rng) if rng.random() < density else F(0) for _ in range(ncols)]
         for _ in range(nrows)
     ]
     if nrows and ncols:
@@ -122,6 +134,70 @@ def test_sparse_echelon_matches_dense_reference():
         subspace = random_rows(rng, rng.randint(0, 4), nrows)
         reps = complement_reps([sparse(v) for v in space], [sparse(v) for v in subspace])
         assert reps == [sparse(space[i]) for i in dense_complement(space, subspace, nrows)]
+
+
+def test_int_and_mixed_columns_match_dense_reference():
+    """Columns of ints in -5..5, alone or mixed with Fractions: the exact
+    quotient keeps a step in ints when the pivot divides and falls back to
+    Fraction otherwise, and the results equal the Fraction oracle's."""
+    rng = random.Random("int-vs-dense")
+    fell_back = stayed_int = 0
+    for trial in range(400):
+        nrows, ncols = rng.randint(0, 7), rng.randint(0, 7)
+        rows = random_rows(rng, nrows, ncols, mixed_entry if trial % 2 else int_entry)
+        cols = columns(rows, ncols)
+        assert rank(cols) == dense_rank(rows, ncols)
+        kernel = nullspace(cols, ncols)
+        assert kernel == [sparse(v) for v in dense_nullspace(rows, ncols)]
+        assert all(type(x) is Fraction for vec in kernel for x in vec.values())
+
+        ech = _SparseEchelon(carry=False)
+        for col in cols:
+            ech.insert(col)
+        entries = [x for vec, _ in ech.pivots.values() for x in vec.values()]
+        assert all(type(x) in (int, Fraction) for x in entries)
+        if any(type(x) is Fraction for x in entries):
+            fell_back += 1
+        elif entries:
+            stayed_int += 1
+
+        space = random_rows(rng, rng.randint(0, 6), nrows, mixed_entry)
+        subspace = random_rows(rng, rng.randint(0, 4), nrows, int_entry)
+        reps = complement_reps([sparse(v) for v in space], [sparse(v) for v in subspace])
+        assert all(type(x) in (int, Fraction) for vec in reps for x in vec.values())
+        assert reps == [sparse(space[i]) for i in dense_complement(space, subspace, nrows)]
+    assert fell_back and stayed_int
+
+
+def test_nullspace_of_int_columns_equals_that_of_fraction_columns():
+    rng = random.Random("int-kernel")
+    for _ in range(200):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        rows = random_rows(rng, nrows, ncols, int_entry)
+        ints = nullspace(columns(rows, ncols), ncols)
+        fracs = nullspace(columns([[Fraction(x) for x in row] for row in rows], ncols), ncols)
+        assert [list(v.items()) for v in ints] == [list(v.items()) for v in fracs]
+        assert [[type(x) for x in v.values()] for v in ints] == [
+            [type(x) for x in v.values()] for v in fracs
+        ]
+
+
+def test_rank_stays_in_ints_on_incidence_columns():
+    """Columns with one +1 and one -1 (a directed graph's incidence matrix) are
+    totally unimodular, so every pivot is ±1, divides, and no Fraction is built."""
+    rng = random.Random("incidence-rank")
+    for _ in range(200):
+        nodes = rng.randint(2, 8)
+        cols = []
+        for _ in range(rng.randint(1, 10)):
+            i, j = rng.sample(range(nodes), 2)
+            cols.append({i: 1, j: -1})
+        ech = _SparseEchelon(carry=False)
+        for col in cols:
+            ech.insert(col)
+        assert all(type(x) is int for vec, _ in ech.pivots.values() for x in vec.values())
+        exact = [[Fraction(col.get(i, 0)) for col in cols] for i in range(nodes)]
+        assert len(ech.pivots) == rank(cols) == dense_rank(exact, len(cols))
 
 
 def test_rank_mod_p_agrees_on_random_small_matrices():

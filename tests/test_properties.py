@@ -1,4 +1,5 @@
-"""Property tests on braid images of simples in types A3 and D4.
+"""Property tests on braid images of simples in types A3 and D4 (and E6
+where a property must hold on every ADE family).
 
 Examples are derandomized and the example database is off, so every run
 draws the same inputs.
@@ -6,6 +7,7 @@ draws the same inputs.
 
 import contextlib
 import random
+from fractions import Fraction
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -20,8 +22,10 @@ from twistcat import (
     apply_braid,
     cone,
     direct_sum,
+    hom_dims,
     identity_morphism,
     is_isomorphic,
+    is_spherical,
     minimize,
     named_quiver,
     random_generic_charge,
@@ -35,32 +39,35 @@ from twistcat import twists
 from twistcat.homcore import HomComplex, hom0_is_nonzero
 from twistcat.reduce import _conjugated_twist_word
 
-ALGEBRAS = {name: ZigzagAlgebra(named_quiver(name)) for name in ("A3", "D4")}
+ALGEBRAS = {name: ZigzagAlgebra(named_quiver(name)) for name in ("A3", "D4", "E6")}
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=12, deadline=None)
 
 
-def _braid_image(draw, alg, max_len):
+def _braid_image(draw, alg, max_len, min_len=0):
     n = alg.quiver.vertex_count
     letters = draw(
-        st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from((1, -1))), max_size=max_len)
+        st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from((1, -1))),
+                 min_size=min_len, max_size=max_len)
     )
     vertex = draw(st.integers(0, n - 1))
     return apply_braid(alg, BraidWord(tuple(letters)), simple_object(alg, vertex))
 
 
 @st.composite
-def braid_images(draw, max_len: int = 5):
+def braid_images(draw, max_len: int = 5, types: tuple[str, ...] = ("A3", "D4"),
+                 min_len: int = 0):
     """An algebra and a braid image of one of its simples."""
-    alg = ALGEBRAS[draw(st.sampled_from(sorted(ALGEBRAS)))]
-    return alg, _braid_image(draw, alg, max_len)
+    alg = ALGEBRAS[draw(st.sampled_from(types))]
+    return alg, _braid_image(draw, alg, max_len, min_len)
 
 
 @st.composite
-def braid_image_pairs(draw, max_len: int = 4):
+def braid_image_pairs(draw, max_len: int = 4, types: tuple[str, ...] = ("A3", "D4"),
+                      min_len: int = 0):
     """Two braid images of simples over one algebra."""
-    alg = ALGEBRAS[draw(st.sampled_from(sorted(ALGEBRAS)))]
-    return _braid_image(draw, alg, max_len), _braid_image(draw, alg, max_len)
+    alg = ALGEBRAS[draw(st.sampled_from(types))]
+    return _braid_image(draw, alg, max_len, min_len), _braid_image(draw, alg, max_len, min_len)
 
 
 @SETTINGS
@@ -213,3 +220,59 @@ def test_twist_by_a_stable_object_is_its_conjugated_braid_word(image, seed, inde
     for op, exponent in ((twist, 1), (untwist, -1)):
         word = _conjugated_twist_word(build, exponent)
         assert is_isomorphic(op(build.obj, y), apply_braid(alg, word, y))
+
+
+def _gauged(x, rng):
+    """x with generator g rescaled by a nonzero rational λ_g: the entry d(h, g)
+    becomes d(h, g)·λ_h/λ_g, an isomorphic complex whose entries are not ±1."""
+    scale = [Fraction(rng.choice((1, -1)) * rng.randint(1, 7), rng.randint(1, 7))
+             for _ in x.generators]
+    diff = {(h, g): c * scale[h] / scale[g] for (h, g), c in x.differential.items()}
+    return TwistedComplex(x.alg, x.generators, diff)
+
+
+@settings(SETTINGS, max_examples=30)
+@given(braid_images(max_len=5, types=("A3", "D4", "E6"), min_len=2), st.integers(0, 2**16),
+       st.integers(0, 5))
+def test_diagonal_gauge_changes_no_hom_dimension_or_phase(image, seed, v):
+    """A diagonal change of basis pushes rational entries through every Hom
+    test; Hom dimensions, sphericity and both probe hits stay as they were,
+    and the cohomology representatives read off the rational columns are
+    closed."""
+    alg, y = image
+    rng = random.Random(seed)
+    y2 = _gauged(y, rng)
+    x = simple_object(alg, v % alg.quiver.vertex_count)
+    assert all(rep.is_closed() for _, rep in HomComplex(y2, y2).all_cohomology_reps())
+    assert hom_dims(y2, y2) == hom_dims(y, y)
+    assert hom_dims(x, y2) == hom_dims(x, y)
+    assert hom_dims(y2, x) == hom_dims(y, x)
+    assert is_spherical(y2) == is_spherical(y)
+    stab = StabilityCondition(alg, random_generic_charge(alg.quiver, rng))
+    assert stab.phi_probes(y2) == stab.phi_probes(y)
+
+
+def _basis_by_pairs(source, target):
+    """The Hom basis as laid out pair by pair: every (g, h) in source-major
+    order, each path of the pair filed under its Hom degree."""
+    basis = {}
+    for g, (vg, sg) in enumerate(source.generators):
+        for h, (vh, sh) in enumerate(target.generators):
+            for degree in source.alg.paths[(vg, vh)]:
+                basis.setdefault(degree + sg - sh, []).append((g, h))
+    return basis
+
+
+@settings(SETTINGS, max_examples=24)
+@given(braid_image_pairs(max_len=5, types=("A3", "D4", "E6"), min_len=1), st.integers(0, 2**16),
+       st.integers(0, 35))
+def test_hom_basis_order_is_the_pair_by_pair_order(pair, seed, index):
+    """The per-vertex basis layout keeps the pair-by-pair order: the same
+    degrees in the same order, each with the same pairs in the same order."""
+    x, y = pair
+    alg = x.alg
+    stab = StabilityCondition(alg, random_generic_charge(alg.quiver, random.Random(seed)))
+    s = stab.stable_build(stab.roots[index % len(stab.roots)]).obj
+    for source, target in ((x, y), (y, x), (x, x), (s, y), (y, s), (s, s)):
+        want = _basis_by_pairs(source, target)
+        assert list(HomComplex(source, target).basis.items()) == list(want.items())
