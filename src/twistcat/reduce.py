@@ -109,11 +109,12 @@ def _certify(direction: str, before: Phases, after: Phases) -> dict[str, str]:
     old, new = getattr(before, other).phase, getattr(after, other).phase
     if _moved_in(other, new, old):  # the way back is inward: the step moved outward
         raise InvariantViolation(f"{other} phase deteriorated: {old} -> {new}")
-    width = "wide" if before.spread >= Phase.integer(1) else "narrow"
+    spread_before, spread_after = before.spread, after.spread
+    width = "wide" if spread_before >= Phase.integer(1) else "narrow"
     checks[f"{width}_spread_{other}_non_deterioration"] = "ok"
-    if not after.spread < before.spread:
+    if not spread_after < spread_before:
         raise InvariantViolation(
-            f"spread failed to decrease: {before.spread} -> {after.spread}"
+            f"spread failed to decrease: {spread_before} -> {spread_after}"
         )
     checks["spread_strictly_decreases"] = "ok"
     return checks
@@ -169,18 +170,37 @@ def reduce_to_stable(
 
     Bottom strategy untwists by the stable object at the bottom phase; top
     strategy twists by the one at the top phase.  Every step is certified.
+
+    Sphericity is checked on the final object, which is small: the steps
+    are twists by spherical objects, which are autoequivalences, so final
+    and start have isomorphic graded endomorphism algebras and one is
+    spherical exactly when the other is.  Only when the loop raises or the
+    final object is not spherical is the start checked, so that a
+    non-spherical input is still rejected with ValueError and only a
+    spherical one can end in InvariantViolation.
     """
     if strategy not in (BOTTOM, TOP):
         raise ValueError(f"unknown strategy {strategy!r}")
     stab.require_generic()
     start = minimize(y)
-    if not is_spherical(start):
-        raise ValueError("reduction is defined for spherical objects only")
     # spherical objects keep Hom^0(Y, Y) one-dimensional and have no
     # negative self-homs; twists preserve both, so the step hypotheses
     # hold throughout the loop.
-    final, _, steps, word = _reduce(stab, start, strategy, Phase.is_zero, step_budget)
+    try:
+        final, _, steps, word = _reduce(stab, start, strategy, Phase.is_zero, step_budget)
+        spherical = is_spherical(final)
+    except Exception:
+        _require_spherical(start)
+        raise
+    if not spherical:
+        _require_spherical(start)
+        raise InvariantViolation("twists took a spherical object to a non-spherical one")
     return ReductionTrace(strategy, start, final, steps, word.inverse())
+
+
+def _require_spherical(y: TwistedComplex) -> None:
+    if not is_spherical(y):
+        raise ValueError("reduction is defined for spherical objects only")
 
 
 def certify_step(

@@ -6,6 +6,15 @@ plane H = {Im > 0} union R_{>0}.  Phases are numbers k + arg(z)/pi with
 arg in [0, pi); they are compared purely by integer comparisons and signs
 of 2x2 determinants, never by floating point.  Floats appear only in
 human-readable output.
+
+A condition reads its charge once on the integer lattice D*Z, where D is
+the lcm of the denominators of the simple charges: every positive root w
+gets the ray D*Z(w) in Z^2, the integer combination of the simples' rays.
+A positive scaling keeps every argument, and the cross product of two rays
+is D^2 times that of the charges, with the same sign, so the argument
+order, the genericity check and the sign rule read integer cross products
+and decide exactly what the rational charges decide.  The rational
+Z(w) = ray / D is built only when a phase needs it.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
+from functools import cmp_to_key, total_ordering
 from pathlib import Path
 from typing import NamedTuple
 
@@ -226,21 +235,55 @@ def random_generic_charge(q: QuiverGraph, rng: random.Random) -> CentralCharge:
             for _ in range(q.vertex_count)
         ]
         charge = CentralCharge(values)
-        if _distinct_rays([charge.of_root(w) for w in roots]):
+        _, simples = _lattice(charge)
+        if _distinct_rays([_ray(simples, w) for w in roots]):
             return charge
 
 
-def _arg_key(z: ExactComplex) -> tuple[bool, Fraction]:
-    """Exact sort key of z in H: increases with arg z, equal exactly on one ray.
+Ray = tuple[int, int]
 
-    On the open upper half plane arg z increases as re/im decreases.
+
+def _lattice(charge: CentralCharge) -> tuple[int, tuple[Ray, ...]]:
+    """The lattice scale D, the lcm of the simple charges' denominators, and D*Z per simple."""
+    d = math.lcm(*(z.re.denominator for z in charge.values),
+                 *(z.im.denominator for z in charge.values))
+    return d, tuple(
+        (z.re.numerator * (d // z.re.denominator), z.im.numerator * (d // z.im.denominator))
+        for z in charge.values
+    )
+
+
+def _ray(simples: tuple[Ray, ...], w: Root) -> Ray:
+    """D*Z(w) for an integer vector w, from the simples' rays."""
+    if len(w) != len(simples):
+        raise ValueError("root length does not match the charge")
+    re = im = 0
+    for c, (a, b) in zip(w, simples):
+        if c:
+            re += c * a
+            im += c * b
+    return re, im
+
+
+def _ray_cross(u: Ray, v: Ray) -> int:
+    """Positive exactly when arg(v) > arg(u), for rays with arguments in [0, pi)."""
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _by_argument(rays: list[Ray]) -> tuple[list[int], bool]:
+    """Positions of the rays (all in H) by increasing argument, and whether no two share a ray.
+
+    The cross product compares arguments in [0, pi) exactly, so the sort is
+    by argument (stable on a shared ray), and rays on one ray end up next to
+    each other, where one cross product per neighbouring pair finds them.
     """
-    return (False, 0) if z.im == 0 else (True, -z.re / z.im)
+    order = sorted(range(len(rays)), key=cmp_to_key(lambda i, j: _ray_cross(rays[j], rays[i])))
+    return order, all(_ray_cross(rays[i], rays[j]) for i, j in zip(order, order[1:]))
 
 
-def _distinct_rays(images: list[ExactComplex]) -> bool:
-    """Whether no two of the images (all in H) lie on one ray."""
-    return len({_arg_key(z) for z in images}) == len(images)
+def _distinct_rays(rays: list[Ray]) -> bool:
+    """Whether no two of the rays (all in H) lie on one ray."""
+    return _by_argument(rays)[1]
 
 
 class ProbeHit(NamedTuple):
@@ -318,9 +361,11 @@ class StabilityCondition:
     Per algebra, shared by every condition on it: the positive roots, their
     minimal words and root sequences, and the certified signed braid lifts
     (see `_ChargeFree`; a stable object depends on the charge only through
-    its sign vector).  Per charge, done here: the Z image of every positive
-    root, their order by argument, one genericity check, and, on first use,
-    the signs of each root's word, which select the shared lift.
+    its sign vector).  Per charge, done here: the integer ray D*Z of every
+    positive root, their order by argument and one genericity check (see
+    the module docstring), and, on first use, the signs of each root's
+    word, which select the shared lift, each root's exact Z, and the probe
+    ladder.
     """
 
     def __init__(self, alg: ZigzagAlgebra, charge: CentralCharge):
@@ -334,16 +379,27 @@ class StabilityCondition:
         self._shared: _ChargeFree = alg.charge_free
         self.roots = list(self._shared.roots)
         self._builds: dict[Root, StableBuild] = {}
-        # Z per positive root, and the positive roots in order of arg Z
-        self._z: dict[Root, ExactComplex] = {w: charge.of_root(w) for w in self.roots}
-        self._arg_order: list[Root] = sorted(self.roots, key=lambda w: _arg_key(self._z[w]))
-        self._generic = _distinct_rays(list(self._z.values()))
+        self._d, self._simples = _lattice(charge)
+        rays = [_ray(self._simples, w) for w in self.roots]
+        self._rays: dict[Root, Ray] = dict(zip(self.roots, rays))
+        order, self._generic = _by_argument(rays)
+        self._arg_order: list[Root] = [self.roots[i] for i in order]
+        self._z: dict[Root, ExactComplex] = {}
+        self._ladder: list[tuple[Root, TwistedComplex, int, int]] | None = None
 
     # -- charges and phases ------------------------------------------------
 
+    def _ray_of(self, w: Root) -> Ray:
+        ray = self._rays.get(w)
+        return ray if ray is not None else _ray(self._simples, w)
+
     def z(self, w: Root) -> ExactComplex:
+        """The exact charge of w, equal to `charge.of_root(w)`."""
         z = self._z.get(w)
-        return z if z is not None else self.charge.of_root(w)
+        if z is None:
+            re, im = self._ray_of(w)
+            z = self._z[w] = ExactComplex(Fraction(re, self._d), Fraction(im, self._d))
+        return z
 
     def phase_of_root(self, w: Root, shift: int = 0) -> Phase:
         return Phase(shift, self.z(w))
@@ -368,10 +424,10 @@ class StabilityCondition:
         for w in roots:
             if not (all(c >= 0 for c in w) and any(c > 0 for c in w)):
                 raise ValueError(f"root sequence entry {w} is not positive")
-        neutral = self.z(roots[0])
+        neutral = self._ray_of(roots[0])
         signs = []
         for w in roots[1:]:
-            c = cross(neutral, self.z(w))
+            c = _ray_cross(neutral, self._ray_of(w))
             if c == 0:
                 raise NonGenericChargeError(
                     f"sequence entry {w} is on the neutral ray; charge is not generic here"
@@ -422,6 +478,16 @@ class StabilityCondition:
 
     # -- phase probing -----------------------------------------------------
 
+    def _probe_ladder(self) -> list[tuple[Root, TwistedComplex, int, int]]:
+        """(root, stable object, its shift range) for every positive root, by arg Z."""
+        if self._ladder is None:
+            ladder = []
+            for w in self._arg_order:
+                obj = self.stable_build(w).obj
+                ladder.append((w, obj, *obj.shift_range()))
+            self._ladder = ladder
+        return self._ladder
+
     def _first_hit(self, y: TwistedComplex, side: str) -> ProbeHit:
         """The first S_w[k] on one side of the probe of y with a nonzero Hom^0.
 
@@ -436,21 +502,20 @@ class StabilityCondition:
         bottom = side == "bottom"
         lo_y, hi_y = y.shift_range()
         pad = 0 if bottom else -2
-        windows = []
-        for w in self._arg_order:
-            lo_s, hi_s = self.stable_build(w).obj.shift_range()
-            windows.append((w, lo_y - hi_s + pad, hi_y - lo_s + 3 + pad))
-        ks = range(min(lo for _, lo, _ in windows), max(hi for _, _, hi in windows))
+        windows = [
+            (w, obj, lo_y - hi_s + pad, hi_y - lo_s + 3 + pad)
+            for w, obj, lo_s, hi_s in self._probe_ladder()
+        ]
+        ks = range(min(lo for _, _, lo, _ in windows), max(hi for _, _, _, hi in windows))
         if not bottom:
             ks = reversed(ks)
             windows.reverse()
         for k in ks:
-            for w, lo, hi in windows:
+            for w, obj, lo, hi in windows:
                 if lo <= k < hi and (
-                    hom0_is_nonzero(y, self.stable_object(w), k) if bottom
-                    else hom0_is_nonzero(self.stable_object(w), y, -k)
+                    hom0_is_nonzero(y, obj, k) if bottom else hom0_is_nonzero(obj, y, -k)
                 ):
-                    return ProbeHit(Phase(k, self._z[w]), w, k)
+                    return ProbeHit(Phase(k, self.z(w)), w, k)
         raise InvariantViolation(
             "no stable object receives a map from the probe target" if bottom
             else "no stable object maps to the probe target"

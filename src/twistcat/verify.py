@@ -190,9 +190,11 @@ def suite_reduction(
             if not b.spread_before == a.spread_after:
                 failures.append(f"{tag}: trace spreads do not chain")
         if i < orbit_checks:
-            rebuilt = apply_braid(alg, trace.word, trace.final)
-            if not is_isomorphic(rebuilt, trace.start):
-                failures.append(f"{tag}: accumulated word does not reproduce the input")
+            # the word acts by an autoequivalence, so word(final) = start
+            # exactly when word^-1(start) = final, the direction that shrinks
+            reduced = apply_braid(alg, trace.word.inverse(), trace.start)
+            if not is_isomorphic(reduced, trace.final):
+                failures.append(f"{tag}: inverse of the accumulated word does not reduce the input")
     return SuiteResult(
         f"reduction ({strategy})", cases, failures, time.perf_counter() - t0
     )

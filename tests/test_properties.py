@@ -63,6 +63,24 @@ def braid_images(draw, max_len: int = 5, types: tuple[str, ...] = ("A3", "D4"),
 
 
 @st.composite
+def braid_images_with_a_differential(draw, max_len: int = 5,
+                                     types: tuple[str, ...] = ("A3", "D4", "E6")):
+    """An algebra and a braid image of a simple whose minimal model has a differential.
+
+    A drawn word often cancels down to a shifted simple S_u[s]; one more
+    letter at a neighbour u' of u then twists it into the two-term complex
+    of class s_u'(alpha_u), with the arrow between u' and u as its differential.
+    """
+    alg, y = draw(braid_images(max_len, types, min_len=1))
+    m = minimize(y)
+    if len(m.generators) == 1:
+        u = m.generators[0].vertex
+        letter = (draw(st.sampled_from(alg.quiver.neighbors(u))), draw(st.sampled_from((1, -1))))
+        y = apply_braid(alg, BraidWord((letter,)), y)
+    return alg, y
+
+
+@st.composite
 def braid_image_pairs(draw, max_len: int = 4, types: tuple[str, ...] = ("A3", "D4"),
                       min_len: int = 0):
     """Two braid images of simples over one algebra."""
@@ -239,7 +257,17 @@ def test_diagonal_gauge_changes_no_hom_dimension_or_phase(image, seed, v):
     test; Hom dimensions, sphericity and both probe hits stay as they were,
     and the cohomology representatives read off the rational columns are
     closed."""
-    alg, y = image
+    _check_gauge(*image, seed, v)
+
+
+@settings(SETTINGS, max_examples=18)
+@given(braid_images_with_a_differential(), st.integers(0, 2**16), st.integers(0, 5))
+def test_diagonal_gauge_on_complexes_with_a_differential(image, seed, v):
+    """The gauge property on inputs that carry entries for the gauge to rescale."""
+    _check_gauge(*image, seed, v)
+
+
+def _check_gauge(alg, y, seed, v):
     rng = random.Random(seed)
     y2 = _gauged(y, rng)
     x = simple_object(alg, v % alg.quiver.vertex_count)
@@ -250,6 +278,21 @@ def test_diagonal_gauge_changes_no_hom_dimension_or_phase(image, seed, v):
     assert is_spherical(y2) == is_spherical(y)
     stab = StabilityCondition(alg, random_generic_charge(alg.quiver, rng))
     assert stab.phi_probes(y2) == stab.phi_probes(y)
+
+
+def test_most_drawn_complexes_have_a_differential():
+    """At least 80 % of the examples the strategy draws have a differential
+    in their minimal model."""
+    drawn = []
+
+    @settings(SETTINGS, max_examples=30)
+    @given(braid_images_with_a_differential())
+    def draw(image):
+        drawn.append(bool(minimize(image[1]).differential))
+
+    draw()
+    assert len(drawn) >= 20
+    assert sum(drawn) >= 0.8 * len(drawn)
 
 
 def _basis_by_pairs(source, target):

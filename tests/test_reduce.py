@@ -26,6 +26,7 @@ from twistcat import (
     twist,
     twist_triangle,
 )
+from twistcat import reduce as reduction
 from twistcat.reduce import _certify
 from twistcat.stability import Phases, ProbeHit
 from conftest import random_word
@@ -87,6 +88,58 @@ def test_reduce_rejects_nonspherical(stab_a2, alg_a2):
 def test_reduce_budget_guard(stab_a2, unstable_a2):
     with pytest.raises(InvariantViolation):
         reduce_to_stable(stab_a2, unstable_a2, step_budget=0)
+
+
+def _checked_for_sphericity(monkeypatch):
+    """The objects reduce_to_stable passes to is_spherical, in order."""
+    checked = []
+
+    def recording(obj, real=reduction.is_spherical):
+        checked.append(obj)
+        return real(obj)
+
+    monkeypatch.setattr(reduction, "is_spherical", recording)
+    return checked
+
+
+def test_reduce_checks_sphericity_on_the_final_object(monkeypatch, stab_a2, unstable_a2):
+    checked = _checked_for_sphericity(monkeypatch)
+    trace = reduce_to_stable(stab_a2, unstable_a2)
+    assert trace.steps
+    assert len(checked) == 1 and checked[0] is trace.final
+
+
+def test_reduce_rejects_nonspherical_when_the_loop_fails_first(monkeypatch, stab_a2, alg_a2):
+    checked = _checked_for_sphericity(monkeypatch)
+    y = direct_sum(simple_object(alg_a2, 0), simple_object(alg_a2, 1))
+    with pytest.raises(ValueError, match="spherical objects only"):
+        reduce_to_stable(stab_a2, y, step_budget=0)
+    assert checked == [minimize(y)]
+
+
+@pytest.mark.parametrize("failure", ["budget", "certificate"])
+def test_spherical_input_with_a_failing_loop_raises_invariant_violation(
+    monkeypatch, stab_a2, unstable_a2, failure
+):
+    checked = _checked_for_sphericity(monkeypatch)
+    budget = None
+    if failure == "budget":
+        budget = 0
+    else:
+        def failing(direction, before, after):
+            raise InvariantViolation("certificate failed")
+
+        monkeypatch.setattr(reduction, "_certify", failing)
+    with pytest.raises(InvariantViolation):
+        reduce_to_stable(stab_a2, unstable_a2, step_budget=budget)
+    assert checked == [minimize(unstable_a2)]
+
+
+def test_nonspherical_final_object_of_a_spherical_input(monkeypatch, stab_a2, unstable_a2):
+    final = reduce_to_stable(stab_a2, unstable_a2).final
+    monkeypatch.setattr(reduction, "is_spherical", lambda obj: obj != final)
+    with pytest.raises(InvariantViolation, match="non-spherical"):
+        reduce_to_stable(stab_a2, unstable_a2)
 
 
 def test_certify_step_bottom(stab_a2, alg_a2, unstable_a2):

@@ -33,7 +33,7 @@ from twistcat import (
     zero_object,
 )
 from twistcat import stability
-from twistcat.stability import _distinct_rays, cross
+from twistcat.stability import _distinct_rays, _lattice, _ray, cross
 from conftest import a3_reference_charge
 
 
@@ -328,7 +328,8 @@ def test_generic_charge_check_matches_all_pairs(a3, d4):
                 cross(images[i], images[j]) != 0
                 for i in range(len(images)) for j in range(i + 1, len(images))
             )
-            assert _distinct_rays(images) == all_pairs
+            _, simples = _lattice(charge)
+            assert _distinct_rays([_ray(simples, w) for w in roots]) == all_pairs
             assert StabilityCondition(alg, charge).validate_generic() == all_pairs
             seen.add(all_pairs)
     assert seen == {True, False}
@@ -432,3 +433,107 @@ def test_roots_and_sequences_are_fresh_per_condition(alg_a3):
     third = StabilityCondition(alg_a3, a3_reference_charge())
     assert third.roots == roots
     assert third.stable_build((1, 1, 1)).sequence == sequence
+
+
+# -- the integer ray table against the Fraction computation ---------------------
+
+
+def _fraction_arg_key(z):
+    """Oracle: the exact argument key of z in H on the rational charge (-Re/Im)."""
+    return (False, 0) if z.im == 0 else (True, -z.re / z.im)
+
+
+def _fraction_signs(charge, seq):
+    """Oracle: the sign rule by Fraction cross products of `charge.of_root`."""
+    neutral = charge.of_root(seq[0])
+    signs = []
+    for w in seq[1:]:
+        c = cross(neutral, charge.of_root(w))
+        if c == 0:
+            return None
+        signs.append(1 if c > 0 else -1)
+    return tuple(signs)
+
+
+def _charge_for_rays(n, rng):
+    """Simple charges of three kinds: small (which often share rays), large
+    coprime denominators, and points on the positive real axis."""
+    values = []
+    for _ in range(n):
+        kind = rng.randrange(3)
+        if kind == 0:
+            values.append(ExactComplex.of(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                                          Fraction(rng.randint(1, 3), rng.randint(1, 3))))
+        elif kind == 1:
+            values.append(ExactComplex.of(
+                Fraction(rng.randint(-10**12, 10**12), rng.randint(10**8, 10**9)),
+                Fraction(rng.randint(1, 10**12), rng.randint(10**8, 10**9)),
+            ))
+        else:
+            values.append(ExactComplex.of(Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))))
+    return CentralCharge(values)
+
+
+@pytest.mark.parametrize("name, charges", [("A3", 60), ("D4", 60), ("E6", 20)])
+def test_ray_table_matches_the_fraction_charges(name, charges):
+    """Arg order, genericity, signs and Z read off the integer rays agree
+    exactly with the same data computed on the rational charge."""
+    alg = ZigzagAlgebra(named_quiver(name))
+    rng = random.Random(f"ray-table:{name}")
+    seen = set()
+    for _ in range(charges):
+        charge = _charge_for_rays(alg.quiver.vertex_count, rng)
+        stab = StabilityCondition(alg, charge)
+        keys = {w: _fraction_arg_key(charge.of_root(w)) for w in stab.roots}
+        assert stab._arg_order == sorted(stab.roots, key=keys.get)
+        generic = len(set(keys.values())) == len(keys)
+        assert stab.validate_generic() == generic
+        seen.add(generic)
+        for w in stab.roots:
+            z = stab.z(w)
+            assert z == charge.of_root(w)
+            assert type(z.re) is Fraction and type(z.im) is Fraction
+            seq = list(alg.charge_free.words[w][1])
+            want = _fraction_signs(charge, seq)
+            if want is None:
+                with pytest.raises(NonGenericChargeError):
+                    stab.sign_rule(seq)
+            else:
+                assert stab.sign_rule(seq) == want
+    assert seen == {True, False}
+
+
+def test_z_of_a_vector_outside_the_table(stab_a3):
+    for w in [(2, 1, 0), (1, -1, 3), (0, 0, 0)]:
+        z = stab_a3.z(w)
+        assert z == stab_a3.charge.of_root(w)
+        assert type(z.re) is Fraction and type(z.im) is Fraction
+    with pytest.raises(ValueError):
+        stab_a3.z((1, 1))
+
+
+@pytest.mark.parametrize("name", ["A3", "D4"])
+def test_positive_scaling_changes_no_order_sign_object_or_probe(name):
+    """Phases depend only on arg Z: the charge times a positive rational gives
+    the same argument order, signs, stable objects and probe hits."""
+    alg = ZigzagAlgebra(named_quiver(name))
+    q = alg.quiver
+    rng = random.Random(f"scaling:{name}")
+    for _ in range(4):
+        stab = StabilityCondition(alg, random_generic_charge(q, rng))
+        c = Fraction(rng.randint(1, 10**9), rng.randint(1, 10**9))
+        scaled = StabilityCondition(alg, CentralCharge([z.scale(c) for z in stab.charge.values]))
+        assert scaled.validate_generic()
+        assert scaled._arg_order == stab._arg_order
+        for w in stab.roots:
+            build = stab.stable_build(w)
+            assert scaled.sign_rule(build.sequence) == build.signs
+            assert scaled.stable_object(w) is build.obj
+        for _ in range(4):
+            word = BraidWord(tuple(
+                (rng.randrange(q.vertex_count), rng.choice((1, -1))) for _ in range(rng.randint(1, 5))
+            ))
+            y = apply_braid(alg, word, simple_object(alg, rng.randrange(q.vertex_count)))
+            for got, want in zip(scaled.phi_probes(y), stab.phi_probes(y)):
+                assert (got.root, got.shift) == (want.root, want.shift)
+                assert got.phase == want.phase
