@@ -94,12 +94,15 @@ def _moved_in(end: str, old: Phase, new: Phase) -> bool:
     return new > old if end == BOTTOM else new < old
 
 
-def _certify(direction: str, before: Phases, after: Phases) -> dict[str, str]:
-    """Assert the step conclusions; returns the per-clause record.
+def _certify(
+    direction: str, before: Phases, after: Phases, spread_before: Phase
+) -> tuple[dict[str, str], Phase]:
+    """Assert the step conclusions; returns the per-clause record and the spread after.
 
     The driven end strictly improves, the other end does not deteriorate
     (the wide- or narrow-spread clause, by the spread before the step), and
-    the spread strictly decreases.
+    the spread strictly decreases.  `spread_before` is `before.spread`,
+    computed once by the caller.
     """
     other = TOP if direction == BOTTOM else BOTTOM
     old, new = getattr(before, direction).phase, getattr(after, direction).phase
@@ -109,7 +112,7 @@ def _certify(direction: str, before: Phases, after: Phases) -> dict[str, str]:
     old, new = getattr(before, other).phase, getattr(after, other).phase
     if _moved_in(other, new, old):  # the way back is inward: the step moved outward
         raise InvariantViolation(f"{other} phase deteriorated: {old} -> {new}")
-    spread_before, spread_after = before.spread, after.spread
+    spread_after = after.spread
     width = "wide" if spread_before >= Phase.integer(1) else "narrow"
     checks[f"{width}_spread_{other}_non_deterioration"] = "ok"
     if not spread_after < spread_before:
@@ -117,21 +120,23 @@ def _certify(direction: str, before: Phases, after: Phases) -> dict[str, str]:
             f"spread failed to decrease: {spread_before} -> {spread_after}"
         )
     checks["spread_strictly_decreases"] = "ok"
-    return checks
+    return checks, spread_after
 
 
 def _step(
-    stab: StabilityCondition, x: TwistedComplex, y: TwistedComplex, phases: Phases, direction: str
-) -> tuple[TwistedComplex, Phases, StepRecord]:
+    stab: StabilityCondition, x: TwistedComplex, y: TwistedComplex, phases: Phases,
+    spread: Phase, direction: str,
+) -> tuple[TwistedComplex, Phases, Phase, StepRecord]:
     """Untwist (bottom) or twist (top) y by the spherical x sitting at that
-    end of its phases, measure again and certify the step."""
+    end of its phases (of spread `spread`), measure again and certify the
+    step; returns the new object, its phases and spread, and the record."""
     exponent = -1 if direction == BOTTOM else 1
     new = (untwist if exponent < 0 else twist)(x, y, _spherical_checked=True)
     after = stab.phi_probes(new)
     witness = getattr(phases, direction)
     record = StepRecord(direction, witness.root, witness.shift, exponent, phases, after)
-    record.checks = _certify(direction, phases, after)
-    return new, after, record
+    record.checks, spread_after = _certify(direction, phases, after, spread)
+    return new, after, spread_after, record
 
 
 def _reduce(
@@ -145,16 +150,17 @@ def _reduce(
         lo, hi = cur.shift_range()
         step_budget = max(16, 4 * len(stab.roots) * (hi - lo + 3))
     phases = stab.phi_probes(cur)
+    spread = phases.spread
     steps: list[StepRecord] = []
     word = BraidWord()
-    while not done(phases.spread):
+    while not done(spread):
         if len(steps) >= step_budget:
             raise InvariantViolation(
                 f"reduction exceeded its step budget of {step_budget}; "
                 "either the budget is too small or termination failed"
             )
         build = stab.stable_build(getattr(phases, direction).root)
-        cur, phases, record = _step(stab, build.obj, cur, phases, direction)
+        cur, phases, spread, record = _step(stab, build.obj, cur, phases, spread, direction)
         steps.append(record)
         word = word.then(_conjugated_twist_word(build, record.exponent))
     return cur, phases, steps, word
@@ -224,7 +230,8 @@ def certify_step(
     if not x_phases.spread.is_zero():
         raise HypothesisNotMet("the twisting object must be semistable")
     phases = stab.phi_probes(y)
-    if phases.spread.is_zero():
+    spread = phases.spread
+    if spread.is_zero():
         raise HypothesisNotMet(
             "y is already semistable; the stable object of its phase is a direct summand"
         )
@@ -233,11 +240,11 @@ def certify_step(
     self_homs = hom_dims(y, y)
     if any(d < 0 for d in self_homs):
         raise HypothesisNotMet("y has self-homs in negative degrees")
-    if phases.spread < Phase.integer(1) and self_homs.get(0) != 1:
+    if spread < Phase.integer(1) and self_homs.get(0) != 1:
         raise HypothesisNotMet(
             "the narrow-spread clause needs a one-dimensional endomorphism space"
         )
-    return _step(stab, x, y, phases, direction)[2]
+    return _step(stab, x, y, phases, spread, direction)[3]
 
 
 def sandwich_check(

@@ -15,6 +15,17 @@ is D^2 times that of the charges, with the same sign, so the argument
 order, the genericity check and the sign rule read integer cross products
 and decide exactly what the rational charges decide.  The rational
 Z(w) = ray / D is built only when a phase needs it.
+
+A probe walk tries the stable objects S_w[k] in phase order and starts at
+the phase bound of the object's own generators.  When the entry graph of
+the differential (an edge g -> h per entry (h, g)) has no cycle, peeling
+off a sink, which is a subcomplex, again and again shows y to be an
+iterated cone of its generators P_v[s], each the stable object of e_v with
+phase Phase(s, Z(e_v)).  P(>= L) and P(<= U) are extension-closed
+(Bridgeland, arXiv:math/0212237), so the least and greatest generator
+phases L and U bound the phases of y, and no S_w[k] below L receives a
+map from y and none above U maps to it.  When the graph has a cycle there
+is no bound and the walk tries every candidate.
 """
 
 from __future__ import annotations
@@ -22,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, total_ordering
@@ -241,6 +253,7 @@ def random_generic_charge(q: QuiverGraph, rng: random.Random) -> CentralCharge:
 
 
 Ray = tuple[int, int]
+PhaseKey = tuple[int, int]  # (shift k, position of the root by arg Z): the phase order
 
 
 def _lattice(charge: CentralCharge) -> tuple[int, tuple[Ray, ...]]:
@@ -384,6 +397,10 @@ class StabilityCondition:
         self._rays: dict[Root, Ray] = dict(zip(self.roots, rays))
         order, self._generic = _by_argument(rays)
         self._arg_order: list[Root] = [self.roots[i] for i in order]
+        n = len(charge)
+        self._simple_pos = tuple(
+            self._arg_order.index(tuple(int(i == v) for i in range(n))) for v in range(n)
+        )
         self._z: dict[Root, ExactComplex] = {}
         self._ladder: list[tuple[Root, TwistedComplex, int, int]] | None = None
 
@@ -440,55 +457,120 @@ class StabilityCondition:
 
         Only the signs are worked out per charge, by the sign rule on the
         word's root sequence; the lift they select is looked up in the
-        algebra's shared table, and built and certified spherical there the
-        first time any condition on the algebra asks for it.  The default
-        word is the root's minimal word; an explicit word takes the same
-        path.
+        algebra's shared table, and built (see `_build_lifts`) and certified
+        spherical there the first time any condition on the algebra asks for
+        it.  The default word is the root's minimal word; an explicit word
+        takes the same path.
         """
-        self.require_generic()
         if word is None:
-            build = self._builds.get(w)
-            if build is None:
-                if w not in self._shared.words:
-                    raise ValueError(f"{w} is not a positive root")
-                word, seq = self._shared.words[w]
-                build = self._builds[w] = self._lift(w, word, seq)
-            return build
+            return self._stable_builds([w])[0]
+        self.require_generic()
         if evaluate_word(self.quiver, word) != w:
             raise ValueError("expression does not evaluate to the requested root")
-        return self._lift(w, word, root_sequence(self.quiver, word))
+        return self._lift([(w, word, root_sequence(self.quiver, word))])[0]
 
-    def _lift(self, w: Root, word: WeylWord, seq) -> StableBuild:
-        signs = self.sign_rule(seq)
-        braid = BraidWord(tuple(zip(word.letters, signs)))
+    def _stable_builds(self, roots: list[Root]) -> list[StableBuild]:
+        """The minimal-word builds of the roots, the missing lifts built in one batch."""
+        self.require_generic()
+        missing = [w for w in roots if w not in self._builds]
+        for w in missing:
+            if w not in self._shared.words:
+                raise ValueError(f"{w} is not a positive root")
+        for build in self._lift([(w, *self._shared.words[w]) for w in missing]):
+            self._builds[build.root] = build
+        return [self._builds[w] for w in roots]
+
+    def _lift(self, items: list[tuple[Root, WeylWord, Sequence[Root]]]) -> list[StableBuild]:
+        """The build of each (root, word, root sequence), by the signs of this charge."""
+        out = []
+        for w, word, seq in items:
+            signs = self.sign_rule(seq)
+            out.append((w, word, seq, signs, BraidWord(tuple(zip(word.letters, signs)))))
+        self._build_lifts({(word.base, braid): w for w, word, _, _, braid in out})
         lifts = self._shared.lifts
-        obj = lifts.get((word.base, braid))
-        if obj is None:
-            obj = apply_braid(self.alg, braid, simple_object(self.alg, word.base))
+        return [
+            StableBuild(w, word, list(seq), signs, braid, lifts[(word.base, braid)])
+            for w, word, seq, signs, braid in out
+        ]
+
+    def _build_lifts(self, keys: dict[tuple[int, BraidWord], Root]) -> None:
+        """Build, certify and store the lifts (base, signed braid) -> root missing from the table.
+
+        The missing keys are sorted, so keys that share a prefix of letters
+        follow one another, and the walk keeps the lifts of the prefixes on
+        its current path in the trie of signed braids: each key starts from
+        the deepest prefix it shares with that path and applies the rest
+        one letter at a time.  `apply_braid` is a left fold over the
+        letters, so every lift equals the one applied in a single call.  A
+        finished lift enters the table only after it has passed the
+        sphericity certificate; prefixes never do.
+        """
+        lifts = self._shared.lifts
+        base_now, letters_now, path = None, (), []  # path[i]: lift of letters_now[:i]
+        for key in sorted((k for k in keys if k not in lifts), key=lambda k: (k[0], k[1].letters)):
+            base, letters = key[0], key[1].letters
+            if base != base_now:
+                base_now, letters_now, path = base, (), [simple_object(self.alg, base)]
+            depth = 0
+            for a, b in zip(letters_now, letters):
+                if a != b:
+                    break
+                depth += 1
+            del path[depth + 1:]
+            for letter in letters[depth:]:
+                path.append(apply_braid(self.alg, BraidWord((letter,)), path[-1]))
+            letters_now = letters
+            obj = path[-1]
             if not is_spherical(obj):
-                raise InvariantViolation(f"constructed object of class {w} is not spherical")
-            lifts[(word.base, braid)] = obj
-        return StableBuild(w, word, list(seq), signs, braid, obj)
+                raise InvariantViolation(
+                    f"constructed object of class {keys[key]} is not spherical"
+                )
+            lifts[key] = obj
 
     def stable_object(self, w: Root, word: WeylWord | None = None) -> TwistedComplex:
         return self.stable_build(w, word).obj
 
     def stable_table(self) -> dict[Root, TwistedComplex]:
-        return {w: self.stable_build(w).obj for w in self.roots}
+        return {build.root: build.obj for build in self._stable_builds(self.roots)}
 
     # -- phase probing -----------------------------------------------------
 
     def _probe_ladder(self) -> list[tuple[Root, TwistedComplex, int, int]]:
         """(root, stable object, its shift range) for every positive root, by arg Z."""
         if self._ladder is None:
-            ladder = []
-            for w in self._arg_order:
-                obj = self.stable_build(w).obj
-                ladder.append((w, obj, *obj.shift_range()))
-            self._ladder = ladder
+            self._ladder = [
+                (build.root, build.obj, *build.obj.shift_range())
+                for build in self._stable_builds(self._arg_order)
+            ]
         return self._ladder
 
-    def _first_hit(self, y: TwistedComplex, side: str) -> ProbeHit:
+    def _generator_bounds(self, y: TwistedComplex) -> tuple[PhaseKey, PhaseKey] | None:
+        """The least and greatest key (s, arg position of e_v) over the generators
+        P_v[s] of y, or None when the entry graph of its differential has a cycle.
+
+        One pass of Kahn's algorithm over the edges g -> h, one per entry (h, g).
+        """
+        gens = y.generators
+        succ: list[list[int]] = [[] for _ in gens]
+        indegree = [0] * len(gens)
+        for h, g in y.differential:
+            succ[g].append(h)
+            indegree[h] += 1
+        ready = [i for i, d in enumerate(indegree) if not d]
+        peeled = 0
+        while ready:
+            peeled += 1
+            for h in succ[ready.pop()]:
+                indegree[h] -= 1
+                if not indegree[h]:
+                    ready.append(h)
+        if peeled < len(gens):
+            return None
+        pos = self._simple_pos
+        keys = [(s, pos[v]) for v, s in gens]
+        return min(keys), max(keys)
+
+    def _first_hit(self, y: TwistedComplex, side: str, bound: PhaseKey | None) -> ProbeHit:
         """The first S_w[k] on one side of the probe of y with a nonzero Hom^0.
 
         Each root w is tried at the shifts k of its window, the ones where
@@ -498,6 +580,17 @@ class StabilityCondition:
         arg Z): ascending for the bottom, descending for the top.  Both Hom
         tests read the complex with the unshifted S_w, as H^k Hom(y, S_w)
         and H^{-k} Hom(S_w, y).
+
+        The walk starts at `bound`, the least generator key (s, position of
+        e_v) for the bottom and the greatest for the top (see
+        `_generator_bounds`); it tests every candidate from there on in the
+        same order, and every candidate when the bound is None.  Why no
+        nonzero Hom is skipped: when the entry graph of y has no cycle, y is
+        an iterated cone of its generators, each P_v[s] the stable object
+        of e_v with phase Phase(s, Z(e_v)), so y lies in P(>= L) and in
+        P(<= U) for its least and greatest generator phases L and U (both
+        subcategories are extension-closed).  Hom^0(y, S) = 0 for a
+        semistable S of phase below L, and Hom^0(S, y) = 0 for one above U.
         """
         bottom = side == "bottom"
         lo_y, hi_y = y.shift_range()
@@ -507,15 +600,24 @@ class StabilityCondition:
             for w, obj, lo_s, hi_s in self._probe_ladder()
         ]
         ks = range(min(lo for _, _, lo, _ in windows), max(hi for _, _, _, hi in windows))
+        skip = 0  # candidates past the bound at the first k
+        if bound is not None:
+            k, pos = bound
+            if bottom and k >= ks.start:
+                ks, skip = range(k, ks.stop), pos
+            elif not bottom and k < ks.stop:
+                ks, skip = range(ks.start, k + 1), len(windows) - 1 - pos
         if not bottom:
             ks = reversed(ks)
             windows.reverse()
+        row = windows[skip:]
         for k in ks:
-            for w, obj, lo, hi in windows:
+            for w, obj, lo, hi in row:
                 if lo <= k < hi and (
                     hom0_is_nonzero(y, obj, k) if bottom else hom0_is_nonzero(obj, y, -k)
                 ):
                     return ProbeHit(Phase(k, self.z(w)), w, k)
+            row = windows
         raise InvariantViolation(
             "no stable object receives a map from the probe target" if bottom
             else "no stable object maps to the probe target"
@@ -527,9 +629,11 @@ class StabilityCondition:
         This is the one phase measurement; read the spread and heart
         membership off the returned Phases instead of probing again.  The
         bottom is the first candidate S_w[k] with Hom^0(y, S_w[k]) != 0, the
-        top the first with Hom^0(S_w[k], y) != 0 (see `_first_hit`).
+        top the first with Hom^0(S_w[k], y) != 0 (see `_first_hit`); both
+        walks start at y's generator-phase bounds when it has them.
         """
         if y.is_zero:
             raise ValueError("the zero object has no phases")
         self.require_generic()
-        return Phases(self._first_hit(y, "bottom"), self._first_hit(y, "top"))
+        low, high = self._generator_bounds(y) or (None, None)
+        return Phases(self._first_hit(y, "bottom", low), self._first_hit(y, "top", high))

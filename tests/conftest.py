@@ -65,3 +65,45 @@ def stab_a3(alg_a3):
 @pytest.fixture(scope="session")
 def stab_a2(alg_a2):
     return StabilityCondition(alg_a2, a2_reference_charge())
+
+
+def unpruned_first_hit(stab, y, side):
+    """Oracle: the probe walk over every candidate, with no generator-phase bound.
+
+    Every (k, root) of the probe windows in the integer (k, arg position)
+    order, ascending for the bottom and descending for the top.  The Hom
+    test is read from `stability.hom0_is_nonzero` at call time, so a test
+    that replaces it there sees this walk's calls too.
+    """
+    from twistcat import InvariantViolation, Phase, stability
+    from twistcat.stability import ProbeHit
+
+    bottom = side == "bottom"
+    lo_y, hi_y = y.shift_range()
+    pad = 0 if bottom else -2
+    windows = [
+        (w, obj, lo_y - hi_s + pad, hi_y - lo_s + 3 + pad)
+        for w, obj, lo_s, hi_s in stab._probe_ladder()
+    ]
+    ks = range(min(lo for _, _, lo, _ in windows), max(hi for _, _, _, hi in windows))
+    if not bottom:
+        ks = reversed(ks)
+        windows.reverse()
+    for k in ks:
+        for w, obj, lo, hi in windows:
+            if lo <= k < hi and (
+                stability.hom0_is_nonzero(y, obj, k) if bottom
+                else stability.hom0_is_nonzero(obj, y, -k)
+            ):
+                return ProbeHit(Phase(k, stab.z(w)), w, k)
+    raise InvariantViolation(
+        "no stable object receives a map from the probe target" if bottom
+        else "no stable object maps to the probe target"
+    )
+
+
+def assert_probes_match_the_unpruned_walk(stab, y):
+    """phi_probes(y) hits the same (phase, root, shift) at both ends as the oracle."""
+    bottom, top = stab.phi_probes(y)
+    assert bottom == unpruned_first_hit(stab, y, "bottom")
+    assert top == unpruned_first_hit(stab, y, "top")

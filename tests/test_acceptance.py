@@ -155,3 +155,62 @@ def test_criterion_7_structural_invariants():
     cases = serre.cases + serre_d4.cases + braid.cases + inversion.cases + inversion_a2.cases
     print(f"\n  structural cases executed: {cases}")
     _report(7, "duality, pairing, braid and inversion laws", failures)
+
+
+# -- criteria 4-7 beyond rank four, with small case counts ---------------------
+
+WIDER_TYPES = ("A5", "D5", "E6")
+
+
+def _failures(results) -> list[str]:
+    """Every failure of the (type, suite result) pairs, and one for each suite
+    that ran no case."""
+    failures = []
+    for type_name, result in results:
+        tag = f"{type_name} {result.name}"
+        if not result.cases:
+            failures.append(f"{tag}: no cases ran")
+        failures.extend(f"{tag}: {f}" for f in result.failures)
+    return failures
+
+
+@pytest.fixture(scope="module")
+def wider_reduction_results():
+    """Criterion 4's runs on A5, D5 and E6 with both strategies, shared with criterion 5."""
+    return [
+        (t, suite_reduction(t, runs=runs, max_len=10, strategy=strategy, seed=0,
+                            orbit_checks=checks))
+        for t in WIDER_TYPES
+        for strategy, runs, checks in (("bottom", 12, 4), ("top", 6, 2))
+    ]
+
+
+def test_criterion_4_reduction_beyond_rank_four(wider_reduction_results):
+    print(f"\n  reductions executed: {sum(r.cases for _, r in wider_reduction_results)}")
+    _report(4, "orbit reduction on A5, D5 and E6", _failures(wider_reduction_results))
+
+
+def test_criterion_5_runtime_certificates_beyond_rank_four(wider_reduction_results):
+    failures = [
+        f for f in _failures(wider_reduction_results) if "phase" in f or "spread" in f
+    ]
+    failures += _failures((t, suite_sandwich(t, cases=30, max_len=6, seed=0)) for t in WIDER_TYPES)
+    _report(5, "phase improvement certificates on A5, D5 and E6", failures)
+
+
+def test_criterion_6_heart_alignment_beyond_rank_four():
+    results = [(t, suite_heart_align((t,), cases=4, max_len=6, seed=0)) for t in WIDER_TYPES]
+    print(f"\n  alignments executed: {sum(r.cases for _, r in results)}")
+    _report(6, "transported hearts realign on A5, D5 and E6", _failures(results))
+
+
+def test_criterion_7_structural_invariants_beyond_rank_four():
+    results = []
+    for t in WIDER_TYPES:
+        results += [
+            (t, suite_serre_euler(t, cases=30, max_len=5, seed=0)),
+            (t, suite_braid_relations((t,), cases=30, seed=0)),
+            (t, suite_twist_inversion(t, cases=30, max_len=6, seed=0)),
+        ]
+    print(f"\n  structural cases executed: {sum(r.cases for _, r in results)}")
+    _report(7, "duality, pairing, braid and inversion laws on A5, D5 and E6", _failures(results))

@@ -38,6 +38,7 @@ from twistcat import (
 from twistcat import twists
 from twistcat.homcore import HomComplex, hom0_is_nonzero
 from twistcat.reduce import _conjugated_twist_word
+from conftest import assert_probes_match_the_unpruned_walk
 
 ALGEBRAS = {name: ZigzagAlgebra(named_quiver(name)) for name in ("A3", "D4", "E6")}
 
@@ -278,6 +279,17 @@ def _check_gauge(alg, y, seed, v):
     assert is_spherical(y2) == is_spherical(y)
     stab = StabilityCondition(alg, random_generic_charge(alg.quiver, rng))
     assert stab.phi_probes(y2) == stab.phi_probes(y)
+
+
+@settings(SETTINGS, max_examples=30)
+@given(braid_images_with_a_differential(), st.integers(0, 2**16), st.integers(-3, 3))
+def test_bounded_walk_matches_the_unpruned_walk(image, seed, shift):
+    """Both probe hits, from the generator-phase bound on, equal those of the
+    walk over every candidate, on the image and on a shift of it."""
+    alg, y = image
+    stab = StabilityCondition(alg, random_generic_charge(alg.quiver, random.Random(seed)))
+    for obj in (y, y.shift(shift)):
+        assert_probes_match_the_unpruned_walk(stab, obj)
 
 
 def test_most_drawn_complexes_have_a_differential():

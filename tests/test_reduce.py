@@ -126,7 +126,7 @@ def test_spherical_input_with_a_failing_loop_raises_invariant_violation(
     if failure == "budget":
         budget = 0
     else:
-        def failing(direction, before, after):
+        def failing(direction, before, after, spread_before):
             raise InvariantViolation("certificate failed")
 
         monkeypatch.setattr(reduction, "_certify", failing)
@@ -326,7 +326,11 @@ def _hit(shift, re, im=1):
 
 
 def _certify_phases(direction, before, after):
-    return _certify(direction, Phases(*before), Phases(*after))
+    """The checks of `_certify`, which also returns the certified spread after the step."""
+    before, after = Phases(*before), Phases(*after)
+    checks, spread_after = _certify(direction, before, after, before.spread)
+    assert spread_after == after.spread
+    return checks
 
 
 WIDE = (_hit(0, 1), _hit(1, 0))  # phases 0.25 and 1.5

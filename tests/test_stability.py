@@ -15,12 +15,15 @@ from twistcat import (
     NonGenericChargeError,
     Phase,
     StabilityCondition,
+    TwistedComplex,
     WeylWord,
     ZigzagAlgebra,
     apply_braid,
     braid_word_to_text,
+    cone,
     direct_sum,
     hom_dims,
+    identity_morphism,
     is_isomorphic,
     is_spherical,
     named_quiver,
@@ -34,7 +37,7 @@ from twistcat import (
 )
 from twistcat import stability
 from twistcat.stability import _distinct_rays, _lattice, _ray, cross
-from conftest import a3_reference_charge
+from conftest import a3_reference_charge, assert_probes_match_the_unpruned_walk, unpruned_first_hit
 
 
 def test_exact_complex_arithmetic():
@@ -258,8 +261,10 @@ def test_stable_objects_under_many_charges(alg_a3):
 
 
 def _phase_sorted_candidates(stab, y, side):
-    """Oracle: every (root, k) of the probe windows, sorted by Phase(k, Z(root))."""
+    """Oracle: every (root, k) of the probe windows at or past y's generator-phase
+    bound, sorted by Phase(k, Z(root))."""
     lo_y, hi_y = y.shift_range()
+    low, high = _generator_phase_bounds(stab, y)
     out = []
     for w in stab.roots:
         lo_s, hi_s = stab.stable_object(w).shift_range()
@@ -268,13 +273,26 @@ def _phase_sorted_candidates(stab, y, side):
         else:
             k_range = range(lo_y - hi_s - 2, hi_y - lo_s + 1)
         out.extend((Phase(k, stab.charge.of_root(w)), w, k) for k in k_range)
+    out = [item for item in out if (low <= item[0] if side == "bottom" else item[0] <= high)]
     out.sort(key=lambda item: item[0], reverse=(side == "top"))
     return [(w, k) for _, w, k in out]
 
 
+def _generator_phase_bounds(stab, y):
+    """Oracle: the least and greatest Phase(s, Z(e_v)) over y's generators P_v[s],
+    from the rational charge of each simple root."""
+    n = len(stab.charge)
+    phases = [
+        Phase(s, stab.charge.of_root(tuple(int(i == v) for i in range(n))))
+        for v, s in y.generators
+    ]
+    return min(phases), max(phases)
+
+
 @pytest.mark.parametrize("name", ["A3", "D4", "E6"])
 def test_probe_candidates_follow_phase_order(name, monkeypatch):
-    """The integer (k, arg rank) order of the Hom tests is the order of the candidates' phases."""
+    """The integer (k, arg rank) order of the Hom tests is the order of the
+    candidates' phases, from the generator-phase bound on."""
     alg = ZigzagAlgebra(named_quiver(name))
     q = alg.quiver
     rng = random.Random(f"candidate-order:{name}")
@@ -297,18 +315,19 @@ def test_probe_candidates_follow_phase_order(name, monkeypatch):
             apply_braid(alg, word, simple_object(alg, rng.randrange(q.vertex_count))),
         ]
         for y in targets:
+            bounds = dict(zip(("bottom", "top"), stab._generator_bounds(y)))
             for side, message in (("bottom", "receives a map from"), ("top", "maps to")):
                 want = _phase_sorted_candidates(stab, y, side)
                 tested.clear()
                 answer[0] = None
                 with pytest.raises(InvariantViolation, match=f"no stable object {message} the probe"):
-                    stab._first_hit(y, side)
+                    stab._first_hit(y, side, bounds[side])
                 assert tested == want
                 # a yes ends the walk, and only the hit carries a phase
                 tested.clear()
                 answer[0] = rng.randrange(len(want))
                 w, k = want[answer[0]]
-                assert stab._first_hit(y, side) == (stab.phase_of_root(w, k), w, k)
+                assert stab._first_hit(y, side, bounds[side]) == (stab.phase_of_root(w, k), w, k)
                 assert tested == want[: answer[0] + 1]
 
 
@@ -333,6 +352,70 @@ def test_generic_charge_check_matches_all_pairs(a3, d4):
             assert StabilityCondition(alg, charge).validate_generic() == all_pairs
             seen.add(all_pairs)
     assert seen == {True, False}
+
+
+# -- the generator-phase bound against the unpruned walk ------------------------
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "E6", "E7"])
+def test_bounded_walk_matches_the_unpruned_walk_on_stable_objects(name):
+    alg = ZigzagAlgebra(named_quiver(name))
+    rng = random.Random(f"bounded-walk:{name}")
+    for _ in range(3):
+        stab = StabilityCondition(alg, random_generic_charge(alg.quiver, rng))
+        for w in stab.roots:
+            assert_probes_match_the_unpruned_walk(stab, stab.stable_object(w))
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "E6"])
+def test_bounded_walk_matches_the_unpruned_walk_on_shifted_and_padded_objects(name):
+    """Shifted braid images, and braid images plus the cone of the identity of
+    some P_v[s]: a zero object whose generators move the bound outward."""
+    alg = ZigzagAlgebra(named_quiver(name))
+    n = alg.quiver.vertex_count
+    rng = random.Random(f"bounded-walk-padded:{name}")
+    for _ in range(3):
+        stab = StabilityCondition(alg, random_generic_charge(alg.quiver, rng))
+        for _ in range(6):
+            word = BraidWord(tuple(
+                (rng.randrange(n), rng.choice((1, -1))) for _ in range(rng.randint(1, 5))
+            ))
+            y = apply_braid(alg, word, simple_object(alg, rng.randrange(n)))
+            pad = simple_object(alg, rng.randrange(n), rng.randint(-3, 3))
+            padded = direct_sum(y, cone(identity_morphism(pad)))
+            assert stab._generator_bounds(padded) is not None
+            for obj in (y.shift(rng.randint(-3, 3)), padded):
+                assert_probes_match_the_unpruned_walk(stab, obj)
+
+
+def test_cyclic_entry_graph_walks_every_candidate(monkeypatch, alg_a3, stab_a3):
+    """No bound when the entries form a cycle: phi_probes walks every candidate."""
+    # P0 -> P1 -> P0 by the two arrows; not square-zero, so built unvalidated
+    y = TwistedComplex(alg_a3, [(0, 0), (1, 0), (2, 1)], {(1, 0): 1, (0, 1): 1}, validate=False)
+    assert stab_a3._generator_bounds(y) is None
+    acyclic = TwistedComplex(alg_a3, y.generators, {(1, 0): 1}, validate=False)
+    bounds = stab_a3._generator_bounds(acyclic)
+    calls, hits = [], []
+    monkeypatch.setattr(
+        stability, "hom0_is_nonzero", lambda *call: calls.append(call) or call in hits
+    )
+    full = {}
+    for side, bound in zip(("bottom", "top"), bounds):
+        calls.clear()
+        with pytest.raises(InvariantViolation):
+            stab_a3._first_hit(y, side, bound)
+        bounded = len(calls)
+        calls.clear()
+        with pytest.raises(InvariantViolation):
+            unpruned_first_hit(stab_a3, y, side)
+        full[side] = list(calls)
+        assert bounded < len(full[side])  # a bound on these generators would skip some
+    # the bottom walk hits at its last candidate, the top walk misses throughout
+    hits.append(full["bottom"][-1])
+    calls.clear()
+    with pytest.raises(InvariantViolation, match="no stable object maps to"):
+        stab_a3.phi_probes(y)
+    assert calls == full["bottom"] + full["top"]
 
 
 # -- the per-algebra record shared by all charges ------------------------------
@@ -379,8 +462,16 @@ def test_conditions_with_equal_signs_share_the_object(a3):
         assert obj.alg is apart.alg
 
 
+def _build_all(stab, entry):
+    """Build every stable object of stab through one entry point."""
+    if entry == "stable_build":
+        for w in stab.roots:
+            stab.stable_build(w)
+    else:
+        getattr(stab, entry)()
+
+
 def test_certificate_runs_once_per_lift(monkeypatch, d4):
-    alg = ZigzagAlgebra(d4)
     certified = []
 
     def counting(obj, real=stability.is_spherical):
@@ -388,12 +479,15 @@ def test_certificate_runs_once_per_lift(monkeypatch, d4):
         return real(obj)
 
     monkeypatch.setattr(stability, "is_spherical", counting)
-    rng = random.Random("certificate")
-    for _ in range(2):
-        StabilityCondition(alg, random_generic_charge(d4, rng)).stable_table()
-    lifts = alg.charge_free.lifts
-    assert len(certified) == len(lifts) < 2 * len(positive_roots(d4))
-    assert {id(obj) for obj in certified} == {id(obj) for obj in lifts.values()}
+    for entry in ("stable_table", "_probe_ladder", "stable_build"):
+        alg = ZigzagAlgebra(d4)
+        certified.clear()
+        rng = random.Random("certificate")
+        for _ in range(2):
+            _build_all(StabilityCondition(alg, random_generic_charge(d4, rng)), entry)
+        lifts = alg.charge_free.lifts
+        assert len(certified) == len(lifts) < 2 * len(positive_roots(d4)), entry
+        assert {id(obj) for obj in certified} == {id(obj) for obj in lifts.values()}, entry
 
 
 def test_failed_certificate_raises_and_is_not_stored(monkeypatch, a3):
@@ -404,10 +498,58 @@ def test_failed_certificate_raises_and_is_not_stored(monkeypatch, a3):
         stab.stable_build((1, 1, 1))
     with pytest.raises(InvariantViolation):
         stab.stable_build((1, 1, 1), WeylWord(base=1, letters=(0, 2, 1)))
+    with pytest.raises(InvariantViolation):
+        stab.stable_table()
+    with pytest.raises(InvariantViolation):
+        stab._probe_ladder()
     assert alg.charge_free.lifts == {}
+    assert stab._ladder is None
     monkeypatch.undo()
     obj = stab.stable_object((1, 1, 1))
     assert list(alg.charge_free.lifts.values()) == [obj]
+
+
+@pytest.mark.parametrize("name", ["E6", "E7"])
+def test_stable_table_matches_fresh_braid_lifts(name):
+    alg = ZigzagAlgebra(named_quiver(name))
+    charge = random_generic_charge(alg.quiver, random.Random(f"table:{name}"))
+    stab = StabilityCondition(alg, charge)
+    table = stab.stable_table()
+    assert list(table) == stab.roots
+    for w, obj in table.items():
+        build = stab.stable_build(w)
+        assert obj is build.obj
+        assert obj == apply_braid(alg, build.braid, simple_object(alg, build.word.base)), w
+
+
+def _signed_prefixes(keys):
+    return {(base, braid.letters[:i]) for base, braid in keys for i in range(1, len(braid) + 1)}
+
+
+@pytest.mark.parametrize("name", ["D4", "E6"])
+def test_lift_walk_twists_once_per_signed_prefix(monkeypatch, name):
+    """Each build applies one letter per distinct nonempty signed prefix of
+    the lifts it adds, and the shared table then holds exactly the lifts."""
+    alg = ZigzagAlgebra(named_quiver(name))
+    letters = []
+
+    def one_letter(alg, word, y, real=stability.apply_braid):
+        letters.append(word.letters)
+        return real(alg, word, y)
+
+    monkeypatch.setattr(stability, "apply_braid", one_letter)
+    rng = random.Random(f"trie:{name}")
+    wanted = set()
+    for entry in ("stable_table", "_probe_ladder", "stable_table"):
+        stab = StabilityCondition(alg, random_generic_charge(alg.quiver, rng))
+        before = set(alg.charge_free.lifts)
+        letters.clear()
+        _build_all(stab, entry)
+        added = set(alg.charge_free.lifts) - before
+        assert all(len(word) == 1 for word in letters)
+        assert len(letters) == len(_signed_prefixes(added))
+        wanted |= {(b.word.base, b.braid) for b in map(stab.stable_build, stab.roots)}
+        assert set(alg.charge_free.lifts) == wanted
 
 
 def test_algebra_is_freed_with_its_conditions(a3):
