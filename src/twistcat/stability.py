@@ -26,6 +26,17 @@ phase Phase(s, Z(e_v)).  P(>= L) and P(<= U) are extension-closed
 phases L and U bound the phases of y, and no S_w[k] below L receives a
 map from y and none above U maps to it.  When the graph has a cycle there
 is no bound and the walk tries every candidate.
+
+A probe ends after the bottom walk when that walk proves y semistable:
+the graph has no cycle, every generator sits at one shift s, the bottom
+hit S_u[s] has shift s, and Z(y) lies on the ray of Z(u) (one integer
+cross product, since the class of y is +-(its generator counts)).  Then y
+lies in P([s, s+1)), a window shorter than 1, so Z(y), the sum of the
+charges of its HN factors, has an argument strictly above the lowest
+phase unless there is one factor; the bottom hit is that lowest phase, so
+y is semistable of phase phi(u) + s.  Genericity leaves S_u[s] as its only
+Jordan-Holder factor, so S_u[s] maps to y and nothing above it does: the
+top hit is the bottom hit (the proof in full is in `phi_probes`).
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ import json
 import math
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key, total_ordering
 from pathlib import Path
@@ -333,14 +344,27 @@ class StableBuild:
     signs: tuple[int, ...]
     braid: BraidWord
     obj: TwistedComplex
+    # prefixes[i]: the lift of braid.letters[:i], grown one letter at a time by `flipped`
+    prefixes: list[TwistedComplex] = field(default_factory=list, init=False, repr=False, compare=False)
 
     def flipped(self, i: int) -> TwistedComplex:
-        """The lift with exponent i (0-based) of the braid word reversed."""
-        if not 0 <= i < len(self.braid.letters):
-            raise ValueError(f"no exponent {i} in a word of {len(self.braid.letters)} letters")
-        letters = tuple((v, -e if j == i else e) for j, (v, e) in enumerate(self.braid.letters))
+        """The lift with exponent i (0-based) of the braid word reversed.
+
+        It starts from the lift of the first i letters, which it shares with
+        the stable lift; `apply_braid` is a left fold over the letters, so
+        the result equals the flipped word applied to the simple in one call.
+        """
+        letters = self.braid.letters
+        if not 0 <= i < len(letters):
+            raise ValueError(f"no exponent {i} in a word of {len(letters)} letters")
         alg = self.obj.alg
-        return apply_braid(alg, BraidWord(letters), simple_object(alg, self.word.base))
+        if not self.prefixes:
+            self.prefixes.append(simple_object(alg, self.word.base))
+        while len(self.prefixes) <= i:
+            letter = letters[len(self.prefixes) - 1]
+            self.prefixes.append(apply_braid(alg, BraidWord((letter,)), self.prefixes[-1]))
+        v, e = letters[i]
+        return apply_braid(alg, BraidWord(((v, -e),) + letters[i + 1:]), self.prefixes[i])
 
 
 class _ChargeFree:
@@ -631,9 +655,32 @@ class StabilityCondition:
         bottom is the first candidate S_w[k] with Hom^0(y, S_w[k]) != 0, the
         top the first with Hom^0(S_w[k], y) != 0 (see `_first_hit`); both
         walks start at y's generator-phase bounds when it has them.
+
+        The bottom hit (u, s) is also the top hit, and the top walk is not
+        run, when the entry graph has no cycle, every generator sits at
+        the shift s, and Z(y) lies on the ray of Z(u).  The class of y is
+        +-(its generator counts), so the last test is one integer cross
+        product of lattice rays; H holds no pair v, -v, so collinear rays
+        are one ray.  Why the top hit is the same: with no cycle and one
+        shift s, y is an iterated cone of objects P_v[s], so y lies in
+        P([s, s+1)), a window shorter than 1.  Z(y) is the sum of the
+        charges of its HN factors, and with two or more factors its
+        argument lies strictly above the lowest phase.  The bottom hit is
+        that lowest phase, phi(u) + s, so y has one factor: it is
+        semistable of phase phi(u) + s.  A generic charge puts only S_u[s]
+        on that ray, so every Jordan-Holder factor of y is S_u[s]; hence
+        Hom^0(S_u[s], y) != 0, and Hom^0(S, y) = 0 for every candidate S
+        above it.  The top walk would stop at exactly (u, s).
         """
         if y.is_zero:
             raise ValueError("the zero object has no phases")
         self.require_generic()
         low, high = self._generator_bounds(y) or (None, None)
-        return Phases(self._first_hit(y, "bottom", low), self._first_hit(y, "top", high))
+        bottom = self._first_hit(y, "bottom", low)
+        if (
+            low is not None
+            and low[0] == high[0] == bottom.shift
+            and _ray_cross(self._ray_of(y.k_class()), self._ray_of(bottom.root)) == 0
+        ):
+            return Phases(bottom, bottom)
+        return Phases(bottom, self._first_hit(y, "top", high))

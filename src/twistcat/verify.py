@@ -88,7 +88,14 @@ def random_word(rng: random.Random, n_vertices: int, max_len: int, min_len: int 
 def suite_stable_constructions(type_name: str, charges: int = 20, seed: int = 0) -> SuiteResult:
     """Per charge and positive root: the constructed object is a spherical,
     heart-contained, spread-zero representative of its class, and flipping
-    any single exponent breaks semistability or heart membership."""
+    any single exponent breaks semistability or heart membership.
+
+    The probe of a stable object ends after its bottom walk (see
+    `StabilityCondition.phi_probes`), so its top walk makes no Hom test.
+    Every Hom-vanishing pair between two stable objects is still tested,
+    in the bottom walk of the higher root, or is excluded by the
+    generator-phase bound.
+    """
     t0 = time.perf_counter()
     q, alg = _context(type_name)
     failures: list[str] = []

@@ -107,3 +107,12 @@ def assert_probes_match_the_unpruned_walk(stab, y):
     bottom, top = stab.phi_probes(y)
     assert bottom == unpruned_first_hit(stab, y, "bottom")
     assert top == unpruned_first_hit(stab, y, "top")
+
+
+def two_walk_probes(stab, y):
+    """Oracle: the probe as two walks, the bottom walk and then the top walk,
+    each from y's generator-phase bound, with no early end."""
+    from twistcat.stability import Phases
+
+    low, high = stab._generator_bounds(y) or (None, None)
+    return Phases(stab._first_hit(y, "bottom", low), stab._first_hit(y, "top", high))

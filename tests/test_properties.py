@@ -38,7 +38,7 @@ from twistcat import (
 from twistcat import twists
 from twistcat.homcore import HomComplex, hom0_is_nonzero
 from twistcat.reduce import _conjugated_twist_word
-from conftest import assert_probes_match_the_unpruned_walk
+from conftest import assert_probes_match_the_unpruned_walk, two_walk_probes
 
 ALGEBRAS = {name: ZigzagAlgebra(named_quiver(name)) for name in ("A3", "D4", "E6")}
 
@@ -290,6 +290,17 @@ def test_bounded_walk_matches_the_unpruned_walk(image, seed, shift):
     stab = StabilityCondition(alg, random_generic_charge(alg.quiver, random.Random(seed)))
     for obj in (y, y.shift(shift)):
         assert_probes_match_the_unpruned_walk(stab, obj)
+
+
+@settings(SETTINGS, max_examples=30)
+@given(braid_images_with_a_differential(), st.integers(0, 2**16), st.integers(-3, 3))
+def test_one_walk_probe_matches_two_walks(image, seed, shift):
+    """The probe that may end after its bottom walk returns the Phases of the
+    bottom walk followed by the top walk, on the image and on a shift of it."""
+    alg, y = image
+    stab = StabilityCondition(alg, random_generic_charge(alg.quiver, random.Random(seed)))
+    for obj in (y, y.shift(shift)):
+        assert stab.phi_probes(obj) == two_walk_probes(stab, obj)
 
 
 def test_most_drawn_complexes_have_a_differential():

@@ -37,7 +37,12 @@ from twistcat import (
 )
 from twistcat import stability
 from twistcat.stability import _distinct_rays, _lattice, _ray, cross
-from conftest import a3_reference_charge, assert_probes_match_the_unpruned_walk, unpruned_first_hit
+from conftest import (
+    a3_reference_charge,
+    assert_probes_match_the_unpruned_walk,
+    two_walk_probes,
+    unpruned_first_hit,
+)
 
 
 def test_exact_complex_arithmetic():
@@ -418,6 +423,122 @@ def test_cyclic_entry_graph_walks_every_candidate(monkeypatch, alg_a3, stab_a3):
     assert calls == full["bottom"] + full["top"]
 
 
+
+# -- the early end of a probe against the two-walk probe -------------------------
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "E6", "E7"])
+def test_one_walk_probe_matches_two_walks_on_stable_objects_and_shifts(name):
+    alg = ZigzagAlgebra(named_quiver(name))
+    rng = random.Random(f"one-walk:{name}")
+    for _ in range(3):
+        stab = StabilityCondition(alg, random_generic_charge(alg.quiver, rng))
+        for w in stab.roots:
+            obj = stab.stable_object(w)
+            for y in (obj, obj.shift(-3), obj.shift(1), obj.shift(2)):
+                assert stab.phi_probes(y) == two_walk_probes(stab, y), (w, y.shift_range())
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "E6", "E7"])
+def test_one_walk_probe_matches_two_walks_on_sums_of_stable_objects(name):
+    """S_w + S_w is semistable and ends after the bottom walk; S_a + S_b with
+    a != b is not, and needs the top walk."""
+    alg = ZigzagAlgebra(named_quiver(name))
+    rng = random.Random(f"one-walk-sums:{name}")
+    stab = StabilityCondition(alg, random_generic_charge(alg.quiver, rng))
+    for w in stab.roots:
+        obj = stab.stable_object(w)
+        y = direct_sum(obj, obj)
+        assert stab.phi_probes(y) == two_walk_probes(stab, y), w
+    for _ in range(20):
+        a, b = rng.sample(stab.roots, 2)
+        y = direct_sum(stab.stable_object(a), stab.stable_object(b))
+        assert stab.phi_probes(y) == two_walk_probes(stab, y), (a, b)
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "E6", "E7"])
+def test_one_walk_probe_matches_two_walks_on_flips(name):
+    alg = ZigzagAlgebra(named_quiver(name))
+    rng = random.Random(f"one-walk-flips:{name}")
+    for _ in range(3):  # 15 builds: five roots under each of three charges
+        stab = StabilityCondition(alg, random_generic_charge(alg.quiver, rng))
+        for w in rng.sample(stab.roots, 5):
+            build = stab.stable_build(w)
+            for i in range(len(build.braid)):
+                y = build.flipped(i)
+                assert stab.phi_probes(y) == two_walk_probes(stab, y), (w, i)
+
+
+def _count_top_tests(monkeypatch, stab, y):
+    """phi_probes(y) with the real Hom tests, and how many of them the top walk made."""
+    top = []
+
+    def hom0(x, z, k, real=stability.hom0_is_nonzero):
+        if z is y:
+            top.append(k)
+        return real(x, z, k)
+
+    monkeypatch.setattr(stability, "hom0_is_nonzero", hom0)
+    phases = stab.phi_probes(y)
+    monkeypatch.undo()
+    return phases, len(top)
+
+
+def test_a_shifted_stable_object_makes_no_top_walk_test(monkeypatch, stab_a3):
+    for w in stab_a3.roots:
+        y = stab_a3.stable_object(w).shift(1)
+        phases, top_tests = _count_top_tests(monkeypatch, stab_a3, y)
+        assert top_tests == 0
+        assert phases.bottom is phases.top
+        assert phases == ((stab_a3.phase_of_root(w, 1), w, 1),) * 2
+
+
+def test_a_sum_of_two_stable_objects_runs_the_top_walk(monkeypatch, stab_a3):
+    for a in stab_a3.roots:
+        for b in stab_a3.roots:
+            if a != b:
+                y = direct_sum(stab_a3.stable_object(a), stab_a3.stable_object(b))
+                phases, top_tests = _count_top_tests(monkeypatch, stab_a3, y)
+                assert top_tests > 0
+                assert phases == two_walk_probes(stab_a3, y)
+                assert {phases.bottom.root, phases.top.root} == {a, b}
+
+
+def test_a_class_on_the_bottom_ray_over_several_shifts_runs_the_top_walk(monkeypatch, stab_a3):
+    """S_u + S_u[1] + S_u[2] has class u, the ray of its bottom hit, but its
+    top hit is (u, 2)."""
+    for u in stab_a3.roots:
+        obj = stab_a3.stable_object(u)
+        y = direct_sum(obj, obj.shift(1), obj.shift(2))
+        assert y.k_class() == u
+        phases, top_tests = _count_top_tests(monkeypatch, stab_a3, y)
+        assert top_tests > 0
+        assert phases.bottom == (stab_a3.phase_of_root(u), u, 0)
+        assert phases.top == (stab_a3.phase_of_root(u, 2), u, 2)
+
+
+def test_cyclic_entry_graph_on_one_shift_runs_the_top_walk(monkeypatch, alg_a3, stab_a3):
+    """With a cycle there is no early end, even when every generator sits at
+    one shift and the bottom hit lies on the ray of the class."""
+    # P0 -> P1 -> P0 at one shift; not square-zero, so built unvalidated
+    y = TwistedComplex(alg_a3, [(0, 0), (1, 0)], {(1, 0): 1, (0, 1): 1}, validate=False)
+    assert stab_a3._generator_bounds(y) is None
+    u = y.k_class()
+    assert u in stab_a3.roots
+    top = []
+
+    def hom0(x, z, k):
+        if z is y:
+            top.append(k)
+            return False
+        return k == 0 and z.k_class() == u  # the bottom walk hits (u, 0)
+
+    monkeypatch.setattr(stability, "hom0_is_nonzero", hom0)
+    with pytest.raises(InvariantViolation, match="no stable object maps to"):
+        stab_a3.phi_probes(y)
+    assert top
+
+
 # -- the per-algebra record shared by all charges ------------------------------
 
 
@@ -520,6 +641,24 @@ def test_stable_table_matches_fresh_braid_lifts(name):
         build = stab.stable_build(w)
         assert obj is build.obj
         assert obj == apply_braid(alg, build.braid, simple_object(alg, build.word.base)), w
+
+
+def test_every_e6_flip_equals_the_flipped_word_applied_in_one_call():
+    """A flip grows from the stable lift's prefix lifts; it equals the whole
+    flipped word applied to the simple, in any order of the flips."""
+    alg = ZigzagAlgebra(named_quiver("E6"))
+    stab = StabilityCondition(alg, random_generic_charge(alg.quiver, random.Random("flips:E6")))
+    flips = 0
+    for w in stab.roots:
+        build = stab.stable_build(w)
+        letters = build.braid.letters
+        simple = simple_object(alg, build.word.base)
+        for i in reversed(range(len(letters))):  # the longest prefix first, then the cached ones
+            word = BraidWord(letters[:i] + ((letters[i][0], -letters[i][1]),) + letters[i + 1:])
+            assert build.flipped(i) == apply_braid(alg, word, simple), (w, i)
+            flips += 1
+        assert len(build.prefixes) == len(letters)
+    assert flips > len(stab.roots)
 
 
 def _signed_prefixes(keys):
