@@ -27,6 +27,7 @@ Hom tests on ±1 data eliminate without building a Fraction.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -282,33 +283,86 @@ def minimize(x: TwistedComplex) -> TwistedComplex:
     """Homotopy-equivalent reduced form: no invertible degree-0 entries remain.
 
     An entry of degree 0 is a multiple of an idempotent, hence invertible.
-    Eliminates the first one in row-major order each pass, so the output is
-    deterministic.  Each pass keeps d² = 0 (the Gaussian elimination lemma),
-    so the result is not validated again.
+    Each step cancels the first degree-0 entry (h, g) in row-major order,
+    removing its two generators and adding -a·b/c to the entry from src to
+    tgt for every a = d(src -> h) and b = d(g -> tgt), where c is the pivot
+    entry.  This is the Gaussian elimination lemma, which keeps d² = 0, so
+    the result is not validated again (Bar-Natan, "Fast Khovanov homology
+    computations", arXiv:math/0606318).
+
+    All steps run in one pass.  Entries stay keyed by the original generator
+    indices, each generator keeps its in- and out-neighbours, and a step
+    touches only the entries at its two generators and their neighbours.
+    Pivots are popped from a heap of the degree-0 keys in the original
+    (h, g) order.  Dropping generators renumbers the rest monotonically,
+    and a monotone renumbering keeps the row-major order of keys, so the
+    smallest live key is the first degree-0 entry of the renumbered
+    complex.  The pivot sequence, and with it the generators and entries,
+    are therefore those of cancelling the first such entry pass after pass.
+    The entry dict keeps the order such passes leave (an updated entry keeps
+    its place, a new one goes last), so even the output's key order agrees.
+    Each division is an exact quotient (`linalg.exact_quotient`), so int
+    entries stay exact.  An object with no degree-0 entry is returned as is.
     """
-    gens = list(x.generators)
+    shifts = [s for _, s in x.generators]
     diff = dict(x.differential)
-    while True:
-        pivot = next(((h, g) for h, g in sorted(diff) if gens[h].shift == gens[g].shift - 1), None)
-        if pivot is None:
-            break
+    heap = [(h, g) for h, g in diff if shifts[h] == shifts[g] - 1]
+    if not heap:
+        return x
+    heapq.heapify(heap)
+    vertices = [v for v, _ in x.generators]
+    paths = x.alg.paths
+    ins: list[dict[int, None]] = [{} for _ in shifts]  # h -> every g with an entry (h, g)
+    outs: list[dict[int, None]] = [{} for _ in shifts]  # g -> every h with an entry (h, g)
+    for h, g in diff:
+        ins[h][g] = None
+        outs[g][h] = None
+    alive = [True] * len(shifts)
+    while heap:
+        pivot = heapq.heappop(heap)
+        c = diff.get(pivot)
+        if c is None:  # cancelled, or a generator of it already removed
+            continue
         h, g = pivot
-        c = diff[pivot]
-        into_h = [(src, a / c) for (tgt, src), a in diff.items() if tgt == h and src not in pivot]
-        from_g = [(tgt, b) for (tgt, src), b in diff.items() if src == g and tgt not in pivot]
-        keep = [i for i in range(len(gens)) if i not in pivot]
-        remap = {old: new for new, old in enumerate(keep)}
-        new_diff: Entries = {
-            (remap[t], remap[s]): e for (t, s), e in diff.items() if t in remap and s in remap
-        }
+        into_h = [
+            (src, linalg.exact_quotient(diff[(h, src)], c)) for src in ins[h] if src not in pivot
+        ]
+        from_g = [(tgt, diff[(tgt, g)]) for tgt in outs[g] if tgt not in pivot]
+        for i in pivot:
+            for src in ins[i]:
+                del diff[(i, src)]
+                del outs[src][i]
+            for tgt in outs[i]:
+                del diff[(tgt, i)]
+                del ins[tgt][i]
+            ins[i] = {}
+            outs[i] = {}
+            alive[i] = False
         for src, a in into_h:
+            out_src = outs[src]
             for tgt, b in from_g:
-                if _fits(x.alg, gens[src], gens[tgt], 1):
-                    key = (remap[tgt], remap[src])
-                    new_diff[key] = new_diff[key] - a * b if key in new_diff else -(a * b)
-        diff = {k: e for k, e in new_diff.items() if e}
-        gens = [gens[i] for i in keep]
-    return TwistedComplex(x.alg, gens, diff, validate=False)
+                # the entry from src to tgt has degree 1: keep it only where a path fits
+                if shifts[tgt] - shifts[src] + 1 not in paths[(vertices[src], vertices[tgt])]:
+                    continue
+                key = (tgt, src)
+                e = diff.get(key, 0) - a * b
+                if not e:
+                    del diff[key]
+                    del ins[tgt][src]
+                    del out_src[tgt]
+                    continue
+                if key not in diff:
+                    ins[tgt][src] = None
+                    out_src[tgt] = None
+                    if shifts[tgt] == shifts[src] - 1:
+                        heapq.heappush(heap, key)
+                diff[key] = e
+    keep = [i for i, live in enumerate(alive) if live]
+    remap = {old: new for new, old in enumerate(keep)}
+    gens = [x.generators[i] for i in keep]
+    return TwistedComplex(
+        x.alg, gens, {(remap[t], remap[s]): e for (t, s), e in diff.items()}, validate=False
+    )
 
 
 class HomComplex:
@@ -401,7 +455,7 @@ class HomComplex:
         entries: Entries = {}
         for pos, c in sorted(vec.items()):
             g, h = basis[pos]
-            entries[(h, g)] = c
+            entries[(h, g)] = c if type(c) is Fraction else Fraction(c)
         return Morphism(self.source, self.target, d, entries, validate=False)
 
     def cocycle_reps(self, d: int) -> list[Morphism]:
@@ -414,10 +468,28 @@ class HomComplex:
         return [self._vector_to_morphism(d, vec) for vec in reps]
 
     def all_cohomology_reps(self) -> list[tuple[int, Morphism]]:
+        """(d, rep) for every degree d in ascending order, the reps of each d
+        being `cocycle_reps(d)`; each differential is eliminated once.
+
+        One carried echelon of D_d gives two things.  Its dependent columns
+        reduce to ker D_d, the vectors `nullspace` returns.  Its pivots,
+        with the combinations dropped, span im D_d, and seed the carry-free
+        complement test of the next degree.  When d-1 is not a degree, the
+        previous degree's differential maps into the zero space Hom^{d-1},
+        so its echelon has no pivots and the image it seeds is empty, as it
+        should be.  `complement_reps` keeps a kernel vector exactly when it
+        lies outside the span of im D_{d-1} and the kernel vectors before
+        it.  That is a question of span membership alone, and the pivots of
+        D_{d-1} span the same space as its columns, so the test keeps the
+        same vectors and the reps equal `cocycle_reps(d)`.
+        """
         out = []
+        image = None  # the echelon of the previous degree's differential
         for d in self.degrees():
-            for rep in self.cocycle_reps(d):
-                out.append((d, rep))
+            kernel, ech = linalg.kernel_and_image(self.matrix(d))
+            for vec in linalg.complement_of_span(kernel, image):
+                out.append((d, self._vector_to_morphism(d, vec)))
+            image = ech
         return out
 
 

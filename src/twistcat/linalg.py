@@ -9,16 +9,21 @@ combination of inserted columns that produced it.  Inserting the columns of
 a matrix in order makes the pivots those of the reduced row echelon form,
 and the combinations that dependent columns reduce to are exactly its kernel
 basis, one vector per free column.  `rank` reads only the pivots and does
-not carry the combinations.
+not carry the combinations, and `kernel_and_image` returns both halves of
+one carried elimination: the kernel basis, and the pivots, which span the
+image.
 
-Each elimination factor is an exact quotient: a // p when the entry a and
-the pivot p are both ints and p divides a, and Fraction(a, p) otherwise.
-`/` is never applied to two ints, since it would return a float.  A step
-whose pivot divides stays in ints, so `rank` runs all in ints on the
-Hom-complex matrices of ±1 data (in the test suite every pivot vector of
-a Hom-complex rank holds only ±1).  The carried combinations start at
-Fraction(1), so kernel vectors and complement representatives are
-Fraction-valued whatever the columns hold.
+Each elimination factor is an exact quotient (`exact_quotient`): a // p
+when the entry a and the pivot p are both ints and p divides a, and the
+Fraction a / p otherwise.  `/` is never applied to two ints, since it would
+return a float.  A step whose pivot divides stays in ints, so `rank` runs
+all in ints on the Hom-complex matrices of ±1 data (in the test suite every
+pivot vector of a Hom-complex rank holds only ±1).  The carried
+combinations start at the int 1 and take the same factors, so they too stay
+in ints on such data.  Combinations are ints inside the echelon and
+Fractions at the boundaries: `nullspace` returns Fraction-valued kernel
+vectors whatever the columns hold, and `kernel_and_image`, whose caller
+converts, returns them as they are.
 
 The Hom-complex matrices this serves are very sparse; this is the sparse
 Gaussian elimination of Bar-Natan, "Fast Khovanov homology computations"
@@ -35,6 +40,13 @@ from fractions import Fraction
 Vector = dict[int, int | Fraction]
 
 FILTER_PRIME = 2_147_483_647
+
+
+def exact_quotient(a: int | Fraction, p: int | Fraction) -> int | Fraction:
+    """a / p, exactly: an int when both are ints and p divides a, else a Fraction."""
+    if type(a) is int and type(p) is int:
+        return a // p if not a % p else Fraction(a, p)
+    return a / p
 
 
 def _subtract(vec: Vector, coeff: int | Fraction, other: Vector) -> None:
@@ -68,7 +80,7 @@ class _SparseEchelon:
         coefficient 1) that vanishes, or {} without carry.
         """
         vec = dict(vec)
-        comb = {self.inserted: Fraction(1)} if self.carry else {}
+        comb = {self.inserted: 1} if self.carry else {}
         self.inserted += 1
         while vec:
             low = min(vec)
@@ -77,11 +89,20 @@ class _SparseEchelon:
                 self.pivots[low] = (vec, comb)
                 return None
             pivot, pivot_comb = hit
-            a, p = vec[low], pivot[low]
-            factor = a // p if type(a) is int and type(p) is int and not a % p else Fraction(a, p)
+            factor = exact_quotient(vec[low], pivot[low])
             _subtract(vec, factor, pivot)
             _subtract(comb, factor, pivot_comb)
         return comb
+
+    def span(self) -> "_SparseEchelon":
+        """A carry-free echelon of the same span, to extend without changing this one.
+
+        The pivot vectors are shared, not copied: `insert` never changes a
+        stored pivot.
+        """
+        ech = _SparseEchelon(carry=False)
+        ech.pivots = {low: (vec, {}) for low, (vec, _) in self.pivots.items()}
+        return ech
 
 
 def rank(cols: list[Vector]) -> int:
@@ -97,12 +118,26 @@ def nullspace(cols: list[Vector], ncols: int) -> list[Vector]:
 
     One vector per free column, in column order: the free column's
     coefficient is 1 and the others sit on earlier pivot columns, which is
-    the kernel basis read off the reduced row echelon form.
+    the kernel basis read off the reduced row echelon form.  Entries are
+    Fractions whatever the columns hold.
     """
     if len(cols) != ncols:
         raise ValueError(f"expected {ncols} columns, got {len(cols)}")
+    return [
+        {i: x if type(x) is Fraction else Fraction(x) for i, x in comb.items()}
+        for comb in kernel_and_image(cols)[0]
+    ]
+
+
+def kernel_and_image(cols: list[Vector]) -> tuple[list[Vector], _SparseEchelon]:
+    """One carried elimination of the map with columns `cols`.
+
+    Returns the kernel basis `nullspace` returns, with the int-or-Fraction
+    entries of the carried combinations, and the echelon, whose pivots span
+    the image of the map.
+    """
     ech = _SparseEchelon()
-    return [comb for col in cols if (comb := ech.insert(col)) is not None]
+    return [comb for col in cols if (comb := ech.insert(col)) is not None], ech
 
 
 def complement_reps(space: list[Vector], subspace: list[Vector]) -> list[Vector]:
@@ -110,6 +145,16 @@ def complement_reps(space: list[Vector], subspace: list[Vector]) -> list[Vector]
     ech = _SparseEchelon()
     for vec in subspace:
         ech.insert(vec)
+    return [vec for vec in space if ech.insert(vec) is None]
+
+
+def complement_of_span(space: list[Vector], span: _SparseEchelon | None) -> list[Vector]:
+    """Vectors from `space`, in order, completing the span of the echelon `span`
+    (or of nothing) to a basis of their joint span.
+
+    Membership is tested without carrying combinations, on a copy of `span`.
+    """
+    ech = span.span() if span is not None else _SparseEchelon(carry=False)
     return [vec for vec in space if ech.insert(vec) is None]
 
 

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 from .homcore import (
     Entries,
+    Generator,
     Morphism,
     TwistedComplex,
     cone,
-    direct_sum,
     HomComplex,
     is_spherical,
     minimize,
@@ -102,14 +102,19 @@ def _triangle(
     reps = HomComplex(source, target).all_cohomology_reps()
     if not reps:
         return None
-    blocks = [x.shift(-exponent * d) for d, _ in reps]
-    tensor = direct_sum(*blocks)
+    # the tensor is the direct sum of the shifts x[-exponent * d], one per rep,
+    # built in the same loop that places each rep's entries at its block
+    gens: list[Generator] = []
+    diff: Entries = {}
     entries: Entries = {}
-    offset = 0
-    for (d, rep), block in zip(reps, blocks):
+    for d, rep in reps:
+        offset, shift = len(gens), -exponent * d
+        gens.extend(Generator(v, s + shift) for v, s in x.generators)
+        for (h, g), c in x.differential.items():
+            diff[(h + offset, g + offset)] = -c if shift % 2 else c
         for (h, g), c in rep.entries.items():
             entries[(h, g + offset) if exponent == 1 else (h + offset, g)] = c
-        offset += len(block.generators)
+    tensor = TwistedComplex(x.alg, gens, diff, validate=False)
     if exponent == 1:
         return tensor, y, minimize(cone(Morphism(tensor, y, 0, entries, validate=False)))
     return minimize(cone(Morphism(y, tensor, 0, entries, validate=False)).shift(-1)), y, tensor

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .errors import InvariantViolation
 from .homcore import (
+    TwistedComplex,
     find_shift_isomorphism,
     hom_dims,
     is_isomorphic,
@@ -38,6 +39,7 @@ from .stability import (
 from .twists import (
     BraidWord,
     apply_braid,
+    parse_braid_word,
     twist,
     twist_triangle,
     untwist,
@@ -154,6 +156,51 @@ def suite_uniqueness(
     return SuiteResult("stable object uniqueness", cases, failures, time.perf_counter() - t0)
 
 
+# Braid images of at least 500 generators that `suite_reduction` reduces
+# besides its random runs: type -> (word text in operator order, power,
+# 0-based vertex of the simple it acts on).
+LARGE_INPUTS = {
+    "A3": ("s1 s2' s3", 5, 1),  # 989 generators
+    "D4": ("s1 s2' s3 s4", 4, 1),  # 896 generators
+    "E6": ("s1 s3' s4 s2' s5 s6'", 4, 3),  # 527 generators
+}
+
+
+def power_image(alg: ZigzagAlgebra, text: str, power: int, vertex: int) -> TwistedComplex:
+    """The image of the simple at `vertex` under the word `text` taken `power` times."""
+    word = parse_braid_word(" ".join([text] * power))
+    return apply_braid(alg, word, simple_object(alg, vertex))
+
+
+def _reduction_failures(
+    stab: StabilityCondition, start: TwistedComplex, strategy: str, orbit_check: bool
+) -> list[str]:
+    """The checks of one reduction of `start` that fail; empty when all pass."""
+    try:
+        trace = reduce_to_stable(stab, start, strategy=strategy)
+    except InvariantViolation as exc:
+        return [str(exc)]
+    if not stab.phi_probes(trace.final).spread.is_zero():
+        return ["final object is not semistable"]
+    wf = trace.final.k_class()
+    pos = wf if all(x >= 0 for x in wf) else tuple(-x for x in wf)
+    if not all(x >= 0 for x in pos) or not any(x > 0 for x in pos):
+        return [f"final class {wf} is not up to sign a positive root"]
+    failures = []
+    if find_shift_isomorphism(trace.final, stab.stable_object(pos)) is None:
+        failures.append(f"final object differs from the stable model of {pos}")
+    for a, b in zip(trace.steps, trace.steps[1:]):
+        if not b.spread_before == a.spread_after:
+            failures.append("trace spreads do not chain")
+    if orbit_check:
+        # the word acts by an autoequivalence, so word(final) = start
+        # exactly when word^-1(start) = final, the direction that shrinks
+        reduced = apply_braid(stab.alg, trace.word.inverse(), trace.start)
+        if not is_isomorphic(reduced, trace.final):
+            failures.append("inverse of the accumulated word does not reduce the input")
+    return failures
+
+
 def suite_reduction(
     type_name: str,
     runs: int,
@@ -166,6 +213,8 @@ def suite_reduction(
 
     Step certificates run inside the loop, so completing a run already
     certifies strict spread decrease and one-sided improvement throughout.
+    On a type of `LARGE_INPUTS` one more case reduces that large image,
+    with the orbit check, under a charge drawn for it.
     """
     t0 = time.perf_counter()
     q, alg = _context(type_name)
@@ -173,35 +222,24 @@ def suite_reduction(
     cases = 0
     for i in range(runs):
         cases += 1
-        tag = f"{type_name} run#{i}"
         rng = random.Random(f"reduce:{type_name}:{seed}:{i}:{strategy}")
         stab = StabilityCondition(alg, random_generic_charge(q, rng))
         word = random_word(rng, q.vertex_count, max_len)
         start = apply_braid(alg, word, simple_object(alg, rng.randrange(q.vertex_count)))
-        try:
-            trace = reduce_to_stable(stab, start, strategy=strategy)
-        except InvariantViolation as exc:
-            failures.append(f"{tag}: {exc}")
-            continue
-        if not stab.phi_probes(trace.final).spread.is_zero():
-            failures.append(f"{tag}: final object is not semistable")
-            continue
-        wf = trace.final.k_class()
-        pos = wf if all(x >= 0 for x in wf) else tuple(-x for x in wf)
-        if not all(x >= 0 for x in pos) or not any(x > 0 for x in pos):
-            failures.append(f"{tag}: final class {wf} is not up to sign a positive root")
-            continue
-        if find_shift_isomorphism(trace.final, stab.stable_object(pos)) is None:
-            failures.append(f"{tag}: final object differs from the stable model of {pos}")
-        for a, b in zip(trace.steps, trace.steps[1:]):
-            if not b.spread_before == a.spread_after:
-                failures.append(f"{tag}: trace spreads do not chain")
-        if i < orbit_checks:
-            # the word acts by an autoequivalence, so word(final) = start
-            # exactly when word^-1(start) = final, the direction that shrinks
-            reduced = apply_braid(alg, trace.word.inverse(), trace.start)
-            if not is_isomorphic(reduced, trace.final):
-                failures.append(f"{tag}: inverse of the accumulated word does not reduce the input")
+        failures += [
+            f"{type_name} run#{i}: {f}"
+            for f in _reduction_failures(stab, start, strategy, i < orbit_checks)
+        ]
+    if type_name in LARGE_INPUTS:
+        cases += 1
+        text, power, vertex = LARGE_INPUTS[type_name]
+        rng = random.Random(f"reduce:{type_name}:{seed}:large:{strategy}")
+        stab = StabilityCondition(alg, random_generic_charge(q, rng))
+        start = power_image(alg, text, power, vertex)
+        failures += [
+            f"{type_name} ({text})^{power}: {f}"
+            for f in _reduction_failures(stab, start, strategy, True)
+        ]
     return SuiteResult(
         f"reduction ({strategy})", cases, failures, time.perf_counter() - t0
     )

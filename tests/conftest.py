@@ -1,4 +1,6 @@
+import contextlib
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -9,6 +11,8 @@ from twistcat import (
     ZigzagAlgebra,
     named_quiver,
 )
+from twistcat import twists
+from twistcat.homcore import Entries, HomComplex, TwistedComplex, _fits
 from twistcat.verify import random_word  # noqa: F401  (shared with the test modules)
 
 
@@ -116,3 +120,77 @@ def two_walk_probes(stab, y):
 
     low, high = stab._generator_bounds(y) or (None, None)
     return Phases(stab._first_hit(y, "bottom", low), stab._first_hit(y, "top", high))
+
+
+def minimize_by_passes(x: TwistedComplex) -> TwistedComplex:
+    """Oracle for `minimize`: one pass over the whole differential per pivot.
+
+    Each pass cancels the first degree-0 entry in row-major order of the
+    current numbering and rebuilds the entry dict around it.
+    """
+    gens = list(x.generators)
+    diff = dict(x.differential)
+    while True:
+        pivot = next(((h, g) for h, g in sorted(diff) if gens[h].shift == gens[g].shift - 1), None)
+        if pivot is None:
+            break
+        h, g = pivot
+        c = diff[pivot]
+        into_h = [(src, a / c) for (tgt, src), a in diff.items() if tgt == h and src not in pivot]
+        from_g = [(tgt, b) for (tgt, src), b in diff.items() if src == g and tgt not in pivot]
+        keep = [i for i in range(len(gens)) if i not in pivot]
+        remap = {old: new for new, old in enumerate(keep)}
+        new_diff: Entries = {
+            (remap[t], remap[s]): e for (t, s), e in diff.items() if t in remap and s in remap
+        }
+        for src, a in into_h:
+            for tgt, b in from_g:
+                if _fits(x.alg, gens[src], gens[tgt], 1):
+                    key = (remap[tgt], remap[src])
+                    new_diff[key] = new_diff[key] - a * b if key in new_diff else -(a * b)
+        diff = {k: e for k, e in new_diff.items() if e}
+        gens = [gens[i] for i in keep]
+    return TwistedComplex(x.alg, gens, diff, validate=False)
+
+
+def reps_by_degree(hom) -> list:
+    """Oracle for `HomComplex.all_cohomology_reps`: `cocycle_reps` degree by degree."""
+    return [(d, rep) for d in hom.degrees() for rep in hom.cocycle_reps(d)]
+
+
+def assert_same_complex(a: TwistedComplex, b: TwistedComplex) -> None:
+    """Equal generators, and equal entries in the same key order."""
+    assert a.generators == b.generators
+    assert list(a.differential.items()) == list(b.differential.items())
+
+
+def assert_same_reps(reps: list, oracle: list) -> None:
+    """Equal (degree, entries) pairs, entries in the same key order, every one a Fraction."""
+    assert [(d, list(r.entries.items())) for d, r in reps] == [
+        (d, list(r.entries.items())) for d, r in oracle
+    ]
+    assert all(type(c) is Fraction for _, r in reps for c in r.entries.values())
+
+
+@contextlib.contextmanager
+def twists_checked_against_oracles():
+    """Inside the block every `minimize` and `all_cohomology_reps` call made by
+    the twists is compared with its oracle; yields the number of each checked."""
+    counts = {"minimize": 0, "reps": 0}
+    minimize, all_reps = twists.minimize, HomComplex.all_cohomology_reps
+
+    def checked_minimize(x):
+        out = minimize(x)
+        assert_same_complex(out, minimize_by_passes(x))
+        counts["minimize"] += 1
+        return out
+
+    def checked_reps(hom):
+        out = all_reps(hom)
+        assert_same_reps(out, reps_by_degree(hom))
+        counts["reps"] += 1
+        return out
+
+    with mock.patch.object(twists, "minimize", checked_minimize), \
+            mock.patch.object(HomComplex, "all_cohomology_reps", checked_reps):
+        yield counts

@@ -12,12 +12,15 @@ from twistcat import (
     StabilityCondition,
     WeylWord,
     ZigzagAlgebra,
+    apply_braid,
     braid_word_to_text,
     is_isomorphic,
     is_spherical,
     named_quiver,
+    reduce_to_stable,
 )
 from twistcat.verify import (
+    power_image,
     suite_braid_relations,
     suite_heart_align,
     suite_reduction,
@@ -120,6 +123,30 @@ def test_criterion_4_reduction_at_desk_scale(reduction_results):
     cases = sum(r.cases for r in reduction_results)
     print(f"\n  reductions executed: {cases}")
     _report(4, "orbit reduction terminates on stable objects", failures)
+
+
+@pytest.mark.parametrize("strategy", ["bottom", "top"])
+def test_criterion_4_reduction_of_a_large_object(strategy):
+    """The 989-generator image of the middle A3 simple under (s1 s2' s3)^5
+    reduces to a spherical semistable object whose class is a root up to
+    sign, and the inverse of the accumulated word takes the start to it."""
+    alg = ZigzagAlgebra(named_quiver("A3"))
+    stab = StabilityCondition(alg, a3_reference_charge())
+    start = power_image(alg, "s1 s2' s3", 5, 1)
+    assert len(start.generators) == 989
+    trace = reduce_to_stable(stab, start, strategy=strategy)
+    final = trace.final
+    failures = []
+    if not stab.phi_probes(final).spread.is_zero():
+        failures.append("final object has nonzero spread")
+    if not {final.k_class(), tuple(-x for x in final.k_class())} & set(stab.roots):
+        failures.append(f"final class {final.k_class()} is not a root up to sign")
+    if not is_spherical(final):
+        failures.append("final object is not spherical")
+    if not is_isomorphic(apply_braid(alg, trace.word.inverse(), trace.start), final):
+        failures.append("inverse of the accumulated word does not take the start to the final")
+    print(f"\n  steps: {len(trace.steps)}, final generators: {len(final.generators)}")
+    _report(4, f"reduction of a 989-generator A3 object ({strategy})", failures)
 
 
 def test_criterion_5_runtime_certificates(reduction_results):

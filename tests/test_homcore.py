@@ -27,9 +27,9 @@ from twistcat import (
     twist,
     zero_object,
 )
-from twistcat import homcore
+from twistcat import homcore, linalg
 from twistcat.homcore import HomComplex
-from conftest import random_word
+from conftest import minimize_by_passes, random_word
 
 
 def staircase(alg, sign=1):
@@ -233,6 +233,38 @@ def test_minimize_cancels_padded_pair(alg_a2):
         {(2, 1): 1},
     )
     assert minimize(padded) == simple_object(alg_a2, 1)
+
+
+def test_minimize_stays_exact_on_int_entries(alg_a2):
+    """An unvalidated complex with int entries: dividing by the pivot 2 must not
+    give the float -0.5, and the result equals the one built from Fractions."""
+    gens = [(0, 0), (0, 1), (0, -1), (0, 0)]
+    diff = {(0, 1): 2, (0, 2): 1, (3, 1): 1}
+    m = minimize(TwistedComplex(alg_a2, gens, diff, validate=False))
+    assert not any(type(c) is float for c in m.differential.values())
+    exact = minimize(TwistedComplex(alg_a2, gens, diff))
+    assert m == exact == minimize_by_passes(TwistedComplex(alg_a2, gens, diff))
+    assert exact.differential == {(1, 0): Fraction(-1, 2)}
+
+
+def test_kernel_vectors_and_reps_are_fractions(alg_a3):
+    """Combinations are ints inside the echelon; every kernel vector and every
+    rep entry, from either rep path, is a Fraction."""
+    rng = random.Random("fraction-boundary")
+    seen = 0
+    for _ in range(10):
+        y = apply_braid(alg_a3, random_word(rng, 3, 6), simple_object(alg_a3, rng.randrange(3)))
+        x = simple_object(alg_a3, rng.randrange(3))
+        for hom in (HomComplex(x, y), HomComplex(y, x), HomComplex(y, y)):
+            for d in hom.degrees():
+                kernel = linalg.nullspace(hom.matrix(d), hom.dim_at(d))
+                assert all(type(c) is Fraction for vec in kernel for c in vec.values())
+                reps = hom.cocycle_reps(d)
+                assert all(type(c) is Fraction for rep in reps for c in rep.entries.values())
+            reps = hom.all_cohomology_reps()
+            assert all(type(c) is Fraction for _, rep in reps for c in rep.entries.values())
+            seen += len(reps)
+    assert seen
 
 
 def test_is_spherical(alg_a2):

@@ -1,7 +1,16 @@
 import random
 from fractions import Fraction
 
-from twistcat.linalg import _SparseEchelon, complement_reps, nullspace, rank, rank_mod_p
+from twistcat.linalg import (
+    _SparseEchelon,
+    complement_of_span,
+    complement_reps,
+    exact_quotient,
+    kernel_and_image,
+    nullspace,
+    rank,
+    rank_mod_p,
+)
 
 
 def F(x):
@@ -214,3 +223,31 @@ def test_complement_reps():
     sub = [{0: F(1), 1: F(1)}]
     reps = complement_reps(space, sub)
     assert reps == [{0: F(1)}]
+
+
+def test_one_elimination_gives_the_kernel_and_seeds_the_complement():
+    """kernel_and_image returns nullspace's kernel (int-or-Fraction entries,
+    equal values) and pivots spanning the image; complement_of_span seeded
+    with those pivots keeps the vectors complement_reps keeps against the
+    columns, and leaves the seed unchanged."""
+    rng = random.Random("kernel-and-image")
+    for trial in range(300):
+        nrows, ncols = rng.randint(0, 6), rng.randint(0, 6)
+        rows = random_rows(rng, nrows, ncols, mixed_entry if trial % 2 else int_entry)
+        cols = columns(rows, ncols)
+        kernel, ech = kernel_and_image(cols)
+        assert [list(v.items()) for v in kernel] == [list(v.items()) for v in nullspace(cols, ncols)]
+        assert all(type(x) in (int, Fraction) for v in kernel for x in v.values())
+        assert len(ech.pivots) == rank(cols)
+        space = [sparse(v) for v in random_rows(rng, rng.randint(0, 6), nrows, mixed_entry)]
+        pivots = dict(ech.pivots)
+        assert complement_of_span(space, ech) == complement_reps(space, cols)
+        assert ech.pivots == pivots
+        assert complement_of_span(space, None) == complement_reps(space, [])
+
+
+def test_exact_quotient_never_returns_a_float():
+    for a, p, want in ((6, 3, 2), (-6, 3, -2), (1, 2, Fraction(1, 2)), (1, -2, Fraction(-1, 2)),
+                       (Fraction(1, 2), 3, Fraction(1, 6)), (2, Fraction(2, 3), Fraction(3))):
+        got = exact_quotient(a, p)
+        assert got == want and type(got) is type(want)

@@ -36,9 +36,17 @@ from twistcat import (
     untwist_triangle,
 )
 from twistcat import twists
-from twistcat.homcore import HomComplex, hom0_is_nonzero
+from twistcat.homcore import Generator, HomComplex, hom0_is_nonzero
 from twistcat.reduce import _conjugated_twist_word
-from conftest import assert_probes_match_the_unpruned_walk, two_walk_probes
+from conftest import (
+    assert_probes_match_the_unpruned_walk,
+    assert_same_complex,
+    assert_same_reps,
+    minimize_by_passes,
+    reps_by_degree,
+    twists_checked_against_oracles,
+    two_walk_probes,
+)
 
 ALGEBRAS = {name: ZigzagAlgebra(named_quiver(name)) for name in ("A3", "D4", "E6")}
 
@@ -316,6 +324,48 @@ def test_most_drawn_complexes_have_a_differential():
     draw()
     assert len(drawn) >= 20
     assert sum(drawn) >= 0.8 * len(drawn)
+
+
+def _padded(y, rng, pads=2):
+    """y with `pads` cones of c·id on some P_v[s] (c a nonzero rational), their
+    generators inserted at random positions: y plus contractible summands."""
+    alg = y.alg
+    gens, diff = list(y.generators), dict(y.differential)
+    for _ in range(pads):
+        v, s = rng.randrange(alg.quiver.vertex_count), rng.randint(-2, 2)
+        size = len(gens) + 2
+        low, high = rng.sample(range(size), 2)  # positions of P_v[s] and P_v[s+1]
+        rest = [i for i in range(size) if i not in (low, high)]
+        placed = [None] * size
+        for old, new in enumerate(rest):
+            placed[new] = gens[old]
+        placed[low], placed[high] = Generator(v, s), Generator(v, s + 1)
+        diff = {(rest[h], rest[g]): c for (h, g), c in diff.items()}
+        diff[(low, high)] = rng.choice((1, -1, 2, Fraction(-1, 3)))
+        gens = placed
+    return TwistedComplex(alg, gens, diff)
+
+
+@settings(SETTINGS, max_examples=24)
+@given(braid_images_with_a_differential(), st.integers(0, 2**16), st.integers(0, 5))
+def test_one_pass_minimize_and_reps_match_the_oracles(image, seed, v):
+    """On drawn images, and on them padded with cones of identities at random
+    positions: `minimize` equals the pass-by-pass oracle and drops exactly the
+    padding, the reps of every Hom complex equal `cocycle_reps` degree by
+    degree, and so do those made inside a twist and an untwist."""
+    alg, y = image
+    rng = random.Random(seed)
+    x = simple_object(alg, v % alg.quiver.vertex_count)
+    for obj in (y, _padded(y, rng)):
+        assert_same_complex(minimize(obj), minimize_by_passes(obj))
+        assert minimize(obj) == minimize(y)
+        for source, target in ((x, obj), (obj, x), (obj, obj)):
+            hom = HomComplex(source, target)
+            assert_same_reps(hom.all_cohomology_reps(), reps_by_degree(hom))
+        with twists_checked_against_oracles() as counts:
+            twist(x, obj)
+            untwist(x, obj)
+        assert counts["minimize"] == 2
 
 
 def _basis_by_pairs(source, target):

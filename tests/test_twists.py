@@ -18,7 +18,10 @@ from twistcat import (
     untwist,
     untwist_triangle,
 )
-from conftest import random_word
+from twistcat import StabilityCondition, ZigzagAlgebra, named_quiver, random_generic_charge
+from twistcat.homcore import HomComplex
+from twistcat.verify import power_image
+from conftest import random_word, twists_checked_against_oracles
 
 
 def test_twist_of_self_is_downshift(alg_a2):
@@ -177,3 +180,49 @@ def test_twist_triangles_exist(alg_a2):
     co = untwist_triangle(p1, p2)
     assert co is not None
     assert co[1] == p2
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "E6"])
+def test_twists_inside_apply_braid_match_the_oracles(name):
+    """Every twist and untwist of random words: one-pass `minimize` and the
+    one-elimination reps equal the pass-by-pass and degree-by-degree oracles."""
+    alg = ZigzagAlgebra(named_quiver(name))
+    n = alg.quiver.vertex_count
+    rng = random.Random(f"oracle-twists:{name}")
+    with twists_checked_against_oracles() as counts:
+        for _ in range(25):
+            apply_braid(alg, random_word(rng, n, 10), simple_object(alg, rng.randrange(n)))
+    assert counts["minimize"] >= 25 * 3 and counts["reps"] >= 25 * 3
+
+
+def test_twists_of_a_265_generator_object_match_the_oracles():
+    """The A3 image of the middle simple under (s1 s2' s3)^4, twist by twist."""
+    alg = ZigzagAlgebra(named_quiver("A3"))
+    with twists_checked_against_oracles() as counts:
+        y = power_image(alg, "s1 s2' s3", 4, 1)
+    assert len(y.generators) == 265
+    assert counts["minimize"] == counts["reps"] == 12
+
+
+@pytest.mark.parametrize("name", ["A3", "D4"])
+def test_tensor_is_the_direct_sum_of_shifts_by_the_rep_degrees(name):
+    """Twisting by stable objects, which have a differential: the tensor of the
+    triangle is the direct sum of x[-d] (twist) or x[d] (untwist) over the reps."""
+    alg = ZigzagAlgebra(named_quiver(name))
+    n = alg.quiver.vertex_count
+    rng = random.Random(f"tensor:{name}")
+    stab = StabilityCondition(alg, random_generic_charge(alg.quiver, rng))
+    formed = 0
+    for w in stab.roots:
+        x = stab.stable_object(w)
+        y = apply_braid(alg, random_word(rng, n, 5), simple_object(alg, rng.randrange(n)))
+        for builder, exponent in ((twist_triangle, 1), (untwist_triangle, -1)):
+            triangle = builder(x, y, _spherical_checked=True)
+            if triangle is None:
+                continue
+            formed += 1
+            source, target = (x, y) if exponent == 1 else (y, x)
+            degrees = [d for d, _ in HomComplex(source, target).all_cohomology_reps()]
+            tensor = triangle[0] if exponent == 1 else triangle[2]
+            assert tensor == direct_sum(*[x.shift(-exponent * d) for d in degrees])
+    assert formed >= len(stab.roots)
