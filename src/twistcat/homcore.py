@@ -23,20 +23,28 @@ Hom-complex differentials are assembled as sparse columns, and every rank,
 cohomology dimension and cocycle representative comes from the exact sparse
 echelon in linalg.  Integral entries enter those columns as ints, so the
 Hom tests on ±1 data eliminate without building a Fraction.
+
+An entry is an int or a Fraction, and equal values compare equal either
+way.  Validated construction stores every entry as a Fraction, and so do
+the reps `cocycle_reps` and `all_cohomology_reps` return.  The twists lay
+out their cones from the echelon's kernel vectors as they are (`_cone`),
+so a twisted object keeps its integral entries as ints, and `minimize` and
+later Hom tests on it run in ints.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from . import linalg
 from .errors import HypothesisNotMet
 from .rootlat import Root
 from .zigzag import ZigzagAlgebra
 
-# (target, source) -> entry; validated construction stores every entry as a Fraction
+# (target, source) -> entry; validated construction stores every entry as a Fraction,
+# and the twists keep integral entries as ints
 Entries = dict[tuple[int, int], int | Fraction]
 
 
@@ -268,15 +276,37 @@ def cone(f: Morphism) -> TwistedComplex:
     if not f.is_closed():
         raise ValueError("cone needs a closed morphism")
     x, y = f.source, f.target
-    n_y = len(y.generators)
-    gens = list(y.generators) + [Generator(v, s + 1) for v, s in x.generators]
-    diff: Entries = dict(y.differential)
-    for (h, g), c in x.differential.items():
-        diff[(h + n_y, g + n_y)] = -c
-    for (h, g), c in f.entries.items():
-        diff[(h, g + n_y)] = c
-    # square-zero ends leave D(f) as the cone's only square block, and f is closed
-    return TwistedComplex(x.alg, gens, diff, validate=False)
+    return _cone(x.alg, x.generators, x.differential, y.generators, y.differential, f.entries)
+
+
+def _cone(
+    alg: ZigzagAlgebra,
+    x_gens: Sequence[Generator],
+    x_diff: Entries,
+    y_gens: Sequence[Generator],
+    y_diff: Entries,
+    entries: Entries,
+    shift: int = 0,
+) -> TwistedComplex:
+    """cone(f)[shift] for the degree-0 map f: x -> y with these entries, laid out
+    with no check: y[shift] first, then x[shift + 1], with differential blocks
+    d_Y, f, -d_X, each times (-1)^shift.
+
+    Square-zero ends leave D(f) as the cone's only square block, so the
+    caller vouches that f is closed; `cone` checks it first.  The keys come
+    in the order `cone` and then `shift` leave them, and entries keep their
+    type.
+    """
+    n_y = len(y_gens)
+    gens = [Generator(v, s + shift) for v, s in y_gens] if shift else list(y_gens)
+    gens += [Generator(v, s + shift + 1) for v, s in x_gens]
+    odd = shift % 2
+    diff: Entries = {k: -c for k, c in y_diff.items()} if odd else dict(y_diff)
+    for (h, g), c in x_diff.items():
+        diff[(h + n_y, g + n_y)] = c if odd else -c
+    for (h, g), c in entries.items():
+        diff[(h, g + n_y)] = -c if odd else c
+    return TwistedComplex(alg, gens, diff, validate=False)
 
 
 def minimize(x: TwistedComplex) -> TwistedComplex:
@@ -469,7 +499,14 @@ class HomComplex:
 
     def all_cohomology_reps(self) -> list[tuple[int, Morphism]]:
         """(d, rep) for every degree d in ascending order, the reps of each d
-        being `cocycle_reps(d)`; each differential is eliminated once.
+        being `cocycle_reps(d)`: the `rep_vectors` as Fraction-valued Morphisms."""
+        return [(d, self._vector_to_morphism(d, vec)) for d, vec in self.rep_vectors()]
+
+    def rep_vectors(self) -> list[tuple[int, linalg.Vector]]:
+        """(d, vector) for every degree d in ascending order: the coordinates,
+        on the Hom^d basis, of the reps `all_cohomology_reps` returns, with the
+        int-or-Fraction entries of the echelon.  Each differential is
+        eliminated once, and each vector lies in the kernel of D_d.
 
         One carried echelon of D_d gives two things.  Its dependent columns
         reduce to ker D_d, the vectors `nullspace` returns.  Its pivots,
@@ -487,8 +524,7 @@ class HomComplex:
         image = None  # the echelon of the previous degree's differential
         for d in self.degrees():
             kernel, ech = linalg.kernel_and_image(self.matrix(d))
-            for vec in linalg.complement_of_span(kernel, image):
-                out.append((d, self._vector_to_morphism(d, vec)))
+            out.extend((d, vec) for vec in linalg.complement_of_span(kernel, image))
             image = ech
         return out
 

@@ -8,6 +8,14 @@ cohomology basis element, connected by the chosen closed representatives.
 Over the rationals the retract has zero internal differential, so the
 tensor factor is a plain direct sum of shifts.
 
+The reps are read as the kernel vectors of the Hom complex's echelon
+(`HomComplex.rep_vectors`), ints wherever the data is integral, and the
+cone is laid out from them (`homcore._cone`) without the closure check
+that `cone` makes.  None is needed: each rep is a kernel vector of D_d, so
+D(rep) = 0 exactly.  The same entries read as a degree-0 map from x[-d] to
+y, or from y to x[d], have the differential D(rep) or (-1)^d D(rep), and
+no entry joins two copies of x in the tensor, so the whole map is closed.
+
 Braid words store letters in application order: ``letters[0]`` acts first.
 The text syntax mirrors the usual operator order instead, so in
 ``"s2' s3' s1"`` the rightmost token acts first and an apostrophe marks an
@@ -21,10 +29,9 @@ from dataclasses import dataclass
 from .homcore import (
     Entries,
     Generator,
-    Morphism,
-    TwistedComplex,
-    cone,
     HomComplex,
+    TwistedComplex,
+    _cone,
     is_spherical,
     minimize,
     simple_object,
@@ -87,19 +94,22 @@ def _require_spherical(x: TwistedComplex, checked: bool) -> None:
 Triangle = tuple[TwistedComplex, TwistedComplex, TwistedComplex]
 
 
-def _triangle(
+def _twisted(
     x: TwistedComplex, y: TwistedComplex, exponent: int, checked: bool
-) -> Triangle | None:
-    """The exact triangle of the twist (exponent 1) or untwist (-1) of y by x.
+) -> tuple[list[Generator], Entries, TwistedComplex] | None:
+    """The tensor's generators and differential, and the minimized twist
+    (exponent 1) or untwist (-1) of y by x; None when the Hom space vanishes.
 
     Exponent 1 takes the evaluation map from (cohomology of Hom(x, y))
-    tensor x into y and returns (tensor, y, twist); exponent -1 takes the
-    adjoint map from y into x tensor the dual of Hom(y, x) and returns
-    (untwist, y, tensor).  None when the Hom space vanishes.
+    tensor x into y, exponent -1 the adjoint map from y into x tensor the
+    dual of Hom(y, x).  The map is closed with no check (module docstring),
+    and integral data stays in ints through the cone, `minimize` and every
+    later Hom test.
     """
     _require_spherical(x, checked)
     source, target = (x, y) if exponent == 1 else (y, x)
-    reps = HomComplex(source, target).all_cohomology_reps()
+    hom = HomComplex(source, target)
+    reps = hom.rep_vectors()
     if not reps:
         return None
     # the tensor is the direct sum of the shifts x[-exponent * d], one per rep,
@@ -107,29 +117,44 @@ def _triangle(
     gens: list[Generator] = []
     diff: Entries = {}
     entries: Entries = {}
-    for d, rep in reps:
+    for d, vec in reps:
         offset, shift = len(gens), -exponent * d
         gens.extend(Generator(v, s + shift) for v, s in x.generators)
         for (h, g), c in x.differential.items():
             diff[(h + offset, g + offset)] = -c if shift % 2 else c
-        for (h, g), c in rep.entries.items():
-            entries[(h, g + offset) if exponent == 1 else (h + offset, g)] = c
-    tensor = TwistedComplex(x.alg, gens, diff, validate=False)
+        basis = hom.basis[d]
+        for pos in sorted(vec):
+            g, h = basis[pos]
+            entries[(h, g + offset) if exponent == 1 else (h + offset, g)] = vec[pos]
     if exponent == 1:
-        return tensor, y, minimize(cone(Morphism(tensor, y, 0, entries, validate=False)))
-    return minimize(cone(Morphism(y, tensor, 0, entries, validate=False)).shift(-1)), y, tensor
+        layout = _cone(x.alg, gens, diff, y.generators, y.differential, entries)
+    else:
+        layout = _cone(x.alg, y.generators, y.differential, gens, diff, entries, shift=-1)
+    return gens, diff, minimize(layout)
+
+
+def _triangle(
+    x: TwistedComplex, y: TwistedComplex, exponent: int, checked: bool
+) -> Triangle | None:
+    """(tensor, y, twist) for exponent 1, (untwist, y, tensor) for -1, or None."""
+    out = _twisted(x, y, exponent, checked)
+    if out is None:
+        return None
+    gens, diff, twisted = out
+    tensor = TwistedComplex(x.alg, gens, diff, validate=False)
+    return (tensor, y, twisted) if exponent == 1 else (twisted, y, tensor)
 
 
 def twist(x: TwistedComplex, y: TwistedComplex, _spherical_checked: bool = False) -> TwistedComplex:
     """Positive spherical twist of y by x, minimized."""
-    triangle = _triangle(x, y, 1, _spherical_checked)
-    return triangle[2] if triangle else minimize(y)
+    out = _twisted(x, y, 1, _spherical_checked)
+    return out[2] if out else minimize(y)
 
 
 def untwist(x: TwistedComplex, y: TwistedComplex, _spherical_checked: bool = False) -> TwistedComplex:
     """Inverse spherical twist of y by x, minimized; two-sided inverse of twist."""
-    triangle = _triangle(x, y, -1, _spherical_checked)
-    return triangle[0] if triangle else minimize(y)
+    out = _twisted(x, y, -1, _spherical_checked)
+    return out[2] if out else minimize(y)
 
 
 def twist_triangle(

@@ -136,7 +136,9 @@ def minimize_by_passes(x: TwistedComplex) -> TwistedComplex:
             break
         h, g = pivot
         c = diff[pivot]
-        into_h = [(src, a / c) for (tgt, src), a in diff.items() if tgt == h and src not in pivot]
+        into_h = [
+            (src, Fraction(a) / c) for (tgt, src), a in diff.items() if tgt == h and src not in pivot
+        ]
         from_g = [(tgt, b) for (tgt, src), b in diff.items() if src == g and tgt not in pivot]
         keep = [i for i in range(len(gens)) if i not in pivot]
         remap = {old: new for new, old in enumerate(keep)}
@@ -172,12 +174,23 @@ def assert_same_reps(reps: list, oracle: list) -> None:
     assert all(type(c) is Fraction for _, r in reps for c in r.entries.values())
 
 
+def assert_vectors_are_the_reps(hom, vectors: list) -> None:
+    """The (degree, vector) pairs of `HomComplex.rep_vectors`, each vector
+    mapped through the Hom basis, equal the oracle's reps, entries in the
+    same key order."""
+    mapped = []
+    for d, vec in vectors:
+        basis = hom.basis[d]
+        mapped.append((d, [((basis[pos][1], basis[pos][0]), vec[pos]) for pos in sorted(vec)]))
+    assert mapped == [(d, list(r.entries.items())) for d, r in reps_by_degree(hom)]
+
+
 @contextlib.contextmanager
 def twists_checked_against_oracles():
-    """Inside the block every `minimize` and `all_cohomology_reps` call made by
-    the twists is compared with its oracle; yields the number of each checked."""
+    """Inside the block every `minimize` and `rep_vectors` call made by the
+    twists is compared with its oracle; yields the number of each checked."""
     counts = {"minimize": 0, "reps": 0}
-    minimize, all_reps = twists.minimize, HomComplex.all_cohomology_reps
+    minimize, rep_vectors = twists.minimize, HomComplex.rep_vectors
 
     def checked_minimize(x):
         out = minimize(x)
@@ -186,11 +199,11 @@ def twists_checked_against_oracles():
         return out
 
     def checked_reps(hom):
-        out = all_reps(hom)
-        assert_same_reps(out, reps_by_degree(hom))
+        out = rep_vectors(hom)
+        assert_vectors_are_the_reps(hom, out)
         counts["reps"] += 1
         return out
 
     with mock.patch.object(twists, "minimize", checked_minimize), \
-            mock.patch.object(HomComplex, "all_cohomology_reps", checked_reps):
+            mock.patch.object(HomComplex, "rep_vectors", checked_reps):
         yield counts

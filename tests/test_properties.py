@@ -205,17 +205,17 @@ def test_minimize_is_idempotent_and_leaves_no_degree_zero_entry(image, v):
 
 @contextlib.contextmanager
 def _recording(outputs):
-    """Keep every complex the twists build with cone and minimize."""
+    """Keep every complex the twists build with the cone layout and minimize."""
 
     def keep(fn):
-        def wrapped(arg):
-            out = fn(arg)
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
             outputs.append(out)
             return out
 
         return wrapped
 
-    with mock.patch.object(twists, "cone", keep(cone)):
+    with mock.patch.object(twists, "_cone", keep(twists._cone)):
         with mock.patch.object(twists, "minimize", keep(minimize)):
             yield
 
@@ -287,6 +287,31 @@ def _check_gauge(alg, y, seed, v):
     assert is_spherical(y2) == is_spherical(y)
     stab = StabilityCondition(alg, random_generic_charge(alg.quiver, rng))
     assert stab.phi_probes(y2) == stab.phi_probes(y)
+
+
+@settings(SETTINGS, max_examples=18)
+@given(braid_images_with_a_differential(), st.integers(0, 2**16), st.integers(0, 5),
+       st.integers(0, 119))
+def test_twists_of_gauged_inputs_mix_int_reps_with_fraction_entries(image, seed, v, index):
+    """Twists and untwists of a gauged image, by a simple and by a gauged
+    stable object: the cone mixes the echelon's int reps with non-±1
+    Fraction entries.  Each result has the Hom dimensions and both probe hits
+    of the ungauged twist, and no entry of it or of its cone is a float."""
+    alg, y = image
+    rng = random.Random(seed)
+    stab = StabilityCondition(alg, random_generic_charge(alg.quiver, rng))
+    s = stab.stable_object(stab.roots[index % len(stab.roots)])
+    y2 = _gauged(y, rng)
+    for x, x2 in ((simple_object(alg, v % alg.quiver.vertex_count),) * 2, (s, _gauged(s, rng))):
+        for op in (twist, untwist):
+            built = []
+            with _recording(built):
+                out2 = op(x2, y2, True)
+            assert not any(type(c) is float for obj in built for c in obj.differential.values())
+            out = op(x, y, True)
+            assert hom_dims(out2, out2) == hom_dims(out, out)
+            assert hom_dims(x2, out2) == hom_dims(x, out)
+            assert stab.phi_probes(out2) == stab.phi_probes(out)
 
 
 @settings(SETTINGS, max_examples=30)

@@ -1,4 +1,7 @@
+import json
 import random
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -19,9 +22,10 @@ from twistcat import (
     untwist_triangle,
 )
 from twistcat import StabilityCondition, ZigzagAlgebra, named_quiver, random_generic_charge
-from twistcat.homcore import HomComplex
+from twistcat import twists
+from twistcat.homcore import HomComplex, Morphism, TwistedComplex, cone, minimize
 from twistcat.verify import power_image
-from conftest import random_word, twists_checked_against_oracles
+from conftest import assert_same_complex, random_word, twists_checked_against_oracles
 
 
 def test_twist_of_self_is_downshift(alg_a2):
@@ -226,3 +230,98 @@ def test_tensor_is_the_direct_sum_of_shifts_by_the_rep_degrees(name):
             tensor = triangle[0] if exponent == 1 else triangle[2]
             assert tensor == direct_sum(*[x.shift(-exponent * d) for d in degrees])
     assert formed >= len(stab.roots)
+
+
+def _checked_cone_of_the_map(x, y, exponent):
+    """Oracle: the `cone` of the twist's map laid out from the Fraction reps,
+    with its closure check, shifted by [-1] for an untwist; None when the
+    Hom space vanishes."""
+    source, target = (x, y) if exponent == 1 else (y, x)
+    reps = HomComplex(source, target).all_cohomology_reps()
+    if not reps:
+        return None
+    tensor = direct_sum(*[x.shift(-exponent * d) for d, _ in reps])
+    entries = {}
+    for i, (_, rep) in enumerate(reps):
+        offset = i * len(x.generators)
+        for (h, g), c in rep.entries.items():
+            entries[(h, g + offset) if exponent == 1 else (h + offset, g)] = c
+    if exponent == 1:
+        return cone(Morphism(tensor, y, 0, entries))
+    return cone(Morphism(y, tensor, 0, entries)).shift(-1)
+
+
+def _handed_to_minimize(op, x, y):
+    """The one complex `op(x, y)` hands to `minimize`."""
+    seen = []
+
+    def recording(c):
+        seen.append(c)
+        return minimize(c)
+
+    with mock.patch.object(twists, "minimize", recording):
+        op(x, y, _spherical_checked=True)
+    [layout] = seen
+    return layout
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "E6"])
+def test_each_twist_minimizes_the_checked_cone_of_its_map(name):
+    """The cone each twist and untwist minimizes, laid out from the kernel
+    vectors with no closure check, equals `cone` of the same map (which
+    checks closure): equal generators, and equal entries in the same key
+    order.  Twists by simples and by stable objects of random words."""
+    alg = ZigzagAlgebra(named_quiver(name))
+    n = alg.quiver.vertex_count
+    rng = random.Random(f"cone-layout:{name}")
+    stab = StabilityCondition(alg, random_generic_charge(alg.quiver, rng))
+    xs = [simple_object(alg, v) for v in range(n)]
+    xs += [stab.stable_object(w) for w in rng.sample(stab.roots, 4)]
+    cones = 0
+    for _ in range(12):
+        y = apply_braid(alg, random_word(rng, n, 6), simple_object(alg, rng.randrange(n)))
+        for x in xs:
+            for op, exponent in ((twist, 1), (untwist, -1)):
+                oracle = _checked_cone_of_the_map(x, y, exponent)
+                layout = _handed_to_minimize(op, x, y)
+                if oracle is None:
+                    assert layout is y
+                    continue
+                assert_same_complex(layout, oracle)
+                cones += 1
+    assert cones >= 12 * len(xs)
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "E6"])
+def test_twists_of_plus_minus_one_data_hold_only_ints(name):
+    """apply_braid on simples, and twists by stable objects, keep every entry
+    an int: the reps enter the cone as the echelon's int vectors."""
+    alg = ZigzagAlgebra(named_quiver(name))
+    n = alg.quiver.vertex_count
+    rng = random.Random(f"int-entries:{name}")
+    stab = StabilityCondition(alg, random_generic_charge(alg.quiver, rng))
+    entries = 0
+    for _ in range(10):
+        y = apply_braid(alg, random_word(rng, n, 8), simple_object(alg, rng.randrange(n)))
+        x = stab.stable_object(rng.choice(stab.roots))
+        for obj in (y, x, twist(x, y, True), untwist(x, y, True)):
+            assert all(type(c) is int for c in obj.differential.values())
+            entries += len(obj.differential)
+    assert entries >= 50
+
+
+def test_int_entries_equal_their_fractions_and_serialize_alike(alg_a3):
+    """A twisted object is == to its copy with every entry a Fraction, and
+    both give the same JSON."""
+    rng = random.Random("int-vs-fraction")
+    compared = 0
+    for _ in range(10):
+        y = apply_braid(alg_a3, random_word(rng, 3, 8), simple_object(alg_a3, rng.randrange(3)))
+        as_fractions = TwistedComplex(
+            alg_a3, y.generators, {k: Fraction(c) for k, c in y.differential.items()}
+        )
+        assert all(type(c) is Fraction for c in as_fractions.differential.values())
+        assert y == as_fractions and as_fractions == y
+        assert json.dumps(y.to_json_dict()) == json.dumps(as_fractions.to_json_dict())
+        compared += bool(y.differential)
+    assert compared >= 5
