@@ -1,7 +1,8 @@
 """Time the reduction of large braid images on A3, and check each result.
 
 The input for k is the image of the middle A3 simple (0-based vertex 1)
-under (s1 s2' s3)^k: 989 generators at k=5, 3691 at k=6, 13775 at k=7.
+under (s1 s2' s3)^k: 989 generators at k=5, 3691 at k=6, 13775 at k=7,
+51409 at k=8.
 For each k the script times `apply_braid` (building the input),
 `reduce_to_stable` (bottom strategy, one fixed generic charge) and the
 reconstruction check word^-1(start) ≅ final, and checks that the final

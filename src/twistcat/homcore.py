@@ -108,7 +108,13 @@ def _compose(
 
 
 class TwistedComplex:
-    """Immutable-by-convention twisted complex; validates its invariants eagerly."""
+    """Immutable-by-convention twisted complex; validates its invariants eagerly.
+
+    With validate=False the generators are still converted to `Generator`s
+    and zero entries dropped.  The engine's own layouts (`shift`, `_cone`,
+    `minimize`, `direct_sum`, the simple and zero objects and the twists'
+    tensors) build their data in that form and store it as given (`_trusted`).
+    """
 
     __slots__ = ("alg", "generators", "differential")
 
@@ -143,6 +149,21 @@ class TwistedComplex:
         else:
             self.differential = {k: c for k, c in diff.items() if c}
 
+    @classmethod
+    def _trusted(
+        cls, alg: ZigzagAlgebra, generators: tuple[Generator, ...], differential: Entries
+    ) -> "TwistedComplex":
+        """The complex with exactly these generators and entries, stored as given.
+
+        For callers that vouch for the data: a tuple of `Generator`s, a
+        square-zero differential with no zero entry, and a dict that no
+        one changes afterwards.  Objects are immutable by convention, so a
+        caller may hand over the dict of another object.
+        """
+        obj = object.__new__(cls)
+        obj.alg, obj.generators, obj.differential = alg, generators, differential
+        return obj
+
     @property
     def is_zero(self) -> bool:
         return not self.generators
@@ -150,11 +171,11 @@ class TwistedComplex:
     def shift(self, n: int) -> "TwistedComplex":
         if n == 0:
             return self
-        gens = [Generator(v, s + n) for v, s in self.generators]
+        gens = tuple(Generator(v, s + n) for v, s in self.generators)
         diff = self.differential
         if n % 2:
             diff = {k: -c for k, c in diff.items()}
-        return TwistedComplex(self.alg, gens, diff, validate=False)
+        return TwistedComplex._trusted(self.alg, gens, diff)
 
     def k_class(self) -> Root:
         coords = [0] * self.alg.quiver.vertex_count
@@ -193,13 +214,13 @@ class TwistedComplex:
 
 
 def zero_object(alg: ZigzagAlgebra) -> TwistedComplex:
-    return TwistedComplex(alg, [], {}, validate=False)
+    return TwistedComplex._trusted(alg, (), {})
 
 
 def simple_object(alg: ZigzagAlgebra, v: int, shift: int = 0) -> TwistedComplex:
     if not 0 <= v < alg.quiver.vertex_count:
         raise ValueError(f"vertex {v} out of range")
-    return TwistedComplex(alg, [Generator(v, shift)], {}, validate=False)
+    return TwistedComplex._trusted(alg, (Generator(v, shift),), {})
 
 
 def _same_quiver(x: TwistedComplex, y: TwistedComplex) -> None:
@@ -221,7 +242,7 @@ def direct_sum(*objects: TwistedComplex) -> TwistedComplex:
         for (h, g), c in obj.differential.items():
             diff[(h + offset, g + offset)] = c
         offset += len(obj.generators)
-    return TwistedComplex(alg, gens, diff, validate=False)
+    return TwistedComplex._trusted(alg, tuple(gens), diff)
 
 
 class Morphism:
@@ -298,15 +319,16 @@ def _cone(
     type.
     """
     n_y = len(y_gens)
-    gens = [Generator(v, s + shift) for v, s in y_gens] if shift else list(y_gens)
-    gens += [Generator(v, s + shift + 1) for v, s in x_gens]
+    gens = (
+        tuple(Generator(v, s + shift) for v, s in y_gens) if shift else tuple(y_gens)
+    ) + tuple(Generator(v, s + shift + 1) for v, s in x_gens)
     odd = shift % 2
     diff: Entries = {k: -c for k, c in y_diff.items()} if odd else dict(y_diff)
     for (h, g), c in x_diff.items():
         diff[(h + n_y, g + n_y)] = c if odd else -c
     for (h, g), c in entries.items():
         diff[(h, g + n_y)] = -c if odd else c
-    return TwistedComplex(alg, gens, diff, validate=False)
+    return TwistedComplex._trusted(alg, gens, diff)
 
 
 def minimize(x: TwistedComplex) -> TwistedComplex:
@@ -389,9 +411,9 @@ def minimize(x: TwistedComplex) -> TwistedComplex:
                 diff[key] = e
     keep = [i for i, live in enumerate(alive) if live]
     remap = {old: new for new, old in enumerate(keep)}
-    gens = [x.generators[i] for i in keep]
-    return TwistedComplex(
-        x.alg, gens, {(remap[t], remap[s]): e for (t, s), e in diff.items()}, validate=False
+    gens = tuple(x.generators[i] for i in keep)
+    return TwistedComplex._trusted(
+        x.alg, gens, {(remap[t], remap[s]): e for (t, s), e in diff.items()}
     )
 
 

@@ -13,8 +13,22 @@ gets the ray D*Z(w) in Z^2, the integer combination of the simples' rays.
 A positive scaling keeps every argument, and the cross product of two rays
 is D^2 times that of the charges, with the same sign, so the argument
 order, the genericity check and the sign rule read integer cross products
-and decide exactly what the rational charges decide.  The rational
-Z(w) = ray / D is built only when a phase needs it.
+and decide exactly what the rational charges decide.
+
+Phases are decided on integer rays too.  A `Phase` is the shift k, an
+integer ray in H and a positive int scale, its witness z being ray/scale;
+a probe hit S_w[k] is (k, D*Z(w), D).  Order and equality are the shift
+and the sign of an integer cross product; a sum or difference multiplies
+the rays (by the conjugate for a difference) and the scales, which gives
+the same witness as the product of the rational witnesses.  The Fraction
+witness `Phase.z` is built only for output (`to_json_dict`, `float`,
+`repr`), and so is the rational Z(w) = ray / D.
+
+The stable objects a condition probes with depend on its charge only
+through their sign vectors, so the algebra's shared record keeps one rung
+(root, stable object, its shift range) per (root, sign vector), and a new
+condition reads its ladder off those rungs after working out each root's
+signs with integer crosses (see `_probe_ladder`).
 
 A probe walk tries the stable objects S_w[k] in phase order and starts at
 the phase bound of the object's own generators.  When the entry graph of
@@ -107,81 +121,118 @@ class ExactComplex:
         return f"({self.re})+({self.im})i"
 
 
-def cross(a: ExactComplex, b: ExactComplex) -> Fraction:
-    """Positive exactly when arg(b) > arg(a), for a, b with arguments in [0, pi)."""
-    return a.re * b.im - a.im * b.re
+def _on_lattice(z: ExactComplex) -> tuple[int, int, int]:
+    """(re, im, scale) with z = (re + i*im) / scale, scale the lcm of z's denominators."""
+    scale = math.lcm(z.re.denominator, z.im.denominator)
+    return (
+        z.re.numerator * (scale // z.re.denominator),
+        z.im.numerator * (scale // z.im.denominator),
+        scale,
+    )
 
 
 @total_ordering
 class Phase:
     """Exact number of the form k + arg(z)/pi, with arg(z) normalized to [0, pi).
 
-    Represents both phases and phase differences (spreads); ordering and
-    equality are decided by the integer part and a cross-product sign.
+    Represents both phases and phase differences (spreads).  It is stored as
+    the shift k, an integer ray (re, im) in H and a positive int scale, with
+    z = (re + i*im) / scale; a positive scale keeps the argument, so order,
+    equality, sums and differences are int arithmetic on the shift and the
+    ray (cross products and complex products), and the Fraction witness `z`
+    is built only when output asks for it.
     """
 
-    __slots__ = ("shift", "z")
+    __slots__ = ("shift", "_re", "_im", "_scale")
 
     def __init__(self, shift: int, z: ExactComplex):
         if not z.in_upper_half():
             raise ValueError("phase witness must have argument in [0, pi)")
         self.shift = shift
-        self.z = z
+        self._re, self._im, self._scale = _on_lattice(z)
+
+    @classmethod
+    def _on_ray(cls, shift: int, re: int, im: int, scale: int) -> "Phase":
+        """Phase shift + arg(re + i*im)/pi, with witness (re + i*im)/scale; no check
+        that (re, im) lies in H or that scale is positive."""
+        phase = object.__new__(cls)
+        phase.shift, phase._re, phase._im, phase._scale = shift, re, im, scale
+        return phase
+
+    @classmethod
+    def _principal(cls, shift: int, re: int, im: int, scale: int) -> "Phase":
+        """Phase shift + arg(re + i*im)/pi, by the principal argument, for a nonzero ray."""
+        if im > 0 or (im == 0 and re > 0):
+            return cls._on_ray(shift, re, im, scale)
+        if im == 0:  # negative real axis: argument pi
+            return cls._on_ray(shift + 1, -re, 0, scale)
+        return cls._on_ray(shift - 1, -re, -im, scale)  # lower half: argument in (-pi, 0)
 
     @classmethod
     def of(cls, z: ExactComplex, shift: int = 0) -> "Phase":
         """Phase shift + arg(z)/pi for any nonzero z (principal argument)."""
         if z.is_zero():
             raise ValueError("zero has no phase")
-        if z.in_upper_half():
-            return cls(shift, z)
-        if z.im == 0:  # negative real axis: argument pi
-            return cls(shift + 1, -z)
-        return cls(shift - 1, -z)  # lower half: argument in (-pi, 0)
+        return cls._principal(shift, *_on_lattice(z))
 
     @classmethod
     def integer(cls, k: int) -> "Phase":
-        return cls(k, ExactComplex.of(1))
+        return cls._on_ray(k, 1, 0, 1)
+
+    @property
+    def z(self) -> ExactComplex:
+        """The exact witness: arg(z)/pi is the phase minus its shift."""
+        return ExactComplex(Fraction(self._re, self._scale), Fraction(self._im, self._scale))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Phase)
             and self.shift == other.shift
-            and cross(self.z, other.z) == 0
+            and self._re * other._im == self._im * other._re
         )
 
     def __lt__(self, other: "Phase") -> bool:
         if self.shift != other.shift:
             return self.shift < other.shift
-        return cross(self.z, other.z) > 0
+        return self._re * other._im > self._im * other._re
+
+    def __gt__(self, other: "Phase") -> bool:
+        if self.shift != other.shift:
+            return self.shift > other.shift
+        return self._re * other._im < self._im * other._re
 
     def __add__(self, other) -> "Phase":
         if isinstance(other, int):
-            return Phase(self.shift + other, self.z)
-        prod = self.z * other.z
-        if prod.in_upper_half():
-            return Phase(self.shift + other.shift, prod)
-        return Phase(self.shift + other.shift + 1, -prod)
+            return Phase._on_ray(self.shift + other, self._re, self._im, self._scale)
+        a, b, c, d = self._re, self._im, other._re, other._im
+        # the arguments add up to one in [0, 2 pi); outside H, the negated product lies in H
+        re, im = a * c - b * d, a * d + b * c
+        shift, scale = self.shift + other.shift, self._scale * other._scale
+        if im > 0 or (im == 0 and re > 0):
+            return Phase._on_ray(shift, re, im, scale)
+        return Phase._on_ray(shift + 1, -re, -im, scale)
 
     def __sub__(self, other: "Phase") -> "Phase":
-        return Phase.of(self.z * other.z.conjugate(), self.shift - other.shift)
+        a, b, c, d = self._re, self._im, other._re, other._im
+        return Phase._principal(
+            self.shift - other.shift, a * c + b * d, b * c - a * d, self._scale * other._scale
+        )
 
     def is_zero(self) -> bool:
-        return self.shift == 0 and self.z.im == 0
+        return self.shift == 0 and self._im == 0
 
     def __float__(self) -> float:
-        return self.shift + math.atan2(float(self.z.im), float(self.z.re)) / math.pi
+        # int / int is correctly rounded, so each part equals float() of the witness's Fraction
+        return self.shift + math.atan2(self._im / self._scale, self._re / self._scale) / math.pi
 
     def __repr__(self) -> str:
         return f"Phase({float(self):.6f})"
 
     def to_json_dict(self) -> dict:
+        z = self.z
         return {
             "shift": self.shift,
-            "witness": [
-                self.z.re.numerator, self.z.re.denominator,
-                self.z.im.numerator, self.z.im.denominator,
-            ],
+            "witness": [z.re.numerator, z.re.denominator, z.im.numerator, z.im.denominator],
             "approx": round(float(self), 9),
         }
 
@@ -310,6 +361,9 @@ def _distinct_rays(rays: list[Ray]) -> bool:
     return _by_argument(rays)[1]
 
 
+Rung = tuple[Root, TwistedComplex, int, int]  # (root, stable object, its shift range)
+
+
 class ProbeHit(NamedTuple):
     """A phase witnessed by a nonzero Hom^0 with the stable object of root, shifted."""
 
@@ -371,9 +425,12 @@ class _ChargeFree:
     """The stability data of one algebra that no charge changes, shared by all its conditions.
 
     The positive roots (the finite-type check runs once), each root's
-    minimal word and root sequence, and the lift table (base vertex, signed
-    braid word) -> object; a lift enters the table only after it has passed
-    the sphericity certificate.
+    minimal word and root sequence, the lift table (base vertex, signed
+    braid word) -> object, and the probe ladder's rungs (root, sign vector)
+    -> (root, lift, its shift range).  A root's sign vector selects its
+    lift, so a condition whose sign vectors all have rungs reads its ladder
+    off them.  A lift enters the lift table only after it has passed the
+    sphericity certificate, and a rung only after its lift has.
 
     The record is the algebra's `charge_free` attribute, not an entry of a
     table keyed by the algebra: every stored object refers back to its
@@ -381,7 +438,7 @@ class _ChargeFree:
     forms a cycle that the garbage collector reclaims.
     """
 
-    __slots__ = ("roots", "words", "lifts")
+    __slots__ = ("roots", "words", "lifts", "rungs")
 
     def __init__(self, q: QuiverGraph):
         self.roots = positive_roots(q)
@@ -390,6 +447,7 @@ class _ChargeFree:
             word = minimal_word(q, w)
             self.words[w] = (word, tuple(root_sequence(q, word)))
         self.lifts: dict[tuple[int, BraidWord], TwistedComplex] = {}
+        self.rungs: dict[tuple[Root, tuple[int, ...]], Rung] = {}
 
 
 class StabilityCondition:
@@ -401,8 +459,8 @@ class StabilityCondition:
     its sign vector).  Per charge, done here: the integer ray D*Z of every
     positive root, their order by argument and one genericity check (see
     the module docstring), and, on first use, the signs of each root's
-    word, which select the shared lift, each root's exact Z, and the probe
-    ladder.
+    word, which select the shared lift and the ladder's rung, each root's
+    exact Z, and the probe ladder.
     """
 
     def __init__(self, alg: ZigzagAlgebra, charge: CentralCharge):
@@ -426,7 +484,10 @@ class StabilityCondition:
             self._arg_order.index(tuple(int(i == v) for i in range(n))) for v in range(n)
         )
         self._z: dict[Root, ExactComplex] = {}
-        self._ladder: list[tuple[Root, TwistedComplex, int, int]] | None = None
+        # the ladder by arg Z, the same reversed, and (least lo, greatest hi) over its rungs
+        self._ladder: list[Rung] | None = None
+        self._ladder_down: list[Rung] = []
+        self._ladder_span = (0, 0)
 
     # -- charges and phases ------------------------------------------------
 
@@ -443,7 +504,10 @@ class StabilityCondition:
         return z
 
     def phase_of_root(self, w: Root, shift: int = 0) -> Phase:
-        return Phase(shift, self.z(w))
+        ray = self._rays.get(w)
+        if ray is None:
+            return Phase(shift, self.z(w))
+        return Phase._on_ray(shift, *ray, self._d)
 
     def validate_generic(self) -> bool:
         """Whether no two positive roots share a ray."""
@@ -465,16 +529,23 @@ class StabilityCondition:
         for w in roots:
             if not (all(c >= 0 for c in w) and any(c > 0 for c in w)):
                 raise ValueError(f"root sequence entry {w} is not positive")
-        neutral = self._ray_of(roots[0])
-        signs = []
+        signs = self._sides(roots)
+        if 0 in signs:
+            w = roots[signs.index(0) + 1]
+            raise NonGenericChargeError(
+                f"sequence entry {w} is on the neutral ray; charge is not generic here"
+            )
+        return signs
+
+    def _sides(self, roots: Sequence[Root]) -> tuple[int, ...]:
+        """Per entry after the first: +1 above the neutral ray, -1 below, 0 on it."""
+        n_re, n_im = self._ray_of(roots[0])
+        out = []
         for w in roots[1:]:
-            c = _ray_cross(neutral, self._ray_of(w))
-            if c == 0:
-                raise NonGenericChargeError(
-                    f"sequence entry {w} is on the neutral ray; charge is not generic here"
-                )
-            signs.append(1 if c > 0 else -1)
-        return tuple(signs)
+            re, im = self._ray_of(w)
+            c = n_re * im - n_im * re
+            out.append((c > 0) - (c < 0))
+        return tuple(out)
 
     def stable_build(self, w: Root, word: WeylWord | None = None) -> StableBuild:
         """Construct the stable object of class w by the signed braid lift.
@@ -559,13 +630,31 @@ class StabilityCondition:
 
     # -- phase probing -----------------------------------------------------
 
-    def _probe_ladder(self) -> list[tuple[Root, TwistedComplex, int, int]]:
-        """(root, stable object, its shift range) for every positive root, by arg Z."""
+    def _probe_ladder(self) -> list[Rung]:
+        """(root, stable object, its shift range) for every positive root, by arg Z.
+
+        Each root's rung is read off the algebra's shared table by its sign
+        vector, worked out with integer crosses on its root sequence.  On
+        any miss, or an entry on the neutral ray, the ladder comes from the
+        batched builds (`_stable_builds`), which build and certify the
+        missing lifts and raise on a non-generic charge, and their rungs
+        enter the table.
+        """
         if self._ladder is None:
-            self._ladder = [
-                (build.root, build.obj, *build.obj.shift_range())
-                for build in self._stable_builds(self._arg_order)
-            ]
+            rungs, words = self._shared.rungs, self._shared.words
+            ladder = []
+            for w in self._arg_order:
+                rung = rungs.get((w, self._sides(words[w][1])))
+                if rung is None:
+                    ladder = [
+                        rungs.setdefault((b.root, b.signs), (b.root, b.obj, *b.obj.shift_range()))
+                        for b in self._stable_builds(self._arg_order)
+                    ]
+                    break
+                ladder.append(rung)
+            self._ladder_down = ladder[::-1]
+            self._ladder_span = (min(r[2] for r in ladder), max(r[3] for r in ladder))
+            self._ladder = ladder
         return self._ladder
 
     def _generator_bounds(self, y: TwistedComplex) -> tuple[PhaseKey, PhaseKey] | None:
@@ -598,7 +687,11 @@ class StabilityCondition:
         """The first S_w[k] on one side of the probe of y with a nonzero Hom^0.
 
         Each root w is tried at the shifts k of its window, the ones where
-        Hom^0 between y and S_w[k] can be nonzero.  Phase(k, Z(w)) orders by
+        Hom^0 between y and S_w[k] can be nonzero: lo_y - hi_w <= k + pad
+        and k + pad < hi_y - lo_w + 3, for the shift ranges [lo_y, hi_y] of
+        y and [lo_w, hi_w] of S_w, and pad 0 for the bottom and 2 for the
+        top.  The walk covers the union of the windows, read off the
+        ladder's least lo_w and greatest hi_w.  Phase(k, Z(w)) orders by
         k, then by arg Z(w), and a generic charge puts no two roots on one
         ray, so the phase order is the integer order (k, position of w by
         arg Z): ascending for the bottom, descending for the top.  Both Hom
@@ -617,31 +710,30 @@ class StabilityCondition:
         semistable S of phase below L, and Hom^0(S, y) = 0 for one above U.
         """
         bottom = side == "bottom"
+        ladder = self._probe_ladder()
         lo_y, hi_y = y.shift_range()
-        pad = 0 if bottom else -2
-        windows = [
-            (w, obj, lo_y - hi_s + pad, hi_y - lo_s + 3 + pad)
-            for w, obj, lo_s, hi_s in self._probe_ladder()
-        ]
-        ks = range(min(lo for _, _, lo, _ in windows), max(hi for _, _, _, hi in windows))
+        pad = 0 if bottom else 2
+        lo_s, hi_s = self._ladder_span
+        ks = range(lo_y - hi_s - pad, hi_y - lo_s + 3 - pad)
         skip = 0  # candidates past the bound at the first k
         if bound is not None:
             k, pos = bound
             if bottom and k >= ks.start:
                 ks, skip = range(k, ks.stop), pos
             elif not bottom and k < ks.stop:
-                ks, skip = range(ks.start, k + 1), len(windows) - 1 - pos
+                ks, skip = range(ks.start, k + 1), len(ladder) - 1 - pos
         if not bottom:
-            ks = reversed(ks)
-            windows.reverse()
-        row = windows[skip:]
+            ks, ladder = reversed(ks), self._ladder_down
+        row = ladder[skip:]
         for k in ks:
+            # S_w[k] is in its window exactly when hi_w >= above and lo_w < below
+            above, below = lo_y - k - pad, hi_y - k + 3 - pad
             for w, obj, lo, hi in row:
-                if lo <= k < hi and (
+                if hi >= above and lo < below and (
                     hom0_is_nonzero(y, obj, k) if bottom else hom0_is_nonzero(obj, y, -k)
                 ):
-                    return ProbeHit(Phase(k, self.z(w)), w, k)
-            row = windows
+                    return ProbeHit(Phase._on_ray(k, *self._rays[w], self._d), w, k)
+            row = ladder
         raise InvariantViolation(
             "no stable object receives a map from the probe target" if bottom
             else "no stable object maps to the probe target"

@@ -141,7 +141,7 @@ def _triangle(
     if out is None:
         return None
     gens, diff, twisted = out
-    tensor = TwistedComplex(x.alg, gens, diff, validate=False)
+    tensor = TwistedComplex._trusted(x.alg, tuple(gens), diff)
     return (tensor, y, twisted) if exponent == 1 else (twisted, y, tensor)
 
 
@@ -175,9 +175,12 @@ def apply_braid(
     alg: ZigzagAlgebra, word: BraidWord, y: TwistedComplex
 ) -> TwistedComplex:
     """Apply the word's twists in the simples, first letter first; minimized throughout."""
+    simples: dict[int, TwistedComplex] = {}
     cur = y
     for v, e in word.letters:
-        p = simple_object(alg, v)
+        p = simples.get(v)
+        if p is None:
+            p = simples[v] = simple_object(alg, v)
         if e == 1:
             cur = twist(p, cur, _spherical_checked=True)
         else:

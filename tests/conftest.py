@@ -1,5 +1,7 @@
 import contextlib
+import math
 from fractions import Fraction
+from functools import total_ordering
 from unittest import mock
 
 import pytest
@@ -69,6 +71,88 @@ def stab_a3(alg_a3):
 @pytest.fixture(scope="session")
 def stab_a2(alg_a2):
     return StabilityCondition(alg_a2, a2_reference_charge())
+
+
+def cross(a: ExactComplex, b: ExactComplex) -> Fraction:
+    """Positive exactly when arg(b) > arg(a), for a, b with arguments in [0, pi)."""
+    return a.re * b.im - a.im * b.re
+
+
+@total_ordering
+class FractionPhase:
+    """Oracle for `Phase`: k + arg(z)/pi kept as the shift and the Fraction
+    witness z itself, with arg(z) in [0, pi); every comparison is the sign of
+    a Fraction cross product and every sum or difference a Fraction product."""
+
+    __slots__ = ("shift", "z")
+
+    def __init__(self, shift: int, z: ExactComplex):
+        if not z.in_upper_half():
+            raise ValueError("phase witness must have argument in [0, pi)")
+        self.shift = shift
+        self.z = z
+
+    @classmethod
+    def of(cls, z: ExactComplex, shift: int = 0) -> "FractionPhase":
+        if z.is_zero():
+            raise ValueError("zero has no phase")
+        if z.in_upper_half():
+            return cls(shift, z)
+        if z.im == 0:  # negative real axis: argument pi
+            return cls(shift + 1, -z)
+        return cls(shift - 1, -z)  # lower half: argument in (-pi, 0)
+
+    @classmethod
+    def integer(cls, k: int) -> "FractionPhase":
+        return cls(k, ExactComplex.of(1))
+
+    def __eq__(self, other) -> bool:
+        return self.shift == other.shift and cross(self.z, other.z) == 0
+
+    def __lt__(self, other: "FractionPhase") -> bool:
+        if self.shift != other.shift:
+            return self.shift < other.shift
+        return cross(self.z, other.z) > 0
+
+    def __add__(self, other) -> "FractionPhase":
+        if isinstance(other, int):
+            return FractionPhase(self.shift + other, self.z)
+        prod = self.z * other.z
+        if prod.in_upper_half():
+            return FractionPhase(self.shift + other.shift, prod)
+        return FractionPhase(self.shift + other.shift + 1, -prod)
+
+    def __sub__(self, other: "FractionPhase") -> "FractionPhase":
+        return FractionPhase.of(self.z * other.z.conjugate(), self.shift - other.shift)
+
+    def is_zero(self) -> bool:
+        return self.shift == 0 and self.z.im == 0
+
+    def __float__(self) -> float:
+        return self.shift + math.atan2(float(self.z.im), float(self.z.re)) / math.pi
+
+    def __repr__(self) -> str:
+        return f"Phase({float(self):.6f})"
+
+    def to_json_dict(self) -> dict:
+        return {
+            "shift": self.shift,
+            "witness": [
+                self.z.re.numerator, self.z.re.denominator,
+                self.z.im.numerator, self.z.im.denominator,
+            ],
+            "approx": round(float(self), 9),
+        }
+
+
+def assert_phase_is_the_oracle(phase, oracle: FractionPhase) -> None:
+    """Equal phases with byte-identical output: float, repr and JSON."""
+    assert phase.shift == oracle.shift
+    assert phase.z == oracle.z
+    assert phase.is_zero() == oracle.is_zero()
+    assert float(phase) == float(oracle)
+    assert repr(phase) == repr(oracle)
+    assert phase.to_json_dict() == oracle.to_json_dict()
 
 
 def unpruned_first_hit(stab, y, side):

@@ -25,6 +25,8 @@ from twistcat import (
     named_quiver,
     simple_object,
     twist,
+    twist_triangle,
+    untwist_triangle,
     zero_object,
 )
 from twistcat import homcore, linalg
@@ -462,3 +464,46 @@ def test_serialization_names_implied_paths(alg_a2):
         [1, 0, [["l", 1, 1, 1, 2]]],
         [2, 0, [["e", 1, 1, -3, 1]]],
     ]
+
+
+def _assert_vouched_for(obj: TwistedComplex) -> None:
+    """A tuple of `Generator` instances and only nonzero entries."""
+    assert type(obj.generators) is tuple
+    assert all(type(g) is Generator for g in obj.generators)
+    assert all(c for c in obj.differential.values())
+
+
+@pytest.mark.parametrize("name", ["A3", "D4"])
+def test_trusted_layouts_hold_generators_and_nonzero_entries(name):
+    """Every internal caller that stores its data as given hands over
+    `Generator`s and no zero entry, and `minimize` and `_cone` change no
+    input dict."""
+    alg = ZigzagAlgebra(named_quiver(name))
+    rng = random.Random(f"trusted:{name}")
+    n = alg.quiver.vertex_count
+    _assert_vouched_for(zero_object(alg))
+    for _ in range(6):
+        y = apply_braid(alg, random_word(rng, n, rng.randint(1, 6)), simple_object(alg, 0))
+        x = simple_object(alg, rng.randrange(n), rng.randint(-2, 2))
+        _assert_vouched_for(x)
+        for obj in (y.shift(1), y.shift(2), direct_sum(x, y), direct_sum(y, x.shift(3))):
+            _assert_vouched_for(obj)
+        for exp in (1, -1):
+            triangle = (twist_triangle if exp == 1 else untwist_triangle)(x, y)
+            if triangle is not None:
+                for obj in triangle:
+                    _assert_vouched_for(obj)
+        entries = {(i, i): 1 for i in range(len(y.generators))}
+        before = [list(d.items()) for d in (y.differential, entries)]
+        for shift in (-1, 0, 1, 2):
+            layout = homcore._cone(
+                alg, y.generators, y.differential, y.generators, y.differential, entries, shift
+            )
+            _assert_vouched_for(layout)
+            assert [list(d.items()) for d in (y.differential, entries)] == before
+            assert layout == cone(identity_morphism(y)).shift(shift)
+            kept = list(layout.differential.items())
+            reduced = minimize(layout)
+            _assert_vouched_for(reduced)
+            assert reduced.is_zero
+            assert list(layout.differential.items()) == kept

@@ -1,9 +1,12 @@
+import json
+import pathlib
 import random
 
 import pytest
 
 from twistcat import (
     BraidWord,
+    CentralCharge,
     ExactComplex,
     HypothesisNotMet,
     InvariantViolation,
@@ -380,3 +383,34 @@ def test_certify_rejects_a_spread_that_does_not_decrease(monkeypatch):
     with pytest.raises(InvariantViolation) as err:
         _certify_phases("bottom", WIDE, (_hit(0, 0), _hit(1, 1)))
     assert str(err.value) == "spread failed to decrease: Phase(1.000000) -> Phase(1.000000)"
+
+
+def test_a_reduction_builds_no_phase_witness_until_it_is_serialized(monkeypatch):
+    """Phases are decided on integer rays: reducing the CLI golden inputs reads
+    `Phase.z` zero times, and the trace then serializes to the golden JSON."""
+    golden = json.loads((pathlib.Path(__file__).parent / "data" / "cli_golden.json").read_text())
+    witnesses = []
+    real = Phase.z
+
+    def counted(phase):
+        witnesses.append(phase)
+        return real.fget(phase)
+
+    reductions = 0
+    for command, entry in golden.items():
+        args = command.split()
+        if args[0] != "reduce":
+            continue
+        report = entry["report"]
+        alg = ZigzagAlgebra(named_quiver(args[args.index("--type") + 1]))
+        stab = StabilityCondition(alg, CentralCharge.from_json_dict(report["charge"]))
+        word = parse_braid_word(report["input_word"])
+        start = apply_braid(alg, word, simple_object(alg, report["start_vertex"] - 1))
+        strategy = args[args.index("--strategy") + 1] if "--strategy" in args else "bottom"
+        monkeypatch.setattr(Phase, "z", property(counted))
+        trace = reduce_to_stable(stab, start, strategy=strategy)
+        assert witnesses == []
+        monkeypatch.undo()
+        assert json.loads(json.dumps(trace.to_json_dict())) == report["trace"]
+        reductions += bool(trace.steps)
+    assert reductions >= 3  # the golden reductions that take steps

@@ -6,6 +6,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from twistcat import (
     BraidWord,
@@ -13,6 +14,7 @@ from twistcat import (
     ExactComplex,
     InvariantViolation,
     NonGenericChargeError,
+    OrbitStability,
     Phase,
     StabilityCondition,
     TwistedComplex,
@@ -22,6 +24,7 @@ from twistcat import (
     braid_word_to_text,
     cone,
     direct_sum,
+    heart_align,
     hom_dims,
     identity_morphism,
     is_isomorphic,
@@ -36,9 +39,12 @@ from twistcat import (
     zero_object,
 )
 from twistcat import stability
-from twistcat.stability import _distinct_rays, _lattice, _ray, cross
+from twistcat.stability import _distinct_rays, _lattice, _ray
 from conftest import (
+    FractionPhase,
     a3_reference_charge,
+    assert_phase_is_the_oracle,
+    cross,
     assert_probes_match_the_unpruned_walk,
     two_walk_probes,
     unpruned_first_hit,
@@ -83,6 +89,95 @@ def test_phase_add_sub_roundtrip():
         assert math.isclose(float(pa + pb), float(pa) + float(pb), abs_tol=1e-12)
         assert math.isclose(float(pa - pb), float(pa) - float(pb), abs_tol=1e-12)
     assert (Phase.integer(2) - Phase.integer(2)).is_zero()
+
+
+# -- phases on integer rays against the Fraction oracle ------------------------
+
+ORACLE_SETTINGS = settings(derandomize=True, database=None, deadline=None)
+_parts = st.one_of(
+    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 8)),
+    st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**9)),
+)
+_nonzero = st.builds(ExactComplex, _parts, _parts).filter(lambda z: not z.is_zero())
+
+
+ALGEBRAS = {name: ZigzagAlgebra(named_quiver(name)) for name in ("A3", "D4")}
+
+
+def _both_of(z: ExactComplex, shift: int) -> tuple[Phase, FractionPhase]:
+    return Phase.of(z, shift), FractionPhase.of(z, shift)
+
+
+@ORACLE_SETTINGS
+@given(_nonzero, _nonzero, st.integers(-3, 3), st.integers(-3, 3))
+@example(ExactComplex.of(1, 1), ExactComplex.of(-1), 0, 0)  # upper half, negative real
+@example(ExactComplex.of(1, -1), ExactComplex.of(2), 1, -1)  # lower half, positive real
+@example(ExactComplex.of(0, 2), ExactComplex.of(0, -3), 2, 2)  # i and -i
+def test_phases_on_rays_agree_with_the_fraction_oracle(za, zb, sa, sb):
+    """Every Phase.of branch, order, equality, sums and differences, and the
+    float, repr and JSON of each, equal the Fraction computation."""
+    a, oa = _both_of(za, sa)
+    b, ob = _both_of(zb, sb)
+    assert_phase_is_the_oracle(a, oa)
+    assert_phase_is_the_oracle(b, ob)
+    assert (a < b, a == b, a > b, a <= b, a >= b, a != b) == (
+        oa < ob, oa == ob, oa > ob, oa <= ob, oa >= ob, oa != ob
+    )
+    assert (a < a, a == a, a <= a) == (False, True, True)
+    assert_phase_is_the_oracle(a - b, oa - ob)
+    assert_phase_is_the_oracle(b - a, ob - oa)
+    assert_phase_is_the_oracle(a + b, oa + ob)
+    assert_phase_is_the_oracle(a + sb, oa + sb)
+    assert_phase_is_the_oracle(a - a, oa - oa)
+    if za.in_upper_half():
+        assert_phase_is_the_oracle(Phase(sa, za), FractionPhase(sa, za))
+        assert Phase(sa, za) == a
+    else:
+        with pytest.raises(ValueError):
+            Phase(sa, za)
+    for k in (sa, sb):
+        assert_phase_is_the_oracle(Phase.integer(k), FractionPhase.integer(k))
+        assert (a < Phase.integer(k)) == (oa < FractionPhase.integer(k))
+
+
+@settings(ORACLE_SETTINGS, max_examples=16)
+@given(st.sampled_from(["A3", "D4"]), st.integers(0, 2**32))
+def test_hits_spreads_and_alignments_agree_with_the_fraction_oracle(name, seed):
+    """A probe hit equals Phase(k, Z(w)) on the Fraction charge, a spread the
+    oracle's difference, and heart_align's alpha the oracle's alpha_base +
+    rotation, down to float, repr and JSON."""
+    rng = random.Random(seed)
+    alg = ALGEBRAS[name]
+    q = alg.quiver
+    stab = StabilityCondition(alg, random_generic_charge(q, rng))
+    for _ in range(3):
+        word = BraidWord(tuple(
+            (rng.randrange(q.vertex_count), rng.choice((1, -1))) for _ in range(rng.randint(0, 5))
+        ))
+        y = apply_braid(alg, word, simple_object(alg, rng.randrange(q.vertex_count)))
+        phases = stab.phi_probes(y.shift(rng.randint(-2, 2)))
+        oracle = [FractionPhase(hit.shift, stab.charge.of_root(hit.root)) for hit in phases]
+        for hit, want in zip(phases, oracle):
+            assert_phase_is_the_oracle(hit.phase, want)
+            assert hit.phase == stab.phase_of_root(hit.root, hit.shift)
+        assert_phase_is_the_oracle(phases.spread, oracle[1] - oracle[0])
+    z = ExactComplex.of(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                        Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+    if z.is_zero():
+        z = ExactComplex.of(-1)
+    shift = rng.randint(-2, 2)
+    rotation, rotation_oracle = _both_of(z, shift)
+    transport = BraidWord(tuple(
+        (rng.randrange(q.vertex_count), rng.choice((1, -1))) for _ in range(rng.randint(1, 4))
+    ))
+    result = heart_align(stab, OrbitStability(transport, rotation))
+    bottom, top = stab.phi_probes(result.final)
+    lo = FractionPhase(bottom.shift, stab.charge.of_root(bottom.root))
+    hi = FractionPhase(top.shift, stab.charge.of_root(top.root))
+    floor = FractionPhase.integer(lo.shift)
+    alpha_base = floor if hi < floor + 1 else lo
+    assert_phase_is_the_oracle(result.alpha_base, alpha_base)
+    assert_phase_is_the_oracle(result.alpha, alpha_base + rotation_oracle)
 
 
 def test_charge_validation_and_json():
@@ -689,6 +784,57 @@ def test_lift_walk_twists_once_per_signed_prefix(monkeypatch, name):
         assert len(letters) == len(_signed_prefixes(added))
         wanted |= {(b.word.base, b.braid) for b in map(stab.stable_build, stab.roots)}
         assert set(alg.charge_free.lifts) == wanted
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "E6"])
+def test_known_sign_vectors_read_the_ladder_off_the_rungs(monkeypatch, name):
+    """A condition whose every sign vector has a rung builds its ladder with no
+    twist and no certificate, and that ladder holds the objects of the batched
+    builds; a new sign vector goes through the batched builds, which add its
+    rung."""
+    alg = ZigzagAlgebra(named_quiver(name))
+    rng = random.Random(f"rungs:{name}")
+    calls = {"apply_braid": 0, "is_spherical": 0}
+
+    def counted(fn_name):
+        real = getattr(stability, fn_name)
+
+        def fn(*args):
+            calls[fn_name] += 1
+            return real(*args)
+        return fn
+
+    monkeypatch.setattr(stability, "apply_braid", counted("apply_braid"))
+    monkeypatch.setattr(stability, "is_spherical", counted("is_spherical"))
+    charges = []
+    seen = set()
+    for i in range(10):
+        if i % 2 and charges:  # a positive multiple of an earlier charge: its signs are known
+            c = Fraction(rng.randint(1, 99), rng.randint(1, 99))
+            charge = CentralCharge([z.scale(c) for z in rng.choice(charges).values])
+        else:
+            charge = random_generic_charge(alg.quiver, rng)
+        charges.append(charge)
+        stab = StabilityCondition(alg, charge)
+        words = alg.charge_free.words
+        known = all(
+            (w, stab.sign_rule(words[w][1])) in alg.charge_free.rungs for w in stab.roots
+        )
+        seen.add(known)
+        calls.update(apply_braid=0, is_spherical=0)
+        ladder = stab._probe_ladder()
+        if known:
+            assert calls == {"apply_braid": 0, "is_spherical": 0}
+            assert not stab._builds  # read off the rungs: no build was made
+        else:
+            assert calls["apply_braid"] > 0 and calls["is_spherical"] > 0
+        builds = stab._stable_builds(stab._arg_order)
+        assert [w for w, _, _, _ in ladder] == stab._arg_order
+        assert all(obj is b.obj for (_, obj, _, _), b in zip(ladder, builds))
+        assert ladder == [(b.root, b.obj, *b.obj.shift_range()) for b in builds]
+        for b, rung in zip(builds, ladder):
+            assert alg.charge_free.rungs[(b.root, b.signs)] is rung
+    assert seen == {True, False}
 
 
 def test_algebra_is_freed_with_its_conditions(a3):

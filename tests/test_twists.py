@@ -325,3 +325,25 @@ def test_int_entries_equal_their_fractions_and_serialize_alike(alg_a3):
         assert json.dumps(y.to_json_dict()) == json.dumps(as_fractions.to_json_dict())
         compared += bool(y.differential)
     assert compared >= 5
+
+
+def test_apply_braid_builds_one_simple_per_vertex(monkeypatch):
+    """A word of many letters on few vertices makes one simple per vertex it
+    twists in, and gives the result of twisting letter by letter."""
+    alg = ZigzagAlgebra(named_quiver("D4"))
+    made = []
+
+    def simple(alg, v, shift=0, real=twists.simple_object):
+        made.append(v)
+        return real(alg, v, shift)
+
+    y = simple_object(alg, 1)
+    word = BraidWord(((0, 1), (1, -1), (0, 1), (3, 1), (1, -1), (0, -1), (3, -1)))
+    monkeypatch.setattr(twists, "simple_object", simple)
+    out = apply_braid(alg, word, y)
+    assert sorted(made) == [0, 1, 3]
+    monkeypatch.undo()
+    cur = y
+    for letter in word.letters:
+        cur = apply_braid(alg, BraidWord((letter,)), cur)
+    assert out == cur
