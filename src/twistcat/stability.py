@@ -41,16 +41,20 @@ phases L and U bound the phases of y, and no S_w[k] below L receives a
 map from y and none above U maps to it.  When the graph has a cycle there
 is no bound and the walk tries every candidate.
 
-A probe ends after the bottom walk when that walk proves y semistable:
-the graph has no cycle, every generator sits at one shift s, the bottom
-hit S_u[s] has shift s, and Z(y) lies on the ray of Z(u) (one integer
-cross product, since the class of y is +-(its generator counts)).  Then y
-lies in P([s, s+1)), a window shorter than 1, so Z(y), the sum of the
-charges of its HN factors, has an argument strictly above the lowest
-phase unless there is one factor; the bottom hit is that lowest phase, so
-y is semistable of phase phi(u) + s.  Genericity leaves S_u[s] as its only
-Jordan-Holder factor, so S_u[s] maps to y and nothing above it does: the
-top hit is the bottom hit (the proof in full is in `phi_probes`).
+A probe ends after one walk when that walk proves y semistable: the
+graph has no cycle, every generator sits at one shift s, the hit S_u[s]
+has shift s, and Z(y) lies on the ray of Z(u) (one integer cross product,
+since the class of y is +-(its generator counts)).  Then y lies in
+P([s, s+1)), a window shorter than 1, so Z(y), the sum of the charges of
+its HN factors, has an argument strictly between the lowest and the
+highest phase unless there is one factor; either hit is one of those two
+phases, so y is semistable of phase phi(u) + s.  Genericity leaves S_u[s]
+as its only Jordan-Holder factor, so the other walk would stop at S_u[s]
+too.  Such a probe runs first the walk from the bound nearer the arg
+position of the root on the ray of y's class, the top walk when that root
+lies nearer the top bound and the bottom walk otherwise, so a semistable
+object costs about the Hom tests between its phase and the nearer bound
+(the proof in full is in `phi_probes`).
 """
 
 from __future__ import annotations
@@ -75,6 +79,7 @@ from .rootlat import (
     minimal_word,
     positive_roots,
     root_sequence,
+    simple_root,
 )
 from .twists import BraidWord, apply_braid
 from .zigzag import ZigzagAlgebra
@@ -424,10 +429,13 @@ class StableBuild:
 class _ChargeFree:
     """The stability data of one algebra that no charge changes, shared by all its conditions.
 
-    The positive roots (the finite-type check runs once), each root's
+    The positive roots (the finite-type check runs once), the simple roots
+    among them, one letter tuple (v, e) per signed vertex, each root's
     minimal word and root sequence, the lift table (base vertex, signed
     braid word) -> object, and the probe ladder's rungs (root, sign vector)
-    -> (root, lift, its shift range).  A root's sign vector selects its
+    -> (root, lift, its shift range).  The root sequences hold the tuples
+    of `roots` and the signed braid lifts the letter tuples held here, so
+    no condition adds copies of either.  A root's sign vector selects its
     lift, so a condition whose sign vectors all have rungs reads its ladder
     off them.  A lift enters the lift table only after it has passed the
     sphericity certificate, and a rung only after its lift has.
@@ -438,14 +446,18 @@ class _ChargeFree:
     forms a cycle that the garbage collector reclaims.
     """
 
-    __slots__ = ("roots", "words", "lifts", "rungs")
+    __slots__ = ("roots", "simples", "letters", "words", "lifts", "rungs")
 
     def __init__(self, q: QuiverGraph):
         self.roots = positive_roots(q)
+        held = {w: w for w in self.roots}
+        self.simples = tuple(held[simple_root(q, v)] for v in range(q.vertex_count))
+        # one braid letter per signed vertex: letters[e][v] is (v, e)
+        self.letters = {e: tuple((v, e) for v in range(q.vertex_count)) for e in (1, -1)}
         self.words: dict[Root, tuple[WeylWord, tuple[Root, ...]]] = {}
         for w in self.roots:
             word = minimal_word(q, w)
-            self.words[w] = (word, tuple(root_sequence(q, word)))
+            self.words[w] = (word, tuple(held[r] for r in root_sequence(q, word)))
         self.lifts: dict[tuple[int, BraidWord], TwistedComplex] = {}
         self.rungs: dict[tuple[Root, tuple[int, ...]], Rung] = {}
 
@@ -479,10 +491,7 @@ class StabilityCondition:
         self._rays: dict[Root, Ray] = dict(zip(self.roots, rays))
         order, self._generic = _by_argument(rays)
         self._arg_order: list[Root] = [self.roots[i] for i in order]
-        n = len(charge)
-        self._simple_pos = tuple(
-            self._arg_order.index(tuple(int(i == v) for i in range(n))) for v in range(n)
-        )
+        self._pos: dict[Root, int] = {w: i for i, w in enumerate(self._arg_order)}
         self._z: dict[Root, ExactComplex] = {}
         # the ladder by arg Z, the same reversed, and (least lo, greatest hi) over its rungs
         self._ladder: list[Rung] | None = None
@@ -577,10 +586,11 @@ class StabilityCondition:
 
     def _lift(self, items: list[tuple[Root, WeylWord, Sequence[Root]]]) -> list[StableBuild]:
         """The build of each (root, word, root sequence), by the signs of this charge."""
-        out = []
+        out, letters = [], self._shared.letters
         for w, word, seq in items:
             signs = self.sign_rule(seq)
-            out.append((w, word, seq, signs, BraidWord(tuple(zip(word.letters, signs)))))
+            braid = BraidWord(tuple(letters[e][v] for v, e in zip(word.letters, signs)))
+            out.append((w, word, seq, signs, braid))
         self._build_lifts({(word.base, braid): w for w, word, _, _, braid in out})
         lifts = self._shared.lifts
         return [
@@ -679,8 +689,8 @@ class StabilityCondition:
                     ready.append(h)
         if peeled < len(gens):
             return None
-        pos = self._simple_pos
-        keys = [(s, pos[v]) for v, s in gens]
+        pos, simples = self._pos, self._shared.simples
+        keys = [(s, pos[simples[v]]) for v, s in gens]
         return min(keys), max(keys)
 
     def _first_hit(self, y: TwistedComplex, side: str, bound: PhaseKey | None) -> ProbeHit:
@@ -708,6 +718,11 @@ class StabilityCondition:
         P(<= U) for its least and greatest generator phases L and U (both
         subcategories are extension-closed).  Hom^0(y, S) = 0 for a
         semistable S of phase below L, and Hom^0(S, y) = 0 for one above U.
+
+        Either walk may run first: `phi_probes` starts with the one whose
+        bound lies nearer the class of a one-shift acyclic y, and ends the
+        probe there when the hit proves y semistable.  The walks share no
+        state, so each finds the same hit whichever runs first.
         """
         bottom = side == "bottom"
         ladder = self._probe_ladder()
@@ -748,31 +763,51 @@ class StabilityCondition:
         top the first with Hom^0(S_w[k], y) != 0 (see `_first_hit`); both
         walks start at y's generator-phase bounds when it has them.
 
-        The bottom hit (u, s) is also the top hit, and the top walk is not
-        run, when the entry graph has no cycle, every generator sits at
-        the shift s, and Z(y) lies on the ray of Z(u).  The class of y is
-        +-(its generator counts), so the last test is one integer cross
+        When the entry graph has no cycle and every generator sits at one
+        shift s, the probe runs first the walk whose bound lies nearer the
+        class: with p the arg position of the root on the ray of y's class
+        (the class divided by its gcd) and low, high the positions of the
+        two bounds, the top walk when high - p < p - low, and the bottom
+        walk otherwise, also when the class is not a multiple of a root.
+        That walk's hit (u, s') is both hits, and the other walk is not
+        run, when s' = s and Z(y) lies on the ray of Z(u).  The class of y
+        is +-(its generator counts), so the last test is one integer cross
         product of lattice rays; H holds no pair v, -v, so collinear rays
-        are one ray.  Why the top hit is the same: with no cycle and one
+        are one ray.  Why the other hit is the same: with no cycle and one
         shift s, y is an iterated cone of objects P_v[s], so y lies in
         P([s, s+1)), a window shorter than 1.  Z(y) is the sum of the
         charges of its HN factors, and with two or more factors its
-        argument lies strictly above the lowest phase.  The bottom hit is
-        that lowest phase, phi(u) + s, so y has one factor: it is
-        semistable of phase phi(u) + s.  A generic charge puts only S_u[s]
-        on that ray, so every Jordan-Holder factor of y is S_u[s]; hence
-        Hom^0(S_u[s], y) != 0, and Hom^0(S, y) = 0 for every candidate S
-        above it.  The top walk would stop at exactly (u, s).
+        argument lies strictly between the lowest and the highest phase.
+        The bottom hit is the lowest phase and the top hit the highest, so
+        either one at phi(u) + s leaves y one factor: it is semistable of
+        phase phi(u) + s.  A generic charge puts only S_u[s] on that ray,
+        so every Jordan-Holder factor of y is S_u[s]; hence both
+        Hom^0(y, S_u[s]) and Hom^0(S_u[s], y) are nonzero, no candidate
+        below it receives a map from y and none above it maps to y: the
+        other walk would stop at exactly (u, s).  When the first walk
+        proves nothing, the other walk runs as it would alone, so every
+        hit is the two-walk probe's.
         """
         if y.is_zero:
             raise ValueError("the zero object has no phases")
         self.require_generic()
         low, high = self._generator_bounds(y) or (None, None)
+        if low is None or low[0] != high[0]:
+            return Phases(self._first_hit(y, "bottom", low), self._first_hit(y, "top", high))
+        s, k_class = low[0], y.k_class()
+        ray = self._ray_of(k_class)
+        g = math.gcd(*k_class) if s % 2 == 0 else -math.gcd(*k_class)
+        p = self._pos.get(tuple(c // g for c in k_class))
+
+        def proves_semistable(hit: ProbeHit) -> bool:
+            return hit.shift == s and _ray_cross(ray, self._rays[hit.root]) == 0
+
+        if p is not None and high[1] - p < p - low[1]:
+            top = self._first_hit(y, "top", high)
+            if proves_semistable(top):
+                return Phases(top, top)
+            return Phases(self._first_hit(y, "bottom", low), top)
         bottom = self._first_hit(y, "bottom", low)
-        if (
-            low is not None
-            and low[0] == high[0] == bottom.shift
-            and _ray_cross(self._ray_of(y.k_class()), self._ray_of(bottom.root)) == 0
-        ):
+        if proves_semistable(bottom):
             return Phases(bottom, bottom)
         return Phases(bottom, self._first_hit(y, "top", high))

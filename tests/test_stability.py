@@ -564,28 +564,61 @@ def test_one_walk_probe_matches_two_walks_on_flips(name):
                 assert stab.phi_probes(y) == two_walk_probes(stab, y), (w, i)
 
 
-def _count_top_tests(monkeypatch, stab, y):
-    """phi_probes(y) with the real Hom tests, and how many of them the top walk made."""
-    top = []
+def _walks(monkeypatch, stab, y):
+    """phi_probes(y) with the real Hom tests, and [side, Hom tests] per walk it ran, in order."""
+    walks = []
+
+    def first_hit(self, z, side, bound, real=StabilityCondition._first_hit):
+        walks.append([side, 0])
+        return real(self, z, side, bound)
 
     def hom0(x, z, k, real=stability.hom0_is_nonzero):
-        if z is y:
-            top.append(k)
+        walks[-1][1] += 1
         return real(x, z, k)
 
+    monkeypatch.setattr(StabilityCondition, "_first_hit", first_hit)
     monkeypatch.setattr(stability, "hom0_is_nonzero", hom0)
     phases = stab.phi_probes(y)
     monkeypatch.undo()
-    return phases, len(top)
+    return phases, walks
 
 
-def test_a_shifted_stable_object_makes_no_top_walk_test(monkeypatch, stab_a3):
-    for w in stab_a3.roots:
-        y = stab_a3.stable_object(w).shift(1)
-        phases, top_tests = _count_top_tests(monkeypatch, stab_a3, y)
-        assert top_tests == 0
-        assert phases.bottom is phases.top
-        assert phases == ((stab_a3.phase_of_root(w, 1), w, 1),) * 2
+def _top_tests(walks):
+    return sum(tests for side, tests in walks if side == "top")
+
+
+def _nearer_side(stab, y):
+    """Oracle: for a one-shift acyclic y whose class is a multiple of a root, the
+    side whose generator bound lies nearer the arg position of that root (the
+    bottom on a tie)."""
+    low, high = stab._generator_bounds(y)
+    assert low[0] == high[0]
+    k_class = y.k_class()
+    g = math.gcd(*k_class) * (-1) ** low[0]
+    p = stab._arg_order.index(tuple(c // g for c in k_class))
+    return "top" if high[1] - p < p - low[1] else "bottom"
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "E6", "E7"])
+def test_a_stable_object_and_its_shifts_make_one_walk_from_the_nearer_bound(monkeypatch, name):
+    """S_w, S_w[1] and S_w[2] sit at one shift: the probe runs only the walk
+    whose bound lies nearer the position of w, and that walk's hit is both."""
+    alg = ZigzagAlgebra(named_quiver(name))
+    rng = random.Random(f"nearer-walk:{name}")
+    sides = set()
+    for _ in range(2):
+        stab = StabilityCondition(alg, random_generic_charge(alg.quiver, rng))
+        for w in stab.roots:
+            for k in (0, 1, 2):
+                y = stab.stable_object(w).shift(k)
+                side = _nearer_side(stab, y)
+                phases, walks = _walks(monkeypatch, stab, y)
+                assert len(walks) == 1 and walks[0][0] == side and walks[0][1] > 0, (w, k)
+                assert phases.bottom is phases.top
+                assert phases == ((stab.phase_of_root(w, k), w, k),) * 2
+                assert phases == two_walk_probes(stab, y)
+                sides.add(side)
+    assert sides == {"bottom", "top"}
 
 
 def test_a_sum_of_two_stable_objects_runs_the_top_walk(monkeypatch, stab_a3):
@@ -593,8 +626,8 @@ def test_a_sum_of_two_stable_objects_runs_the_top_walk(monkeypatch, stab_a3):
         for b in stab_a3.roots:
             if a != b:
                 y = direct_sum(stab_a3.stable_object(a), stab_a3.stable_object(b))
-                phases, top_tests = _count_top_tests(monkeypatch, stab_a3, y)
-                assert top_tests > 0
+                phases, walks = _walks(monkeypatch, stab_a3, y)
+                assert _top_tests(walks) > 0
                 assert phases == two_walk_probes(stab_a3, y)
                 assert {phases.bottom.root, phases.top.root} == {a, b}
 
@@ -606,8 +639,8 @@ def test_a_class_on_the_bottom_ray_over_several_shifts_runs_the_top_walk(monkeyp
         obj = stab_a3.stable_object(u)
         y = direct_sum(obj, obj.shift(1), obj.shift(2))
         assert y.k_class() == u
-        phases, top_tests = _count_top_tests(monkeypatch, stab_a3, y)
-        assert top_tests > 0
+        phases, walks = _walks(monkeypatch, stab_a3, y)
+        assert _top_tests(walks) > 0
         assert phases.bottom == (stab_a3.phase_of_root(u), u, 0)
         assert phases.top == (stab_a3.phase_of_root(u, 2), u, 2)
 
@@ -632,6 +665,73 @@ def test_cyclic_entry_graph_on_one_shift_runs_the_top_walk(monkeypatch, alg_a3, 
     with pytest.raises(InvariantViolation, match="no stable object maps to"):
         stab_a3.phi_probes(y)
     assert top
+
+
+# -- the nearer walk first against the two-walk probe ---------------------------
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "E6"])
+def test_twice_a_stable_object_probes_from_the_nearer_bound_as_two_walks(monkeypatch, name):
+    """S_u + S_u has class 2u, whose ray is that of u: one walk, from the nearer bound."""
+    alg = ZigzagAlgebra(named_quiver(name))
+    rng = random.Random(f"nearer-walk:{name}")
+    sides = set()
+    for _ in range(2):
+        stab = StabilityCondition(alg, random_generic_charge(alg.quiver, rng))
+        for u in stab.roots:
+            twice = direct_sum(stab.stable_object(u), stab.stable_object(u))
+            for y in (twice, twice.shift(1)):
+                assert y.k_class() in (tuple(2 * c for c in u), tuple(-2 * c for c in u))
+                phases, walks = _walks(monkeypatch, stab, y)
+                assert [side for side, _ in walks] == [_nearer_side(stab, y)], u
+                assert phases.bottom is phases.top
+                assert phases == two_walk_probes(stab, y), u
+                sides.add(walks[0][0])
+    assert sides == {"bottom", "top"}
+
+
+def _sums_nearer_the_top(stab):
+    """S_a + S_b and its shift [1] for a != b on one shift whose class a + b is
+    a root lying nearer the top bound: the top walk runs first and hits
+    neither on the ray of a + b."""
+    out = []
+    for i, a in enumerate(stab.roots):
+        for b in stab.roots[i + 1:]:
+            y = direct_sum(stab.stable_object(a), stab.stable_object(b))
+            lo, hi = y.shift_range()
+            if lo == hi and y.k_class() in stab.roots and _nearer_side(stab, y) == "top":
+                out += [(a, b, y), (a, b, y.shift(1))]
+    return out
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "E6"])
+def test_sums_nearer_the_top_run_the_top_walk_then_the_bottom_walk(monkeypatch, name):
+    alg = ZigzagAlgebra(named_quiver(name))
+    rng = random.Random(f"sums-nearer-top:{name}")
+    stab = StabilityCondition(alg, random_generic_charge(alg.quiver, rng))
+    sums = _sums_nearer_the_top(stab)
+    assert sums
+    for a, b, y in sums:
+        phases, walks = _walks(monkeypatch, stab, y)
+        assert [side for side, _ in walks] == ["top", "bottom"], (a, b)
+        assert all(tests > 0 for _, tests in walks)
+        assert phases == two_walk_probes(stab, y), (a, b)
+        assert {phases.bottom.root, phases.top.root} == {a, b}
+
+
+def test_an_early_end_without_the_ray_test_fails_the_sums_nearer_the_top(monkeypatch):
+    """The mutant: every cross product read as zero, so a probe ends after its
+    first walk whenever that hit has the generators' shift.  On each sum
+    nearer the top it returns the top hit as the bottom hit."""
+    alg = ZigzagAlgebra(named_quiver("E6"))
+    stab = StabilityCondition(alg, random_generic_charge(alg.quiver, random.Random("mutant:E6")))
+    sums = _sums_nearer_the_top(stab)
+    oracle = [two_walk_probes(stab, y) for _, _, y in sums]
+    assert sums and all(stab.phi_probes(y) == want for (_, _, y), want in zip(sums, oracle))
+    monkeypatch.setattr(stability, "_ray_cross", lambda u, v: 0)
+    for (a, b, y), want in zip(sums, oracle):
+        mutant = stab.phi_probes(y)
+        assert mutant.top == want.top and mutant.bottom == want.top != want.bottom, (a, b)
 
 
 # -- the per-algebra record shared by all charges ------------------------------
