@@ -55,12 +55,27 @@ position of the root on the ray of y's class, the top walk when that root
 lies nearer the top bound and the bottom walk otherwise, so a semistable
 object costs about the Hom tests between its phase and the nearer bound
 (the proof in full is in `phi_probes`).
+
+On such a one-shift acyclic y a walk tests at shift s only the roots w
+that are <= a, y's generator count per vertex, in every coordinate; the
+others are skipped without a Hom test.  y lies in A[s], for A the heart of
+the P_v, and has class a there.  Let E = S_w[s] be the first candidate of
+the bottom walk with Hom(y, E) != 0.  Every candidate below E has a zero
+Hom, and so do their extensions, so y lies in P(>= phi(E)).  The image I
+of a nonzero map y -> E is a quotient of y, so phi-(I) >= phi(E), and a
+subobject of the stable E, so phi+(I) <= phi(E); a proper subobject of E
+would have a strictly smaller phase, so I = E, and E, a quotient of y in
+A[s], has class w <= a.  The top walk is the mirror case: its first hit
+is a subobject of y (Bridgeland, arXiv:math/0212237; King, Quart. J. Math.
+45, 1994).  So the prune never skips the first hit, and every hit is the
+one the unpruned walk finds.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -719,6 +734,16 @@ class StabilityCondition:
         subcategories are extension-closed).  Hom^0(y, S) = 0 for a
         semistable S of phase below L, and Hom^0(S, y) = 0 for one above U.
 
+        When y also has every generator at one shift s (a bound was given
+        and lo_y = hi_y), the walk at k = s tests only the roots w <= a,
+        the generator counts of y (the absolute class); the first S_w[s]
+        with a nonzero Hom is a quotient of y for the bottom walk and a
+        subobject for the top, both inside the heart A[s] of the P_v, so
+        its class w is at most a (the proof is in the module docstring).
+        The comparison is made lazily, candidate by candidate, so the walk
+        pays it only up to its hit.  Every other k is unpruned: y lies in
+        P([s, s+1)), so its hits have shift s anyway.
+
         Either walk may run first: `phi_probes` starts with the one whose
         bound lies nearer the class of a one-shift acyclic y, and ends the
         probe there when the hit proves y semistable.  The walks share no
@@ -739,10 +764,14 @@ class StabilityCondition:
                 ks, skip = range(ks.start, k + 1), len(ladder) - 1 - pos
         if not bottom:
             ks, ladder = reversed(ks), self._ladder_down
+        # a one-shift acyclic y: at k = lo_y only roots w <= its generator counts can hit
+        dim = [abs(c) for c in y.k_class()] if bound is not None and lo_y == hi_y else None
         row = ladder[skip:]
         for k in ks:
             # S_w[k] is in its window exactly when hi_w >= above and lo_w < below
             above, below = lo_y - k - pad, hi_y - k + 3 - pad
+            if dim is not None and k == lo_y:
+                row = (r for r in row if all(map(operator.le, r[0], dim)))
             for w, obj, lo, hi in row:
                 if hi >= above and lo < below and (
                     hom0_is_nonzero(y, obj, k) if bottom else hom0_is_nonzero(obj, y, -k)
@@ -787,6 +816,15 @@ class StabilityCondition:
         other walk would stop at exactly (u, s).  When the first walk
         proves nothing, the other walk runs as it would alone, so every
         hit is the two-walk probe's.
+
+        On such a one-shift acyclic y both walks also skip, without a Hom
+        test, every S_w[s] whose root w is not <= y's generator counts a in
+        every coordinate.  y lies in the heart A[s] of the P_v with class
+        a; the bottom hit E is the first candidate with Hom(y, E) != 0, so
+        y lies in P(>= phi(E)), and the image of y -> E is a quotient of y
+        (phi- >= phi(E)) and a subobject of the stable E (phi+ <= phi(E)),
+        hence all of E: w <= a.  The top hit is a subobject of y by the
+        mirror argument.  So the pruned walks find the unpruned hits.
         """
         if y.is_zero:
             raise ValueError("the zero object has no phases")

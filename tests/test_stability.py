@@ -6,7 +6,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from twistcat import (
     BraidWord,
@@ -29,6 +29,7 @@ from twistcat import (
     identity_morphism,
     is_isomorphic,
     is_spherical,
+    minimize,
     named_quiver,
     parse_braid_word,
     positive_roots,
@@ -360,11 +361,23 @@ def test_stable_objects_under_many_charges(alg_a3):
             assert phases.spread.is_zero()
 
 
+def _generator_counts(y):
+    """Oracle: the number of generators of y at each vertex."""
+    counts = [0] * y.alg.quiver.vertex_count
+    for v, _ in y.generators:
+        counts[v] += 1
+    return counts
+
+
 def _phase_sorted_candidates(stab, y, side):
     """Oracle: every (root, k) of the probe windows at or past y's generator-phase
-    bound, sorted by Phase(k, Z(root))."""
+    bound, sorted by Phase(k, Z(root)).  For a target (acyclic, as every target
+    here) with all generators at one shift s, the candidates (w, s) with w not
+    <= the generator count per vertex are left out: none of them can be a first
+    hit (see the stability module docstring), so the walk does not test them."""
     lo_y, hi_y = y.shift_range()
     low, high = _generator_phase_bounds(stab, y)
+    counts = _generator_counts(y)
     out = []
     for w in stab.roots:
         lo_s, hi_s = stab.stable_object(w).shift_range()
@@ -372,7 +385,12 @@ def _phase_sorted_candidates(stab, y, side):
             k_range = range(lo_y - hi_s, hi_y - lo_s + 3)
         else:
             k_range = range(lo_y - hi_s - 2, hi_y - lo_s + 1)
-        out.extend((Phase(k, stab.charge.of_root(w)), w, k) for k in k_range)
+        fits = all(c <= n for c, n in zip(w, counts))
+        out.extend(
+            (Phase(k, stab.charge.of_root(w)), w, k)
+            for k in k_range
+            if lo_y != hi_y or k != lo_y or fits
+        )
     out = [item for item in out if (low <= item[0] if side == "bottom" else item[0] <= high)]
     out.sort(key=lambda item: item[0], reverse=(side == "top"))
     return [(w, k) for _, w, k in out]
@@ -565,15 +583,17 @@ def test_one_walk_probe_matches_two_walks_on_flips(name):
 
 
 def _walks(monkeypatch, stab, y):
-    """phi_probes(y) with the real Hom tests, and [side, Hom tests] per walk it ran, in order."""
+    """phi_probes(y) with the real Hom tests, and [side, Hom tests] per walk it ran, in
+    order; each Hom test is listed as the (root, k) of the S_w[k] it tested."""
     walks = []
 
     def first_hit(self, z, side, bound, real=StabilityCondition._first_hit):
-        walks.append([side, 0])
+        walks.append([side, []])
         return real(self, z, side, bound)
 
     def hom0(x, z, k, real=stability.hom0_is_nonzero):
-        walks[-1][1] += 1
+        side, tests = walks[-1]
+        tests.append((z.k_class(), k) if side == "bottom" else (x.k_class(), -k))
         return real(x, z, k)
 
     monkeypatch.setattr(StabilityCondition, "_first_hit", first_hit)
@@ -584,7 +604,7 @@ def _walks(monkeypatch, stab, y):
 
 
 def _top_tests(walks):
-    return sum(tests for side, tests in walks if side == "top")
+    return sum(len(tests) for side, tests in walks if side == "top")
 
 
 def _nearer_side(stab, y):
@@ -613,7 +633,7 @@ def test_a_stable_object_and_its_shifts_make_one_walk_from_the_nearer_bound(monk
                 y = stab.stable_object(w).shift(k)
                 side = _nearer_side(stab, y)
                 phases, walks = _walks(monkeypatch, stab, y)
-                assert len(walks) == 1 and walks[0][0] == side and walks[0][1] > 0, (w, k)
+                assert len(walks) == 1 and walks[0][0] == side and walks[0][1], (w, k)
                 assert phases.bottom is phases.top
                 assert phases == ((stab.phase_of_root(w, k), w, k),) * 2
                 assert phases == two_walk_probes(stab, y)
@@ -714,7 +734,7 @@ def test_sums_nearer_the_top_run_the_top_walk_then_the_bottom_walk(monkeypatch, 
     for a, b, y in sums:
         phases, walks = _walks(monkeypatch, stab, y)
         assert [side for side, _ in walks] == ["top", "bottom"], (a, b)
-        assert all(tests > 0 for _, tests in walks)
+        assert all(tests for _, tests in walks)
         assert phases == two_walk_probes(stab, y), (a, b)
         assert {phases.bottom.root, phases.top.root} == {a, b}
 
@@ -732,6 +752,103 @@ def test_an_early_end_without_the_ray_test_fails_the_sums_nearer_the_top(monkeyp
     for (a, b, y), want in zip(sums, oracle):
         mutant = stab.phi_probes(y)
         assert mutant.top == want.top and mutant.bottom == want.top != want.bottom, (a, b)
+
+
+# -- the class prune of one-shift walks against the unpruned walk ----------------
+
+
+def assert_one_shift_probe_is_pruned(stab, y):
+    """For a one-shift acyclic y: both hits are the unpruned walk's, and every Hom
+    test is at y's shift s against a root w <= y's generator counts, since the
+    first S_w[s] with a nonzero Hom is a quotient or a subobject of y."""
+    lo, hi = y.shift_range()
+    assert lo == hi and stab._generator_bounds(y) is not None
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        phases, walks = _walks(monkeypatch, stab, y)
+    tests = [test for _, walk in walks for test in walk]
+    assert phases.bottom == unpruned_first_hit(stab, y, "bottom")
+    assert phases.top == unpruned_first_hit(stab, y, "top")
+    counts = _generator_counts(y)
+    assert tests
+    for w, k in tests:
+        assert k == lo and all(c <= n for c, n in zip(w, counts)), (w, k, counts)
+
+
+def test_pruned_walks_on_e8_stable_objects_find_the_unpruned_hits():
+    """E8 stable objects and a shift of each: sampled roots under two charges."""
+    alg = ZigzagAlgebra(named_quiver("E8"))
+    rng = random.Random("class-prune:E8")
+    for _ in range(2):
+        stab = StabilityCondition(alg, random_generic_charge(alg.quiver, rng))
+        for w in rng.sample(stab.roots, 16):
+            obj = stab.stable_object(w)
+            for y in (obj, obj.shift(rng.choice((-1, 1, 2)))):
+                assert_one_shift_probe_is_pruned(stab, y)
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "E6"])
+def test_pruned_walks_on_one_shift_sums_find_the_unpruned_hits(name):
+    """S_a + S_b for a != b and S_u + S_u, each with a shift: the class prune
+    keeps the hits of the unpruned walk."""
+    alg = ZigzagAlgebra(named_quiver(name))
+    rng = random.Random(f"class-prune-sums:{name}")
+    stab = StabilityCondition(alg, random_generic_charge(alg.quiver, rng))
+    pairs = [rng.sample(stab.roots, 2) for _ in range(12)]
+    pairs += [(u, u) for u in rng.sample(stab.roots, 6)]
+    for a, b in pairs:
+        y = direct_sum(stab.stable_object(a), stab.stable_object(b))
+        for z in (y, y.shift(rng.choice((-2, -1, 1, 3)))):
+            assert_one_shift_probe_is_pruned(stab, z)
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "E6"])
+def test_mixed_shift_sums_make_unpruned_walks(name):
+    """S_a + S_b[1] has generators at two shifts, so no candidate may be left
+    out by class: the probe finds the unpruned hits, (a, 0) at the bottom."""
+    alg = ZigzagAlgebra(named_quiver(name))
+    rng = random.Random(f"class-prune-mixed:{name}")
+    stab = StabilityCondition(alg, random_generic_charge(alg.quiver, rng))
+    for _ in range(12):
+        a, b = rng.sample(stab.roots, 2)
+        y = direct_sum(stab.stable_object(a), stab.stable_object(b).shift(1))
+        assert_probes_match_the_unpruned_walk(stab, y)
+        assert stab.phi_probes(y).bottom == (stab.phase_of_root(a), a, 0)
+
+
+_ONE_SHIFT_ALGEBRAS = {name: ZigzagAlgebra(named_quiver(name)) for name in ("A3", "D4", "E6")}
+
+
+@st.composite
+def _one_shift_braid_images(draw):
+    """An algebra, a generic charge and the minimal model of a braid image of a
+    simple whose generators all sit at one shift.
+
+    A word that cancels down to a shifted simple S_u[s] gets one more letter
+    at a neighbour of u, with the sign that keeps the two-term image on one
+    shift, so that most draws have a differential.
+    """
+    alg = _ONE_SHIFT_ALGEBRAS[draw(st.sampled_from(sorted(_ONE_SHIFT_ALGEBRAS)))]
+    n = alg.quiver.vertex_count
+    letters = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.sampled_from((1, -1))), min_size=1, max_size=6
+    ))
+    x = simple_object(alg, draw(st.integers(0, n - 1)))
+    y = minimize(apply_braid(alg, BraidWord(tuple(letters)), x))
+    if len(y.generators) == 1:
+        v = draw(st.sampled_from(alg.quiver.neighbors(y.generators[0].vertex)))
+        images = [minimize(apply_braid(alg, BraidWord(((v, e),)), y)) for e in (1, -1)]
+        y = next(z for z in images if len({s for _, s in z.generators}) == 1)
+    lo, hi = y.shift_range()
+    assume(lo == hi)
+    charge = random_generic_charge(alg.quiver, random.Random(draw(st.integers(0, 2**32))))
+    return StabilityCondition(alg, charge), y
+
+
+@settings(ORACLE_SETTINGS, max_examples=30)
+@given(_one_shift_braid_images())
+def test_pruned_walks_on_one_shift_braid_images_find_the_unpruned_hits(drawn):
+    stab, y = drawn
+    assert_one_shift_probe_is_pruned(stab, y)
 
 
 # -- the per-algebra record shared by all charges ------------------------------
