@@ -26,7 +26,7 @@ Hom tests on ±1 data eliminate without building a Fraction.
 
 An entry is an int or a Fraction, and equal values compare equal either
 way.  Validated construction stores every entry as a Fraction, and so do
-the reps `cocycle_reps` and `all_cohomology_reps` return.  The twists lay
+the reps `cocycle_reps` returns.  The twists lay
 out their cones from the echelon's kernel vectors as they are (`_cone`),
 so a twisted object keeps its integral entries as ints, and `minimize` and
 later Hom tests on it run in ints.
@@ -519,14 +519,9 @@ class HomComplex:
         reps = linalg.complement_reps(kernel, self.matrix(d - 1))
         return [self._vector_to_morphism(d, vec) for vec in reps]
 
-    def all_cohomology_reps(self) -> list[tuple[int, Morphism]]:
-        """(d, rep) for every degree d in ascending order, the reps of each d
-        being `cocycle_reps(d)`: the `rep_vectors` as Fraction-valued Morphisms."""
-        return [(d, self._vector_to_morphism(d, vec)) for d, vec in self.rep_vectors()]
-
     def rep_vectors(self) -> list[tuple[int, linalg.Vector]]:
         """(d, vector) for every degree d in ascending order: the coordinates,
-        on the Hom^d basis, of the reps `all_cohomology_reps` returns, with the
+        on the Hom^d basis, of the reps `cocycle_reps(d)` returns, with the
         int-or-Fraction entries of the echelon.  Each differential is
         eliminated once, and each vector lies in the kernel of D_d.
 

@@ -83,10 +83,10 @@ class ReductionTrace:
         }
 
 
-def _conjugated_twist_word(build: StableBuild, exponent: int) -> BraidWord:
-    """Braid word acting as the twist (exponent +1/-1) in the built stable object."""
-    core = BraidWord(((build.word.base, exponent),))
-    return build.braid.inverse().then(core).then(build.braid)
+def _conjugated_twist_word(build: StableBuild, exponent: int) -> tuple[tuple[int, int], ...]:
+    """Letters of the braid word acting as the twist (exponent +1/-1) in the built stable object."""
+    letters = build.braid.letters
+    return tuple((v, -e) for v, e in reversed(letters)) + ((build.word.base, exponent),) + letters
 
 
 def _moved_in(end: str, old: Phase, new: Phase) -> bool:
@@ -152,7 +152,7 @@ def _reduce(
     phases = stab.phi_probes(cur)
     spread = phases.spread
     steps: list[StepRecord] = []
-    word = BraidWord()
+    letters: list[tuple[int, int]] = []
     while not done(spread):
         if len(steps) >= step_budget:
             raise InvariantViolation(
@@ -162,8 +162,8 @@ def _reduce(
         build = stab.stable_build(getattr(phases, direction).root)
         cur, phases, spread, record = _step(stab, build.obj, cur, phases, spread, direction)
         steps.append(record)
-        word = word.then(_conjugated_twist_word(build, record.exponent))
-    return cur, phases, steps, word
+        letters.extend(_conjugated_twist_word(build, record.exponent))
+    return cur, phases, steps, BraidWord(tuple(letters))
 
 
 def reduce_to_stable(

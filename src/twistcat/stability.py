@@ -25,10 +25,11 @@ witness `Phase.z` is built only for output (`to_json_dict`, `float`,
 `repr`), and so is the rational Z(w) = ray / D.
 
 The stable objects a condition probes with depend on its charge only
-through their sign vectors, so the algebra's shared record keeps one rung
-(root, stable object, its shift range) per (root, sign vector), and a new
-condition reads its ladder off those rungs after working out each root's
-signs with integer crosses (see `_probe_ladder`).
+through their sign vectors, so the algebra's shared record keeps one
+certified `StableBuild` (root, word, signs, lift, its shift range) per
+(word, sign vector), and a new condition's probe ladder is the list of
+the records of its roots' minimal words, read off that table after working
+out each root's signs with integer crosses (see `_probe_ladder`).
 
 A probe walk tries the stable objects S_w[k] in phase order and starts at
 the phase bound of the object's own generators.  When the entry graph of
@@ -381,9 +382,6 @@ def _distinct_rays(rays: list[Ray]) -> bool:
     return _by_argument(rays)[1]
 
 
-Rung = tuple[Root, TwistedComplex, int, int]  # (root, stable object, its shift range)
-
-
 class ProbeHit(NamedTuple):
     """A phase witnessed by a nonzero Hom^0 with the stable object of root, shifted."""
 
@@ -408,18 +406,33 @@ class Phases(NamedTuple):
     )
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class StableBuild:
-    """Everything produced while constructing the stable object of a class."""
+    """The certified stable object of a class under one sign vector: the root,
+    the word and its root sequence, the signs, the signed braid, its lift of
+    the word's base simple and that lift's shift range.
+
+    A record is shared by every condition on the algebra that gives the word
+    the same signs (see `_ChargeFree`), so no field can be reassigned, and
+    `sequence` hands each caller a fresh list; only `flipped` grows the
+    record's cache of prefix lifts.
+    """
 
     root: Root
     word: WeylWord
-    sequence: list[Root]
+    root_seq: tuple[Root, ...]
     signs: tuple[int, ...]
     braid: BraidWord
     obj: TwistedComplex
+    lo: int
+    hi: int
     # prefixes[i]: the lift of braid.letters[:i], grown one letter at a time by `flipped`
     prefixes: list[TwistedComplex] = field(default_factory=list, init=False, repr=False, compare=False)
+
+    @property
+    def sequence(self) -> list[Root]:
+        """The root sequence of the word, as a new list."""
+        return list(self.root_seq)
 
     def flipped(self, i: int) -> TwistedComplex:
         """The lift with exponent i (0-based) of the braid word reversed.
@@ -446,14 +459,13 @@ class _ChargeFree:
 
     The positive roots (the finite-type check runs once), the simple roots
     among them, one letter tuple (v, e) per signed vertex, each root's
-    minimal word and root sequence, the lift table (base vertex, signed
-    braid word) -> object, and the probe ladder's rungs (root, sign vector)
-    -> (root, lift, its shift range).  The root sequences hold the tuples
-    of `roots` and the signed braid lifts the letter tuples held here, so
-    no condition adds copies of either.  A root's sign vector selects its
-    lift, so a condition whose sign vectors all have rungs reads its ladder
-    off them.  A lift enters the lift table only after it has passed the
-    sphericity certificate, and a rung only after its lift has.
+    minimal word and root sequence, and `builds`, the one table of stable
+    objects: (word, sign vector) -> its certified `StableBuild`.  The root
+    sequences hold the tuples of `roots` and the signed braids the letter
+    tuples held here, so no condition adds copies of either.  A word and its
+    sign vector select the lift, so a condition whose sign vectors all have
+    records reads its probe ladder off them.  A record enters the table only
+    after its lift has passed the sphericity certificate.
 
     The record is the algebra's `charge_free` attribute, not an entry of a
     table keyed by the algebra: every stored object refers back to its
@@ -461,7 +473,7 @@ class _ChargeFree:
     forms a cycle that the garbage collector reclaims.
     """
 
-    __slots__ = ("roots", "simples", "letters", "words", "lifts", "rungs")
+    __slots__ = ("roots", "simples", "letters", "words", "builds")
 
     def __init__(self, q: QuiverGraph):
         self.roots = positive_roots(q)
@@ -473,21 +485,20 @@ class _ChargeFree:
         for w in self.roots:
             word = minimal_word(q, w)
             self.words[w] = (word, tuple(held[r] for r in root_sequence(q, word)))
-        self.lifts: dict[tuple[int, BraidWord], TwistedComplex] = {}
-        self.rungs: dict[tuple[Root, tuple[int, ...]], Rung] = {}
+        self.builds: dict[tuple[WeylWord, tuple[int, ...]], StableBuild] = {}
 
 
 class StabilityCondition:
     """A generic standard stability condition on the quiver category.
 
     Per algebra, shared by every condition on it: the positive roots, their
-    minimal words and root sequences, and the certified signed braid lifts
-    (see `_ChargeFree`; a stable object depends on the charge only through
-    its sign vector).  Per charge, done here: the integer ray D*Z of every
-    positive root, their order by argument and one genericity check (see
-    the module docstring), and, on first use, the signs of each root's
-    word, which select the shared lift and the ladder's rung, each root's
-    exact Z, and the probe ladder.
+    minimal words and root sequences, and the table of certified stable
+    records (see `_ChargeFree`; a stable object depends on the charge only
+    through its sign vector).  Per charge, done here: the integer ray D*Z of
+    every positive root, their order by argument and one genericity check
+    (see the module docstring), and, on first use, the signs of each root's
+    minimal word, which select its shared record, each root's exact Z, and
+    the probe ladder, the list of those records by arg Z.
     """
 
     def __init__(self, alg: ZigzagAlgebra, charge: CentralCharge):
@@ -500,7 +511,6 @@ class StabilityCondition:
         self.charge = charge
         self._shared: _ChargeFree = alg.charge_free
         self.roots = list(self._shared.roots)
-        self._builds: dict[Root, StableBuild] = {}
         self._d, self._simples = _lattice(charge)
         rays = [_ray(self._simples, w) for w in self.roots]
         self._rays: dict[Root, Ray] = dict(zip(self.roots, rays))
@@ -508,9 +518,9 @@ class StabilityCondition:
         self._arg_order: list[Root] = [self.roots[i] for i in order]
         self._pos: dict[Root, int] = {w: i for i, w in enumerate(self._arg_order)}
         self._z: dict[Root, ExactComplex] = {}
-        # the ladder by arg Z, the same reversed, and (least lo, greatest hi) over its rungs
-        self._ladder: list[Rung] | None = None
-        self._ladder_down: list[Rung] = []
+        # the ladder by arg Z, the same reversed, and (least lo, greatest hi) over its records
+        self._ladder: list[StableBuild] | None = None
+        self._ladder_down: list[StableBuild] = []
         self._ladder_span = (0, 0)
 
     # -- charges and phases ------------------------------------------------
@@ -553,132 +563,114 @@ class StabilityCondition:
         for w in roots:
             if not (all(c >= 0 for c in w) and any(c > 0 for c in w)):
                 raise ValueError(f"root sequence entry {w} is not positive")
-        signs = self._sides(roots)
-        if 0 in signs:
-            w = roots[signs.index(0) + 1]
-            raise NonGenericChargeError(
-                f"sequence entry {w} is on the neutral ray; charge is not generic here"
-            )
-        return signs
+        return self._signs(roots)
 
-    def _sides(self, roots: Sequence[Root]) -> tuple[int, ...]:
-        """Per entry after the first: +1 above the neutral ray, -1 below, 0 on it."""
+    def _signs(self, roots: Sequence[Root]) -> tuple[int, ...]:
+        """Per entry after the first: +1 above the neutral ray, -1 below; an
+        entry on it raises."""
         n_re, n_im = self._ray_of(roots[0])
         out = []
         for w in roots[1:]:
             re, im = self._ray_of(w)
             c = n_re * im - n_im * re
-            out.append((c > 0) - (c < 0))
+            if c == 0:
+                raise NonGenericChargeError(
+                    f"sequence entry {w} is on the neutral ray; charge is not generic here"
+                )
+            out.append(1 if c > 0 else -1)
         return tuple(out)
 
     def stable_build(self, w: Root, word: WeylWord | None = None) -> StableBuild:
-        """Construct the stable object of class w by the signed braid lift.
+        """The shared record of the stable object of class w, by the signed braid lift.
 
         Only the signs are worked out per charge, by the sign rule on the
-        word's root sequence; the lift they select is looked up in the
-        algebra's shared table, and built (see `_build_lifts`) and certified
-        spherical there the first time any condition on the algebra asks for
-        it.  The default word is the root's minimal word; an explicit word
-        takes the same path.
+        word's root sequence; the word and its signs select the record in
+        the algebra's shared table (see `_ChargeFree`), built and certified
+        spherical there the first time any condition on the algebra asks
+        for it (see `_records`).  The default word is the root's minimal
+        word, and its record is the root's entry of the probe ladder; an
+        explicit word takes the same table, so the minimal word given
+        explicitly returns the same record.
         """
-        if word is None:
-            return self._stable_builds([w])[0]
         self.require_generic()
+        if word is None:
+            if w not in self._pos:
+                raise ValueError(f"{w} is not a positive root")
+            return self._probe_ladder()[self._pos[w]]
         if evaluate_word(self.quiver, word) != w:
             raise ValueError("expression does not evaluate to the requested root")
-        return self._lift([(w, word, root_sequence(self.quiver, word))])[0]
+        seq = tuple(root_sequence(self.quiver, word))
+        return self._records([(w, word, seq, self.sign_rule(seq))])[0]
 
-    def _stable_builds(self, roots: list[Root]) -> list[StableBuild]:
-        """The minimal-word builds of the roots, the missing lifts built in one batch."""
-        self.require_generic()
-        missing = [w for w in roots if w not in self._builds]
-        for w in missing:
-            if w not in self._shared.words:
-                raise ValueError(f"{w} is not a positive root")
-        for build in self._lift([(w, *self._shared.words[w]) for w in missing]):
-            self._builds[build.root] = build
-        return [self._builds[w] for w in roots]
+    def _records(
+        self, items: list[tuple[Root, WeylWord, tuple[Root, ...], tuple[int, ...]]]
+    ) -> list[StableBuild]:
+        """The shared record of each (root, word, root sequence, signs), the
+        missing ones built, certified and stored in one walk.
 
-    def _lift(self, items: list[tuple[Root, WeylWord, Sequence[Root]]]) -> list[StableBuild]:
-        """The build of each (root, word, root sequence), by the signs of this charge."""
-        out, letters = [], self._shared.letters
-        for w, word, seq in items:
-            signs = self.sign_rule(seq)
-            braid = BraidWord(tuple(letters[e][v] for v, e in zip(word.letters, signs)))
-            out.append((w, word, seq, signs, braid))
-        self._build_lifts({(word.base, braid): w for w, word, _, _, braid in out})
-        lifts = self._shared.lifts
-        return [
-            StableBuild(w, word, list(seq), signs, braid, lifts[(word.base, braid)])
-            for w, word, seq, signs, braid in out
-        ]
-
-    def _build_lifts(self, keys: dict[tuple[int, BraidWord], Root]) -> None:
-        """Build, certify and store the lifts (base, signed braid) -> root missing from the table.
-
-        The missing keys are sorted, so keys that share a prefix of letters
-        follow one another, and the walk keeps the lifts of the prefixes on
-        its current path in the trie of signed braids: each key starts from
-        the deepest prefix it shares with that path and applies the rest
-        one letter at a time.  `apply_braid` is a left fold over the
-        letters, so every lift equals the one applied in a single call.  A
-        finished lift enters the table only after it has passed the
-        sphericity certificate; prefixes never do.
+        The missing records are sorted by (base, signed letters), so words
+        whose signed letters share a prefix follow one another, and the walk
+        keeps the lifts of the prefixes on its current path in the trie of
+        signed braids: each record starts from the deepest prefix it shares
+        with that path and applies the rest one letter at a time.
+        `apply_braid` is a left fold over the letters, so every lift equals
+        the one applied in a single call.  A record enters the table only
+        after its lift has passed the sphericity certificate; prefixes never
+        do.
         """
-        lifts = self._shared.lifts
+        table, letters = self._shared.builds, self._shared.letters
+        # (base, signed letters) determines (word, signs), so the sort never compares the values
+        missing = {}
+        for w, word, seq, signs in items:
+            if (word, signs) not in table:
+                braid = tuple(letters[e][v] for v, e in zip(word.letters, signs))
+                missing[word.base, braid] = (w, word, seq, signs)
         base_now, letters_now, path = None, (), []  # path[i]: lift of letters_now[:i]
-        for key in sorted((k for k in keys if k not in lifts), key=lambda k: (k[0], k[1].letters)):
-            base, letters = key[0], key[1].letters
+        for (base, braid), (w, word, seq, signs) in sorted(missing.items()):
             if base != base_now:
                 base_now, letters_now, path = base, (), [simple_object(self.alg, base)]
             depth = 0
-            for a, b in zip(letters_now, letters):
+            for a, b in zip(letters_now, braid):
                 if a != b:
                     break
                 depth += 1
             del path[depth + 1:]
-            for letter in letters[depth:]:
+            for letter in braid[depth:]:
                 path.append(apply_braid(self.alg, BraidWord((letter,)), path[-1]))
-            letters_now = letters
+            letters_now = braid
             obj = path[-1]
             if not is_spherical(obj):
-                raise InvariantViolation(
-                    f"constructed object of class {keys[key]} is not spherical"
-                )
-            lifts[key] = obj
+                raise InvariantViolation(f"constructed object of class {w} is not spherical")
+            table[word, signs] = StableBuild(
+                w, word, seq, signs, BraidWord(braid), obj, *obj.shift_range()
+            )
+        return [table[word, signs] for _, word, _, signs in items]
 
     def stable_object(self, w: Root, word: WeylWord | None = None) -> TwistedComplex:
         return self.stable_build(w, word).obj
 
     def stable_table(self) -> dict[Root, TwistedComplex]:
-        return {build.root: build.obj for build in self._stable_builds(self.roots)}
+        ladder = self._probe_ladder()
+        return {w: ladder[self._pos[w]].obj for w in self._shared.roots}
 
     # -- phase probing -----------------------------------------------------
 
-    def _probe_ladder(self) -> list[Rung]:
-        """(root, stable object, its shift range) for every positive root, by arg Z.
+    def _probe_ladder(self) -> list[StableBuild]:
+        """The record of every positive root's minimal word, by arg Z.
 
-        Each root's rung is read off the algebra's shared table by its sign
-        vector, worked out with integer crosses on its root sequence.  On
-        any miss, or an entry on the neutral ray, the ladder comes from the
-        batched builds (`_stable_builds`), which build and certify the
-        missing lifts and raise on a non-generic charge, and their rungs
-        enter the table.
+        Each root's record is read off the algebra's shared table by its
+        minimal word and sign vector, the signs worked out with integer
+        crosses on its root sequence; the missing records are built and
+        certified in one batch (see `_records`).
         """
         if self._ladder is None:
-            rungs, words = self._shared.rungs, self._shared.words
-            ladder = []
-            for w in self._arg_order:
-                rung = rungs.get((w, self._sides(words[w][1])))
-                if rung is None:
-                    ladder = [
-                        rungs.setdefault((b.root, b.signs), (b.root, b.obj, *b.obj.shift_range()))
-                        for b in self._stable_builds(self._arg_order)
-                    ]
-                    break
-                ladder.append(rung)
+            self.require_generic()
+            words = self._shared.words
+            ladder = self._records(
+                [(w, *words[w], self._signs(words[w][1])) for w in self._arg_order]
+            )
             self._ladder_down = ladder[::-1]
-            self._ladder_span = (min(r[2] for r in ladder), max(r[3] for r in ladder))
+            self._ladder_span = (min(b.lo for b in ladder), max(b.hi for b in ladder))
             self._ladder = ladder
         return self._ladder
 
@@ -771,12 +763,12 @@ class StabilityCondition:
             # S_w[k] is in its window exactly when hi_w >= above and lo_w < below
             above, below = lo_y - k - pad, hi_y - k + 3 - pad
             if dim is not None and k == lo_y:
-                row = (r for r in row if all(map(operator.le, r[0], dim)))
-            for w, obj, lo, hi in row:
-                if hi >= above and lo < below and (
-                    hom0_is_nonzero(y, obj, k) if bottom else hom0_is_nonzero(obj, y, -k)
+                row = (b for b in row if all(map(operator.le, b.root, dim)))
+            for b in row:
+                if b.hi >= above and b.lo < below and (
+                    hom0_is_nonzero(y, b.obj, k) if bottom else hom0_is_nonzero(b.obj, y, -k)
                 ):
-                    return ProbeHit(Phase._on_ray(k, *self._rays[w], self._d), w, k)
+                    return ProbeHit(Phase._on_ray(k, *self._rays[b.root], self._d), b.root, k)
             row = ladder
         raise InvariantViolation(
             "no stable object receives a map from the probe target" if bottom

@@ -135,7 +135,7 @@ class ZigzagAlgebra:
                     paths = ()
                 self.paths[(i, j)] = {b.degree: b for b in paths}
         # the stability data no charge changes (positive roots, minimal words,
-        # certified stable lifts), shared by every StabilityCondition on this
+        # certified stable records), shared by every StabilityCondition on this
         # algebra; set by `stability` on first use
         self.charge_free = None
 

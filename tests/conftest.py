@@ -170,8 +170,8 @@ def unpruned_first_hit(stab, y, side):
     lo_y, hi_y = y.shift_range()
     pad = 0 if bottom else -2
     windows = [
-        (w, obj, lo_y - hi_s + pad, hi_y - lo_s + 3 + pad)
-        for w, obj, lo_s, hi_s in stab._probe_ladder()
+        (b.root, b.obj, lo_y - b.hi + pad, hi_y - b.lo + 3 + pad)
+        for b in stab._probe_ladder()
     ]
     ks = range(min(lo for _, _, lo, _ in windows), max(hi for _, _, _, hi in windows))
     if not bottom:
@@ -239,8 +239,14 @@ def minimize_by_passes(x: TwistedComplex) -> TwistedComplex:
     return TwistedComplex(x.alg, gens, diff, validate=False)
 
 
+def all_cohomology_reps(hom) -> list:
+    """(d, rep) for every degree d in ascending order: `HomComplex.rep_vectors`
+    as Fraction-valued Morphisms, which `reps_by_degree` pins to `cocycle_reps(d)`."""
+    return [(d, hom._vector_to_morphism(d, vec)) for d, vec in hom.rep_vectors()]
+
+
 def reps_by_degree(hom) -> list:
-    """Oracle for `HomComplex.all_cohomology_reps`: `cocycle_reps` degree by degree."""
+    """Oracle for `all_cohomology_reps`: `cocycle_reps` degree by degree."""
     return [(d, rep) for d in hom.degrees() for rep in hom.cocycle_reps(d)]
 
 

@@ -31,7 +31,7 @@ from twistcat import (
 )
 from twistcat import homcore, linalg
 from twistcat.homcore import HomComplex
-from conftest import minimize_by_passes, random_word
+from conftest import all_cohomology_reps, minimize_by_passes, random_word
 
 
 def staircase(alg, sign=1):
@@ -263,7 +263,7 @@ def test_kernel_vectors_and_reps_are_fractions(alg_a3):
                 assert all(type(c) is Fraction for vec in kernel for c in vec.values())
                 reps = hom.cocycle_reps(d)
                 assert all(type(c) is Fraction for rep in reps for c in rep.entries.values())
-            reps = hom.all_cohomology_reps()
+            reps = all_cohomology_reps(hom)
             assert all(type(c) is Fraction for _, rep in reps for c in rep.entries.values())
             seen += len(reps)
     assert seen

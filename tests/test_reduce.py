@@ -1,6 +1,7 @@
 import json
 import pathlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -30,6 +31,7 @@ from twistcat import (
     twist_triangle,
 )
 from twistcat import reduce as reduction
+from twistcat import stability
 from twistcat.reduce import _certify
 from twistcat.stability import Phases, ProbeHit
 from conftest import random_word
@@ -383,6 +385,35 @@ def test_certify_rejects_a_spread_that_does_not_decrease(monkeypatch):
     with pytest.raises(InvariantViolation) as err:
         _certify_phases("bottom", WIDE, (_hit(0, 0), _hit(1, 1)))
     assert str(err.value) == "spread failed to decrease: Phase(1.000000) -> Phase(1.000000)"
+
+
+def test_a_reduction_reads_the_ladder_records(monkeypatch):
+    """Once the probe ladder exists, a reduction takes each step's stable
+    object from it: no record is made, no letter applied and no lift
+    certified, also when the ladder was read off an earlier condition's
+    records (here a positive multiple of its charge)."""
+    alg = ZigzagAlgebra(named_quiver("D4"))
+    rng = random.Random("ladder-records")
+    first = StabilityCondition(alg, random_generic_charge(alg.quiver, rng))
+    first._probe_ladder()
+    stab = StabilityCondition(alg, CentralCharge([z.scale(3) for z in first.charge.values]))
+    starts = [
+        apply_braid(alg, random_word(rng, 4, 6, min_len=3), simple_object(alg, rng.randrange(4)))
+        for _ in range(6)
+    ]
+    stab._probe_ladder()
+    calls = Counter()
+    for name in ("StableBuild", "apply_braid", "is_spherical"):
+        def counted(*args, real=getattr(stability, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(stability, name, counted)
+    steps = sum(
+        len(reduce_to_stable(stab, y, strategy=strategy).steps)
+        for y in starts for strategy in ("bottom", "top")
+    )
+    assert steps > 0
+    assert calls == Counter()
 
 
 def test_a_reduction_builds_no_phase_witness_until_it_is_serialized(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -29,6 +30,7 @@ from twistcat import (
     identity_morphism,
     is_isomorphic,
     is_spherical,
+    minimal_word,
     minimize,
     named_quiver,
     parse_braid_word,
@@ -879,10 +881,10 @@ def test_conditions_with_equal_signs_share_the_object(a3):
     shared_words = 0
     for w in first.roots:
         build = first.stable_build(w)
-        assert scaled.stable_build(w).obj is build.obj
+        assert scaled.stable_build(w) is build
         for other in others:
             if other.stable_build(w).signs == build.signs:
-                assert other.stable_build(w).obj is build.obj
+                assert other.stable_build(w) is build
                 shared_words += bool(build.signs)
     assert shared_words > 0
     # another algebra of the same quiver shares nothing
@@ -918,9 +920,9 @@ def test_certificate_runs_once_per_lift(monkeypatch, d4):
         rng = random.Random("certificate")
         for _ in range(2):
             _build_all(StabilityCondition(alg, random_generic_charge(d4, rng)), entry)
-        lifts = alg.charge_free.lifts
-        assert len(certified) == len(lifts) < 2 * len(positive_roots(d4)), entry
-        assert {id(obj) for obj in certified} == {id(obj) for obj in lifts.values()}, entry
+        builds = alg.charge_free.builds
+        assert len(certified) == len(builds) < 2 * len(positive_roots(d4)), entry
+        assert {id(obj) for obj in certified} == {id(b.obj) for b in builds.values()}, entry
 
 
 def test_failed_certificate_raises_and_is_not_stored(monkeypatch, a3):
@@ -935,11 +937,13 @@ def test_failed_certificate_raises_and_is_not_stored(monkeypatch, a3):
         stab.stable_table()
     with pytest.raises(InvariantViolation):
         stab._probe_ladder()
-    assert alg.charge_free.lifts == {}
+    assert alg.charge_free.builds == {}
     assert stab._ladder is None
     monkeypatch.undo()
     obj = stab.stable_object((1, 1, 1))
-    assert list(alg.charge_free.lifts.values()) == [obj]
+    ladder = stab._probe_ladder()
+    assert ladder[stab._pos[(1, 1, 1)]].obj is obj
+    assert sorted(map(id, alg.charge_free.builds.values())) == sorted(map(id, ladder))
 
 
 @pytest.mark.parametrize("name", ["E6", "E7"])
@@ -977,6 +981,11 @@ def _signed_prefixes(keys):
     return {(base, braid.letters[:i]) for base, braid in keys for i in range(1, len(braid) + 1)}
 
 
+def _lifts(alg):
+    """The (base, signed braid) of every record in the algebra's shared table."""
+    return {(b.word.base, b.braid) for b in alg.charge_free.builds.values()}
+
+
 @pytest.mark.parametrize("name", ["D4", "E6"])
 def test_lift_walk_twists_once_per_signed_prefix(monkeypatch, name):
     """Each build applies one letter per distinct nonempty signed prefix of
@@ -993,22 +1002,22 @@ def test_lift_walk_twists_once_per_signed_prefix(monkeypatch, name):
     wanted = set()
     for entry in ("stable_table", "_probe_ladder", "stable_table"):
         stab = StabilityCondition(alg, random_generic_charge(alg.quiver, rng))
-        before = set(alg.charge_free.lifts)
+        before = _lifts(alg)
         letters.clear()
         _build_all(stab, entry)
-        added = set(alg.charge_free.lifts) - before
+        added = _lifts(alg) - before
         assert all(len(word) == 1 for word in letters)
         assert len(letters) == len(_signed_prefixes(added))
         wanted |= {(b.word.base, b.braid) for b in map(stab.stable_build, stab.roots)}
-        assert set(alg.charge_free.lifts) == wanted
+        assert _lifts(alg) == wanted
 
 
 @pytest.mark.parametrize("name", ["A3", "D4", "E6"])
 def test_known_sign_vectors_read_the_ladder_off_the_rungs(monkeypatch, name):
-    """A condition whose every sign vector has a rung builds its ladder with no
-    twist and no certificate, and that ladder holds the objects of the batched
-    builds; a new sign vector goes through the batched builds, which add its
-    rung."""
+    """A condition whose every sign vector has a record builds its ladder with
+    no twist, no certificate and no new record; a new sign vector goes
+    through the batched build, which adds its record.  Either way the ladder
+    is the shared table's records, one per root by arg Z."""
     alg = ZigzagAlgebra(named_quiver(name))
     rng = random.Random(f"rungs:{name}")
     calls = {"apply_braid": 0, "is_spherical": 0}
@@ -1033,24 +1042,22 @@ def test_known_sign_vectors_read_the_ladder_off_the_rungs(monkeypatch, name):
             charge = random_generic_charge(alg.quiver, rng)
         charges.append(charge)
         stab = StabilityCondition(alg, charge)
-        words = alg.charge_free.words
-        known = all(
-            (w, stab.sign_rule(words[w][1])) in alg.charge_free.rungs for w in stab.roots
-        )
+        words, builds = alg.charge_free.words, alg.charge_free.builds
+        known = all((words[w][0], stab.sign_rule(words[w][1])) in builds for w in stab.roots)
         seen.add(known)
         calls.update(apply_braid=0, is_spherical=0)
+        stored = len(builds)
         ladder = stab._probe_ladder()
         if known:
             assert calls == {"apply_braid": 0, "is_spherical": 0}
-            assert not stab._builds  # read off the rungs: no build was made
+            assert len(builds) == stored  # read off the table: no record was made
         else:
             assert calls["apply_braid"] > 0 and calls["is_spherical"] > 0
-        builds = stab._stable_builds(stab._arg_order)
-        assert [w for w, _, _, _ in ladder] == stab._arg_order
-        assert all(obj is b.obj for (_, obj, _, _), b in zip(ladder, builds))
-        assert ladder == [(b.root, b.obj, *b.obj.shift_range()) for b in builds]
-        for b, rung in zip(builds, ladder):
-            assert alg.charge_free.rungs[(b.root, b.signs)] is rung
+        assert [b.root for b in ladder] == stab._arg_order
+        for b in ladder:
+            assert b.word == words[b.root][0] and b.signs == stab.sign_rule(b.sequence)
+            assert builds[b.word, b.signs] is b
+            assert (b.lo, b.hi) == b.obj.shift_range()
     assert seen == {True, False}
 
 
@@ -1058,11 +1065,35 @@ def test_algebra_is_freed_with_its_conditions(a3):
     alg = ZigzagAlgebra(a3)
     stab = StabilityCondition(alg, a3_reference_charge())
     stab.stable_table()
-    assert alg.charge_free.lifts
+    assert alg.charge_free.builds
     ref = weakref.ref(alg)
     del alg, stab
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "E6"])
+def test_stable_build_is_the_ladder_record(name):
+    """The default word's record is the root's entry of the probe ladder, and
+    the minimal word given explicitly returns that same record."""
+    alg = ZigzagAlgebra(named_quiver(name))
+    stab = StabilityCondition(alg, random_generic_charge(alg.quiver, random.Random(f"ladder:{name}")))
+    ladder = stab._probe_ladder()
+    for w in stab.roots:
+        build = stab.stable_build(w)
+        assert build is ladder[stab._pos[w]]
+        assert stab.stable_build(w, minimal_word(alg.quiver, w)) is build
+    assert len(alg.charge_free.builds) == len(stab.roots)
+
+
+def test_shared_records_are_immutable(alg_a3):
+    stab = StabilityCondition(alg_a3, a3_reference_charge())
+    build = stab.stable_build((1, 1, 1))
+    for name in ("root", "word", "root_seq", "signs", "braid", "obj", "lo", "hi", "prefixes"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(build, name, None)
+    assert all(type(v) is tuple for v in (build.root_seq, build.signs, build.braid.letters))
+    assert stab.stable_build((1, 1, 1)) is build
 
 
 def test_roots_and_sequences_are_fresh_per_condition(alg_a3):

@@ -25,7 +25,12 @@ from twistcat import StabilityCondition, ZigzagAlgebra, named_quiver, random_gen
 from twistcat import twists
 from twistcat.homcore import HomComplex, Morphism, TwistedComplex, cone, minimize
 from twistcat.verify import power_image
-from conftest import assert_same_complex, random_word, twists_checked_against_oracles
+from conftest import (
+    all_cohomology_reps,
+    assert_same_complex,
+    random_word,
+    twists_checked_against_oracles,
+)
 
 
 def test_twist_of_self_is_downshift(alg_a2):
@@ -226,7 +231,7 @@ def test_tensor_is_the_direct_sum_of_shifts_by_the_rep_degrees(name):
                 continue
             formed += 1
             source, target = (x, y) if exponent == 1 else (y, x)
-            degrees = [d for d, _ in HomComplex(source, target).all_cohomology_reps()]
+            degrees = [d for d, _ in all_cohomology_reps(HomComplex(source, target))]
             tensor = triangle[0] if exponent == 1 else triangle[2]
             assert tensor == direct_sum(*[x.shift(-exponent * d) for d in degrees])
     assert formed >= len(stab.roots)
@@ -237,7 +242,7 @@ def _checked_cone_of_the_map(x, y, exponent):
     with its closure check, shifted by [-1] for an untwist; None when the
     Hom space vanishes."""
     source, target = (x, y) if exponent == 1 else (y, x)
-    reps = HomComplex(source, target).all_cohomology_reps()
+    reps = all_cohomology_reps(HomComplex(source, target))
     if not reps:
         return None
     tensor = direct_sum(*[x.shift(-exponent * d) for d, _ in reps])
