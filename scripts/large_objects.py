@@ -10,8 +10,10 @@ object is semistable, spherical and of a root class up to sign.
 
     PYTHONPATH=src python3 scripts/large_objects.py [--k 5 6 7]
 
-Prints one JSON line per k.  Exit code 0 when every check passes, 1 when
-one fails; the times are reported, not checked.
+Prints one JSON line per k, with `peak_rss_mb`, the peak resident memory
+of the process so far (`ru_maxrss`), in MB.  Exit code 0 when every check
+passes, 1 when one fails; the times and the memory are reported, not
+checked.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import resource
 import sys
 import time
 
@@ -83,6 +86,7 @@ def main(argv: list[str] | None = None) -> int:
     ok = True
     for k in args.k:
         row = run(k)
+        row["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
         print(json.dumps(row), flush=True)
         ok = ok and row["ok"]
     return 0 if ok else 1

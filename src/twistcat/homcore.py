@@ -24,12 +24,15 @@ cohomology dimension and cocycle representative comes from the exact sparse
 echelon in linalg.  Integral entries enter those columns as ints, so the
 Hom tests on ±1 data eliminate without building a Fraction.
 
-An entry is an int or a Fraction, and equal values compare equal either
-way.  Validated construction stores every entry as a Fraction, and so do
-the reps `cocycle_reps` returns.  The twists lay
-out their cones from the echelon's kernel vectors as they are (`_cone`),
-so a twisted object keeps its integral entries as ints, and `minimize` and
-later Hom tests on it run in ints.
+Inputs are checked once, at the boundary: the public constructors
+`TwistedComplex(...)` and `Morphism(...)` validate every generator and entry
+and store each entry as a Fraction.  The engine builds its own values with
+`_trusted`, which stores the data as given, and no value changes after it is
+made.  An entry is an int or a Fraction, and equal values compare equal
+either way.  The reps `cocycle_reps` returns hold Fractions.  The twists
+lay out their cones from the echelon's kernel vectors as they are
+(`_cone`), so a twisted object keeps its integral entries as ints, and
+`minimize` and later Hom tests on it run in ints.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .errors import HypothesisNotMet
 from .rootlat import Root
 from .zigzag import ZigzagAlgebra
 
-# (target, source) -> entry; validated construction stores every entry as a Fraction,
+# (target, source) -> entry; the public constructors store every entry as a Fraction,
 # and the twists keep integral entries as ints
 Entries = dict[tuple[int, int], int | Fraction]
 
@@ -61,8 +64,8 @@ def _fits(alg: ZigzagAlgebra, src: Generator, tgt: Generator, degree: int) -> bo
 def _validated(entries: Entries, x: TwistedComplex, y: TwistedComplex, degree: int) -> Entries:
     """The nonzero entries of a degree-`degree` map from x to y, as Fractions.
 
-    Every key must be a pair of ints and every entry an int or a Fraction,
-    and a nonzero entry needs a path.
+    Every key must be a pair of ints in range and every entry an int or a
+    Fraction, and a nonzero entry needs a path.
     """
     if not isinstance(entries, dict):
         raise ValueError(f"entries {entries!r} must be a dict keyed by (target, source)")
@@ -73,10 +76,10 @@ def _validated(entries: Entries, x: TwistedComplex, y: TwistedComplex, degree: i
         h, g = key
         if type(c) not in (int, Fraction):
             raise ValueError(f"entry {(h, g)} must be an int or a Fraction, got {c!r}")
-        if not c:
-            continue
         if not (0 <= g < len(x.generators) and 0 <= h < len(y.generators)):
             raise ValueError(f"entry {(h, g)} out of range")
+        if not c:
+            continue
         src, tgt = x.generators[g], y.generators[h]
         if not _fits(x.alg, src, tgt, degree):
             raise ValueError(
@@ -108,12 +111,13 @@ def _compose(
 
 
 class TwistedComplex:
-    """Immutable-by-convention twisted complex; validates its invariants eagerly.
+    """Twisted complex that never changes after it is made.
 
-    With validate=False the generators are still converted to `Generator`s
-    and zero entries dropped.  The engine's own layouts (`shift`, `_cone`,
-    `minimize`, `direct_sum`, the simple and zero objects and the twists'
-    tensors) build their data in that form and store it as given (`_trusted`).
+    The constructor is the public boundary: it validates the generators,
+    every entry and d² = 0, and stores the entries as Fractions.  The
+    engine's own layouts (`shift`, `_cone`, `minimize`, `direct_sum`, the
+    simple and zero objects and the twists' tensors) are correct by
+    construction and skip the checks through `_trusted`.
     """
 
     __slots__ = ("alg", "generators", "differential")
@@ -123,41 +127,35 @@ class TwistedComplex:
         alg: ZigzagAlgebra,
         generators: Iterable[Generator],
         differential: Entries | None = None,
-        validate: bool = True,
     ):
+        try:
+            generators = tuple(generators)
+        except TypeError:
+            raise ValueError(f"generators {generators!r} must be iterable") from None
+        n = alg.quiver.vertex_count
+        for g in generators:
+            if not (isinstance(g, (tuple, list)) and len(g) == 2):
+                raise ValueError(f"generator {g!r} must be a (vertex, shift) pair")
+            v, s = g
+            if type(v) is not int or not 0 <= v < n or type(s) is not int:
+                raise ValueError(f"generator {(v, s)} needs a vertex in 0..{n - 1}"
+                                 " and an int shift")
         self.alg = alg
-        diff = {} if differential is None else differential
-        if validate:
-            try:
-                generators = tuple(generators)
-            except TypeError:
-                raise ValueError(f"generators {generators!r} must be iterable") from None
-            n = alg.quiver.vertex_count
-            for g in generators:
-                if not (isinstance(g, (tuple, list)) and len(g) == 2):
-                    raise ValueError(f"generator {g!r} must be a (vertex, shift) pair")
-                v, s = g
-                if type(v) is not int or not 0 <= v < n or type(s) is not int:
-                    raise ValueError(f"generator {(v, s)} needs a vertex in 0..{n - 1}"
-                                     " and an int shift")
         self.generators = tuple(Generator(v, s) for v, s in generators)
-        if validate:
-            self.differential = _validated(diff, self, self, 1)
-            square = _compose(self.differential, self.differential, self, self, 2)
-            if square:
-                raise ValueError(f"differential does not square to zero: {square}")
-        else:
-            self.differential = {k: c for k, c in diff.items() if c}
+        self.differential = _validated({} if differential is None else differential, self, self, 1)
+        square = _compose(self.differential, self.differential, self, self, 2)
+        if square:
+            raise ValueError(f"differential does not square to zero: {square}")
 
     @classmethod
     def _trusted(
         cls, alg: ZigzagAlgebra, generators: tuple[Generator, ...], differential: Entries
     ) -> "TwistedComplex":
-        """The complex with exactly these generators and entries, stored as given.
+        """The complex with exactly these generators and entries, stored unchecked.
 
         For callers that vouch for the data: a tuple of `Generator`s, a
         square-zero differential with no zero entry, and a dict that no
-        one changes afterwards.  Objects are immutable by convention, so a
+        one changes afterwards.  No object changes after it is made, so a
         caller may hand over the dict of another object.
         """
         obj = object.__new__(cls)
@@ -246,28 +244,32 @@ def direct_sum(*objects: TwistedComplex) -> TwistedComplex:
 
 
 class Morphism:
-    """Degree-d matrix of rational entries on implied paths between two complexes."""
+    """Degree-d matrix of rational entries on implied paths between two complexes.
+
+    Like `TwistedComplex`, the constructor validates and `_trusted` stores
+    the engine's own maps unchecked.
+    """
 
     __slots__ = ("source", "target", "degree", "entries")
 
-    def __init__(
-        self,
-        source: TwistedComplex,
-        target: TwistedComplex,
-        degree: int,
-        entries: Entries,
-        validate: bool = True,
-    ):
+    def __init__(self, source: TwistedComplex, target: TwistedComplex, degree: int, entries: Entries):
+        if type(degree) is not int:
+            raise ValueError(f"degree {degree!r} must be an int")
+        _same_quiver(source, target)
         self.source = source
         self.target = target
         self.degree = degree
-        if validate:
-            if type(degree) is not int:
-                raise ValueError(f"degree {degree!r} must be an int")
-            _same_quiver(source, target)
-            self.entries = _validated(entries, source, target, degree)
-        else:
-            self.entries = {k: c for k, c in entries.items() if c}
+        self.entries = _validated(entries, source, target, degree)
+
+    @classmethod
+    def _trusted(
+        cls, source: TwistedComplex, target: TwistedComplex, degree: int, entries: Entries
+    ) -> "Morphism":
+        """The map with exactly these entries, stored unchecked: the caller
+        vouches that every entry has a path and none is zero."""
+        obj = object.__new__(cls)
+        obj.source, obj.target, obj.degree, obj.entries = source, target, degree, entries
+        return obj
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -279,7 +281,7 @@ class Morphism:
         for key, c in _compose(x.differential, self.entries, x, y, degree).items():
             c = -c if self.degree % 2 == 0 else c
             out[key] = out[key] + c if key in out else c
-        return Morphism(x, y, degree, out, validate=False)
+        return Morphism._trusted(x, y, degree, {k: c for k, c in out.items() if c})
 
     def is_closed(self) -> bool:
         return self.differential().is_zero()
@@ -287,7 +289,7 @@ class Morphism:
 
 def identity_morphism(x: TwistedComplex) -> Morphism:
     entries = {(i, i): Fraction(1) for i in range(len(x.generators))}
-    return Morphism(x, x, 0, entries, validate=False)
+    return Morphism._trusted(x, x, 0, entries)
 
 
 def cone(f: Morphism) -> TwistedComplex:
@@ -439,7 +441,6 @@ class HomComplex:
                 ]
             for h, offset in hits:
                 self.basis.setdefault(offset + sg, []).append((g, h))
-        self._matrices: dict[int, list[linalg.Vector]] = {}
 
     def degrees(self) -> list[int]:
         return sorted(self.basis)
@@ -457,37 +458,34 @@ class HomComplex:
         entry joins a generator to itself (no degree-1 path does), so each
         row of a column is hit at most once.  An integral coefficient is
         emitted as an int and any other as its Fraction, so `linalg.rank`
-        stays in ints on ±1 data.
+        stays in ints on ±1 data.  The columns are built afresh on every
+        call; the engine asks each degree of a Hom complex once.
         """
-        if d in self._matrices:
-            return self._matrices[d]
         dom = self.basis.get(d, [])
         cod = self.basis.get(d + 1, [])
+        if not (dom and cod):
+            return [{} for _ in dom]
+        rows = {pair: pos for pos, pair in enumerate(cod)}
+        y_by_source: dict[int, list[tuple[int, int | Fraction]]] = {}
+        for (h2, h1), c in self.target.differential.items():
+            c = c.numerator if c.denominator == 1 else c
+            y_by_source.setdefault(h1, []).append((h2, c))
+        x_by_target: dict[int, list[tuple[int, int | Fraction]]] = {}
+        for (g1, g2), c in self.source.differential.items():
+            c = c.numerator if c.denominator == 1 else c
+            x_by_target.setdefault(g1, []).append((g2, -c if d % 2 == 0 else c))
         cols: list[linalg.Vector] = []
-        if dom and cod:
-            rows = {pair: pos for pos, pair in enumerate(cod)}
-            y_by_source: dict[int, list[tuple[int, int | Fraction]]] = {}
-            for (h2, h1), c in self.target.differential.items():
-                c = c.numerator if c.denominator == 1 else c
-                y_by_source.setdefault(h1, []).append((h2, c))
-            x_by_target: dict[int, list[tuple[int, int | Fraction]]] = {}
-            for (g1, g2), c in self.source.differential.items():
-                c = c.numerator if c.denominator == 1 else c
-                x_by_target.setdefault(g1, []).append((g2, -c if d % 2 == 0 else c))
-            for g, h in dom:
-                col: linalg.Vector = {}
-                for h2, c in y_by_source.get(h, ()):
-                    row = rows.get((g, h2))
-                    if row is not None:
-                        col[row] = c
-                for g2, c in x_by_target.get(g, ()):
-                    row = rows.get((g2, h))
-                    if row is not None:
-                        col[row] = c
-                cols.append(col)
-        else:
-            cols = [{} for _ in dom]
-        self._matrices[d] = cols
+        for g, h in dom:
+            col: linalg.Vector = {}
+            for h2, c in y_by_source.get(h, ()):
+                row = rows.get((g, h2))
+                if row is not None:
+                    col[row] = c
+            for g2, c in x_by_target.get(g, ()):
+                row = rows.get((g2, h))
+                if row is not None:
+                    col[row] = c
+            cols.append(col)
         return cols
 
     def cohomology_dim(self, d: int) -> int:
@@ -508,7 +506,7 @@ class HomComplex:
         for pos, c in sorted(vec.items()):
             g, h = basis[pos]
             entries[(h, g)] = c if type(c) is Fraction else Fraction(c)
-        return Morphism(self.source, self.target, d, entries, validate=False)
+        return Morphism._trusted(self.source, self.target, d, entries)
 
     def cocycle_reps(self, d: int) -> list[Morphism]:
         """Closed degree-d morphisms representing a basis of H^d."""
@@ -591,7 +589,7 @@ def find_isomorphism(
     x = minimize(x)
     y = minimize(y)
     if x.is_zero and y.is_zero:
-        return Morphism(x, y, 0, {}, validate=False), 0
+        return Morphism._trusted(x, y, 0, {}), 0
     if x.is_zero or y.is_zero:
         return None, 0
     if x.k_class() != y.k_class():

@@ -79,7 +79,7 @@ import math
 import operator
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, total_ordering
 from pathlib import Path
@@ -413,9 +413,9 @@ class StableBuild:
     the word's base simple and that lift's shift range.
 
     A record is shared by every condition on the algebra that gives the word
-    the same signs (see `_ChargeFree`), so no field can be reassigned, and
-    `sequence` hands each caller a fresh list; only `flipped` grows the
-    record's cache of prefix lifts.
+    the same signs (see `_ChargeFree`), so it never changes after it is
+    made: no field can be reassigned, no method adds state, and `sequence`
+    hands each caller a fresh list.
     """
 
     root: Root
@@ -426,8 +426,6 @@ class StableBuild:
     obj: TwistedComplex
     lo: int
     hi: int
-    # prefixes[i]: the lift of braid.letters[:i], grown one letter at a time by `flipped`
-    prefixes: list[TwistedComplex] = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def sequence(self) -> list[Root]:
@@ -435,23 +433,14 @@ class StableBuild:
         return list(self.root_seq)
 
     def flipped(self, i: int) -> TwistedComplex:
-        """The lift with exponent i (0-based) of the braid word reversed.
-
-        It starts from the lift of the first i letters, which it shares with
-        the stable lift; `apply_braid` is a left fold over the letters, so
-        the result equals the flipped word applied to the simple in one call.
-        """
+        """The lift of the braid word with exponent i (0-based) reversed,
+        applied to the word's base simple in one call."""
         letters = self.braid.letters
         if not 0 <= i < len(letters):
             raise ValueError(f"no exponent {i} in a word of {len(letters)} letters")
-        alg = self.obj.alg
-        if not self.prefixes:
-            self.prefixes.append(simple_object(alg, self.word.base))
-        while len(self.prefixes) <= i:
-            letter = letters[len(self.prefixes) - 1]
-            self.prefixes.append(apply_braid(alg, BraidWord((letter,)), self.prefixes[-1]))
         v, e = letters[i]
-        return apply_braid(alg, BraidWord(((v, -e),) + letters[i + 1:]), self.prefixes[i])
+        word = BraidWord(letters[:i] + ((v, -e),) + letters[i + 1:])
+        return apply_braid(self.obj.alg, word, simple_object(self.obj.alg, self.word.base))
 
 
 class _ChargeFree:

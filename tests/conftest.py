@@ -236,7 +236,7 @@ def minimize_by_passes(x: TwistedComplex) -> TwistedComplex:
                     new_diff[key] = new_diff[key] - a * b if key in new_diff else -(a * b)
         diff = {k: e for k, e in new_diff.items() if e}
         gens = [gens[i] for i in keep]
-    return TwistedComplex(x.alg, gens, diff, validate=False)
+    return TwistedComplex._trusted(x.alg, tuple(gens), diff)
 
 
 def all_cohomology_reps(hom) -> list:

@@ -95,6 +95,9 @@ def _bad_morphism(degree, entries):
         (None, _bad_morphism(0, [((0, 0), 1)]), r"entries \[\(\(0, 0\), 1\)\]"),
         (None, _bad_morphism("0", {}), r"degree '0'"),
         (None, _bad_morphism(True, {}), r"degree True"),
+        # a zero entry needs no path, but its indices must name generators
+        ([Generator(0, 0)], {(5, 7): 0}, r"entry \(5, 7\) out of range"),
+        (None, _bad_morphism(0, {(3, 3): 0}), r"entry \(3, 3\) out of range"),
     ],
 )
 def test_validation_rejects_bad_generators_and_keys(alg_a2, gens, diff, offender):
@@ -133,7 +136,10 @@ def test_validation_accepts_ints_and_fractions(alg_a2):
     as_frac = TwistedComplex(alg_a2, gens, {(0, 1): Fraction(2)})
     assert as_int == as_frac
     assert type(as_int.differential[(0, 1)]) is Fraction
+    # a zero entry needs no path
     assert TwistedComplex(alg_a2, gens, {(0, 1): 0}).differential == {}
+    p = simple_object(alg_a2, 0)
+    assert Morphism(p, p, 1, {(0, 0): 0}).entries == {}
 
 
 def test_validation_rejects_nonsquare_zero(alg_a2):
@@ -238,11 +244,11 @@ def test_minimize_cancels_padded_pair(alg_a2):
 
 
 def test_minimize_stays_exact_on_int_entries(alg_a2):
-    """An unvalidated complex with int entries: dividing by the pivot 2 must not
+    """A trusted complex with int entries: dividing by the pivot 2 must not
     give the float -0.5, and the result equals the one built from Fractions."""
     gens = [(0, 0), (0, 1), (0, -1), (0, 0)]
     diff = {(0, 1): 2, (0, 2): 1, (3, 1): 1}
-    m = minimize(TwistedComplex(alg_a2, gens, diff, validate=False))
+    m = minimize(TwistedComplex._trusted(alg_a2, tuple(Generator(*g) for g in gens), diff))
     assert not any(type(c) is float for c in m.differential.values())
     exact = minimize(TwistedComplex(alg_a2, gens, diff))
     assert m == exact == minimize_by_passes(TwistedComplex(alg_a2, gens, diff))
@@ -345,7 +351,7 @@ def _bounded_search(x, y) -> bool:
         for rep, a in zip(reps, coeffs):
             for key, c in rep.entries.items():
                 entries[key] = entries.get(key, 0) + a * c
-        if minimize(cone(Morphism(x, y, 0, entries, validate=False))).is_zero:
+        if minimize(cone(Morphism(x, y, 0, entries))).is_zero:
             return True
     return False
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from twistcat import (
     AlgebraElement,
     BraidWord,
+    Morphism,
     Phase,
     StabilityCondition,
     TwistedComplex,
@@ -22,6 +23,7 @@ from twistcat import (
     apply_braid,
     cone,
     direct_sum,
+    find_isomorphism,
     hom_dims,
     identity_morphism,
     is_isomorphic,
@@ -34,6 +36,7 @@ from twistcat import (
     twist_triangle,
     untwist,
     untwist_triangle,
+    zero_object,
 )
 from twistcat import twists
 from twistcat.homcore import Generator, HomComplex, hom0_is_nonzero
@@ -237,6 +240,36 @@ def test_cone_and_minimize_outputs_pass_validation(image, v, s):
         untwist(simple, y)
     for out in outputs:
         TwistedComplex(alg, out.generators, out.differential)
+
+
+def _assert_revalidates(f):
+    """f holds no zero entry and passes `Morphism(...)` with equal entries."""
+    assert all(f.entries.values())
+    assert Morphism(f.source, f.target, f.degree, f.entries).entries == f.entries
+
+
+@SETTINGS
+@given(braid_images_with_a_differential(), st.integers(0, 2**16))
+def test_engine_maps_pass_the_validated_constructor(image, seed):
+    """The engine builds its maps unchecked; each must still pass the
+    validated constructor: the differential of a random map and of a closed
+    rep, the identity, the cocycle reps and the isomorphism witnesses."""
+    alg, y = image
+    rng = random.Random(seed)
+    y2 = _gauged(y, rng)
+    _assert_revalidates(identity_morphism(y))
+    for x in (y, y2):
+        hom = HomComplex(y, x)
+        for d in hom.degrees():
+            entries = {(h, g): rng.choice((1, -1, 2)) for g, h in hom.basis[d]}
+            _assert_revalidates(Morphism(y, x, d, entries).differential())
+            for rep in hom.cocycle_reps(d):
+                _assert_revalidates(rep)
+                _assert_revalidates(rep.differential())
+        witness, _ = find_isomorphism(y, x)
+        _assert_revalidates(witness)
+    zero = zero_object(alg)
+    _assert_revalidates(find_isomorphism(zero, zero)[0])
 
 
 @settings(SETTINGS, max_examples=36)

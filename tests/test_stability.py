@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import gc
 import json
@@ -13,6 +14,7 @@ from twistcat import (
     BraidWord,
     CentralCharge,
     ExactComplex,
+    Generator,
     InvariantViolation,
     NonGenericChargeError,
     OrbitStability,
@@ -510,10 +512,11 @@ def test_bounded_walk_matches_the_unpruned_walk_on_shifted_and_padded_objects(na
 
 def test_cyclic_entry_graph_walks_every_candidate(monkeypatch, alg_a3, stab_a3):
     """No bound when the entries form a cycle: phi_probes walks every candidate."""
-    # P0 -> P1 -> P0 by the two arrows; not square-zero, so built unvalidated
-    y = TwistedComplex(alg_a3, [(0, 0), (1, 0), (2, 1)], {(1, 0): 1, (0, 1): 1}, validate=False)
+    # P0 -> P1 -> P0 by the two arrows; not square-zero, so built unchecked
+    gens = (Generator(0, 0), Generator(1, 0), Generator(2, 1))
+    y = TwistedComplex._trusted(alg_a3, gens, {(1, 0): 1, (0, 1): 1})
     assert stab_a3._generator_bounds(y) is None
-    acyclic = TwistedComplex(alg_a3, y.generators, {(1, 0): 1}, validate=False)
+    acyclic = TwistedComplex._trusted(alg_a3, gens, {(1, 0): 1})
     bounds = stab_a3._generator_bounds(acyclic)
     calls, hits = [], []
     monkeypatch.setattr(
@@ -670,8 +673,8 @@ def test_a_class_on_the_bottom_ray_over_several_shifts_runs_the_top_walk(monkeyp
 def test_cyclic_entry_graph_on_one_shift_runs_the_top_walk(monkeypatch, alg_a3, stab_a3):
     """With a cycle there is no early end, even when every generator sits at
     one shift and the bottom hit lies on the ray of the class."""
-    # P0 -> P1 -> P0 at one shift; not square-zero, so built unvalidated
-    y = TwistedComplex(alg_a3, [(0, 0), (1, 0)], {(1, 0): 1, (0, 1): 1}, validate=False)
+    # P0 -> P1 -> P0 at one shift; not square-zero, so built unchecked
+    y = TwistedComplex._trusted(alg_a3, (Generator(0, 0), Generator(1, 0)), {(1, 0): 1, (0, 1): 1})
     assert stab_a3._generator_bounds(y) is None
     u = y.k_class()
     assert u in stab_a3.roots
@@ -960,8 +963,8 @@ def test_stable_table_matches_fresh_braid_lifts(name):
 
 
 def test_every_e6_flip_equals_the_flipped_word_applied_in_one_call():
-    """A flip grows from the stable lift's prefix lifts; it equals the whole
-    flipped word applied to the simple, in any order of the flips."""
+    """A flip equals the whole flipped word applied to the simple, in any
+    order of the flips."""
     alg = ZigzagAlgebra(named_quiver("E6"))
     stab = StabilityCondition(alg, random_generic_charge(alg.quiver, random.Random("flips:E6")))
     flips = 0
@@ -969,11 +972,10 @@ def test_every_e6_flip_equals_the_flipped_word_applied_in_one_call():
         build = stab.stable_build(w)
         letters = build.braid.letters
         simple = simple_object(alg, build.word.base)
-        for i in reversed(range(len(letters))):  # the longest prefix first, then the cached ones
+        for i in reversed(range(len(letters))):
             word = BraidWord(letters[:i] + ((letters[i][0], -letters[i][1]),) + letters[i + 1:])
             assert build.flipped(i) == apply_braid(alg, word, simple), (w, i)
             flips += 1
-        assert len(build.prefixes) == len(letters)
     assert flips > len(stab.roots)
 
 
@@ -1089,11 +1091,18 @@ def test_stable_build_is_the_ladder_record(name):
 def test_shared_records_are_immutable(alg_a3):
     stab = StabilityCondition(alg_a3, a3_reference_charge())
     build = stab.stable_build((1, 1, 1))
-    for name in ("root", "word", "root_seq", "signs", "braid", "obj", "lo", "hi", "prefixes"):
+    names = ("root", "word", "root_seq", "signs", "braid", "obj", "lo", "hi")
+    for name in names:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(build, name, None)
     assert all(type(v) is tuple for v in (build.root_seq, build.signs, build.braid.letters))
     assert stab.stable_build((1, 1, 1)) is build
+    fields = [f.name for f in dataclasses.fields(build)]
+    before = {name: copy.copy(getattr(build, name)) for name in fields}
+    for i in range(len(build.braid.letters)):
+        build.flipped(i)
+    assert {name: getattr(build, name) for name in fields} == before
+    assert fields == list(names)
 
 
 def test_roots_and_sequences_are_fresh_per_condition(alg_a3):
