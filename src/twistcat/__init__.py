@@ -62,7 +62,6 @@ from .stability import (
 )
 from .reduce import (
     HeartAlignment,
-    OrbitStability,
     ReductionTrace,
     StepRecord,
     certify_step,

@@ -15,11 +15,10 @@ import sys
 
 from .errors import InvariantViolation
 from .homcore import is_spherical, simple_object
-from .reduce import OrbitStability, heart_align, reduce_to_stable
+from .reduce import heart_align, reduce_to_stable
 from .rootlat import (
     QuiverGraph,
     WeylWord,
-    evaluate_word,
     load_quiver,
     minimal_word,
     named_quiver,
@@ -137,11 +136,7 @@ def cmd_stable(args) -> int:
     charge = _build_charge(args, q)
     stab = StabilityCondition(alg, charge)
     w = _parse_root(args.root, q)
-    expression = None
-    if args.expression is not None:
-        expression = _parse_expression(args.expression, q)
-        if evaluate_word(q, expression) != w:
-            raise ValueError("--expression does not evaluate to --root")
+    expression = None if args.expression is None else _parse_expression(args.expression, q)
     build = stab.stable_build(w, expression)
     obj = build.obj
     if args.flip is not None:
@@ -213,7 +208,7 @@ def cmd_align(args) -> int:
     charge = _build_charge(args, q)
     stab = StabilityCondition(alg, charge)
     transport = _parse_word(args.word or "", q)
-    result = heart_align(stab, OrbitStability(transport))
+    result = heart_align(stab, transport)
     report = {
         "charge": charge.to_json_dict(),
         "transport": args.word or "",

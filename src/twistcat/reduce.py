@@ -261,19 +261,10 @@ def sandwich_check(
     )
 
 
-@dataclass(frozen=True)
-class OrbitStability:
-    """A stability condition presented as (transport word, rotation) over a base."""
-
-    transport: BraidWord = BraidWord()
-    rotation: Phase | None = None
-
-
 @dataclass
 class HeartAlignment:
     word: BraidWord  # applied to the simples, realizes the aligned heart
     alpha: Phase  # rotation taking the aligned window back to [0, 1)
-    alpha_base: Phase  # the same window expressed over the base condition
     steps: list[StepRecord]
     final: TwistedComplex
 
@@ -287,22 +278,24 @@ class HeartAlignment:
 
 def heart_align(
     stab: StabilityCondition,
-    orbit: OrbitStability,
+    transport: BraidWord,
     step_budget: int | None = None,
 ) -> HeartAlignment:
-    """Align a transported stability condition with the standard heart.
+    """Align the condition transported by a braid word with the standard heart.
 
     Measures the direct sum of the simples in the transported condition and
     keeps untwisting at the bottom phase while the spread is at least one.
     On termination all simples fit in a width-one window [alpha, alpha+1);
     the rotation alpha is reported and the per-simple window membership is
     verified (an integer alpha is preferred when the window allows it, so an
-    already standard condition aligns with alpha = 0).
+    already standard condition aligns with alpha = 0).  A rotation of the
+    condition by the C-action shifts every phase by one real amount, so it
+    would only add that amount to alpha (Bridgeland, arXiv:math/0212237).
     """
     stab.require_generic()
     alg = stab.alg
     simples = [simple_object(alg, v) for v in range(stab.quiver.vertex_count)]
-    transport = orbit.transport.inverse()
+    transport = transport.inverse()
     cur, phases, steps, word = _reduce(
         stab, minimize(apply_braid(alg, transport, direct_sum(*simples))), BOTTOM,
         lambda spread: spread < Phase.integer(1), step_budget,
@@ -310,12 +303,11 @@ def heart_align(
     word = transport.then(word)
     lo, hi = phases.bottom.phase, phases.top.phase
     floor = Phase.integer(lo.shift)
-    alpha_base = floor if hi < floor + 1 else lo
-    alpha = alpha_base + orbit.rotation if orbit.rotation is not None else alpha_base
+    alpha = floor if hi < floor + 1 else lo
     for v, simple in enumerate(simples):
         window = stab.phi_probes(apply_braid(alg, word, simple))
-        if not (window.bottom.phase >= alpha_base and window.top.phase < alpha_base + 1):
+        if not (window.bottom.phase >= alpha and window.top.phase < alpha + 1):
             raise InvariantViolation(
                 f"realigned simple {v} escapes the [alpha, alpha+1) window"
             )
-    return HeartAlignment(word=word, alpha=alpha, alpha_base=alpha_base, steps=steps, final=cur)
+    return HeartAlignment(word=word, alpha=alpha, steps=steps, final=cur)

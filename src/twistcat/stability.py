@@ -18,11 +18,12 @@ and decide exactly what the rational charges decide.
 Phases are decided on integer rays too.  A `Phase` is the shift k, an
 integer ray in H and a positive int scale, its witness z being ray/scale;
 a probe hit S_w[k] is (k, D*Z(w), D).  Order and equality are the shift
-and the sign of an integer cross product; a sum or difference multiplies
-the rays (by the conjugate for a difference) and the scales, which gives
-the same witness as the product of the rational witnesses.  The Fraction
-witness `Phase.z` is built only for output (`to_json_dict`, `float`,
-`repr`), and so is the rational Z(w) = ray / D.
+and the sign of an integer cross product; adding an integer moves the
+shift, and a difference multiplies one ray by the conjugate of the other
+and the scales, which gives the same witness as the product of the
+rational witnesses.  The Fraction witness `Phase.z` is built only for
+output (`to_json_dict`, `float`, `repr`); the exact Z(w) is
+`CentralCharge.of_root`.
 
 The stable objects a condition probes with depend on its charge only
 through their sign vectors, so the algebra's shared record keeps one
@@ -142,13 +143,15 @@ class ExactComplex:
         return f"({self.re})+({self.im})i"
 
 
-def _on_lattice(z: ExactComplex) -> tuple[int, int, int]:
-    """(re, im, scale) with z = (re + i*im) / scale, scale the lcm of z's denominators."""
-    scale = math.lcm(z.re.denominator, z.im.denominator)
-    return (
-        z.re.numerator * (scale // z.re.denominator),
-        z.im.numerator * (scale // z.im.denominator),
-        scale,
+Ray = tuple[int, int]
+
+
+def _lattice(values: Sequence[ExactComplex]) -> tuple[int, tuple[Ray, ...]]:
+    """The scale D, the lcm of the values' denominators, and the ray D*z of each value z."""
+    d = math.lcm(*(z.re.denominator for z in values), *(z.im.denominator for z in values))
+    return d, tuple(
+        (z.re.numerator * (d // z.re.denominator), z.im.numerator * (d // z.im.denominator))
+        for z in values
     )
 
 
@@ -159,9 +162,9 @@ class Phase:
     Represents both phases and phase differences (spreads).  It is stored as
     the shift k, an integer ray (re, im) in H and a positive int scale, with
     z = (re + i*im) / scale; a positive scale keeps the argument, so order,
-    equality, sums and differences are int arithmetic on the shift and the
-    ray (cross products and complex products), and the Fraction witness `z`
-    is built only when output asks for it.
+    equality, integer shifts and differences are int arithmetic on the
+    shift and the ray (cross products and complex products), and the
+    Fraction witness `z` is built only when output asks for it.
     """
 
     __slots__ = ("shift", "_re", "_im", "_scale")
@@ -170,7 +173,7 @@ class Phase:
         if not z.in_upper_half():
             raise ValueError("phase witness must have argument in [0, pi)")
         self.shift = shift
-        self._re, self._im, self._scale = _on_lattice(z)
+        self._scale, ((self._re, self._im),) = _lattice((z,))
 
     @classmethod
     def _on_ray(cls, shift: int, re: int, im: int, scale: int) -> "Phase":
@@ -194,7 +197,8 @@ class Phase:
         """Phase shift + arg(z)/pi for any nonzero z (principal argument)."""
         if z.is_zero():
             raise ValueError("zero has no phase")
-        return cls._principal(shift, *_on_lattice(z))
+        scale, ((re, im),) = _lattice((z,))
+        return cls._principal(shift, re, im, scale)
 
     @classmethod
     def integer(cls, k: int) -> "Phase":
@@ -222,16 +226,10 @@ class Phase:
             return self.shift > other.shift
         return self._re * other._im < self._im * other._re
 
-    def __add__(self, other) -> "Phase":
-        if isinstance(other, int):
-            return Phase._on_ray(self.shift + other, self._re, self._im, self._scale)
-        a, b, c, d = self._re, self._im, other._re, other._im
-        # the arguments add up to one in [0, 2 pi); outside H, the negated product lies in H
-        re, im = a * c - b * d, a * d + b * c
-        shift, scale = self.shift + other.shift, self._scale * other._scale
-        if im > 0 or (im == 0 and re > 0):
-            return Phase._on_ray(shift, re, im, scale)
-        return Phase._on_ray(shift + 1, -re, -im, scale)
+    def __add__(self, other: int) -> "Phase":
+        if not isinstance(other, int):
+            return NotImplemented
+        return Phase._on_ray(self.shift + other, self._re, self._im, self._scale)
 
     def __sub__(self, other: "Phase") -> "Phase":
         a, b, c, d = self._re, self._im, other._re, other._im
@@ -330,23 +328,12 @@ def random_generic_charge(q: QuiverGraph, rng: random.Random) -> CentralCharge:
             for _ in range(q.vertex_count)
         ]
         charge = CentralCharge(values)
-        _, simples = _lattice(charge)
+        _, simples = _lattice(values)
         if _distinct_rays([_ray(simples, w) for w in roots]):
             return charge
 
 
-Ray = tuple[int, int]
 PhaseKey = tuple[int, int]  # (shift k, position of the root by arg Z): the phase order
-
-
-def _lattice(charge: CentralCharge) -> tuple[int, tuple[Ray, ...]]:
-    """The lattice scale D, the lcm of the simple charges' denominators, and D*Z per simple."""
-    d = math.lcm(*(z.re.denominator for z in charge.values),
-                 *(z.im.denominator for z in charge.values))
-    return d, tuple(
-        (z.re.numerator * (d // z.re.denominator), z.im.numerator * (d // z.im.denominator))
-        for z in charge.values
-    )
 
 
 def _ray(simples: tuple[Ray, ...], w: Root) -> Ray:
@@ -486,8 +473,8 @@ class StabilityCondition:
     through its sign vector).  Per charge, done here: the integer ray D*Z of
     every positive root, their order by argument and one genericity check
     (see the module docstring), and, on first use, the signs of each root's
-    minimal word, which select its shared record, each root's exact Z, and
-    the probe ladder, the list of those records by arg Z.
+    minimal word, which select its shared record, and the probe ladder, the
+    list of those records by arg Z.
     """
 
     def __init__(self, alg: ZigzagAlgebra, charge: CentralCharge):
@@ -500,13 +487,12 @@ class StabilityCondition:
         self.charge = charge
         self._shared: _ChargeFree = alg.charge_free
         self.roots = list(self._shared.roots)
-        self._d, self._simples = _lattice(charge)
+        self._d, self._simples = _lattice(charge.values)
         rays = [_ray(self._simples, w) for w in self.roots]
         self._rays: dict[Root, Ray] = dict(zip(self.roots, rays))
         order, self._generic = _by_argument(rays)
         self._arg_order: list[Root] = [self.roots[i] for i in order]
         self._pos: dict[Root, int] = {w: i for i, w in enumerate(self._arg_order)}
-        self._z: dict[Root, ExactComplex] = {}
         # the ladder by arg Z, the same reversed, and (least lo, greatest hi) over its records
         self._ladder: list[StableBuild] | None = None
         self._ladder_down: list[StableBuild] = []
@@ -518,18 +504,11 @@ class StabilityCondition:
         ray = self._rays.get(w)
         return ray if ray is not None else _ray(self._simples, w)
 
-    def z(self, w: Root) -> ExactComplex:
-        """The exact charge of w, equal to `charge.of_root(w)`."""
-        z = self._z.get(w)
-        if z is None:
-            re, im = self._ray_of(w)
-            z = self._z[w] = ExactComplex(Fraction(re, self._d), Fraction(im, self._d))
-        return z
-
     def phase_of_root(self, w: Root, shift: int = 0) -> Phase:
+        """Phase(shift, Z(w)) for a positive root w, read off its lattice ray."""
         ray = self._rays.get(w)
         if ray is None:
-            return Phase(shift, self.z(w))
+            raise ValueError(f"{w} is not a positive root")
         return Phase._on_ray(shift, *ray, self._d)
 
     def validate_generic(self) -> bool:
@@ -717,10 +696,8 @@ class StabilityCondition:
 
         When y also has every generator at one shift s (a bound was given
         and lo_y = hi_y), the walk at k = s tests only the roots w <= a,
-        the generator counts of y (the absolute class); the first S_w[s]
-        with a nonzero Hom is a quotient of y for the bottom walk and a
-        subobject for the top, both inside the heart A[s] of the P_v, so
-        its class w is at most a (the proof is in the module docstring).
+        the generator counts of y (the absolute class), which the module
+        docstring shows never skips the first hit.
         The comparison is made lazily, candidate by candidate, so the walk
         pays it only up to its hit.  Every other k is unpruned: y lies in
         P([s, s+1)), so its hits have shift s anyway.
@@ -799,13 +776,9 @@ class StabilityCondition:
         hit is the two-walk probe's.
 
         On such a one-shift acyclic y both walks also skip, without a Hom
-        test, every S_w[s] whose root w is not <= y's generator counts a in
-        every coordinate.  y lies in the heart A[s] of the P_v with class
-        a; the bottom hit E is the first candidate with Hom(y, E) != 0, so
-        y lies in P(>= phi(E)), and the image of y -> E is a quotient of y
-        (phi- >= phi(E)) and a subobject of the stable E (phi+ <= phi(E)),
-        hence all of E: w <= a.  The top hit is a subobject of y by the
-        mirror argument.  So the pruned walks find the unpruned hits.
+        test, every S_w[s] whose root w is not <= y's generator counts in
+        every coordinate; the module docstring shows that the pruned walks
+        find the unpruned hits.
         """
         if y.is_zero:
             raise ValueError("the zero object has no phases")

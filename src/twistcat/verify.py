@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InvariantViolation
 from .homcore import (
@@ -22,7 +21,7 @@ from .homcore import (
     is_spherical,
     simple_object,
 )
-from .reduce import heart_align, reduce_to_stable, sandwich_check, OrbitStability
+from .reduce import heart_align, reduce_to_stable, sandwich_check
 from .rootlat import (
     cartan_pairing,
     last_minimal_word,
@@ -30,12 +29,7 @@ from .rootlat import (
     named_quiver,
     positive_roots,
 )
-from .stability import (
-    ExactComplex,
-    Phase,
-    StabilityCondition,
-    random_generic_charge,
-)
+from .stability import StabilityCondition, random_generic_charge
 from .twists import (
     BraidWord,
     apply_braid,
@@ -92,11 +86,9 @@ def suite_stable_constructions(type_name: str, charges: int = 20, seed: int = 0)
     heart-contained, spread-zero representative of its class, and flipping
     any single exponent breaks semistability or heart membership.
 
-    The probe of a stable object ends after its bottom walk (see
-    `StabilityCondition.phi_probes`), so its top walk makes no Hom test.
-    Every Hom-vanishing pair between two stable objects is still tested,
-    in the bottom walk of the higher root, or is excluded by the
-    generator-phase bound.
+    The probe of a stable object ends after one walk, the one from the
+    generator-phase bound nearer its class, which proves it semistable
+    (see `StabilityCondition.phi_probes`); the other walk makes no Hom test.
     """
     t0 = time.perf_counter()
     q, alg = _context(type_name)
@@ -184,7 +176,7 @@ def _reduction_failures(
         return ["final object is not semistable"]
     wf = trace.final.k_class()
     pos = wf if all(x >= 0 for x in wf) else tuple(-x for x in wf)
-    if not all(x >= 0 for x in pos) or not any(x > 0 for x in pos):
+    if pos not in stab.roots:
         return [f"final class {wf} is not up to sign a positive root"]
     failures = []
     if find_shift_isomorphism(trace.final, stab.stable_object(pos)) is None:
@@ -287,15 +279,8 @@ def suite_heart_align(
             rng = random.Random(f"align:{type_name}:{seed}:{i}")
             stab = StabilityCondition(alg, random_generic_charge(q, rng))
             transport = random_word(rng, q.vertex_count, max_len, min_len=0)
-            rotation = Phase.of(
-                ExactComplex(
-                    Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
-                    Fraction(rng.randint(1, 6), rng.randint(1, 4)),
-                ),
-                rng.randint(-2, 2),
-            )
             try:
-                heart_align(stab, OrbitStability(transport, rotation))
+                heart_align(stab, transport)
             except InvariantViolation as exc:
                 failures.append(f"{tag}: {exc}")
     return SuiteResult("heart alignment", done, failures, time.perf_counter() - t0)

@@ -82,7 +82,7 @@ def cross(a: ExactComplex, b: ExactComplex) -> Fraction:
 class FractionPhase:
     """Oracle for `Phase`: k + arg(z)/pi kept as the shift and the Fraction
     witness z itself, with arg(z) in [0, pi); every comparison is the sign of
-    a Fraction cross product and every sum or difference a Fraction product."""
+    a Fraction cross product and every difference a Fraction product."""
 
     __slots__ = ("shift", "z")
 
@@ -114,13 +114,8 @@ class FractionPhase:
             return self.shift < other.shift
         return cross(self.z, other.z) > 0
 
-    def __add__(self, other) -> "FractionPhase":
-        if isinstance(other, int):
-            return FractionPhase(self.shift + other, self.z)
-        prod = self.z * other.z
-        if prod.in_upper_half():
-            return FractionPhase(self.shift + other.shift, prod)
-        return FractionPhase(self.shift + other.shift + 1, -prod)
+    def __add__(self, other: int) -> "FractionPhase":
+        return FractionPhase(self.shift + other, self.z)
 
     def __sub__(self, other: "FractionPhase") -> "FractionPhase":
         return FractionPhase.of(self.z * other.z.conjugate(), self.shift - other.shift)
@@ -183,7 +178,7 @@ def unpruned_first_hit(stab, y, side):
                 stability.hom0_is_nonzero(y, obj, k) if bottom
                 else stability.hom0_is_nonzero(obj, y, -k)
             ):
-                return ProbeHit(Phase(k, stab.z(w)), w, k)
+                return ProbeHit(Phase(k, stab.charge.of_root(w)), w, k)
     raise InvariantViolation(
         "no stable object receives a map from the probe target" if bottom
         else "no stable object maps to the probe target"

@@ -11,8 +11,8 @@ from twistcat import (
     ExactComplex,
     HypothesisNotMet,
     InvariantViolation,
-    OrbitStability,
     Phase,
+    ReductionTrace,
     StabilityCondition,
     ZigzagAlgebra,
     apply_braid,
@@ -31,7 +31,7 @@ from twistcat import (
     twist_triangle,
 )
 from twistcat import reduce as reduction
-from twistcat import stability
+from twistcat import stability, verify
 from twistcat.reduce import _certify
 from twistcat.stability import Phases, ProbeHit
 from conftest import random_word
@@ -140,6 +140,19 @@ def test_spherical_input_with_a_failing_loop_raises_invariant_violation(
     assert checked == [minimize(unstable_a2)]
 
 
+def test_reduction_suite_records_a_final_class_that_is_no_root(monkeypatch):
+    """A semistable final object whose class is no root, S_1 + S_1, is a
+    recorded suite failure, not an error raised out of the suite."""
+    def doubled(stab, start, strategy):
+        s1 = simple_object(stab.alg, 0)
+        return ReductionTrace(strategy, start, direct_sum(s1, s1), [], BraidWord())
+
+    monkeypatch.setattr(verify, "reduce_to_stable", doubled)
+    result = verify.suite_reduction("A2", runs=1, orbit_checks=0)
+    assert result.cases == 1
+    assert result.failures == ["A2 run#0: final class (2, 0) is not up to sign a positive root"]
+
+
 def test_nonspherical_final_object_of_a_spherical_input(monkeypatch, stab_a2, unstable_a2):
     final = reduce_to_stable(stab_a2, unstable_a2).final
     monkeypatch.setattr(reduction, "is_spherical", lambda obj: obj != final)
@@ -210,32 +223,22 @@ def test_sandwich_split_triangle(stab_a2, alg_a2):
 
 
 def test_heart_align_identity(stab_a2):
-    result = heart_align(stab_a2, OrbitStability(BraidWord()))
+    result = heart_align(stab_a2, BraidWord())
     assert result.steps == []
     assert result.word.letters == ()
     assert result.alpha == Phase.integer(0)
 
 
 def test_heart_align_single_transport(stab_a2):
-    result = heart_align(stab_a2, OrbitStability(parse_braid_word("s1")))
+    result = heart_align(stab_a2, parse_braid_word("s1"))
     assert len(result.steps) >= 1
     for step in result.steps:
         assert step.spread_after < step.spread_before
 
 
-def test_heart_align_rotation_passthrough(stab_a2):
-    from fractions import Fraction
-
-    rotation = Phase.of(ExactComplex.of(Fraction(1, 2), Fraction(1, 3)), 1)
-    plain = heart_align(stab_a2, OrbitStability(parse_braid_word("s1")))
-    rotated = heart_align(stab_a2, OrbitStability(parse_braid_word("s1"), rotation))
-    assert rotated.alpha == plain.alpha_base + rotation
-    assert rotated.word.letters == plain.word.letters
-
-
 def test_heart_align_budget_guard(stab_a2):
     with pytest.raises(InvariantViolation):
-        heart_align(stab_a2, OrbitStability(parse_braid_word("s1")), step_budget=0)
+        heart_align(stab_a2, parse_braid_word("s1"), step_budget=0)
 
 
 def test_heart_align_random_transports(alg_a3):
@@ -244,7 +247,7 @@ def test_heart_align_random_transports(alg_a3):
     for _ in range(4):
         stab = StabilityCondition(alg_a3, random_generic_charge(q, rng))
         transport = random_word(rng, 3, 6, min_len=0)
-        result = heart_align(stab, OrbitStability(transport))
+        result = heart_align(stab, transport)
         assert stab.phi_probes(result.final).spread < Phase.integer(1)
 
 
@@ -295,7 +298,7 @@ def test_words_match_the_step_by_step_construction(type_name, seed):
         trace = reduce_to_stable(stab, start, strategy)
         assert len(trace.steps) >= 2
         assert trace.word.letters == _reconstruction_oracle(stab, trace.steps).letters
-    alignment = heart_align(stab, OrbitStability(transport))
+    alignment = heart_align(stab, transport)
     assert len(alignment.steps) >= 2
     assert alignment.word.letters == _alignment_oracle(stab, transport, alignment.steps).letters
 
@@ -306,7 +309,7 @@ def test_step_records_chain(type_name, seed):
     traces = [reduce_to_stable(stab, start, strategy) for strategy in ("bottom", "top")]
     for trace in traces:
         assert trace.steps[0].before == stab.phi_probes(trace.start)
-    for run in traces + [heart_align(stab, OrbitStability(transport))]:
+    for run in traces + [heart_align(stab, transport)]:
         for a, b in zip(run.steps, run.steps[1:]):
             assert b.before is a.after
         assert run.steps[-1].after == stab.phi_probes(run.final)
