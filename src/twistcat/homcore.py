@@ -426,6 +426,8 @@ class HomComplex:
         _same_quiver(source, target)
         self.source = source
         self.target = target
+        # (y_by_source, x_by_target), built by the first `matrix` call that needs it
+        self._adjacency: tuple[dict, dict] | None = None
         # Hom degree -> the (g, h) pairs with a path of that degree; a pair fixes its path.
         # Pairs are filed g-major, then by h, then by path degree.
         self.basis: dict[int, list[tuple[int, int]]] = {}
@@ -458,22 +460,22 @@ class HomComplex:
         entry joins a generator to itself (no degree-1 path does), so each
         row of a column is hit at most once.  An integral coefficient is
         emitted as an int and any other as its Fraction, so `linalg.rank`
-        stays in ints on ±1 data.  The columns are built afresh on every
-        call; the engine asks each degree of a Hom complex once.
+        stays in ints on ±1 data.  The adjacency of both differentials (d_Y
+        by source, d_X by target) is built by the first call with a
+        non-empty domain and codomain and kept on this Hom complex only; it
+        holds the entries unsigned, and the sign (-1)^(d+1) of f o d_X is
+        applied as each column is written, so every degree reads the same
+        adjacency.
         """
         dom = self.basis.get(d, [])
         cod = self.basis.get(d + 1, [])
         if not (dom and cod):
             return [{} for _ in dom]
+        if self._adjacency is None:
+            self._adjacency = self._adjacency_of_differentials()
+        y_by_source, x_by_target = self._adjacency
         rows = {pair: pos for pos, pair in enumerate(cod)}
-        y_by_source: dict[int, list[tuple[int, int | Fraction]]] = {}
-        for (h2, h1), c in self.target.differential.items():
-            c = c.numerator if c.denominator == 1 else c
-            y_by_source.setdefault(h1, []).append((h2, c))
-        x_by_target: dict[int, list[tuple[int, int | Fraction]]] = {}
-        for (g1, g2), c in self.source.differential.items():
-            c = c.numerator if c.denominator == 1 else c
-            x_by_target.setdefault(g1, []).append((g2, -c if d % 2 == 0 else c))
+        odd = d % 2
         cols: list[linalg.Vector] = []
         for g, h in dom:
             col: linalg.Vector = {}
@@ -484,9 +486,22 @@ class HomComplex:
             for g2, c in x_by_target.get(g, ()):
                 row = rows.get((g2, h))
                 if row is not None:
-                    col[row] = c
+                    col[row] = c if odd else -c
             cols.append(col)
         return cols
+
+    def _adjacency_of_differentials(self) -> tuple[dict, dict]:
+        """d_Y's entries by source generator and d_X's by target generator,
+        unsigned, each integral coefficient as an int."""
+        y_by_source: dict[int, list[tuple[int, int | Fraction]]] = {}
+        for (h2, h1), c in self.target.differential.items():
+            c = c.numerator if c.denominator == 1 else c
+            y_by_source.setdefault(h1, []).append((h2, c))
+        x_by_target: dict[int, list[tuple[int, int | Fraction]]] = {}
+        for (g1, g2), c in self.source.differential.items():
+            c = c.numerator if c.denominator == 1 else c
+            x_by_target.setdefault(g1, []).append((g2, c))
+        return y_by_source, x_by_target
 
     def cohomology_dim(self, d: int) -> int:
         n = self.dim_at(d)
@@ -534,13 +549,27 @@ class HomComplex:
         it.  That is a question of span membership alone, and the pivots of
         D_{d-1} span the same space as its columns, so the test keeps the
         same vectors and the reps equal `cocycle_reps(d)`.
+
+        The count dim H^d = #ker D_d - rank D_{d-1} settles two cases
+        without the test, since d² = 0 puts im D_{d-1} inside ker D_d.  At
+        rank 0 the image is empty and the test keeps every kernel vector,
+        as the kernel basis read off the echelon is independent.  At rank
+        = #ker the image is all of ker D_d and the test keeps none.  Only
+        a rank strictly between runs `complement_of_span`.
         """
         out = []
-        image = None  # the echelon of the previous degree's differential
+        rank = 0  # rank of the previous degree's differential
+        image = None  # its echelon, whose pivots span im D_{d-1}
         for d in self.degrees():
             kernel, ech = linalg.kernel_and_image(self.matrix(d))
-            out.extend((d, vec) for vec in linalg.complement_of_span(kernel, image))
-            image = ech
+            if rank == 0:
+                reps = kernel
+            elif rank == len(kernel):
+                reps = []
+            else:
+                reps = linalg.complement_of_span(kernel, image)
+            out.extend((d, vec) for vec in reps)
+            rank, image = len(ech.pivots), ech
         return out
 
 

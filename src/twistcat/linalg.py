@@ -148,13 +148,13 @@ def complement_reps(space: list[Vector], subspace: list[Vector]) -> list[Vector]
     return [vec for vec in space if ech.insert(vec) is None]
 
 
-def complement_of_span(space: list[Vector], span: _SparseEchelon | None) -> list[Vector]:
+def complement_of_span(space: list[Vector], span: _SparseEchelon) -> list[Vector]:
     """Vectors from `space`, in order, completing the span of the echelon `span`
-    (or of nothing) to a basis of their joint span.
+    to a basis of their joint span.
 
     Membership is tested without carrying combinations, on a copy of `span`.
     """
-    ech = span.span() if span is not None else _SparseEchelon(carry=False)
+    ech = span.span()
     return [vec for vec in space if ech.insert(vec) is None]
 
 

@@ -217,11 +217,15 @@ class Phase:
         )
 
     def __lt__(self, other: "Phase") -> bool:
+        if not isinstance(other, Phase):
+            return NotImplemented
         if self.shift != other.shift:
             return self.shift < other.shift
         return self._re * other._im > self._im * other._re
 
     def __gt__(self, other: "Phase") -> bool:
+        if not isinstance(other, Phase):
+            return NotImplemented
         if self.shift != other.shift:
             return self.shift > other.shift
         return self._re * other._im < self._im * other._re
@@ -232,6 +236,8 @@ class Phase:
         return Phase._on_ray(self.shift + other, self._re, self._im, self._scale)
 
     def __sub__(self, other: "Phase") -> "Phase":
+        if not isinstance(other, Phase):
+            return NotImplemented
         a, b, c, d = self._re, self._im, other._re, other._im
         return Phase._principal(
             self.shift - other.shift, a * c + b * d, b * c - a * d, self._scale * other._scale

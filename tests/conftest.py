@@ -234,6 +234,38 @@ def minimize_by_passes(x: TwistedComplex) -> TwistedComplex:
     return TwistedComplex._trusted(x.alg, tuple(gens), diff)
 
 
+def matrix_per_call(hom, d: int) -> list:
+    """Oracle for `HomComplex.matrix`: the columns of D: Hom^d -> Hom^{d+1}
+    with both adjacency dicts built afresh, and the degree's sign applied as
+    d_X's entries are filed."""
+    dom = hom.basis.get(d, [])
+    cod = hom.basis.get(d + 1, [])
+    if not (dom and cod):
+        return [{} for _ in dom]
+    rows = {pair: pos for pos, pair in enumerate(cod)}
+    y_by_source = {}
+    for (h2, h1), c in hom.target.differential.items():
+        c = c.numerator if c.denominator == 1 else c
+        y_by_source.setdefault(h1, []).append((h2, c))
+    x_by_target = {}
+    for (g1, g2), c in hom.source.differential.items():
+        c = c.numerator if c.denominator == 1 else c
+        x_by_target.setdefault(g1, []).append((g2, -c if d % 2 == 0 else c))
+    cols = []
+    for g, h in dom:
+        col = {}
+        for h2, c in y_by_source.get(h, ()):
+            row = rows.get((g, h2))
+            if row is not None:
+                col[row] = c
+        for g2, c in x_by_target.get(g, ()):
+            row = rows.get((g2, h))
+            if row is not None:
+                col[row] = c
+        cols.append(col)
+    return cols
+
+
 def all_cohomology_reps(hom) -> list:
     """(d, rep) for every degree d in ascending order: `HomComplex.rep_vectors`
     as Fraction-valued Morphisms, which `reps_by_degree` pins to `cocycle_reps(d)`."""

@@ -243,7 +243,6 @@ def test_one_elimination_gives_the_kernel_and_seeds_the_complement():
         pivots = dict(ech.pivots)
         assert complement_of_span(space, ech) == complement_reps(space, cols)
         assert ech.pivots == pivots
-        assert complement_of_span(space, None) == complement_reps(space, [])
 
 
 def test_exact_quotient_never_returns_a_float():

@@ -38,7 +38,7 @@ from twistcat import (
     untwist_triangle,
     zero_object,
 )
-from twistcat import twists
+from twistcat import linalg, twists
 from twistcat.homcore import Generator, HomComplex, hom0_is_nonzero
 from twistcat.reduce import _conjugated_twist_word
 from conftest import (
@@ -46,6 +46,7 @@ from conftest import (
     assert_probes_match_the_unpruned_walk,
     assert_same_complex,
     assert_same_reps,
+    matrix_per_call,
     minimize_by_passes,
     reps_by_degree,
     twists_checked_against_oracles,
@@ -427,6 +428,45 @@ def test_one_pass_minimize_and_reps_match_the_oracles(image, seed, v):
         assert counts["minimize"] == 2
 
 
+def test_rep_vectors_match_the_oracle_on_every_count_branch():
+    """`rep_vectors` equals `cocycle_reps` degree by degree on drawn images,
+    padded images and a simple, whichever branch the count
+    dim H^d = #ker D_d - rank D_{d-1} takes: rank 0 (every kernel vector),
+    rank = #ker (none) or a rank between (the complement test).  Each
+    branch is hit, and the complement test runs exactly on the third."""
+    hits = {"all": 0, "none": 0, "between": 0}
+    complement_of_span = linalg.complement_of_span
+    tested = []
+
+    def counted(space, span):
+        tested.append(len(space))
+        return complement_of_span(space, span)
+
+    @settings(SETTINGS, max_examples=24)
+    @given(braid_images_with_a_differential(), st.integers(0, 2**16), st.integers(0, 5))
+    def check(image, seed, v):
+        alg, y = image
+        x = simple_object(alg, v % alg.quiver.vertex_count)
+        for obj in (y, _padded(y, random.Random(seed))):
+            for source, target in ((x, obj), (obj, x), (obj, obj)):
+                hom = HomComplex(source, target)
+                between = 0
+                for d in hom.degrees():
+                    kernel = len(linalg.nullspace(hom.matrix(d), hom.dim_at(d)))
+                    rank = linalg.rank(hom.matrix(d - 1))
+                    branch = "all" if rank == 0 else "none" if rank == kernel else "between"
+                    hits[branch] += 1
+                    between += branch == "between"
+                tested.clear()
+                with mock.patch.object(linalg, "complement_of_span", counted):
+                    reps = all_cohomology_reps(HomComplex(source, target))
+                assert len(tested) == between
+                assert_same_reps(reps, reps_by_degree(hom))
+
+    check()
+    assert all(hits.values()), hits
+
+
 def _basis_by_pairs(source, target):
     """The Hom basis as laid out pair by pair: every (g, h) in source-major
     order, each path of the pair filed under its Hom degree."""
@@ -436,6 +476,28 @@ def _basis_by_pairs(source, target):
             for degree in source.alg.paths[(vg, vh)]:
                 basis.setdefault(degree + sg - sh, []).append((g, h))
     return basis
+
+
+def _typed(cols):
+    """Each column's (row, entry, entry type) triples in key order."""
+    return [[(row, c, type(c)) for row, c in col.items()] for col in cols]
+
+
+@settings(SETTINGS, max_examples=24)
+@given(braid_image_pairs(max_len=5, types=("A3", "D4", "E6"), min_len=1))
+def test_matrix_equals_the_per_call_oracle_in_any_call_order(pair):
+    """Every degree's columns equal those built afresh per call, whether the
+    degrees are asked in ascending order, in descending order or twice, so
+    the adjacency built by the first call serves every later degree."""
+    x, y = pair
+    for source, target in ((x, y), (y, x), (x, x)):
+        hom = HomComplex(source, target)
+        degrees = range(min(hom.degrees(), default=0) - 1, max(hom.degrees(), default=0) + 2)
+        want = {d: _typed(matrix_per_call(hom, d)) for d in degrees}
+        for order in (list(degrees), list(reversed(degrees)), [*degrees, *degrees]):
+            hom = HomComplex(source, target)
+            for d in order:
+                assert _typed(hom.matrix(d)) == want[d]
 
 
 @settings(SETTINGS, max_examples=24)

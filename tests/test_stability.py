@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import json
 import math
+import operator
 import random
 import weakref
 from fractions import Fraction
@@ -1185,6 +1186,20 @@ def test_phase_adds_only_an_int():
     for other in (half, Fraction(1, 2), 0.5):
         with pytest.raises(TypeError):
             half + other
+
+
+def test_phase_compares_and_subtracts_only_a_phase():
+    """`<`, `>`, `<=`, `>=` and `-` against a non-Phase raise TypeError, as `+` does
+    for a non-int; against a Phase they still work."""
+    half = Phase(0, ExactComplex.of(0, 1))
+    assert Phase.integer(0) < half < Phase.integer(1)
+    assert (half - Phase.integer(0)) == half
+    for other in (0, 2, Fraction(1, 2), 0.5, None):
+        for op in (operator.lt, operator.gt, operator.le, operator.ge, operator.sub):
+            with pytest.raises(TypeError):
+                op(half, other)
+            with pytest.raises(TypeError):
+                op(other, half)
 
 
 @pytest.mark.parametrize("name", ["A3", "D4"])
