@@ -1,0 +1,187 @@
+"""Run the standing mutant table: small edits of the engine that a test must catch.
+
+Each row names a file, an exact old text, the new text that replaces it
+and the tests that must fail on the result.  For each row the repository
+is copied to a temporary directory, the old text (which must occur exactly
+once in the file) is replaced, and the tests run there with `pytest -x`.
+The row's mutant is killed when they fail.  Only the standard library is
+used; pytest and Hypothesis must be installed, as for the test suite.
+
+    python3 scripts/mutants.py              # every row
+    python3 scripts/mutants.py NAME ...     # the named rows
+
+Exits 0 when every row ran and was killed, and 1 when a mutant survived,
+an old text does not occur exactly once (the code moved, so the row must
+follow it), or the tests could not run (a bad test id, a collection
+error).  A row whose tests run past the timeout counts as killed.
+
+A change that claims a mutant kill adds its row here.  Moving a row to
+another test, or dropping one, is a test change.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 300
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "cohomology dimensions skip D_{d-1} when Hom^{d+1} is empty",
+        "src/twistcat/homcore.py",
+        "        if d - 1 in self.basis:\n",
+        "        if d + 1 in self.basis:\n",
+        ("tests/test_properties.py::"
+         "test_hom0_matches_the_full_rank_formula_and_its_serre_dual",),
+    ),
+    Mutant(
+        "the exact quotient of two ints is always a Fraction",
+        "src/twistcat/linalg.py",
+        "        return a // p if not a % p else Fraction(a, p)\n",
+        "        return Fraction(a, p)\n",
+        ("tests/test_linalg.py::test_rank_stays_in_ints_on_incidence_columns",),
+    ),
+    Mutant(
+        "no sign on f o d_X in the Hom-complex matrix",
+        "src/twistcat/homcore.py",
+        "                    col[row] = c if odd else -c\n",
+        "                    col[row] = c\n",
+        ("tests/test_properties.py::test_matrix_equals_the_per_call_oracle_in_any_call_order",),
+    ),
+    Mutant(
+        "Morphism.differential keeps zero sums",
+        "src/twistcat/homcore.py",
+        "        return Morphism._trusted(x, y, degree, {k: c for k, c in out.items() if c})\n",
+        "        return Morphism._trusted(x, y, degree, out)\n",
+        ("tests/test_homcore.py::test_cone_of_arrow",
+         "tests/test_properties.py::test_engine_maps_pass_the_validated_constructor"),
+    ),
+    Mutant(
+        "the twist's tensor copies of x keep an unshifted differential",
+        "src/twistcat/twists.py",
+        "            diff[(h + offset, g + offset)] = -c if shift % 2 else c\n",
+        "            diff[(h + offset, g + offset)] = c\n",
+        ("tests/test_twists.py::test_each_twist_minimizes_the_checked_cone_of_its_map",),
+    ),
+    Mutant(
+        "the class prune of a one-shift walk compares the wrong way",
+        "src/twistcat/stability.py",
+        "all(map(operator.le, b.root, dim))",
+        "all(map(operator.ge, b.root, dim))",
+        ("tests/test_stability.py::test_pruned_walks_on_one_shift_sums_find_the_unpruned_hits",),
+    ),
+    Mutant(
+        "the reduction prepends each step's letters instead of appending them",
+        "src/twistcat/reduce.py",
+        "        letters.extend(_conjugated_twist_word(build, record.exponent))\n",
+        "        letters[:0] = _conjugated_twist_word(build, record.exponent)\n",
+        ("tests/test_reduce.py",),
+    ),
+)
+
+
+def table_problems(mutants=MUTANTS, root: Path = ROOT) -> list[str]:
+    """Why rows cannot run as written: an old text that does not occur exactly
+    once, an edit that changes nothing, no tests, or a test file or test
+    function that is missing."""
+    problems = []
+    for m in mutants:
+        path = root / m.file
+        count = path.read_text().count(m.old) if path.is_file() else 0
+        if count != 1:
+            problems.append(f"{m.name}: old text occurs {count} times in {m.file}")
+        if m.old == m.new:
+            problems.append(f"{m.name}: old and new text are equal")
+        if not m.tests:
+            problems.append(f"{m.name}: names no tests")
+        for test in m.tests:
+            file, _, func = test.partition("::")
+            if not (root / file).is_file():
+                problems.append(f"{m.name}: no test file for {test}")
+            elif func and not re.search(rf"^def {re.escape(func)}\(", (root / file).read_text(), re.M):
+                problems.append(f"{m.name}: no test function for {test}")
+    return problems
+
+
+def _ignored(directory: str, names: list[str]) -> set[str]:
+    return {n for n in names if n in (".git", "__pycache__", ".pytest_cache", ".hypothesis")
+            or n.endswith(".egg-info")}
+
+
+def run(m: Mutant) -> tuple[str, float]:
+    """Apply one mutant to a copy of the repository and run its tests:
+    'killed', 'survived' or an error message."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=_ignored)
+        path = copy / m.file
+        path.write_text(path.read_text().replace(m.old, m.new))
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        where = subprocess.run(
+            [sys.executable, "-c", "import twistcat; print(twistcat.__file__)"],
+            cwd=copy, env=env, capture_output=True, text=True,
+        ).stdout.strip()
+        if not Path(where).is_relative_to(copy):
+            return f"error: the tests would import twistcat from {where or 'nowhere'}", 0.0
+        start = time.perf_counter()
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *m.tests],
+                cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:
+            return "killed", time.perf_counter() - start
+        seconds = time.perf_counter() - start
+        if done.returncode == 1:
+            return "killed", seconds
+        if done.returncode == 0:
+            return "survived", seconds
+        tail = (done.stdout + done.stderr).strip().splitlines()[-3:]
+        return f"error: pytest exited {done.returncode}: {' / '.join(tail)}", seconds
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*", help="rows to run (default: all)")
+    args = parser.parse_args(argv)
+    unknown = set(args.names) - {m.name for m in MUTANTS}
+    if unknown:
+        parser.error(f"no such rows: {sorted(unknown)}")
+    failed = False
+    for m in MUTANTS:
+        if args.names and m.name not in args.names:
+            continue
+        problems = table_problems([m])
+        if problems:
+            print("\n".join(f"STALE    {p}" for p in problems), flush=True)
+            failed = True
+            continue
+        outcome, seconds = run(m)
+        print(f"{outcome.split(':')[0].upper():8} {seconds:6.1f} s  {m.name}"
+              + (f"\n         {outcome}" if outcome.startswith("error") else ""), flush=True)
+        failed |= outcome != "killed"
+    print("ALL KILLED" if not failed else "FAILED")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -20,9 +20,9 @@ Sign conventions, fixed once:
   with differential blocks d_Y, f, -d_X.
 
 Hom-complex differentials are assembled as sparse columns, and every rank,
-cohomology dimension and cocycle representative comes from the exact sparse
-echelon in linalg.  Integral entries enter those columns as ints, so the
-Hom tests on ±1 data eliminate without building a Fraction.
+cohomology dimension and cocycle representative comes from the exact
+sparse elimination in linalg.  Integral entries enter those columns
+as ints, so the Hom tests on ±1 data eliminate without building a Fraction.
 
 Inputs are checked once, at the boundary: the public constructors
 `TwistedComplex(...)` and `Morphism(...)` validate every generator and entry
@@ -504,10 +504,20 @@ class HomComplex:
         return y_by_source, x_by_target
 
     def cohomology_dim(self, d: int) -> int:
+        """dim H^d = dim Hom^d - rank D_d - rank D_{d-1}, exactly.
+
+        A differential whose domain or codomain is empty has rank 0, so it
+        is neither assembled nor ranked: D_d when Hom^{d+1} is empty, and
+        D_{d-1} when Hom^{d-1} is.
+        """
         n = self.dim_at(d)
         if n == 0:
             return 0
-        return n - linalg.rank(self.matrix(d)) - linalg.rank(self.matrix(d - 1))
+        if d + 1 in self.basis:
+            n -= linalg.rank(self.matrix(d))
+        if d - 1 in self.basis:
+            n -= linalg.rank(self.matrix(d - 1))
+        return n
 
     def dims(self) -> dict[int, int]:
         """Nonzero cohomology dimensions by degree, ranking each differential once."""
@@ -584,7 +594,10 @@ def hom0_is_nonzero(x: TwistedComplex, y: TwistedComplex, shift: int = 0) -> boo
     This is H^shift Hom(x, y): the two complexes have the same basis, and
     since shifting y by [shift] multiplies its differential by
     (-1)^shift, their differentials differ by that global sign and have
-    equal ranks.  So no shifted copy of y is built.
+    equal ranks.  So no shifted copy of y is built.  `cohomology_dim`
+    ranks only the differentials with both ends nonzero, so when
+    Hom^{shift-1} is empty (as in every Hom test of the probe workloads)
+    the test ranks D_shift alone.
     """
     return HomComplex(x, y).cohomology_dim(shift) > 0
 

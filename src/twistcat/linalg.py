@@ -2,16 +2,19 @@
 
 A vector is a dict {index: int | Fraction} that holds only its nonzero
 entries; a matrix is a list of such vectors, its columns, so column c is
-the image of the c-th basis vector.  Rank, kernel basis and complement are
-all computed by one incremental echelon: each inserted column is reduced at
-its lowest nonzero index against the pivots found so far, carrying along the
-combination of inserted columns that produced it.  Inserting the columns of
-a matrix in order makes the pivots those of the reduced row echelon form,
-and the combinations that dependent columns reduce to are exactly its kernel
-basis, one vector per free column.  `rank` reads only the pivots and does
-not carry the combinations, and `kernel_and_image` returns both halves of
-one carried elimination: the kernel basis, and the pivots, which span the
-image.
+the image of the c-th basis vector.  Every routine reduces each column at
+its lowest nonzero index against the pivots found so far, and inserting the
+columns of a matrix in order makes the pivots those of the reduced row
+echelon form.  That reduction comes in two forms:
+
+* one carry-free pivot loop (`_insert`), which keeps only the pivot vectors.
+  It serves `rank` and `complement_of_span`;
+* one carried echelon (`_SparseEchelon`), which also carries the combination
+  of inserted columns that produced each vector.  The combinations that
+  dependent columns reduce to are exactly the kernel basis of the reduced
+  row echelon form, one vector per free column.  It serves
+  `kernel_and_image`, which returns both halves of one elimination (the
+  kernel basis, and the pivots, which span the image), and `complement_reps`.
 
 Each elimination factor is an exact quotient (`exact_quotient`): a // p
 when the entry a and the pivot p are both ints and p divides a, and the
@@ -59,17 +62,35 @@ def _subtract(vec: Vector, coeff: int | Fraction, other: Vector) -> None:
             del vec[i]
 
 
+def _insert(pivots: dict[int, Vector], vec: Vector) -> bool:
+    """The carry-free pivot loop: reduce vec against `pivots` (lowest index ->
+    pivot vector) and file what is left as a new pivot.
+
+    Returns True when vec was independent of the pivots, False when it
+    reduced to zero.  Neither vec nor a stored pivot is ever changed: vec is
+    copied before its first reduction step, and a vec that needs none is
+    filed as it is.
+    """
+    reduced = vec
+    while reduced:
+        low = min(reduced)
+        pivot = pivots.get(low)
+        if pivot is None:
+            pivots[low] = reduced
+            return True
+        if reduced is vec:
+            reduced = dict(vec)
+        _subtract(reduced, exact_quotient(reduced[low], pivot[low]), pivot)
+    return False
+
+
 class _SparseEchelon:
     """Pivot vectors keyed by their lowest index, each with the combination of
-    inserted vectors it equals.
+    inserted vectors it equals: the carried echelon behind `kernel_and_image`
+    and `complement_reps`."""
 
-    With carry=False the combinations are not built (each stays empty), for
-    callers that need only the pivots.
-    """
-
-    def __init__(self, carry: bool = True):
+    def __init__(self):
         self.pivots: dict[int, tuple[Vector, Vector]] = {}
-        self.carry = carry
         self.inserted = 0
 
     def insert(self, vec: Vector) -> Vector | None:
@@ -77,10 +98,10 @@ class _SparseEchelon:
 
         Returns None when vec was independent of the vectors inserted before
         it; otherwise the combination of inserted vectors (vec's own
-        coefficient 1) that vanishes, or {} without carry.
+        coefficient 1) that vanishes.
         """
         vec = dict(vec)
-        comb = {self.inserted: 1} if self.carry else {}
+        comb = {self.inserted: 1}
         self.inserted += 1
         while vec:
             low = min(vec)
@@ -94,23 +115,13 @@ class _SparseEchelon:
             _subtract(comb, factor, pivot_comb)
         return comb
 
-    def span(self) -> "_SparseEchelon":
-        """A carry-free echelon of the same span, to extend without changing this one.
-
-        The pivot vectors are shared, not copied: `insert` never changes a
-        stored pivot.
-        """
-        ech = _SparseEchelon(carry=False)
-        ech.pivots = {low: (vec, {}) for low, (vec, _) in self.pivots.items()}
-        return ech
-
 
 def rank(cols: list[Vector]) -> int:
     """Rank of the matrix with columns `cols`."""
-    ech = _SparseEchelon(carry=False)
+    pivots: dict[int, Vector] = {}
     for col in cols:
-        ech.insert(col)
-    return len(ech.pivots)
+        _insert(pivots, col)
+    return len(pivots)
 
 
 def nullspace(cols: list[Vector], ncols: int) -> list[Vector]:
@@ -152,10 +163,11 @@ def complement_of_span(space: list[Vector], span: _SparseEchelon) -> list[Vector
     """Vectors from `space`, in order, completing the span of the echelon `span`
     to a basis of their joint span.
 
-    Membership is tested without carrying combinations, on a copy of `span`.
+    Membership is tested by the carry-free pivot loop, on a copy of the
+    pivot table of `span` that shares its vectors, so `span` is not changed.
     """
-    ech = span.span()
-    return [vec for vec in space if ech.insert(vec) is None]
+    pivots = {low: vec for low, (vec, _) in span.pivots.items()}
+    return [vec for vec in space if _insert(pivots, vec)]
 
 
 def rank_mod_p(rows: list[list[Fraction]], p: int = FILTER_PRIME) -> int:

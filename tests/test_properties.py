@@ -467,6 +467,39 @@ def test_rep_vectors_match_the_oracle_on_every_count_branch():
     assert all(hits.values()), hits
 
 
+def test_hom0_matches_the_full_rank_formula_and_its_serre_dual():
+    """`hom0_is_nonzero(x, y, k)` and `cohomology_dim(k)`, which ranks only
+    differentials with both ends nonzero, agree with
+    dim Hom^k - rank D_k - rank D_{k-1} computed from both matrices, and
+    the test equals its Serre dual `hom0_is_nonzero(y, x, 2 - k)`, at every
+    degree around the Hom complex.  Inputs are braid-image pairs on
+    A3/D4/E6, padded images and direct sums; padding and sums make degrees
+    with Hom^{k-1} and Hom^{k+1} both nonzero, and such degrees occur with
+    H^k zero and nonzero."""
+    both_ends = {False: 0, True: 0}
+
+    @settings(SETTINGS, max_examples=16)
+    @given(braid_image_pairs(types=("A3", "D4", "E6")), st.integers(0, 2**16))
+    def check(pair, seed):
+        x, y = pair
+        rng = random.Random(seed)
+        for a, b in ((x, y), (_padded(x, rng), y), (x, _padded(y, rng)),
+                     (direct_sum(x, y), y), (x, direct_sum(y, x.shift(1)))):
+            hom = HomComplex(a, b)
+            lo, hi = min(hom.degrees(), default=0), max(hom.degrees(), default=0)
+            for k in range(lo - 1, hi + 2):
+                want = (hom.dim_at(k) - linalg.rank(hom.matrix(k))
+                        - linalg.rank(hom.matrix(k - 1)))
+                assert HomComplex(a, b).cohomology_dim(k) == want
+                assert hom0_is_nonzero(a, b, k) == (want > 0)
+                assert hom0_is_nonzero(b, a, 2 - k) == (want > 0)
+                if hom.dim_at(k - 1) and hom.dim_at(k + 1):
+                    both_ends[want > 0] += 1
+
+    check()
+    assert all(both_ends.values()), both_ends
+
+
 def _basis_by_pairs(source, target):
     """The Hom basis as laid out pair by pair: every (g, h) in source-major
     order, each path of the pair filed under its Hom degree."""
