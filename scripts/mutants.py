@@ -90,6 +90,53 @@ MUTANTS = (
         ("tests/test_stability.py::test_pruned_walks_on_one_shift_sums_find_the_unpruned_hits",),
     ),
     Mutant(
+        "a reader keeps its index by target in the slot of its index by source",
+        "src/twistcat/homcore.py",
+        ("        if self._by_target is None:\n"
+         "            self._by_target = _index(self.complex.differential, False)\n"
+         "        return self._by_target\n"),
+        ("        if self._by_source is None:\n"
+         "            self._by_source = _index(self.complex.differential, False)\n"
+         "        return self._by_source\n"),
+        ("tests/test_properties.py::test_a_shared_reader_changes_no_answer",),
+    ),
+    Mutant(
+        "rep_vectors keeps every kernel vector when D_{d-1} has rank 1",
+        "src/twistcat/homcore.py",
+        "            if rank == 0:\n",
+        "            if rank <= 1:\n",
+        ("tests/test_properties.py::test_rep_vectors_match_the_oracle_on_every_count_branch",),
+    ),
+    Mutant(
+        "the one-walk probe ends without the ray test",
+        "src/twistcat/stability.py",
+        "            return hit.shift == s and _ray_cross(ray, self._rays[hit.root]) == 0\n",
+        "            return hit.shift == s\n",
+        ("tests/test_stability.py::test_a_sum_of_two_stable_objects_runs_the_top_walk",),
+    ),
+    Mutant(
+        "the one-walk probe ends without the one-shift test",
+        "src/twistcat/stability.py",
+        "        if low is None or low[0] != high[0]:\n",
+        "        if low is None:\n",
+        ("tests/test_stability.py::"
+         "test_a_class_on_the_bottom_ray_over_several_shifts_runs_the_top_walk",),
+    ),
+    Mutant(
+        "the top walk's window is one shift off",
+        "src/twistcat/stability.py",
+        "        pad = 0 if bottom else 2\n",
+        "        pad = 0 if bottom else 1\n",
+        ("tests/test_stability.py::test_probe_candidates_follow_phase_order",),
+    ),
+    Mutant(
+        "every charge is taken as generic",
+        "src/twistcat/stability.py",
+        "        order, self._generic = _by_argument(rays)\n",
+        "        order, self._generic = _by_argument(rays)[0], True\n",
+        ("tests/test_stability.py::test_validate_generic",),
+    ),
+    Mutant(
         "the reduction prepends each step's letters instead of appending them",
         "src/twistcat/reduce.py",
         "        letters.extend(_conjugated_twist_word(build, record.exponent))\n",

@@ -23,6 +23,12 @@ Hom-complex differentials are assembled as sparse columns, and every rank,
 cohomology dimension and cocycle representative comes from the exact
 sparse elimination in linalg.  Integral entries enter those columns
 as ints, so the Hom tests on ±1 data eliminate without building a Fraction.
+A Hom complex reads each end through a `_Reader`, which holds the complex,
+its differential indexed by source and by target generator and the reach
+of each vertex into its generators, each built on first use.  A plain
+complex gets a fresh reader per Hom complex; a probe walk shares one
+reader of its target among its Hom tests and drops it when the walk ends,
+so no index is ever kept on a complex.
 
 Inputs are checked once, at the boundary: the public constructors
 `TwistedComplex(...)` and `Morphism(...)` validate every generator and entry
@@ -221,9 +227,9 @@ def simple_object(alg: ZigzagAlgebra, v: int, shift: int = 0) -> TwistedComplex:
     return TwistedComplex._trusted(alg, (Generator(v, shift),), {})
 
 
-def _same_quiver(x: TwistedComplex, y: TwistedComplex) -> None:
-    """Reject two objects over algebras of different quivers; one `is` on a shared algebra."""
-    if x.alg is not y.alg and x.alg.quiver != y.alg.quiver:
+def _same_quiver(a: ZigzagAlgebra, b: ZigzagAlgebra) -> None:
+    """Reject objects over algebras of different quivers; one `is` on a shared algebra."""
+    if a is not b and a.quiver != b.quiver:
         raise ValueError("the objects live over algebras of different quivers")
 
 
@@ -235,7 +241,7 @@ def direct_sum(*objects: TwistedComplex) -> TwistedComplex:
     diff: Entries = {}
     offset = 0
     for obj in objects:
-        _same_quiver(objects[0], obj)
+        _same_quiver(alg, obj.alg)
         gens.extend(obj.generators)
         for (h, g), c in obj.differential.items():
             diff[(h + offset, g + offset)] = c
@@ -255,7 +261,7 @@ class Morphism:
     def __init__(self, source: TwistedComplex, target: TwistedComplex, degree: int, entries: Entries):
         if type(degree) is not int:
             raise ValueError(f"degree {degree!r} must be an int")
-        _same_quiver(source, target)
+        _same_quiver(source.alg, target.alg)
         self.source = source
         self.target = target
         self.degree = degree
@@ -419,28 +425,93 @@ def minimize(x: TwistedComplex) -> TwistedComplex:
     )
 
 
-class HomComplex:
-    """The Hom complex of two twisted complexes, with exact cohomology."""
+# generator -> (the generator at the entry's other end, coefficient) for each entry
+_Index = dict[int, list[tuple[int, int | Fraction]]]
 
-    def __init__(self, source: TwistedComplex, target: TwistedComplex):
-        _same_quiver(source, target)
-        self.source = source
-        self.target = target
-        # (y_by_source, x_by_target), built by the first `matrix` call that needs it
-        self._adjacency: tuple[dict, dict] | None = None
+
+def _index(differential: Entries, by_source: bool) -> _Index:
+    """A differential's entries keyed by source generator, each listed as
+    (target, c), or keyed by target, each listed as (source, c); unsigned,
+    each integral coefficient as an int."""
+    out: _Index = {}
+    for (h, g), c in differential.items():
+        c = c.numerator if c.denominator == 1 else c
+        if by_source:
+            out.setdefault(g, []).append((h, c))
+        else:
+            out.setdefault(h, []).append((g, c))
+    return out
+
+
+class _Reader:
+    """A complex with the indexes the Hom complexes that read it share.
+
+    It holds the complex, its differential indexed by source generator and
+    by target generator (see `_index`), each built on first use, and the
+    reach from each vertex into the complex's generators, filled one vertex
+    at a time on first use.  A Hom complex given a plain complex makes a
+    reader of its own, so every index is built at most once per Hom
+    complex.  A probe walk makes one reader of its target and hands it to
+    every Hom test of the walk, so the target is indexed once per walk;
+    nothing is kept on the complex, and the reader goes with the walk.
+    """
+
+    __slots__ = ("complex", "_by_source", "_by_target", "_reach", "__weakref__")
+
+    def __init__(self, obj: TwistedComplex):
+        self.complex = obj
+        self._by_source: _Index | None = None
+        self._by_target: _Index | None = None
+        # vertex -> (h, path degree - shift(h)) for every path into generator h
+        self._reach: dict[int, list[tuple[int, int]]] = {}
+
+    def by_source(self) -> _Index:
+        if self._by_source is None:
+            self._by_source = _index(self.complex.differential, True)
+        return self._by_source
+
+    def by_target(self) -> _Index:
+        if self._by_target is None:
+            self._by_target = _index(self.complex.differential, False)
+        return self._by_target
+
+    def reach(self, v: int) -> list[tuple[int, int]]:
+        hits = self._reach.get(v)
+        if hits is None:
+            paths = self.complex.alg.paths
+            hits = self._reach[v] = [
+                (h, degree - sh)
+                for h, (vh, sh) in enumerate(self.complex.generators)
+                for degree in paths[(v, vh)]
+            ]
+        return hits
+
+
+class HomComplex:
+    """The Hom complex of two twisted complexes, with exact cohomology.
+
+    Either end may be given as a `_Reader`, and the Hom complex reads both
+    ends only through their readers (a fresh one for a plain complex):
+    its basis from the target's reach, its matrices from the target's
+    differential by source and the source's by target.  `source` and
+    `target` are the complexes.
+    """
+
+    def __init__(self, source: TwistedComplex | _Reader, target: TwistedComplex | _Reader):
+        x = source if type(source) is _Reader else _Reader(source)
+        y = target if type(target) is _Reader else _Reader(target)
+        _same_quiver(x.complex.alg, y.complex.alg)
+        self.source = x.complex
+        self.target = y.complex
+        self._x, self._y = x, y
         # Hom degree -> the (g, h) pairs with a path of that degree; a pair fixes its path.
         # Pairs are filed g-major, then by h, then by path degree.
         self.basis: dict[int, list[tuple[int, int]]] = {}
-        paths = source.alg.paths
-        targets = list(enumerate(target.generators))
-        # source vertex -> (h, path degree - shift(h)) for every path into target generator h
-        reach: dict[int, list[tuple[int, int]]] = {}
-        for g, (vg, sg) in enumerate(source.generators):
+        reach = y._reach
+        for g, (vg, sg) in enumerate(self.source.generators):
             hits = reach.get(vg)
             if hits is None:
-                hits = reach[vg] = [
-                    (h, degree - sh) for h, (vh, sh) in targets for degree in paths[(vg, vh)]
-                ]
+                hits = y.reach(vg)
             for h, offset in hits:
                 self.basis.setdefault(offset + sg, []).append((g, h))
 
@@ -460,20 +531,18 @@ class HomComplex:
         entry joins a generator to itself (no degree-1 path does), so each
         row of a column is hit at most once.  An integral coefficient is
         emitted as an int and any other as its Fraction, so `linalg.rank`
-        stays in ints on ±1 data.  The adjacency of both differentials (d_Y
-        by source, d_X by target) is built by the first call with a
-        non-empty domain and codomain and kept on this Hom complex only; it
-        holds the entries unsigned, and the sign (-1)^(d+1) of f o d_X is
-        applied as each column is written, so every degree reads the same
-        adjacency.
+        stays in ints on ±1 data.  The columns read d_Y by source and d_X
+        by target off the two readers, which build each index on its first
+        use and hold the entries unsigned; the sign (-1)^(d+1) of f o d_X
+        is applied as each column is written, so every degree reads the
+        same indexes.
         """
         dom = self.basis.get(d, [])
         cod = self.basis.get(d + 1, [])
         if not (dom and cod):
             return [{} for _ in dom]
-        if self._adjacency is None:
-            self._adjacency = self._adjacency_of_differentials()
-        y_by_source, x_by_target = self._adjacency
+        y_by_source = self._y.by_source()
+        x_by_target = self._x.by_target()
         rows = {pair: pos for pos, pair in enumerate(cod)}
         odd = d % 2
         cols: list[linalg.Vector] = []
@@ -489,19 +558,6 @@ class HomComplex:
                     col[row] = c if odd else -c
             cols.append(col)
         return cols
-
-    def _adjacency_of_differentials(self) -> tuple[dict, dict]:
-        """d_Y's entries by source generator and d_X's by target generator,
-        unsigned, each integral coefficient as an int."""
-        y_by_source: dict[int, list[tuple[int, int | Fraction]]] = {}
-        for (h2, h1), c in self.target.differential.items():
-            c = c.numerator if c.denominator == 1 else c
-            y_by_source.setdefault(h1, []).append((h2, c))
-        x_by_target: dict[int, list[tuple[int, int | Fraction]]] = {}
-        for (g1, g2), c in self.source.differential.items():
-            c = c.numerator if c.denominator == 1 else c
-            x_by_target.setdefault(g1, []).append((g2, c))
-        return y_by_source, x_by_target
 
     def cohomology_dim(self, d: int) -> int:
         """dim H^d = dim Hom^d - rank D_d - rank D_{d-1}, exactly.
@@ -588,8 +644,14 @@ def hom_dims(x: TwistedComplex, y: TwistedComplex) -> dict[int, int]:
     return HomComplex(x, y).dims()
 
 
-def hom0_is_nonzero(x: TwistedComplex, y: TwistedComplex, shift: int = 0) -> bool:
+def hom0_is_nonzero(
+    x: TwistedComplex | _Reader, y: TwistedComplex | _Reader, shift: int = 0
+) -> bool:
     """Whether H^0 Hom(x, y[shift]) != 0, by the exact dimension.
+
+    Either end may be a `_Reader`: a probe walk passes one reader of its
+    target to every Hom test, so the target's indexes are built once per
+    walk, and the other end's once per test.  Nothing outlives the walk.
 
     This is H^shift Hom(x, y): the two complexes have the same basis, and
     since shifting y by [shift] multiplies its differential by

@@ -87,7 +87,14 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import InvariantViolation, NonGenericChargeError
-from .homcore import TwistedComplex, hom0_is_nonzero, is_spherical, simple_object
+from .homcore import (
+    TwistedComplex,
+    _Reader,
+    _same_quiver,
+    hom0_is_nonzero,
+    is_spherical,
+    simple_object,
+)
 from .rootlat import (
     QuiverGraph,
     Root,
@@ -712,8 +719,15 @@ class StabilityCondition:
         bound lies nearer the class of a one-shift acyclic y, and ends the
         probe there when the hit proves y semistable.  The walks share no
         state, so each finds the same hit whichever runs first.
+
+        The walk makes one `_Reader` of y and passes it to every Hom test,
+        so y's differential is indexed once per walk rather than once per
+        test, and the reach of each vertex into y's generators is listed
+        once.  The reader is a local of the walk: nothing is kept on y, on
+        a record or on the condition, and it goes when the walk ends.
         """
         bottom = side == "bottom"
+        reader = _Reader(y)  # y's indexes, shared by this walk's Hom tests only
         ladder = self._probe_ladder()
         lo_y, hi_y = y.shift_range()
         pad = 0 if bottom else 2
@@ -738,7 +752,8 @@ class StabilityCondition:
                 row = (b for b in row if all(map(operator.le, b.root, dim)))
             for b in row:
                 if b.hi >= above and b.lo < below and (
-                    hom0_is_nonzero(y, b.obj, k) if bottom else hom0_is_nonzero(b.obj, y, -k)
+                    hom0_is_nonzero(reader, b.obj, k) if bottom
+                    else hom0_is_nonzero(b.obj, reader, -k)
                 ):
                     return ProbeHit(Phase._on_ray(k, *self._rays[b.root], self._d), b.root, k)
             row = ladder
@@ -785,7 +800,11 @@ class StabilityCondition:
         test, every S_w[s] whose root w is not <= y's generator counts in
         every coordinate; the module docstring shows that the pruned walks
         find the unpruned hits.
+
+        An object over an algebra of another quiver than the condition's
+        raises the ValueError of `homcore`'s quiver check.
         """
+        _same_quiver(self.alg, y.alg)
         if y.is_zero:
             raise ValueError("the zero object has no phases")
         self.require_generic()

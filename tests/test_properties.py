@@ -39,7 +39,7 @@ from twistcat import (
     zero_object,
 )
 from twistcat import linalg, twists
-from twistcat.homcore import Generator, HomComplex, hom0_is_nonzero
+from twistcat.homcore import Generator, HomComplex, _Reader, hom0_is_nonzero
 from twistcat.reduce import _conjugated_twist_word
 from conftest import (
     all_cohomology_reps,
@@ -546,3 +546,43 @@ def test_hom_basis_order_is_the_pair_by_pair_order(pair, seed, index):
     for source, target in ((x, y), (y, x), (x, x), (s, y), (y, s), (s, s)):
         want = _basis_by_pairs(source, target)
         assert list(HomComplex(source, target).basis.items()) == list(want.items())
+
+
+def test_a_shared_reader_changes_no_answer():
+    """A Hom complex reads the same basis, matrices, cohomology dimensions
+    and Hom tests when either end is a `_Reader` as when both are plain
+    complexes, at every degree around the complex.  One reader serves many
+    Hom complexes in both roles: as the source first and then as the
+    target, and a second reader the other way round, so an index built in
+    one role is read again in the other.  Inputs are braid-image pairs on
+    A3/D4/E6, padded (Fraction entries), shifted and direct-sum variants."""
+
+    @SETTINGS
+    @given(braid_image_pairs(types=("A3", "D4", "E6")), st.integers(0, 2**16))
+    def check(pair, seed):
+        x, y = pair
+        rng = random.Random(seed)
+        objects = [x, y, _padded(y, rng), x.shift(1), direct_sum(x, y.shift(-1))]
+        for obj in objects:
+            for roles in (("source", "target"), ("target", "source")):
+                reader = _Reader(obj)
+                for role in roles:
+                    for other in objects:
+                        plain = (obj, other) if role == "source" else (other, obj)
+                        read = (reader, other) if role == "source" else (other, reader)
+                        _assert_same_hom(read, plain)
+                _assert_same_hom((reader, reader), (obj, obj))
+
+    check()
+
+
+def _assert_same_hom(read, plain):
+    """The Hom complex of `read` (readers or complexes) is that of the plain pair."""
+    want, got = HomComplex(*plain), HomComplex(*read)
+    assert got.source is plain[0] and got.target is plain[1]
+    assert got.basis == want.basis
+    lo, hi = min(want.degrees(), default=0), max(want.degrees(), default=0)
+    for k in range(lo - 1, hi + 2):
+        assert got.matrix(k) == want.matrix(k)
+        assert got.cohomology_dim(k) == want.cohomology_dim(k)
+        assert hom0_is_nonzero(*read, k) == hom0_is_nonzero(*plain, k)

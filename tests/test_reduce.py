@@ -222,6 +222,34 @@ def test_sandwich_split_triangle(stab_a2, alg_a2):
     assert sandwich_check(stab_a2, p1, direct_sum(p1, p2), p2)
 
 
+@pytest.mark.parametrize("name, v", [("D4", 3), ("D4", 0), ("A4", 3)])
+def test_objects_over_another_quiver_are_rejected_before_probing(stab_a3, alg_a3, name, v):
+    """phi_probes and the three entry points that probe raise the quiver check's
+    ValueError on an object over another quiver's algebra, not an IndexError or a
+    charge-length error from inside the probe."""
+    foreign = simple_object(ZigzagAlgebra(named_quiver(name)), v)
+    home = simple_object(alg_a3, 0)
+    entry_points = (
+        lambda: stab_a3.phi_probes(foreign),
+        lambda: reduce_to_stable(stab_a3, foreign),
+        lambda: certify_step(stab_a3, home, foreign),
+        lambda: sandwich_check(stab_a3, foreign, home, home),
+    )
+    for call in entry_points:
+        with pytest.raises(ValueError, match="^the objects live over algebras of different quivers$"):
+            call()
+
+
+def test_objects_over_a_second_algebra_of_the_same_quiver_probe_and_reduce(stab_a3, alg_a3):
+    other = ZigzagAlgebra(named_quiver("A3"))
+    assert other is not alg_a3 and other.quiver == alg_a3.quiver
+    word = parse_braid_word("s1 s2' s3")
+    for v in range(3):
+        mine, theirs = (apply_braid(alg, word, simple_object(alg, v)) for alg in (alg_a3, other))
+        assert stab_a3.phi_probes(theirs) == stab_a3.phi_probes(mine)
+        assert reduce_to_stable(stab_a3, theirs).final == reduce_to_stable(stab_a3, mine).final
+
+
 def test_heart_align_identity(stab_a2):
     result = heart_align(stab_a2, BraidWord())
     assert result.steps == []

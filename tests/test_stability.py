@@ -43,7 +43,7 @@ from twistcat import (
     untwist,
     zero_object,
 )
-from twistcat import stability
+from twistcat import homcore, stability
 from twistcat.stability import _distinct_rays, _lattice, _ray
 from conftest import (
     FractionPhase,
@@ -499,6 +499,11 @@ def test_bounded_walk_matches_the_unpruned_walk_on_shifted_and_padded_objects(na
                 assert_probes_match_the_unpruned_walk(stab, obj)
 
 
+def _complex_of(arg):
+    """The complex a Hom-test argument reads: a reader's complex, or the argument."""
+    return arg.complex if type(arg) is homcore._Reader else arg
+
+
 def test_cyclic_entry_graph_walks_every_candidate(monkeypatch, alg_a3, stab_a3):
     """No bound when the entries form a cycle: phi_probes walks every candidate."""
     # P0 -> P1 -> P0 by the two arrows; not square-zero, so built unchecked
@@ -508,9 +513,13 @@ def test_cyclic_entry_graph_walks_every_candidate(monkeypatch, alg_a3, stab_a3):
     acyclic = TwistedComplex._trusted(alg_a3, gens, {(1, 0): 1})
     bounds = stab_a3._generator_bounds(acyclic)
     calls, hits = [], []
-    monkeypatch.setattr(
-        stability, "hom0_is_nonzero", lambda *call: calls.append(call) or call in hits
-    )
+
+    def hom0(*call):
+        call = tuple(map(_complex_of, call))  # a walk passes the reader of y, the oracle y
+        calls.append(call)
+        return call in hits
+
+    monkeypatch.setattr(stability, "hom0_is_nonzero", hom0)
     full = {}
     for side, bound in zip(("bottom", "top"), bounds):
         calls.clear()
@@ -670,7 +679,7 @@ def test_cyclic_entry_graph_on_one_shift_runs_the_top_walk(monkeypatch, alg_a3, 
     top = []
 
     def hom0(x, z, k):
-        if z is y:
+        if _complex_of(z) is y:
             top.append(k)
             return False
         return k == 0 and z.k_class() == u  # the bottom walk hits (u, 0)
@@ -679,6 +688,69 @@ def test_cyclic_entry_graph_on_one_shift_runs_the_top_walk(monkeypatch, alg_a3, 
     with pytest.raises(InvariantViolation, match="no stable object maps to"):
         stab_a3.phi_probes(y)
     assert top
+
+
+@pytest.mark.parametrize("name", ["D4", "E6"])
+def test_a_walk_indexes_y_once_and_keeps_no_reader(monkeypatch, name):
+    """Every Hom test of a walk reads y through the walk's one reader: during
+    a probe, y's differential is indexed at most once per walk and a record's
+    at most once per Hom test.  Once the probe has returned, or raised
+    InvariantViolation, no reader is left: nothing holds it on y, a record or
+    the condition."""
+    alg = ZigzagAlgebra(named_quiver(name))
+    rng = random.Random(f"walk-reader:{name}")
+    stab = StabilityCondition(alg, random_generic_charge(alg.quiver, rng))
+    stab._probe_ladder()  # certify the records before counting
+    n = alg.quiver.vertex_count
+    walks, refs, miss = [], [], [False]
+
+    def first_hit(self, z, side, bound, real=StabilityCondition._first_hit):
+        walks.append({"y": 0, "tests": []})
+        return real(self, z, side, bound)
+
+    def hom0(x, z, k, real=stability.hom0_is_nonzero):
+        (reader,) = [a for a in (x, z) if type(a) is homcore._Reader]
+        assert reader.complex is y
+        walk = walks[-1]
+        if not walk["tests"]:
+            refs.append(weakref.ref(reader))
+        assert refs[-1]() is reader
+        walk["tests"].append(0)
+        return real(x, z, k) and not miss[0]
+
+    def index(differential, by_source, real=homcore._index):
+        walk = walks[-1]
+        if differential is y.differential:
+            walk["y"] += 1
+        else:
+            walk["tests"][-1] += 1
+        return real(differential, by_source)
+
+    targets = []  # braid images with a differential, every other one summed with its [1]
+    while len(targets) < 6:
+        word = BraidWord(tuple((rng.randrange(n), rng.choice((1, -1))) for _ in range(4)))
+        y = apply_braid(alg, word, simple_object(alg, rng.randrange(n)))
+        if y.differential:
+            targets.append(direct_sum(y, y.shift(1)) if len(targets) % 2 else y)
+    monkeypatch.setattr(StabilityCondition, "_first_hit", first_hit)
+    monkeypatch.setattr(stability, "hom0_is_nonzero", hom0)
+    monkeypatch.setattr(homcore, "_index", index)
+    shared = 0  # walks of several Hom tests that indexed y once
+    for trial, y in enumerate(targets):
+        miss[0] = trial == len(targets) - 1
+        walks.clear()
+        if miss[0]:
+            with pytest.raises(InvariantViolation, match="no stable object receives"):
+                stab.phi_probes(y)
+        else:
+            stab.phi_probes(y)
+        gc.collect()
+        assert refs and all(ref() is None for ref in refs)
+        refs.clear()
+        for walk in walks:
+            assert walk["y"] <= 1 and all(count <= 1 for count in walk["tests"])
+            shared += walk["y"] == 1 and len(walk["tests"]) > 1
+    assert shared
 
 
 # -- the nearer walk first against the two-walk probe ---------------------------
