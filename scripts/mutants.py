@@ -143,6 +143,56 @@ MUTANTS = (
         "        letters[:0] = _conjugated_twist_word(build, record.exponent)\n",
         ("tests/test_reduce.py",),
     ),
+    Mutant(
+        "find_isomorphism compares objects over different quivers",
+        "src/twistcat/homcore.py",
+        "    since its End^0 has dimension 1.\n    \"\"\"\n    _same_quiver(x.alg, y.alg)\n",
+        "    since its End^0 has dimension 1.\n    \"\"\"\n",
+        ("tests/test_homcore.py::"
+         "test_objects_over_different_quivers_are_neither_equal_nor_compared",),
+    ),
+    Mutant(
+        "find_isomorphism takes the one H^0 rep without its cone",
+        "src/twistcat/homcore.py",
+        "        return (reps[0] if minimize(cone(reps[0])).is_zero else None), 1\n",
+        "        return reps[0], 1\n",
+        ("tests/test_homcore.py::test_find_isomorphism_matches_bounded_search",),
+    ),
+    Mutant(
+        "has_path finds a path of every degree",
+        "src/twistcat/zigzag.py",
+        "        return degree in self.paths[(i, j)]\n",
+        "        return True\n",
+        ("tests/test_zigzag.py::test_product_rule_matches_basis_product",),
+    ),
+    Mutant(
+        "last_minimal_word descends by the lowest-index reflection",
+        "src/twistcat/rootlat.py",
+        "    return _greedy_word(q, w, range(q.vertex_count - 1, -1, -1))\n",
+        "    return _greedy_word(q, w, range(q.vertex_count))\n",
+        ("tests/test_rootlat.py::test_greedy_descents_are_the_first_and_last_minimal_words",),
+    ),
+    Mutant(
+        "a charge file may hold a bool",
+        "src/twistcat/stability.py",
+        "                if any(type(c) is not int for c in (nre, dre, nim, dim)):\n",
+        "                if any(not isinstance(c, int) for c in (nre, dre, nim, dim)):\n",
+        ("tests/test_cli.py::test_charge_file_with_malformed_entry_exits_2",),
+    ),
+    Mutant(
+        "stable_checks reports every object in the heart",
+        "src/twistcat/verify.py",
+        "        \"heart\": phases.in_heart,\n",
+        "        \"heart\": True,\n",
+        ("tests/test_verify.py::test_stable_checks_name_the_check_that_fails",),
+    ),
+    Mutant(
+        "reduction_failures skips the orbit check",
+        "src/twistcat/verify.py",
+        "    if orbit_check:\n",
+        "    if False:\n",
+        ("tests/test_verify.py::test_reduction_failures_catch_a_word_with_one_letter_flipped",),
+    ),
 )
 
 

@@ -14,7 +14,7 @@ import random
 import sys
 
 from .errors import InvariantViolation
-from .homcore import is_spherical, simple_object
+from .homcore import simple_object
 from .reduce import heart_align, reduce_to_stable
 from .rootlat import (
     QuiverGraph,
@@ -27,7 +27,7 @@ from .rootlat import (
 )
 from .stability import CentralCharge, StabilityCondition, load_charge, random_generic_charge
 from .twists import BraidWord, apply_braid, braid_word_to_text, parse_braid_word
-from .verify import run_verify
+from .verify import run_verify, stable_checks
 from .zigzag import ZigzagAlgebra
 
 
@@ -52,10 +52,12 @@ def _build_quiver(args) -> QuiverGraph:
     return load_quiver(args.quiver)
 
 
-def _build_charge(args, q: QuiverGraph) -> CentralCharge:
-    if args.charge is not None:
-        return load_charge(args.charge)
-    return random_generic_charge(q, random.Random(f"charge:{args.seed}"))
+def _condition(args) -> tuple[QuiverGraph, CentralCharge, StabilityCondition]:
+    """The quiver, the charge and the stability condition that the options name."""
+    q = _build_quiver(args)
+    charge = (load_charge(args.charge) if args.charge is not None
+              else random_generic_charge(q, random.Random(f"charge:{args.seed}")))
+    return q, charge, StabilityCondition(ZigzagAlgebra(q), charge)
 
 
 def _parse_root(text: str, q: QuiverGraph):
@@ -131,10 +133,7 @@ def cmd_roots(args) -> int:
 
 
 def cmd_stable(args) -> int:
-    q = _build_quiver(args)
-    alg = ZigzagAlgebra(q)
-    charge = _build_charge(args, q)
-    stab = StabilityCondition(alg, charge)
+    q, charge, stab = _condition(args)
     w = _parse_root(args.root, q)
     expression = None if args.expression is None else _parse_expression(args.expression, q)
     build = stab.stable_build(w, expression)
@@ -145,8 +144,7 @@ def cmd_stable(args) -> int:
         if not 1 <= args.flip <= len(build.braid.letters):
             raise ValueError(f"--flip index out of range 1..{len(build.braid.letters)}")
         obj = build.flipped(args.flip - 1)
-    phases = stab.phi_probes(obj)
-    spread, heart = phases.spread, phases.in_heart
+    checks, phases = stable_checks(stab, obj, w)
     report = {
         "charge": charge.to_json_dict(),
         "root": list(w),
@@ -154,19 +152,14 @@ def cmd_stable(args) -> int:
         "word": braid_word_to_text(build.braid),
         "flipped": args.flip,
         "object": obj.to_json_dict(),
-        "checks": {
-            "spherical": is_spherical(obj),
-            "class_matches": obj.k_class() == w,
-            "heart": heart,
-            "spread_zero": spread.is_zero(),
-        },
-        "spread": spread.to_json_dict(),
+        "checks": checks,
+        "spread": phases.spread.to_json_dict(),
     }
     lines = [
         f"root {tuple(w)}",
         f"signs {build.signs}",
         f"word  {braid_word_to_text(build.braid) or '(empty)'}",
-        f"heart {heart}; spread {float(spread):.6f}"
+        f"heart {checks['heart']}; spread {float(phases.spread):.6f}"
         + ("  [flipped exponent, expected unstable]" if args.flip else ""),
     ]
     _emit(report, args.json, lines)
@@ -174,14 +167,11 @@ def cmd_stable(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    q = _build_quiver(args)
-    alg = ZigzagAlgebra(q)
-    charge = _build_charge(args, q)
-    stab = StabilityCondition(alg, charge)
+    q, charge, stab = _condition(args)
     word = _parse_word(args.word or "", q)
     if not 1 <= args.start <= q.vertex_count:
         raise ValueError(f"--start {args.start} out of range 1..{q.vertex_count}")
-    start = apply_braid(alg, word, simple_object(alg, args.start - 1))
+    start = apply_braid(stab.alg, word, simple_object(stab.alg, args.start - 1))
     trace = reduce_to_stable(stab, start, strategy=args.strategy)
     report = {
         "charge": charge.to_json_dict(),
@@ -203,10 +193,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_align(args) -> int:
-    q = _build_quiver(args)
-    alg = ZigzagAlgebra(q)
-    charge = _build_charge(args, q)
-    stab = StabilityCondition(alg, charge)
+    q, charge, stab = _condition(args)
     transport = _parse_word(args.word or "", q)
     result = heart_align(stab, transport)
     report = {

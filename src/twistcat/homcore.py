@@ -28,7 +28,9 @@ its differential indexed by source and by target generator and the reach
 of each vertex into its generators, each built on first use.  A plain
 complex gets a fresh reader per Hom complex; a probe walk shares one
 reader of its target among its Hom tests and drops it when the walk ends,
-so no index is ever kept on a complex.
+so no index is ever kept on a complex.  A cohomology dimension ranks only
+the differentials with both ends nonzero, so a Hom test (`hom0_is_nonzero`)
+with Hom^{k-1} empty ranks D_k alone.
 
 Inputs are checked once, at the boundary: the public constructors
 `TwistedComplex(...)` and `Morphism(...)` validate every generator and entry
@@ -39,6 +41,10 @@ either way.  The reps `cocycle_reps` returns hold Fractions.  The twists
 lay out their cones from the echelon's kernel vectors as they are
 (`_cone`), so a twisted object keeps its integral entries as ints, and
 `minimize` and later Hom tests on it run in ints.
+
+Objects over algebras of different quivers never meet: `==` is False
+between them, and maps, sums, Hom complexes and the isomorphism tests raise
+ValueError.  Two algebras of one quiver are interchangeable.
 """
 
 from __future__ import annotations
@@ -173,6 +179,8 @@ class TwistedComplex:
         return not self.generators
 
     def shift(self, n: int) -> "TwistedComplex":
+        if type(n) is not int:
+            raise ValueError(f"shift {n!r} must be an int")
         if n == 0:
             return self
         gens = tuple(Generator(v, s + n) for v, s in self.generators)
@@ -196,6 +204,7 @@ class TwistedComplex:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TwistedComplex)
+            and (self.alg is other.alg or self.alg.quiver == other.alg.quiver)
             and self.generators == other.generators
             and self.differential == other.differential
         )
@@ -222,8 +231,8 @@ def zero_object(alg: ZigzagAlgebra) -> TwistedComplex:
 
 
 def simple_object(alg: ZigzagAlgebra, v: int, shift: int = 0) -> TwistedComplex:
-    if not 0 <= v < alg.quiver.vertex_count:
-        raise ValueError(f"vertex {v} out of range")
+    if type(v) is not int or not 0 <= v < alg.quiver.vertex_count or type(shift) is not int:
+        raise ValueError(f"simple P_{v!r}[{shift!r}] needs an int vertex in range and an int shift")
     return TwistedComplex._trusted(alg, (Generator(v, shift),), {})
 
 
@@ -690,6 +699,7 @@ def find_isomorphism(
     search the maps for an invertible one.  A spherical x never raises,
     since its End^0 has dimension 1.
     """
+    _same_quiver(x.alg, y.alg)
     x = minimize(x)
     y = minimize(y)
     if x.is_zero and y.is_zero:
@@ -724,6 +734,7 @@ def find_shift_isomorphism(x: TwistedComplex, y: TwistedComplex) -> int | None:
     minimize(y), and it is rejected at once when the sorted generator lists
     of minimize(x) and minimize(y)[k] differ.
     """
+    _same_quiver(x.alg, y.alg)
     x = minimize(x)
     y = minimize(y)
     if x.is_zero and y.is_zero:

@@ -522,6 +522,8 @@ class StabilityCondition:
         ray = self._rays.get(w)
         if ray is None:
             raise ValueError(f"{w} is not a positive root")
+        if type(shift) is not int:
+            raise ValueError(f"shift {shift!r} must be an int")
         return Phase._on_ray(shift, *ray, self._d)
 
     def validate_generic(self) -> bool:

@@ -48,8 +48,8 @@ class BraidWord:
 
     def __post_init__(self):
         for v, e in self.letters:
-            if e not in (1, -1):
-                raise ValueError(f"exponent must be +1 or -1, got {e}")
+            if type(v) is not int or v < 0 or type(e) is not int or e not in (1, -1):
+                raise ValueError(f"letter {(v, e)!r} needs an int vertex >= 0 and an exponent +1 or -1")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -191,5 +191,7 @@ def apply_braid(
 def braid_class_action(q: QuiverGraph, word: BraidWord, w: Root) -> Root:
     """Induced action on classes: the product of simple reflections."""
     for v, _ in word.letters:
+        if v >= q.vertex_count:
+            raise ValueError(f"vertex {v} of the word is not a vertex of the quiver")
         w = reflect(q, w, v)
     return w

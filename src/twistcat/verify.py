@@ -21,15 +21,16 @@ from .homcore import (
     is_spherical,
     simple_object,
 )
-from .reduce import heart_align, reduce_to_stable, sandwich_check
+from .reduce import ReductionTrace, heart_align, reduce_to_stable, sandwich_check
 from .rootlat import (
+    Root,
     cartan_pairing,
     last_minimal_word,
     minimal_word,
     named_quiver,
     positive_roots,
 )
-from .stability import StabilityCondition, random_generic_charge
+from .stability import Phases, StabilityCondition, random_generic_charge
 from .twists import (
     BraidWord,
     apply_braid,
@@ -81,6 +82,25 @@ def random_word(rng: random.Random, n_vertices: int, max_len: int, min_len: int 
     )
 
 
+def random_image(rng: random.Random, alg: ZigzagAlgebra, max_len: int, min_len: int = 1) -> TwistedComplex:
+    """The image of a random simple under a `random_word`, the word drawn first."""
+    n = alg.quiver.vertex_count
+    word = random_word(rng, n, max_len, min_len)
+    return apply_braid(alg, word, simple_object(alg, rng.randrange(n)))
+
+
+def stable_checks(stab: StabilityCondition, obj: TwistedComplex, w: Root) -> tuple[dict[str, bool], Phases]:
+    """Whether obj is a spherical stable object of class w in the standard
+    heart, as four named checks, and the phases of its one probe."""
+    phases = stab.phi_probes(obj)
+    return {
+        "spherical": is_spherical(obj),
+        "class_matches": obj.k_class() == w,
+        "heart": phases.in_heart,
+        "spread_zero": phases.spread.is_zero(),
+    }, phases
+
+
 def suite_stable_constructions(type_name: str, charges: int = 20, seed: int = 0) -> SuiteResult:
     """Per charge and positive root: the constructed object is a spherical,
     heart-contained, spread-zero representative of its class, and flipping
@@ -105,16 +125,8 @@ def suite_stable_constructions(type_name: str, charges: int = 20, seed: int = 0)
             except InvariantViolation as exc:
                 failures.append(f"{tag}: {exc}")
                 continue
-            obj = build.obj
-            if obj.k_class() != w:
-                failures.append(f"{tag}: class {obj.k_class()} != {w}")
-            if not is_spherical(obj):
-                failures.append(f"{tag}: not spherical")
-            phases = stab.phi_probes(obj)
-            if not phases.in_heart:
-                failures.append(f"{tag}: not in the standard heart")
-            if not phases.spread.is_zero():
-                failures.append(f"{tag}: spread is not zero")
+            checks, _ = stable_checks(stab, build.obj, w)
+            failures += [f"{tag}: check {k} failed" for k, ok in checks.items() if not ok]
             for i in range(len(build.signs)):
                 cases += 1
                 phases = stab.phi_probes(build.flipped(i))
@@ -164,22 +176,25 @@ def power_image(alg: ZigzagAlgebra, text: str, power: int, vertex: int) -> Twist
     return apply_braid(alg, word, simple_object(alg, vertex))
 
 
-def _reduction_failures(
-    stab: StabilityCondition, start: TwistedComplex, strategy: str, orbit_check: bool
-) -> list[str]:
-    """The checks of one reduction of `start` that fail; empty when all pass."""
-    try:
-        trace = reduce_to_stable(stab, start, strategy=strategy)
-    except InvariantViolation as exc:
-        return [str(exc)]
-    if not stab.phi_probes(trace.final).spread.is_zero():
+def reduction_failures(stab: StabilityCondition, trace: ReductionTrace, orbit_check: bool) -> list[str]:
+    """The checks of a finished reduction that fail; empty when all pass.
+
+    The final object must be semistable, of a root class up to sign,
+    spherical and shift-isomorphic to the stable object of that root; the
+    trace's spreads must chain; and with `orbit_check` the inverse of the
+    accumulated word must take the start to the final object.
+    """
+    final = trace.final
+    if not stab.phi_probes(final).spread.is_zero():
         return ["final object is not semistable"]
-    wf = trace.final.k_class()
+    wf = final.k_class()
     pos = wf if all(x >= 0 for x in wf) else tuple(-x for x in wf)
     if pos not in stab.roots:
         return [f"final class {wf} is not up to sign a positive root"]
     failures = []
-    if find_shift_isomorphism(trace.final, stab.stable_object(pos)) is None:
+    if not is_spherical(final):
+        failures.append("final object is not spherical")
+    if find_shift_isomorphism(final, stab.stable_object(pos)) is None:
         failures.append(f"final object differs from the stable model of {pos}")
     for a, b in zip(trace.steps, trace.steps[1:]):
         if not b.spread_before == a.spread_after:
@@ -188,9 +203,20 @@ def _reduction_failures(
         # the word acts by an autoequivalence, so word(final) = start
         # exactly when word^-1(start) = final, the direction that shrinks
         reduced = apply_braid(stab.alg, trace.word.inverse(), trace.start)
-        if not is_isomorphic(reduced, trace.final):
+        if not is_isomorphic(reduced, final):
             failures.append("inverse of the accumulated word does not reduce the input")
     return failures
+
+
+def _reduction_failures(
+    stab: StabilityCondition, start: TwistedComplex, strategy: str, orbit_check: bool
+) -> list[str]:
+    """Reduce `start` and run `reduction_failures`; a violated certificate is one failure."""
+    try:
+        trace = reduce_to_stable(stab, start, strategy=strategy)
+    except InvariantViolation as exc:
+        return [str(exc)]
+    return reduction_failures(stab, trace, orbit_check)
 
 
 def suite_reduction(
@@ -211,30 +237,17 @@ def suite_reduction(
     t0 = time.perf_counter()
     q, alg = _context(type_name)
     failures: list[str] = []
-    cases = 0
-    for i in range(runs):
-        cases += 1
+    keys = [*range(runs), *(["large"] if type_name in LARGE_INPUTS else [])]
+    for i in keys:
         rng = random.Random(f"reduce:{type_name}:{seed}:{i}:{strategy}")
         stab = StabilityCondition(alg, random_generic_charge(q, rng))
-        word = random_word(rng, q.vertex_count, max_len)
-        start = apply_braid(alg, word, simple_object(alg, rng.randrange(q.vertex_count)))
-        failures += [
-            f"{type_name} run#{i}: {f}"
-            for f in _reduction_failures(stab, start, strategy, i < orbit_checks)
-        ]
-    if type_name in LARGE_INPUTS:
-        cases += 1
-        text, power, vertex = LARGE_INPUTS[type_name]
-        rng = random.Random(f"reduce:{type_name}:{seed}:large:{strategy}")
-        stab = StabilityCondition(alg, random_generic_charge(q, rng))
-        start = power_image(alg, text, power, vertex)
-        failures += [
-            f"{type_name} ({text})^{power}: {f}"
-            for f in _reduction_failures(stab, start, strategy, True)
-        ]
-    return SuiteResult(
-        f"reduction ({strategy})", cases, failures, time.perf_counter() - t0
-    )
+        if i == "large":
+            text, power, vertex = LARGE_INPUTS[type_name]
+            tag, start, check = f"{type_name} ({text})^{power}", power_image(alg, text, power, vertex), True
+        else:
+            tag, start, check = f"{type_name} run#{i}", random_image(rng, alg, max_len), i < orbit_checks
+        failures += [f"{tag}: {f}" for f in _reduction_failures(stab, start, strategy, check)]
+    return SuiteResult(f"reduction ({strategy})", len(keys), failures, time.perf_counter() - t0)
 
 
 def suite_sandwich(type_name: str, cases: int = 200, max_len: int = 6, seed: int = 0) -> SuiteResult:
@@ -248,8 +261,7 @@ def suite_sandwich(type_name: str, cases: int = 200, max_len: int = 6, seed: int
     attempts = 0
     while done < cases and attempts < cases * 20:
         attempts += 1
-        word = random_word(rng, q.vertex_count, max_len)
-        middle = apply_braid(alg, word, simple_object(alg, rng.randrange(q.vertex_count)))
+        middle = random_image(rng, alg, max_len)
         x = simple_object(alg, rng.randrange(q.vertex_count))
         builder = twist_triangle if rng.random() < 0.5 else untwist_triangle
         triangle = builder(x, middle, _spherical_checked=True)
@@ -295,14 +307,8 @@ def suite_serre_euler(type_name: str, cases: int = 200, max_len: int = 5, seed: 
     for i in range(cases):
         tag = f"{type_name} pair#{i}"
         rng = random.Random(f"serre:{type_name}:{seed}:{i}")
-        x = apply_braid(
-            alg, random_word(rng, q.vertex_count, max_len, min_len=0),
-            simple_object(alg, rng.randrange(q.vertex_count)),
-        )
-        y = apply_braid(
-            alg, random_word(rng, q.vertex_count, max_len, min_len=0),
-            simple_object(alg, rng.randrange(q.vertex_count)),
-        )
+        x = random_image(rng, alg, max_len, min_len=0)
+        y = random_image(rng, alg, max_len, min_len=0)
         forward = hom_dims(x, y)
         backward = hom_dims(y, x)
         degrees = set(forward) | {2 - d for d in backward}
@@ -369,10 +375,7 @@ def suite_twist_inversion(type_name: str, cases: int = 200, max_len: int = 6, se
         tag = f"{type_name} pair#{i}"
         rng = random.Random(f"invert:{type_name}:{seed}:{i}")
         x = simple_object(alg, rng.randrange(q.vertex_count))
-        y = apply_braid(
-            alg, random_word(rng, q.vertex_count, max_len, min_len=0),
-            simple_object(alg, rng.randrange(q.vertex_count)),
-        )
+        y = random_image(rng, alg, max_len, min_len=0)
         if not is_isomorphic(untwist(x, twist(x, y, True), True), y):
             failures.append(f"{tag}: untwist(twist(y)) is not y")
         if not is_isomorphic(twist(x, untwist(x, y, True), True), y):

@@ -1,5 +1,7 @@
 import contextlib
+import importlib.util
 import math
+import pathlib
 from fractions import Fraction
 from functools import total_ordering
 from unittest import mock
@@ -15,7 +17,16 @@ from twistcat import (
 )
 from twistcat import twists
 from twistcat.homcore import Entries, HomComplex, TwistedComplex, _fits
-from twistcat.verify import random_word  # noqa: F401  (shared with the test modules)
+from twistcat.verify import random_image, random_word  # noqa: F401  (shared with the test modules)
+
+
+def load_script(name: str):
+    """The module of scripts/<name>.py, loaded from its file."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def a3_reference_charge() -> CentralCharge:

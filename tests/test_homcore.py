@@ -13,6 +13,7 @@ from twistcat import (
     TwistedComplex,
     ZigzagAlgebra,
     apply_braid,
+    braid_class_action,
     cone,
     direct_sum,
     find_isomorphism,
@@ -31,7 +32,7 @@ from twistcat import (
 )
 from twistcat import homcore, linalg
 from twistcat.homcore import HomComplex
-from conftest import all_cohomology_reps, minimize_by_passes, random_word
+from conftest import all_cohomology_reps, minimize_by_passes, random_image, random_word
 
 
 def staircase(alg, sign=1):
@@ -98,6 +99,14 @@ def _bad_morphism(degree, entries):
         # a zero entry needs no path, but its indices must name generators
         ([Generator(0, 0)], {(5, 7): 0}, r"entry \(5, 7\) out of range"),
         (None, _bad_morphism(0, {(3, 3): 0}), r"entry \(3, 3\) out of range"),
+        # the library's other entry points take int vertices, shifts and exponents
+        (None, lambda alg: simple_object(alg, True, 0.5), r"simple P_True\[0\.5\]"),
+        (None, lambda alg: simple_object(alg, 0, 0.5), r"simple P_0\[0\.5\]"),
+        (None, lambda alg: simple_object(alg, 0).shift(0.5), r"shift 0\.5"),
+        (None, lambda alg: BraidWord(((0.5, 1),)), r"letter \(0\.5, 1\)"),
+        (None, lambda alg: BraidWord(((-1, 1),)), r"letter \(-1, 1\)"),
+        (None, lambda alg: BraidWord(((0, True),)), r"letter \(0, True\)"),
+        (None, lambda alg: braid_class_action(alg.quiver, BraidWord(((2, 1),)), (0, 1)), r"vertex 2"),
     ],
 )
 def test_validation_rejects_bad_generators_and_keys(alg_a2, gens, diff, offender):
@@ -122,6 +131,21 @@ def test_objects_over_different_quivers_do_not_meet(alg_a2, alg_a3, meet):
     p, q = simple_object(alg_a3, 0), simple_object(ZigzagAlgebra(named_quiver("A3")), 0)
     meet(p, q)
     assert hom_dims(p, q) == hom_dims(p, p)
+
+
+@pytest.mark.parametrize("names", [("A4", "D4"), ("A3", "D4")])
+def test_objects_over_different_quivers_are_neither_equal_nor_compared(names):
+    """Simples and one-letter images over two quivers: `==` is False and each
+    isomorphism test raises; over two algebras of one quiver they still decide."""
+    x_alg, y_alg, twin = (ZigzagAlgebra(named_quiver(t)) for t in (*names, names[0]))
+    for word in (BraidWord(), BraidWord(((0, 1),))):
+        x, y, same = (apply_braid(alg, word, simple_object(alg, 1)) for alg in (x_alg, y_alg, twin))
+        assert x != y
+        for decide in (find_isomorphism, is_isomorphic, find_shift_isomorphism):
+            with pytest.raises(ValueError, match="algebras of different quivers"):
+                decide(x, y)
+        assert x == same and is_isomorphic(x, same)
+        assert find_shift_isomorphism(x, same.shift(1)) == -1
 
 
 def test_validation_rejects_algebra_elements(alg_a2):
@@ -224,8 +248,7 @@ def test_minimize_is_idempotent_and_preserves_probes(alg_a3):
     rng = random.Random("minimize")
     probes = [simple_object(alg_a3, v, shift=k) for v in range(3) for k in (-1, 0, 1)]
     for _ in range(10):
-        word = random_word(rng, 3, 5)
-        y = apply_braid(alg_a3, word, simple_object(alg_a3, rng.randrange(3)))
+        y = random_image(rng, alg_a3, 5)
         m = minimize(y)
         assert minimize(m) == m
         assert m.k_class() == y.k_class()
@@ -261,7 +284,7 @@ def test_kernel_vectors_and_reps_are_fractions(alg_a3):
     rng = random.Random("fraction-boundary")
     seen = 0
     for _ in range(10):
-        y = apply_braid(alg_a3, random_word(rng, 3, 6), simple_object(alg_a3, rng.randrange(3)))
+        y = random_image(rng, alg_a3, 6)
         x = simple_object(alg_a3, rng.randrange(3))
         for hom in (HomComplex(x, y), HomComplex(y, x), HomComplex(y, y)):
             for d in hom.degrees():
@@ -438,7 +461,7 @@ def test_forced_shift_matches_range_search(name, request):
         if rng.random() < 0.5:
             y = apply_braid(alg, word.then(BraidWord(((j, e), (i, e), (j, e)))), simple_object(alg, v))
         else:
-            y = apply_braid(alg, random_word(rng, n, 6), simple_object(alg, rng.randrange(n)))
+            y = random_image(rng, alg, 6)
         y = y.shift(rng.randint(-3, 3))
         want = _shift_iso_by_range(x, y)
         assert find_shift_isomorphism(x, y) == want

@@ -1,12 +1,8 @@
 """The line counter of scripts/loc.py on a synthetic module."""
 
-import importlib.util
-import pathlib
+from conftest import load_script
 
-SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "loc.py"
-spec = importlib.util.spec_from_file_location("loc", SCRIPT)
-loc = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(loc)
+loc = load_script("loc")
 
 SOURCE = '''"""Module docstring,
 over two lines."""

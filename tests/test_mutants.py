@@ -5,14 +5,11 @@ only that every row can run: its old text occurs exactly once, its tests
 exist, and the rows cover every engine layer.
 """
 
-import importlib.util
 import pathlib
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
-SCRIPT = ROOT / "scripts" / "mutants.py"
-spec = importlib.util.spec_from_file_location("mutants", SCRIPT)
-mutants = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(mutants)
+from conftest import load_script
+
+mutants = load_script("mutants")
 
 
 def test_every_row_matches_its_file_exactly_once():
@@ -23,7 +20,7 @@ def test_rows_have_distinct_names_and_cover_every_engine_layer():
     names = [m.name for m in mutants.MUTANTS]
     assert len(set(names)) == len(names)
     layers = {pathlib.Path(m.file).stem for m in mutants.MUTANTS}
-    assert {"linalg", "homcore", "twists", "stability", "reduce"} <= layers
+    assert {"rootlat", "zigzag", "linalg", "homcore", "twists", "stability", "reduce", "verify"} <= layers
 
 
 def test_a_stale_row_is_reported(tmp_path):

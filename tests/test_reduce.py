@@ -34,7 +34,7 @@ from twistcat import reduce as reduction
 from twistcat import stability, verify
 from twistcat.reduce import _certify
 from twistcat.stability import Phases, ProbeHit
-from conftest import random_word
+from conftest import random_image, random_word
 
 
 @pytest.fixture
@@ -78,11 +78,9 @@ def test_both_strategies_reach_stable_objects(alg_a3):
     rng = random.Random("strategies")
     for i in range(5):
         stab = StabilityCondition(alg_a3, random_generic_charge(q, rng))
-        y = apply_braid(alg_a3, random_word(rng, 3, 8), simple_object(alg_a3, rng.randrange(3)))
-        bottom = reduce_to_stable(stab, y, "bottom")
-        top = reduce_to_stable(stab, y, "top")
-        assert stab.phi_probes(bottom.final).spread.is_zero()
-        assert stab.phi_probes(top.final).spread.is_zero()
+        y = random_image(rng, alg_a3, 8)
+        for strategy in ("bottom", "top"):
+            assert verify.reduction_failures(stab, reduce_to_stable(stab, y, strategy), False) == []
 
 
 def test_reduce_rejects_nonspherical(stab_a2, alg_a2):
@@ -177,7 +175,7 @@ def test_certify_step_wide_spread_clause(stab_a2, alg_a2):
     rng = random.Random("wide-spread")
     wide = None
     for _ in range(50):
-        y = apply_braid(alg_a2, random_word(rng, 2, 6), simple_object(alg_a2, rng.randrange(2)))
+        y = random_image(rng, alg_a2, 6)
         phases = stab_a2.phi_probes(y)
         if phases.spread >= Phase.integer(1):
             wide = (y, phases.bottom)
@@ -428,10 +426,7 @@ def test_a_reduction_reads_the_ladder_records(monkeypatch):
     first = StabilityCondition(alg, random_generic_charge(alg.quiver, rng))
     first._probe_ladder()
     stab = StabilityCondition(alg, CentralCharge([z.scale(3) for z in first.charge.values]))
-    starts = [
-        apply_braid(alg, random_word(rng, 4, 6, min_len=3), simple_object(alg, rng.randrange(4)))
-        for _ in range(6)
-    ]
+    starts = [random_image(rng, alg, 6, min_len=3) for _ in range(6)]
     stab._probe_ladder()
     calls = Counter()
     for name in ("StableBuild", "apply_braid", "is_spherical"):

@@ -28,6 +28,7 @@ from twistcat.verify import power_image
 from conftest import (
     all_cohomology_reps,
     assert_same_complex,
+    random_image,
     random_word,
     twists_checked_against_oracles,
 )
@@ -81,7 +82,7 @@ def test_inverse_law_randomized(quiver_fixture, request):
     rng = random.Random(f"inverse:{quiver_fixture}")
     for _ in range(15):
         x = simple_object(alg, rng.randrange(n))
-        y = apply_braid(alg, random_word(rng, n, 6), simple_object(alg, rng.randrange(n)))
+        y = random_image(rng, alg, 6)
         assert is_isomorphic(untwist(x, twist(x, y)), y)
         assert is_isomorphic(twist(x, untwist(x, y)), y)
 
@@ -122,7 +123,7 @@ def test_apply_braid_empty_word(alg_a2):
 def test_braid_images_stay_spherical(alg_a3):
     rng = random.Random("spherical-images")
     for _ in range(10):
-        y = apply_braid(alg_a3, random_word(rng, 3, 6), simple_object(alg_a3, rng.randrange(3)))
+        y = random_image(rng, alg_a3, 6)
         assert is_spherical(y)
 
 
@@ -196,11 +197,10 @@ def test_twists_inside_apply_braid_match_the_oracles(name):
     """Every twist and untwist of random words: one-pass `minimize` and the
     one-elimination reps equal the pass-by-pass and degree-by-degree oracles."""
     alg = ZigzagAlgebra(named_quiver(name))
-    n = alg.quiver.vertex_count
     rng = random.Random(f"oracle-twists:{name}")
     with twists_checked_against_oracles() as counts:
         for _ in range(25):
-            apply_braid(alg, random_word(rng, n, 10), simple_object(alg, rng.randrange(n)))
+            random_image(rng, alg, 10)
     assert counts["minimize"] >= 25 * 3 and counts["reps"] >= 25 * 3
 
 
@@ -218,13 +218,12 @@ def test_tensor_is_the_direct_sum_of_shifts_by_the_rep_degrees(name):
     """Twisting by stable objects, which have a differential: the tensor of the
     triangle is the direct sum of x[-d] (twist) or x[d] (untwist) over the reps."""
     alg = ZigzagAlgebra(named_quiver(name))
-    n = alg.quiver.vertex_count
     rng = random.Random(f"tensor:{name}")
     stab = StabilityCondition(alg, random_generic_charge(alg.quiver, rng))
     formed = 0
     for w in stab.roots:
         x = stab.stable_object(w)
-        y = apply_braid(alg, random_word(rng, n, 5), simple_object(alg, rng.randrange(n)))
+        y = random_image(rng, alg, 5)
         for builder, exponent in ((twist_triangle, 1), (untwist_triangle, -1)):
             triangle = builder(x, y, _spherical_checked=True)
             if triangle is None:
@@ -284,7 +283,7 @@ def test_each_twist_minimizes_the_checked_cone_of_its_map(name):
     xs += [stab.stable_object(w) for w in rng.sample(stab.roots, 4)]
     cones = 0
     for _ in range(12):
-        y = apply_braid(alg, random_word(rng, n, 6), simple_object(alg, rng.randrange(n)))
+        y = random_image(rng, alg, 6)
         for x in xs:
             for op, exponent in ((twist, 1), (untwist, -1)):
                 oracle = _checked_cone_of_the_map(x, y, exponent)
@@ -302,12 +301,11 @@ def test_twists_of_plus_minus_one_data_hold_only_ints(name):
     """apply_braid on simples, and twists by stable objects, keep every entry
     an int: the reps enter the cone as the echelon's int vectors."""
     alg = ZigzagAlgebra(named_quiver(name))
-    n = alg.quiver.vertex_count
     rng = random.Random(f"int-entries:{name}")
     stab = StabilityCondition(alg, random_generic_charge(alg.quiver, rng))
     entries = 0
     for _ in range(10):
-        y = apply_braid(alg, random_word(rng, n, 8), simple_object(alg, rng.randrange(n)))
+        y = random_image(rng, alg, 8)
         x = stab.stable_object(rng.choice(stab.roots))
         for obj in (y, x, twist(x, y, True), untwist(x, y, True)):
             assert all(type(c) is int for c in obj.differential.values())
@@ -321,7 +319,7 @@ def test_int_entries_equal_their_fractions_and_serialize_alike(alg_a3):
     rng = random.Random("int-vs-fraction")
     compared = 0
     for _ in range(10):
-        y = apply_braid(alg_a3, random_word(rng, 3, 8), simple_object(alg_a3, rng.randrange(3)))
+        y = random_image(rng, alg_a3, 8)
         as_fractions = TwistedComplex(
             alg_a3, y.generators, {k: Fraction(c) for k, c in y.differential.items()}
         )
