@@ -193,6 +193,20 @@ MUTANTS = (
         "    if False:\n",
         ("tests/test_verify.py::test_reduction_failures_catch_a_word_with_one_letter_flipped",),
     ),
+    Mutant(
+        "_reduce skips its step budget guard",
+        "src/twistcat/reduce.py",
+        "        if len(steps) >= budget:\n",
+        "        if False:\n",
+        ("tests/test_reduce.py::test_reduce_budget_guard",),
+    ),
+    Mutant(
+        "BraidWord takes any container of letters",
+        "src/twistcat/twists.py",
+        "        if type(self.letters) is not tuple:\n",
+        "        if False:\n",
+        ("tests/test_homcore.py::test_validation_rejects_bad_generators_and_keys",),
+    ),
 )
 
 

@@ -139,24 +139,38 @@ def _step(
     return new, after, spread_after, record
 
 
+def _step_budget(stab: StabilityCondition, start: TwistedComplex) -> int:
+    """The most steps `_reduce` takes from `start` before it gives up.
+
+    A counting argument bounds the steps.  Each certified step moves the
+    driven end strictly inward and never moves the other end out
+    (`_certify`), so the driven end passes each stable phase at most once
+    and stays between the start's two phases.  When every stable object
+    sits at shift 0, those phases lie within the start's shifts lo..hi,
+    which hold N * (hi - lo + 1) stable phases for N positive roots.  That
+    premise is measured, not proven: the ladder span was 0 on A9, D9, E6,
+    E7 and E8 under five charges each.  The budget is at least four times
+    the bound.
+    """
+    lo, hi = start.shift_range()
+    return max(16, 4 * len(stab.roots) * (hi - lo + 3))
+
+
 def _reduce(
-    stab: StabilityCondition, cur: TwistedComplex, direction: str,
-    done: Callable[[Phase], bool], step_budget: int | None,
+    stab: StabilityCondition, cur: TwistedComplex, direction: str, done: Callable[[Phase], bool]
 ) -> tuple[TwistedComplex, Phases, list[StepRecord], BraidWord]:
     """Twist at the `direction` end of the phases until `done(spread)`; returns the
     last object, its phases, the step records and the braid word of the steps,
     first step first, which applied to `cur` gives the last object."""
-    if step_budget is None:
-        lo, hi = cur.shift_range()
-        step_budget = max(16, 4 * len(stab.roots) * (hi - lo + 3))
+    budget = _step_budget(stab, cur)
     phases = stab.phi_probes(cur)
     spread = phases.spread
     steps: list[StepRecord] = []
     letters: list[tuple[int, int]] = []
     while not done(spread):
-        if len(steps) >= step_budget:
+        if len(steps) >= budget:
             raise InvariantViolation(
-                f"reduction exceeded its step budget of {step_budget}; "
+                f"reduction exceeded its step budget of {budget}; "
                 "either the budget is too small or termination failed"
             )
         build = stab.stable_build(getattr(phases, direction).root)
@@ -166,12 +180,7 @@ def _reduce(
     return cur, phases, steps, BraidWord(tuple(letters))
 
 
-def reduce_to_stable(
-    stab: StabilityCondition,
-    y: TwistedComplex,
-    strategy: str = BOTTOM,
-    step_budget: int | None = None,
-) -> ReductionTrace:
+def reduce_to_stable(stab: StabilityCondition, y: TwistedComplex, strategy: str = BOTTOM) -> ReductionTrace:
     """Drive a spherical object to the stable representative of its orbit.
 
     Bottom strategy untwists by the stable object at the bottom phase; top
@@ -193,7 +202,7 @@ def reduce_to_stable(
     # negative self-homs; twists preserve both, so the step hypotheses
     # hold throughout the loop.
     try:
-        final, _, steps, word = _reduce(stab, start, strategy, Phase.is_zero, step_budget)
+        final, _, steps, word = _reduce(stab, start, strategy, Phase.is_zero)
         spherical = is_spherical(final)
     except Exception:
         _require_spherical(start)
@@ -276,11 +285,7 @@ class HeartAlignment:
         }
 
 
-def heart_align(
-    stab: StabilityCondition,
-    transport: BraidWord,
-    step_budget: int | None = None,
-) -> HeartAlignment:
+def heart_align(stab: StabilityCondition, transport: BraidWord) -> HeartAlignment:
     """Align the condition transported by a braid word with the standard heart.
 
     Measures the direct sum of the simples in the transported condition and
@@ -298,7 +303,7 @@ def heart_align(
     transport = transport.inverse()
     cur, phases, steps, word = _reduce(
         stab, minimize(apply_braid(alg, transport, direct_sum(*simples))), BOTTOM,
-        lambda spread: spread < Phase.integer(1), step_budget,
+        lambda spread: spread < Phase.integer(1),
     )
     word = transport.then(word)
     lo, hi = phases.bottom.phase, phases.top.phase

@@ -238,7 +238,7 @@ class Phase:
         return self._re * other._im < self._im * other._re
 
     def __add__(self, other: int) -> "Phase":
-        if not isinstance(other, int):
+        if type(other) is not int:
             return NotImplemented
         return Phase._on_ray(self.shift + other, self._re, self._im, self._scale)
 
@@ -302,11 +302,12 @@ class CentralCharge:
     def from_json_dict(cls, data: dict) -> "CentralCharge":
         if not isinstance(data, dict):
             raise ValueError("charge must be a JSON object keyed by vertex")
+        keys = [str(i + 1) for i in range(len(data))]
+        unknown = [k for k in data if k not in keys]
+        if unknown:
+            raise ValueError(f"charge key {unknown[0]!r} is not a vertex 1..{len(data)}")
         values = []
-        for i in range(len(data)):
-            key = str(i + 1)
-            if key not in data:
-                raise ValueError(f"charge is missing vertex {key}")
+        for key in keys:
             try:
                 nre, dre, nim, dim = data[key]
                 if any(type(c) is not int for c in (nre, dre, nim, dim)):
@@ -342,7 +343,7 @@ def random_generic_charge(q: QuiverGraph, rng: random.Random) -> CentralCharge:
         ]
         charge = CentralCharge(values)
         _, simples = _lattice(values)
-        if _distinct_rays([_ray(simples, w) for w in roots]):
+        if _by_argument([_ray(simples, w) for w in roots])[1]:
             return charge
 
 
@@ -375,11 +376,6 @@ def _by_argument(rays: list[Ray]) -> tuple[list[int], bool]:
     """
     order = sorted(range(len(rays)), key=cmp_to_key(lambda i, j: _ray_cross(rays[j], rays[i])))
     return order, all(_ray_cross(rays[i], rays[j]) for i, j in zip(order, order[1:]))
-
-
-def _distinct_rays(rays: list[Ray]) -> bool:
-    """Whether no two of the rays (all in H) lie on one ray."""
-    return _by_argument(rays)[1]
 
 
 class ProbeHit(NamedTuple):
@@ -436,8 +432,8 @@ class StableBuild:
         """The lift of the braid word with exponent i (0-based) reversed,
         applied to the word's base simple in one call."""
         letters = self.braid.letters
-        if not 0 <= i < len(letters):
-            raise ValueError(f"no exponent {i} in a word of {len(letters)} letters")
+        if type(i) is not int or not 0 <= i < len(letters):
+            raise ValueError(f"no exponent {i!r} in a word of {len(letters)} letters")
         v, e = letters[i]
         word = BraidWord(letters[:i] + ((v, -e),) + letters[i + 1:])
         return apply_braid(self.obj.alg, word, simple_object(self.obj.alg, self.word.base))

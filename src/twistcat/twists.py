@@ -47,9 +47,12 @@ class BraidWord:
     letters: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        for v, e in self.letters:
+        if type(self.letters) is not tuple:
+            raise ValueError(f"letters {self.letters!r} must be a tuple of (vertex, exponent) tuples")
+        for letter in self.letters:
+            v, e = letter if type(letter) is tuple and len(letter) == 2 else (None, None)
             if type(v) is not int or v < 0 or type(e) is not int or e not in (1, -1):
-                raise ValueError(f"letter {(v, e)!r} needs an int vertex >= 0 and an exponent +1 or -1")
+                raise ValueError(f"letter {letter!r} needs an int vertex >= 0 and an exponent +1 or -1")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -86,11 +89,6 @@ def braid_word_to_text(word: BraidWord) -> str:
     )
 
 
-def _require_spherical(x: TwistedComplex, checked: bool) -> None:
-    if not checked and not is_spherical(x):
-        raise ValueError("twist functors are only defined for spherical objects")
-
-
 Triangle = tuple[TwistedComplex, TwistedComplex, TwistedComplex]
 
 
@@ -106,7 +104,8 @@ def _twisted(
     and integral data stays in ints through the cone, `minimize` and every
     later Hom test.
     """
-    _require_spherical(x, checked)
+    if not checked and not is_spherical(x):
+        raise ValueError("twist functors are only defined for spherical objects")
     source, target = (x, y) if exponent == 1 else (y, x)
     hom = HomComplex(source, target)
     reps = hom.rep_vectors()

@@ -2,8 +2,8 @@
 
 Each suite returns a SuiteResult with the executed case count and the list
 of failure descriptions; it passes when it ran at least one case and the
-failure list is empty.  All randomness flows through string-seeded
-random.Random instances, so every run is reproducible from its seed.
+failure list is empty.  All randomness flows through string-keyed
+random.Random instances, so every run draws the same cases.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def stable_checks(stab: StabilityCondition, obj: TwistedComplex, w: Root) -> tup
     }, phases
 
 
-def suite_stable_constructions(type_name: str, charges: int = 20, seed: int = 0) -> SuiteResult:
+def suite_stable_constructions(type_name: str, charges: int = 20) -> SuiteResult:
     """Per charge and positive root: the constructed object is a spherical,
     heart-contained, spread-zero representative of its class, and flipping
     any single exponent breaks semistability or heart membership.
@@ -115,7 +115,7 @@ def suite_stable_constructions(type_name: str, charges: int = 20, seed: int = 0)
     failures: list[str] = []
     cases = 0
     for c in range(charges):
-        rng = random.Random(f"stable:{type_name}:{seed}:{c}")
+        rng = random.Random(f"stable:{type_name}:0:{c}")
         stab = StabilityCondition(alg, random_generic_charge(q, rng))
         for w in stab.roots:
             cases += 1
@@ -135,16 +135,14 @@ def suite_stable_constructions(type_name: str, charges: int = 20, seed: int = 0)
     return SuiteResult("stable constructions", cases, failures, time.perf_counter() - t0)
 
 
-def suite_uniqueness(
-    type_names=("A3", "A4", "D4"), min_cases: int = 10, seed: int = 0
-) -> SuiteResult:
+def suite_uniqueness(type_names=("A3", "A4", "D4"), min_cases: int = 10) -> SuiteResult:
     """Objects built from different minimal expressions of the same root agree."""
     t0 = time.perf_counter()
     failures: list[str] = []
     cases = 0
     for type_name in type_names:
         q, alg = _context(type_name)
-        rng = random.Random(f"unique:{type_name}:{seed}")
+        rng = random.Random(f"unique:{type_name}:0")
         stab = StabilityCondition(alg, random_generic_charge(q, rng))
         for w in stab.roots:
             first_word, last_word = minimal_word(q, w), last_minimal_word(q, w)
@@ -208,60 +206,51 @@ def reduction_failures(stab: StabilityCondition, trace: ReductionTrace, orbit_ch
     return failures
 
 
-def _reduction_failures(
-    stab: StabilityCondition, start: TwistedComplex, strategy: str, orbit_check: bool
-) -> list[str]:
-    """Reduce `start` and run `reduction_failures`; a violated certificate is one failure."""
-    try:
-        trace = reduce_to_stable(stab, start, strategy=strategy)
-    except InvariantViolation as exc:
-        return [str(exc)]
-    return reduction_failures(stab, trace, orbit_check)
-
-
 def suite_reduction(
-    type_name: str,
-    runs: int,
-    max_len: int = 12,
-    strategy: str = "bottom",
-    seed: int = 0,
-    orbit_checks: int = 10,
+    type_name: str, runs: int, max_len: int = 12, strategy: str = "bottom", orbit_checks: int = 10
 ) -> SuiteResult:
     """Random braid images of simples reduce to stable objects of their class.
 
     Step certificates run inside the loop, so completing a run already
-    certifies strict spread decrease and one-sided improvement throughout.
-    On a type of `LARGE_INPUTS` one more case reduces that large image,
-    with the orbit check, under a charge drawn for it.
+    certifies strict spread decrease and one-sided improvement throughout,
+    and a violated certificate is one failure of its run.  On a type of
+    `LARGE_INPUTS` one more case reduces that large image, with the orbit
+    check, under a charge drawn for it.
     """
     t0 = time.perf_counter()
     q, alg = _context(type_name)
     failures: list[str] = []
     keys = [*range(runs), *(["large"] if type_name in LARGE_INPUTS else [])]
     for i in keys:
-        rng = random.Random(f"reduce:{type_name}:{seed}:{i}:{strategy}")
+        rng = random.Random(f"reduce:{type_name}:0:{i}:{strategy}")
         stab = StabilityCondition(alg, random_generic_charge(q, rng))
         if i == "large":
             text, power, vertex = LARGE_INPUTS[type_name]
             tag, start, check = f"{type_name} ({text})^{power}", power_image(alg, text, power, vertex), True
         else:
             tag, start, check = f"{type_name} run#{i}", random_image(rng, alg, max_len), i < orbit_checks
-        failures += [f"{tag}: {f}" for f in _reduction_failures(stab, start, strategy, check)]
+        try:
+            trace = reduce_to_stable(stab, start, strategy=strategy)
+        except InvariantViolation as exc:
+            failures.append(f"{tag}: {exc}")
+            continue
+        failures += [f"{tag}: {f}" for f in reduction_failures(stab, trace, check)]
     return SuiteResult(f"reduction ({strategy})", len(keys), failures, time.perf_counter() - t0)
 
 
-def suite_sandwich(type_name: str, cases: int = 200, max_len: int = 6, seed: int = 0) -> SuiteResult:
-    """Random twist triangles satisfy both middle-term phase inequalities."""
+def suite_sandwich(type_name: str, cases: int = 200) -> SuiteResult:
+    """Random twist triangles, the middle term an image under at most 6
+    letters, satisfy both middle-term phase inequalities."""
     t0 = time.perf_counter()
     q, alg = _context(type_name)
     failures: list[str] = []
-    rng = random.Random(f"sandwich:{type_name}:{seed}")
+    rng = random.Random(f"sandwich:{type_name}:0")
     stab = StabilityCondition(alg, random_generic_charge(q, rng))
     done = 0
     attempts = 0
     while done < cases and attempts < cases * 20:
         attempts += 1
-        middle = random_image(rng, alg, max_len)
+        middle = random_image(rng, alg, 6)
         x = simple_object(alg, rng.randrange(q.vertex_count))
         builder = twist_triangle if rng.random() < 0.5 else untwist_triangle
         triangle = builder(x, middle, _spherical_checked=True)
@@ -275,9 +264,7 @@ def suite_sandwich(type_name: str, cases: int = 200, max_len: int = 6, seed: int
     return SuiteResult("sandwich triangles", done, failures, time.perf_counter() - t0)
 
 
-def suite_heart_align(
-    type_names=("A2", "A3"), cases: int = 30, max_len: int = 8, seed: int = 0
-) -> SuiteResult:
+def suite_heart_align(type_names=("A2", "A3"), cases: int = 30, max_len: int = 8) -> SuiteResult:
     """Transported conditions realign with the standard heart within budget."""
     t0 = time.perf_counter()
     failures: list[str] = []
@@ -288,7 +275,7 @@ def suite_heart_align(
         for i in range(per_type):
             done += 1
             tag = f"{type_name} align#{i}"
-            rng = random.Random(f"align:{type_name}:{seed}:{i}")
+            rng = random.Random(f"align:{type_name}:0:{i}")
             stab = StabilityCondition(alg, random_generic_charge(q, rng))
             transport = random_word(rng, q.vertex_count, max_len, min_len=0)
             try:
@@ -298,7 +285,7 @@ def suite_heart_align(
     return SuiteResult("heart alignment", done, failures, time.perf_counter() - t0)
 
 
-def suite_serre_euler(type_name: str, cases: int = 200, max_len: int = 5, seed: int = 0) -> SuiteResult:
+def suite_serre_euler(type_name: str, cases: int = 200, max_len: int = 5) -> SuiteResult:
     """Hom dimension symmetry across degree 2, and the alternating sum
     against the Cartan pairing of the classes."""
     t0 = time.perf_counter()
@@ -306,7 +293,7 @@ def suite_serre_euler(type_name: str, cases: int = 200, max_len: int = 5, seed: 
     failures: list[str] = []
     for i in range(cases):
         tag = f"{type_name} pair#{i}"
-        rng = random.Random(f"serre:{type_name}:{seed}:{i}")
+        rng = random.Random(f"serre:{type_name}:0:{i}")
         x = random_image(rng, alg, max_len, min_len=0)
         y = random_image(rng, alg, max_len, min_len=0)
         forward = hom_dims(x, y)
@@ -322,14 +309,12 @@ def suite_serre_euler(type_name: str, cases: int = 200, max_len: int = 5, seed: 
     return SuiteResult("serre/euler pairing", cases, failures, time.perf_counter() - t0)
 
 
-def suite_braid_relations(
-    type_names=("A2", "A3", "A4", "D4"), cases: int = 200, seed: int = 0
-) -> SuiteResult:
+def suite_braid_relations(type_names=("A2", "A3", "A4", "D4"), cases: int = 200) -> SuiteResult:
     """Adjacent twists braid, non-adjacent twists commute, on simples and
     random spherical images."""
     t0 = time.perf_counter()
     failures: list[str] = []
-    rng = random.Random(f"braid:{seed}")
+    rng = random.Random("braid:0")
     jobs = []
     for type_name in type_names:
         q, alg = _context(type_name)
@@ -347,10 +332,8 @@ def suite_braid_relations(
             continue
         v = rng.randrange(q.vertex_count)
         jobs.append((type_name, q, alg, i, j, v, random_word(rng, q.vertex_count, 3)))
-    if cases:
-        jobs = jobs[:cases]
     done = 0
-    for type_name, q, alg, i, j, v, prefix in jobs:
+    for type_name, q, alg, i, j, v, prefix in jobs[:cases]:
         done += 1
         y = apply_braid(alg, prefix, simple_object(alg, v))
         if q.adjacent(i, j):
@@ -366,16 +349,17 @@ def suite_braid_relations(
     return SuiteResult("braid relations", done, failures, time.perf_counter() - t0)
 
 
-def suite_twist_inversion(type_name: str, cases: int = 200, max_len: int = 6, seed: int = 0) -> SuiteResult:
-    """twist and untwist are mutually inverse up to isomorphism."""
+def suite_twist_inversion(type_name: str, cases: int = 200) -> SuiteResult:
+    """twist and untwist by a simple are mutually inverse up to isomorphism
+    on images under at most 6 letters."""
     t0 = time.perf_counter()
     q, alg = _context(type_name)
     failures: list[str] = []
     for i in range(cases):
         tag = f"{type_name} pair#{i}"
-        rng = random.Random(f"invert:{type_name}:{seed}:{i}")
+        rng = random.Random(f"invert:{type_name}:0:{i}")
         x = simple_object(alg, rng.randrange(q.vertex_count))
-        y = random_image(rng, alg, max_len, min_len=0)
+        y = random_image(rng, alg, 6, min_len=0)
         if not is_isomorphic(untwist(x, twist(x, y, True), True), y):
             failures.append(f"{tag}: untwist(twist(y)) is not y")
         if not is_isomorphic(twist(x, untwist(x, y, True), True), y):
@@ -383,22 +367,22 @@ def suite_twist_inversion(type_name: str, cases: int = 200, max_len: int = 6, se
     return SuiteResult("twist/untwist inversion", cases, failures, time.perf_counter() - t0)
 
 
-def run_verify(type_name: str, seeds: int = 5, seed: int = 0) -> list[SuiteResult]:
+def run_verify(type_name: str, seeds: int = 5) -> list[SuiteResult]:
     """The batch harness behind the verify command."""
     if seeds < 1:
         raise ValueError(f"seeds must be at least 1, got {seeds}")
     q = named_quiver(type_name)
-    results = [suite_stable_constructions(type_name, charges=seeds, seed=seed)]
+    results = [suite_stable_constructions(type_name, charges=seeds)]
     # uniqueness needs a root with two minimal words, which A1 lacks
     if any(minimal_word(q, w) != last_minimal_word(q, w) for w in positive_roots(q)):
-        results.append(suite_uniqueness((type_name,), min_cases=0, seed=seed))
+        results.append(suite_uniqueness((type_name,), min_cases=0))
     results += [
-        suite_reduction(type_name, runs=seeds, max_len=8, seed=seed, orbit_checks=3),
-        suite_sandwich(type_name, cases=5 * seeds, seed=seed),
-        suite_heart_align((type_name,), cases=max(2, seeds // 2), max_len=6, seed=seed),
-        suite_serre_euler(type_name, cases=5 * seeds, seed=seed),
-        suite_twist_inversion(type_name, cases=2 * seeds, seed=seed),
+        suite_reduction(type_name, runs=seeds, max_len=8, orbit_checks=3),
+        suite_sandwich(type_name, cases=5 * seeds),
+        suite_heart_align((type_name,), cases=max(2, seeds // 2), max_len=6),
+        suite_serre_euler(type_name, cases=5 * seeds),
+        suite_twist_inversion(type_name, cases=2 * seeds),
     ]
     if q.vertex_count >= 2:
-        results.append(suite_braid_relations((type_name,), cases=2 * seeds, seed=seed))
+        results.append(suite_braid_relations((type_name,), cases=2 * seeds))
     return results

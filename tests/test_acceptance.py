@@ -45,8 +45,8 @@ def _report(number: int, name: str, failures: list[str]) -> None:
 def reduction_results():
     """Criterion 4's runs, shared with criterion 5 (its certificates run inline)."""
     return [
-        suite_reduction("A3", runs=50, max_len=12, seed=0, orbit_checks=10),
-        suite_reduction("D4", runs=20, max_len=12, seed=0, orbit_checks=5),
+        suite_reduction("A3", runs=50, max_len=12, orbit_checks=10),
+        suite_reduction("D4", runs=20, max_len=12, orbit_checks=5),
     ]
 
 
@@ -78,7 +78,7 @@ def test_criterion_2_stable_construction_suite():
     """Every positive root, every type, 20 random generic charges each."""
     failures = []
     for type_name in ("A1", "A2", "A3", "A4", "D4"):
-        result = suite_stable_constructions(type_name, charges=20, seed=0)
+        result = suite_stable_constructions(type_name, charges=20)
         failures.extend(f"{type_name}: {f}" for f in result.failures)
     _report(2, "signed lifts are stable, flips are not", failures)
 
@@ -87,7 +87,7 @@ def test_criterion_2_beyond_rank_four():
     """Criterion 2's checks on A5 and D5 (5 charges each) and E6 (2 charges)."""
     failures = []
     for type_name, charges in (("A5", 5), ("D5", 5), ("E6", 2)):
-        result = suite_stable_constructions(type_name, charges=charges, seed=0)
+        result = suite_stable_constructions(type_name, charges=charges)
         if not result.cases:
             failures.append(f"{type_name}: no cases ran")
         failures.extend(f"{type_name}: {f}" for f in result.failures)
@@ -95,7 +95,7 @@ def test_criterion_2_beyond_rank_four():
 
 
 def test_criterion_3_uniqueness_across_expressions():
-    result = suite_uniqueness(("A3", "A4", "D4"), min_cases=10, seed=0)
+    result = suite_uniqueness(("A3", "A4", "D4"), min_cases=10)
     print(f"\n  distinct-expression roots exercised: {result.cases}")
     _report(3, "uniqueness across minimal expressions", result.failures)
 
@@ -103,7 +103,7 @@ def test_criterion_3_uniqueness_across_expressions():
 def test_criterion_3_uniqueness_on_every_ade_family():
     """Criterion 3 beyond rank four: A5, A9, D5, D9, E6, E7 and E8 (322 roots)."""
     types = ("A5", "A9", "D5", "D9", "E6", "E7", "E8")
-    result = suite_uniqueness(types, min_cases=322, seed=0)
+    result = suite_uniqueness(types, min_cases=322)
     print(f"\n  distinct-expression roots exercised: {result.cases}")
     _report(3, "uniqueness across minimal expressions on A, D and E", result.failures)
 
@@ -138,28 +138,28 @@ def test_criterion_5_runtime_certificates(reduction_results):
         failures.extend(
             f"{result.name}: {f}" for f in result.failures if "phase" in f or "spread" in f
         )
-    sandwich = suite_sandwich("A3", cases=200, max_len=6, seed=0)
+    sandwich = suite_sandwich("A3", cases=200)
     failures.extend(sandwich.failures)
     _report(5, "phase improvement certificates", failures)
 
 
 def test_criterion_6_heart_alignment():
-    result = suite_heart_align(("A2", "A3"), cases=30, max_len=8, seed=0)
+    result = suite_heart_align(("A2", "A3"), cases=30, max_len=8)
     print(f"\n  alignments executed: {result.cases}")
     _report(6, "transported hearts realign", result.failures)
 
 
 def test_criterion_7_structural_invariants():
     failures = []
-    serre = suite_serre_euler("A3", cases=200, max_len=5, seed=0)
+    serre = suite_serre_euler("A3", cases=200, max_len=5)
     failures.extend(serre.failures)
-    serre_d4 = suite_serre_euler("D4", cases=50, max_len=4, seed=0)
+    serre_d4 = suite_serre_euler("D4", cases=50, max_len=4)
     failures.extend(serre_d4.failures)
-    braid = suite_braid_relations(("A2", "A3", "A4", "D4"), cases=200, seed=0)
+    braid = suite_braid_relations(("A2", "A3", "A4", "D4"), cases=200)
     failures.extend(braid.failures)
-    inversion = suite_twist_inversion("A3", cases=150, max_len=6, seed=0)
+    inversion = suite_twist_inversion("A3", cases=150)
     failures.extend(inversion.failures)
-    inversion_a2 = suite_twist_inversion("A2", cases=50, max_len=6, seed=0)
+    inversion_a2 = suite_twist_inversion("A2", cases=50)
     failures.extend(inversion_a2.failures)
     cases = serre.cases + serre_d4.cases + braid.cases + inversion.cases + inversion_a2.cases
     print(f"\n  structural cases executed: {cases}")
@@ -187,8 +187,7 @@ def _failures(results) -> list[str]:
 def wider_reduction_results():
     """Criterion 4's runs on A5, D5 and E6 with both strategies, shared with criterion 5."""
     return [
-        (t, suite_reduction(t, runs=runs, max_len=10, strategy=strategy, seed=0,
-                            orbit_checks=checks))
+        (t, suite_reduction(t, runs=runs, max_len=10, strategy=strategy, orbit_checks=checks))
         for t in WIDER_TYPES
         for strategy, runs, checks in (("bottom", 12, 4), ("top", 6, 2))
     ]
@@ -203,12 +202,12 @@ def test_criterion_5_runtime_certificates_beyond_rank_four(wider_reduction_resul
     failures = [
         f for f in _failures(wider_reduction_results) if "phase" in f or "spread" in f
     ]
-    failures += _failures((t, suite_sandwich(t, cases=30, max_len=6, seed=0)) for t in WIDER_TYPES)
+    failures += _failures((t, suite_sandwich(t, cases=30)) for t in WIDER_TYPES)
     _report(5, "phase improvement certificates on A5, D5 and E6", failures)
 
 
 def test_criterion_6_heart_alignment_beyond_rank_four():
-    results = [(t, suite_heart_align((t,), cases=4, max_len=6, seed=0)) for t in WIDER_TYPES]
+    results = [(t, suite_heart_align((t,), cases=4, max_len=6)) for t in WIDER_TYPES]
     print(f"\n  alignments executed: {sum(r.cases for _, r in results)}")
     _report(6, "transported hearts realign on A5, D5 and E6", _failures(results))
 
@@ -217,9 +216,9 @@ def test_criterion_7_structural_invariants_beyond_rank_four():
     results = []
     for t in WIDER_TYPES:
         results += [
-            (t, suite_serre_euler(t, cases=30, max_len=5, seed=0)),
-            (t, suite_braid_relations((t,), cases=30, seed=0)),
-            (t, suite_twist_inversion(t, cases=30, max_len=6, seed=0)),
+            (t, suite_serre_euler(t, cases=30, max_len=5)),
+            (t, suite_braid_relations((t,), cases=30)),
+            (t, suite_twist_inversion(t, cases=30)),
         ]
     print(f"\n  structural cases executed: {sum(r.cases for _, r in results)}")
     _report(7, "duality, pairing, braid and inversion laws on A5, D5 and E6", _failures(results))

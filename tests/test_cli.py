@@ -173,6 +173,16 @@ def test_charge_file_with_malformed_entry_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_charge_file_with_an_unknown_key_names_it(tmp_path, capsys):
+    good = a3_reference_charge().to_json_dict()
+    path = tmp_path / "charge.json"
+    for data in ({"1": good["1"], "2": good["2"], "x": good["3"]}, {**good, "x": good["3"]}):
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "stable", "--type", "A3", "--charge", str(path), "--root", "0,1,0")
+        assert code == 2 and out == ""
+        assert err == f"error: charge key 'x' is not a vertex 1..{len(data)}\n"
+
+
 @pytest.mark.parametrize(
     "command",
     [("stable", "--root", "0,1,0"), ("reduce", "--start", "1"), ("align",)],

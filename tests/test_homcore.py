@@ -106,6 +106,10 @@ def _bad_morphism(degree, entries):
         (None, lambda alg: BraidWord(((0.5, 1),)), r"letter \(0\.5, 1\)"),
         (None, lambda alg: BraidWord(((-1, 1),)), r"letter \(-1, 1\)"),
         (None, lambda alg: BraidWord(((0, True),)), r"letter \(0, True\)"),
+        # a braid word is a tuple of (vertex, exponent) tuples, checked as a container
+        (None, lambda alg: BraidWord([(0, 1)]), r"letters \[\(0, 1\)\] must be a tuple"),
+        (None, lambda alg: BraidWord((5,)), r"letter 5 needs"),
+        (None, lambda alg: BraidWord(((0, 1, 2),)), r"letter \(0, 1, 2\) needs"),
         (None, lambda alg: braid_class_action(alg.quiver, BraidWord(((2, 1),)), (0, 1)), r"vertex 2"),
     ],
 )

@@ -88,9 +88,14 @@ def test_reduce_rejects_nonspherical(stab_a2, alg_a2):
         reduce_to_stable(stab_a2, direct_sum(simple_object(alg_a2, 0), simple_object(alg_a2, 1)))
 
 
-def test_reduce_budget_guard(stab_a2, unstable_a2):
-    with pytest.raises(InvariantViolation):
-        reduce_to_stable(stab_a2, unstable_a2, step_budget=0)
+def _no_step_budget(monkeypatch):
+    monkeypatch.setattr(reduction, "_step_budget", lambda stab, start: 0)
+
+
+def test_reduce_budget_guard(monkeypatch, stab_a2, unstable_a2):
+    _no_step_budget(monkeypatch)
+    with pytest.raises(InvariantViolation, match="step budget of 0"):
+        reduce_to_stable(stab_a2, unstable_a2)
 
 
 def _checked_for_sphericity(monkeypatch):
@@ -114,9 +119,10 @@ def test_reduce_checks_sphericity_on_the_final_object(monkeypatch, stab_a2, unst
 
 def test_reduce_rejects_nonspherical_when_the_loop_fails_first(monkeypatch, stab_a2, alg_a2):
     checked = _checked_for_sphericity(monkeypatch)
+    _no_step_budget(monkeypatch)
     y = direct_sum(simple_object(alg_a2, 0), simple_object(alg_a2, 1))
     with pytest.raises(ValueError, match="spherical objects only"):
-        reduce_to_stable(stab_a2, y, step_budget=0)
+        reduce_to_stable(stab_a2, y)
     assert checked == [minimize(y)]
 
 
@@ -125,17 +131,33 @@ def test_spherical_input_with_a_failing_loop_raises_invariant_violation(
     monkeypatch, stab_a2, unstable_a2, failure
 ):
     checked = _checked_for_sphericity(monkeypatch)
-    budget = None
     if failure == "budget":
-        budget = 0
+        _no_step_budget(monkeypatch)
     else:
         def failing(direction, before, after, spread_before):
             raise InvariantViolation("certificate failed")
 
         monkeypatch.setattr(reduction, "_certify", failing)
     with pytest.raises(InvariantViolation):
-        reduce_to_stable(stab_a2, unstable_a2, step_budget=budget)
+        reduce_to_stable(stab_a2, unstable_a2)
     assert checked == [minimize(unstable_a2)]
+
+
+def test_reductions_take_at_most_one_step_per_stable_phase_of_the_start():
+    """The counting argument of `_step_budget`: the driven end passes at most
+    N * (hi - lo + 1) stable phases, on the large inputs and on seeded images,
+    under both strategies."""
+    for type_name, (text, power, vertex) in verify.LARGE_INPUTS.items():
+        alg = ZigzagAlgebra(named_quiver(type_name))
+        rng = random.Random(f"step-bound:{type_name}")
+        starts = [verify.power_image(alg, text, power, vertex)]
+        starts += [random_image(rng, alg, 12) for _ in range(10)]
+        for i, start in enumerate(starts):
+            stab = StabilityCondition(alg, random_generic_charge(alg.quiver, rng))
+            for strategy in ("bottom", "top"):
+                trace = reduce_to_stable(stab, start, strategy)
+                lo, hi = trace.start.shift_range()
+                assert len(trace.steps) <= len(stab.roots) * (hi - lo + 1), (type_name, i, strategy)
 
 
 def test_reduction_suite_records_a_final_class_that_is_no_root(monkeypatch):
@@ -262,9 +284,10 @@ def test_heart_align_single_transport(stab_a2):
         assert step.spread_after < step.spread_before
 
 
-def test_heart_align_budget_guard(stab_a2):
-    with pytest.raises(InvariantViolation):
-        heart_align(stab_a2, parse_braid_word("s1"), step_budget=0)
+def test_heart_align_budget_guard(monkeypatch, stab_a2):
+    _no_step_budget(monkeypatch)
+    with pytest.raises(InvariantViolation, match="step budget of 0"):
+        heart_align(stab_a2, parse_braid_word("s1"))
 
 
 def test_heart_align_random_transports(alg_a3):

@@ -42,7 +42,7 @@ from twistcat import (
     zero_object,
 )
 from twistcat import homcore, stability
-from twistcat.stability import _distinct_rays, _lattice, _ray
+from twistcat.stability import _by_argument, _lattice, _ray
 from conftest import (
     FractionPhase,
     a3_reference_charge,
@@ -271,7 +271,7 @@ def test_unstable_flip_example(stab_a2, alg_a2):
     assert spread > Phase.integer(0)
     build = stab_a2.stable_build((1, 1))  # the lift s1 of P2
     assert build.flipped(0) == flipped
-    for outside in (-1, 1):
+    for outside in (-1, 1, False, True):  # an index is an int, not a bool
         with pytest.raises(ValueError, match=f"no exponent {outside}"):
             build.flipped(outside)
 
@@ -431,7 +431,7 @@ def test_generic_charge_check_matches_all_pairs(a3, d4):
                 for i in range(len(images)) for j in range(i + 1, len(images))
             )
             _, simples = _lattice(charge.values)
-            assert _distinct_rays([_ray(simples, w) for w in roots]) == all_pairs
+            assert _by_argument([_ray(simples, w) for w in roots])[1] == all_pairs
             assert StabilityCondition(alg, charge).validate_generic() == all_pairs
             seen.add(all_pairs)
     assert seen == {True, False}
@@ -1229,7 +1229,7 @@ def test_phase_of_root_rejects_a_vector_outside_the_table(stab_a3):
 def test_phase_adds_only_an_int():
     half = Phase(0, ExactComplex.of(0, 1))
     assert half + 1 == Phase(1, ExactComplex.of(0, 1))
-    for other in (half, Fraction(1, 2), 0.5):
+    for other in (half, Fraction(1, 2), 0.5, True):
         with pytest.raises(TypeError):
             half + other
 
