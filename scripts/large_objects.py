@@ -1,15 +1,19 @@
-"""Time the reduction of large braid images on A3, and check each result.
+"""Time the reduction of large braid images, and check each result.
 
-The input for k is the image of the middle A3 simple (0-based vertex 1)
-under (s1 s2' s3)^k: 989 generators at k=5, 3691 at k=6, 13775 at k=7,
-51409 at k=8.
+The input for k is the image of one simple under a word taken k times.
+On A3 (the default) it is the middle simple (0-based vertex 1) under
+(s1 s2' s3)^k: 989 generators at k=5, 3691 at k=6, 13775 at k=7, 51409
+at k=8.  D4 and E6 take the words and vertices of
+`twistcat.verify.LARGE_INPUTS` (D4 k=6 has 20569 generators, E6 k=6
+9847), and E8 takes s1 s3' s4 s2' s5 s6' s7 s8' on vertex 3 (595
+generators at k=4).
 For each k the script times `apply_braid` (building the input),
-`reduce_to_stable` (bottom strategy, one fixed generic charge) and the
-checks of `twistcat.verify.reduction_failures` on the trace: the final
-object is semistable, of a root class up to sign, spherical and the
+`reduce_to_stable` (bottom strategy, one fixed generic charge per type)
+and the checks of `twistcat.verify.reduction_failures` on the trace: the
+final object is semistable, of a root class up to sign, spherical and the
 stable object of that class up to shift, and word^-1(start) ≅ final.
 
-    PYTHONPATH=src python3 scripts/large_objects.py [--k 5 6 7]
+    PYTHONPATH=src python3 scripts/large_objects.py [--type A3|D4|E6|E8] [--k 5 6 7]
 
 Prints one JSON line per k, with `peak_rss_mb`, the peak resident memory
 of the process so far (`ru_maxrss`), in MB.  Exit code 0 when every check
@@ -34,17 +38,24 @@ from twistcat import (
     random_generic_charge,
     reduce_to_stable,
 )
-from twistcat.verify import power_image, reduction_failures
+from twistcat.verify import LARGE_INPUTS, power_image, reduction_failures
+
+# type -> (word, 0-based vertex of the simple it acts on)
+INPUTS = {t: (text, vertex) for t, (text, _, vertex) in LARGE_INPUTS.items()}
+INPUTS["E8"] = ("s1 s3' s4 s2' s5 s6' s7 s8'", 3)
 
 
-def run(k: int) -> dict:
-    q = named_quiver("A3")
+def run(type_name: str, k: int) -> dict:
+    q = named_quiver(type_name)
     alg = ZigzagAlgebra(q)
-    stab = StabilityCondition(alg, random_generic_charge(q, random.Random("large-objects:A3")))
+    rng = random.Random(f"large-objects:{type_name}")
+    stab = StabilityCondition(alg, random_generic_charge(q, rng))
+    text, vertex = INPUTS[type_name]
     t0 = time.perf_counter()
-    start = power_image(alg, "s1 s2' s3", k, 1)
+    start = power_image(alg, text, k, vertex)
     t1 = time.perf_counter()
-    row = {"k": k, "generators": len(start.generators), "apply_braid_s": round(t1 - t0, 3)}
+    row = {"type": type_name, "k": k, "generators": len(start.generators),
+           "apply_braid_s": round(t1 - t0, 3)}
     try:
         trace = reduce_to_stable(stab, start)
     except (InvariantViolation, ValueError) as exc:
@@ -66,14 +77,16 @@ def run(k: int) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--type", choices=sorted(INPUTS), default="A3",
+                        help="the type whose word is taken (default: A3)")
     parser.add_argument("--k", type=int, nargs="+", default=[5, 6, 7],
-                        help="powers of (s1 s2' s3) to run (default: 5 6 7)")
+                        help="powers of the word to run (default: 5 6 7)")
     args = parser.parse_args(argv)
     if any(k < 0 for k in args.k):
         parser.error("every --k must be at least 0")
     ok = True
     for k in args.k:
-        row = run(k)
+        row = run(args.type, k)
         row["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
         print(json.dumps(row), flush=True)
         ok = ok and row["ok"]

@@ -101,6 +101,22 @@ MUTANTS = (
         ("tests/test_properties.py::test_a_shared_reader_changes_no_answer",),
     ),
     Mutant(
+        "a Hom test lays out Hom degrees k..k+2",
+        "src/twistcat/homcore.py",
+        "    return HomComplex(x, y, (shift - 1, shift + 1)).cohomology_dim(shift) > 0\n",
+        "    return HomComplex(x, y, (shift, shift + 2)).cohomology_dim(shift) > 0\n",
+        ("tests/test_properties.py::"
+         "test_a_windowed_hom_complex_reads_every_degree_as_the_open_one",),
+    ),
+    Mutant(
+        "the coreach keys a path by its degree minus the generator's shift",
+        "src/twistcat/homcore.py",
+        "                (g, degree + sg)\n",
+        "                (g, degree - sg)\n",
+        ("tests/test_properties.py::"
+         "test_a_windowed_hom_complex_reads_every_degree_as_the_open_one",),
+    ),
+    Mutant(
         "rep_vectors keeps every kernel vector when D_{d-1} has rank 1",
         "src/twistcat/homcore.py",
         "            if rank == 0:\n",

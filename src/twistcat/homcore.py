@@ -24,13 +24,16 @@ cohomology dimension and cocycle representative comes from the exact
 sparse elimination in linalg.  Integral entries enter those columns
 as ints, so the Hom tests on ±1 data eliminate without building a Fraction.
 A Hom complex reads each end through a `_Reader`, which holds the complex,
-its differential indexed by source and by target generator and the reach
-of each vertex into its generators, each built on first use.  A plain
-complex gets a fresh reader per Hom complex; a probe walk shares one
-reader of its target among its Hom tests and drops it when the walk ends,
-so no index is ever kept on a complex.  A cohomology dimension ranks only
-the differentials with both ends nonzero, so a Hom test (`hom0_is_nonzero`)
-with Hom^{k-1} empty ranks D_k alone.
+its differential indexed by source and by target generator, the reach of
+each vertex into its generators and the coreach of its generators into
+each vertex, each built on first use.  A plain complex gets a fresh reader
+per Hom complex; a probe walk shares one reader of its target among its
+Hom tests and drops it when the walk ends, so no index is ever kept on a
+complex.  A Hom test (`hom0_is_nonzero`) of H^k lays out only Hom degrees
+k-1..k+1, the ones dim H^k reads, filed from the walk's reader whichever
+end it is; every other caller lays out every degree.  A cohomology
+dimension ranks only the differentials with both ends nonzero, so a Hom
+test with Hom^{k-1} empty ranks D_k alone.
 
 Inputs are checked once, at the boundary: the public constructors
 `TwistedComplex(...)` and `Morphism(...)` validate every generator and entry
@@ -456,16 +459,21 @@ class _Reader:
     """A complex with the indexes the Hom complexes that read it share.
 
     It holds the complex, its differential indexed by source generator and
-    by target generator (see `_index`), each built on first use, and the
-    reach from each vertex into the complex's generators, filled one vertex
-    at a time on first use.  A Hom complex given a plain complex makes a
-    reader of its own, so every index is built at most once per Hom
-    complex.  A probe walk makes one reader of its target and hands it to
-    every Hom test of the walk, so the target is indexed once per walk;
-    nothing is kept on the complex, and the reader goes with the walk.
+    by target generator (see `_index`), each built on first use, and two
+    per-vertex lists, each filled one vertex at a time on first use: the
+    reach from a vertex into the complex's generators (a Hom complex with
+    this complex as its target files its basis from it), and the coreach,
+    the generators with a path into a vertex (a Hom test with this complex
+    as its source files its basis from it).  A Hom complex given a plain
+    complex makes a reader of its own, so every index and list is built at
+    most once per Hom complex.  A probe walk makes one reader of its
+    target y and hands it to every Hom test of the walk, so y is indexed,
+    and each of its lists built, at most once per walk; the walk's records
+    get fresh readers, and no Hom test lists a reach or a coreach on one.
+    Nothing is kept on the complex, and the reader goes with the walk.
     """
 
-    __slots__ = ("complex", "_by_source", "_by_target", "_reach", "__weakref__")
+    __slots__ = ("complex", "_by_source", "_by_target", "_reach", "_coreach", "__weakref__")
 
     def __init__(self, obj: TwistedComplex):
         self.complex = obj
@@ -473,6 +481,8 @@ class _Reader:
         self._by_target: _Index | None = None
         # vertex -> (h, path degree - shift(h)) for every path into generator h
         self._reach: dict[int, list[tuple[int, int]]] = {}
+        # vertex -> (g, path degree + shift(g)) for every path out of generator g
+        self._coreach: dict[int, list[tuple[int, int]]] = {}
 
     def by_source(self) -> _Index:
         if self._by_source is None:
@@ -495,39 +505,110 @@ class _Reader:
             ]
         return hits
 
+    def coreach(self, u: int) -> list[tuple[int, int]]:
+        hits = self._coreach.get(u)
+        if hits is None:
+            paths = self.complex.alg.paths
+            hits = self._coreach[u] = [
+                (g, degree + sg)
+                for g, (vg, sg) in enumerate(self.complex.generators)
+                for degree in paths[(vg, u)]
+            ]
+        return hits
+
 
 class HomComplex:
     """The Hom complex of two twisted complexes, with exact cohomology.
 
     Either end may be given as a `_Reader`, and the Hom complex reads both
     ends only through their readers (a fresh one for a plain complex):
-    its basis from the target's reach, its matrices from the target's
-    differential by source and the source's by target.  `source` and
-    `target` are the complexes.
+    its matrices from the target's differential by source and the source's
+    by target.  `source` and `target` are the complexes.
+
+    `window` (lo, hi), when given, lays out only the Hom degrees lo..hi;
+    every degree a call reads must lie inside it, and a call that needs
+    every degree (`dims`, `cocycle_reps`, `rep_vectors`) raises ValueError.
+    Without it every degree is laid out.  The basis is filed from the
+    target's reach, g-major, then by h, then by path degree.  The one
+    exception is a window with only the source given as a reader, as in a
+    bottom probe walk, where the source is the walk's y and the target a
+    record: the pairs are then filed from the source's coreach, h-major,
+    then by g, so no list is built on the record.  The order of the pairs
+    within a degree permutes the rows and columns of every matrix, which
+    changes no rank, so every cohomology dimension is the same either way.
     """
 
-    def __init__(self, source: TwistedComplex | _Reader, target: TwistedComplex | _Reader):
+    def __init__(
+        self,
+        source: TwistedComplex | _Reader,
+        target: TwistedComplex | _Reader,
+        window: tuple[int, int] | None = None,
+    ):
+        from_source = type(source) is _Reader and type(target) is not _Reader
         x = source if type(source) is _Reader else _Reader(source)
         y = target if type(target) is _Reader else _Reader(target)
         _same_quiver(x.complex.alg, y.complex.alg)
         self.source = x.complex
         self.target = y.complex
         self._x, self._y = x, y
+        self.window = window
         # Hom degree -> the (g, h) pairs with a path of that degree; a pair fixes its path.
-        # Pairs are filed g-major, then by h, then by path degree.
         self.basis: dict[int, list[tuple[int, int]]] = {}
+        if window is None:
+            reach = y._reach
+            for g, (vg, sg) in enumerate(self.source.generators):
+                hits = reach.get(vg)
+                if hits is None:
+                    hits = y.reach(vg)
+                for h, offset in hits:
+                    self.basis.setdefault(offset + sg, []).append((g, h))
+            return
+        lo, hi = window
+        basis = self.basis
+        if from_source:
+            coreach = x._coreach
+            for h, (vh, sh) in enumerate(self.target.generators):
+                hits = coreach.get(vh)
+                if hits is None:
+                    hits = x.coreach(vh)
+                for g, key in hits:
+                    d = key - sh
+                    if lo <= d <= hi:
+                        basis.setdefault(d, []).append((g, h))
+            return
         reach = y._reach
         for g, (vg, sg) in enumerate(self.source.generators):
             hits = reach.get(vg)
             if hits is None:
                 hits = y.reach(vg)
             for h, offset in hits:
-                self.basis.setdefault(offset + sg, []).append((g, h))
+                d = offset + sg
+                if lo <= d <= hi:
+                    basis.setdefault(d, []).append((g, h))
+
+    def _check(self, d: int, below: int, above: int) -> None:
+        """Raise ValueError unless d is an int and degrees d-below..d+above are laid out."""
+        if type(d) is not int:
+            raise ValueError(f"Hom degree {d!r} must be an int")
+        window = self.window
+        lo, hi = d - below, d + above
+        if window is not None and not (window[0] <= lo and hi <= window[1]):
+            raise ValueError(
+                f"Hom degrees {lo}..{hi} lie outside the laid-out window {window[0]}..{window[1]}"
+            )
+
+    def _check_open(self) -> None:
+        if self.window is not None:
+            raise ValueError(
+                f"this call needs every Hom degree, but only {self.window[0]}..{self.window[1]}"
+                " are laid out"
+            )
 
     def degrees(self) -> list[int]:
         return sorted(self.basis)
 
     def dim_at(self, d: int) -> int:
+        self._check(d, 0, 0)
         return len(self.basis.get(d, ()))
 
     def matrix(self, d: int) -> list[linalg.Vector]:
@@ -546,6 +627,7 @@ class HomComplex:
         is applied as each column is written, so every degree reads the
         same indexes.
         """
+        self._check(d, 0, 1)
         dom = self.basis.get(d, [])
         cod = self.basis.get(d + 1, [])
         if not (dom and cod):
@@ -575,7 +657,8 @@ class HomComplex:
         is neither assembled nor ranked: D_d when Hom^{d+1} is empty, and
         D_{d-1} when Hom^{d-1} is.
         """
-        n = self.dim_at(d)
+        self._check(d, 1, 1)
+        n = len(self.basis.get(d, ()))
         if n == 0:
             return 0
         if d + 1 in self.basis:
@@ -586,6 +669,7 @@ class HomComplex:
 
     def dims(self) -> dict[int, int]:
         """Nonzero cohomology dimensions by degree, ranking each differential once."""
+        self._check_open()
         ranks = {d: linalg.rank(self.matrix(d)) for d in self.degrees() if d + 1 in self.basis}
         dims = {d: self.dim_at(d) - ranks.get(d, 0) - ranks.get(d - 1, 0) for d in self.degrees()}
         return {d: dim for d, dim in dims.items() if dim != 0}
@@ -600,6 +684,7 @@ class HomComplex:
 
     def cocycle_reps(self, d: int) -> list[Morphism]:
         """Closed degree-d morphisms representing a basis of H^d."""
+        self._check_open()
         n = self.dim_at(d)
         if n == 0:
             return []
@@ -632,6 +717,7 @@ class HomComplex:
         = #ker the image is all of ker D_d and the test keeps none.  Only
         a rank strictly between runs `complement_of_span`.
         """
+        self._check_open()
         out = []
         rank = 0  # rank of the previous degree's differential
         image = None  # its echelon, whose pivots span im D_{d-1}
@@ -659,18 +745,24 @@ def hom0_is_nonzero(
     """Whether H^0 Hom(x, y[shift]) != 0, by the exact dimension.
 
     Either end may be a `_Reader`: a probe walk passes one reader of its
-    target to every Hom test, so the target's indexes are built once per
-    walk, and the other end's once per test.  Nothing outlives the walk.
+    target to every Hom test, so the target's indexes and per-vertex lists
+    are built once per walk, and the other end's indexes once per test.
+    Nothing outlives the walk.
 
     This is H^shift Hom(x, y): the two complexes have the same basis, and
     since shifting y by [shift] multiplies its differential by
     (-1)^shift, their differentials differ by that global sign and have
-    equal ranks.  So no shifted copy of y is built.  `cohomology_dim`
-    ranks only the differentials with both ends nonzero, so when
-    Hom^{shift-1} is empty (as in every Hom test of the probe workloads)
-    the test ranks D_shift alone.
+    equal ranks.  So no shifted copy of y is built.  dim H^shift reads
+    only Hom degrees shift-1..shift+1, so only those are laid out (the
+    window of `HomComplex`).  `cohomology_dim` ranks only the
+    differentials with both ends nonzero, so when Hom^{shift-1} is empty
+    (as in every Hom test of the probe workloads) the test ranks D_shift
+    alone.  A shift that is not an int (a bool included) raises
+    ValueError before its window is laid out.
     """
-    return HomComplex(x, y).cohomology_dim(shift) > 0
+    if type(shift) is not int:
+        raise ValueError(f"Hom degree {shift!r} must be an int")
+    return HomComplex(x, y, (shift - 1, shift + 1)).cohomology_dim(shift) > 0
 
 
 def is_spherical(x: TwistedComplex) -> bool:

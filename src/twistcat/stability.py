@@ -720,9 +720,16 @@ class StabilityCondition:
 
         The walk makes one `_Reader` of y and passes it to every Hom test,
         so y's differential is indexed once per walk rather than once per
-        test, and the reach of each vertex into y's generators is listed
-        once.  The reader is a local of the walk: nothing is kept on y, on
-        a record or on the condition, and it goes when the walk ends.
+        test.  Each test lays out only Hom degrees k-1..k+1, and files its
+        basis from per-vertex lists on that reader, each built at most
+        once per walk: the top walk reads the reach of each vertex into
+        y's generators (the record is the source), and the bottom walk the
+        coreach, y's generators with a path into each vertex (the record
+        is the target), so no list is built on a record.  The bottom walk
+        files its pairs record-generator-major, which permutes rows and
+        columns and changes no rank (see `HomComplex`).  The reader is a
+        local of the walk: nothing is kept on y, on a record or on the
+        condition, and it goes when the walk ends.
         """
         bottom = side == "bottom"
         reader = _Reader(y)  # y's indexes, shared by this walk's Hom tests only

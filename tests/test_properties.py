@@ -586,3 +586,43 @@ def _assert_same_hom(read, plain):
         assert got.matrix(k) == want.matrix(k)
         assert got.cohomology_dim(k) == want.cohomology_dim(k)
         assert hom0_is_nonzero(*read, k) == hom0_is_nonzero(*plain, k)
+
+
+def test_a_windowed_hom_complex_reads_every_degree_as_the_open_one():
+    """A Hom complex that lays out only degrees k-1..k+1 has the open one's
+    cohomology dimension at k, and `hom0_is_nonzero` its answer, at every
+    degree around the complex, with a reader on the source, on the target,
+    on both or on neither (each reader kept across every k, as in a probe
+    walk).  Each windowed degree holds exactly the open degree's pairs: in
+    the same order, or by target generator first when only the source is a
+    reader.  Inputs are braid-image pairs on A3/D4/E6, padded (Fraction
+    entries), shifted and direct-sum variants."""
+    from_source = {False: 0, True: 0}
+
+    @SETTINGS
+    @given(braid_image_pairs(types=("A3", "D4", "E6")), st.integers(0, 2**16))
+    def check(pair, seed):
+        x, y = pair
+        rng = random.Random(seed)
+        objects = [x, y, _padded(y, rng), x.shift(1), direct_sum(x, y.shift(-1))]
+        for a in objects:
+            for b in objects:
+                hom = HomComplex(a, b)
+                lo, hi = min(hom.degrees(), default=0), max(hom.degrees(), default=0)
+                for ends in ((a, b), (_Reader(a), b), (a, _Reader(b)), (_Reader(a), _Reader(b))):
+                    h_major = type(ends[0]) is _Reader and type(ends[1]) is not _Reader
+                    for k in range(lo - 2, hi + 3):
+                        windowed = HomComplex(*ends, (k - 1, k + 1))
+                        assert set(windowed.basis) <= {k - 1, k, k + 1}
+                        for d in (k - 1, k, k + 1):
+                            pairs = hom.basis.get(d, [])
+                            if h_major:
+                                pairs = sorted(pairs, key=lambda p: (p[1], p[0]))
+                            assert windowed.basis.get(d, []) == pairs
+                        want = hom.cohomology_dim(k)
+                        assert windowed.cohomology_dim(k) == want
+                        assert hom0_is_nonzero(*ends, k) == (want > 0)
+                        from_source[h_major] += bool(want)
+
+    check()
+    assert all(from_source.values()), from_source

@@ -666,9 +666,11 @@ def test_cyclic_entry_graph_on_one_shift_runs_the_top_walk(monkeypatch, alg_a3, 
 def test_a_walk_indexes_y_once_and_keeps_no_reader(monkeypatch, name):
     """Every Hom test of a walk reads y through the walk's one reader: during
     a probe, y's differential is indexed at most once per walk and a record's
-    at most once per Hom test.  Once the probe has returned, or raised
-    InvariantViolation, no reader is left: nothing holds it on y, a record or
-    the condition."""
+    at most once per Hom test.  A Hom test of H^k lays out only Hom degrees
+    k-1..k+1.  Every reach and coreach list is built on y's reader, none on
+    a record's, each at most once per vertex per walk.  Once the probe has
+    returned, or raised InvariantViolation, no reader is left: nothing holds
+    it on y, a record or the condition."""
     alg = ZigzagAlgebra(named_quiver(name))
     rng = random.Random(f"walk-reader:{name}")
     stab = StabilityCondition(alg, random_generic_charge(alg.quiver, rng))
@@ -677,7 +679,7 @@ def test_a_walk_indexes_y_once_and_keeps_no_reader(monkeypatch, name):
     walks, refs, miss = [], [], [False]
 
     def first_hit(self, z, side, bound, real=StabilityCondition._first_hit):
-        walks.append({"y": 0, "tests": []})
+        walks.append({"y": 0, "tests": [], "lists": []})
         return real(self, z, side, bound)
 
     def hom0(x, z, k, real=stability.hom0_is_nonzero):
@@ -688,7 +690,25 @@ def test_a_walk_indexes_y_once_and_keeps_no_reader(monkeypatch, name):
             refs.append(weakref.ref(reader))
         assert refs[-1]() is reader
         walk["tests"].append(0)
-        return real(x, z, k) and not miss[0]
+        hit = real(x, z, k)
+        (hom,) = built
+        built.clear()  # the Hom complex holds the reader
+        assert hom.window == (k - 1, k + 1) and set(hom.basis) <= {k - 1, k, k + 1}
+        return hit and not miss[0]
+
+    built = []  # the Hom complexes of the current Hom test
+
+    class Recorded(homcore.HomComplex):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    def lister(kind, real):
+        def listed(reader, v):
+            assert reader.complex is y
+            walks[-1]["lists"].append((kind, v))
+            return real(reader, v)
+        return listed
 
     def index(differential, by_source, real=homcore._index):
         walk = walks[-1]
@@ -707,7 +727,11 @@ def test_a_walk_indexes_y_once_and_keeps_no_reader(monkeypatch, name):
     monkeypatch.setattr(StabilityCondition, "_first_hit", first_hit)
     monkeypatch.setattr(stability, "hom0_is_nonzero", hom0)
     monkeypatch.setattr(homcore, "_index", index)
+    monkeypatch.setattr(homcore, "HomComplex", Recorded)
+    for kind in ("reach", "coreach"):
+        monkeypatch.setattr(homcore._Reader, kind, lister(kind, getattr(homcore._Reader, kind)))
     shared = 0  # walks of several Hom tests that indexed y once
+    kinds = set()  # the kinds of list the walks built
     for trial, y in enumerate(targets):
         miss[0] = trial == len(targets) - 1
         walks.clear()
@@ -721,8 +745,10 @@ def test_a_walk_indexes_y_once_and_keeps_no_reader(monkeypatch, name):
         refs.clear()
         for walk in walks:
             assert walk["y"] <= 1 and all(count <= 1 for count in walk["tests"])
+            assert len(set(walk["lists"])) == len(walk["lists"])
             shared += walk["y"] == 1 and len(walk["tests"]) > 1
-    assert shared
+            kinds.update(kind for kind, _ in walk["lists"])
+    assert shared and kinds == {"reach", "coreach"}
 
 
 # -- the nearer walk first against the two-walk probe ---------------------------

@@ -38,10 +38,12 @@ def test_reduction_failures_catch_a_word_with_one_letter_flipped(stab_a3, alg_a3
 
 def test_large_object_rows_pass_every_check(capsys):
     assert large_objects.main(["--k", "0", "2", "3"]) == 0
+    assert large_objects.main(["--type", "D4", "--k", "2"]) == 0
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert [(row["k"], row["ok"], row["failures"]) for row in rows] == [
-        (0, True, []), (2, True, []), (3, True, [])
+    assert [(row["type"], row["k"], row["ok"], row["failures"]) for row in rows] == [
+        ("A3", 0, True, []), ("A3", 2, True, []), ("A3", 3, True, []), ("D4", 2, True, [])
     ]
+    assert rows[-1]["generators"] == 39
 
 
 def test_large_object_script_exits_1_on_a_failed_check(monkeypatch, capsys):
