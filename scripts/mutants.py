@@ -117,6 +117,20 @@ MUTANTS = (
          "test_a_windowed_hom_complex_reads_every_degree_as_the_open_one",),
     ),
     Mutant(
+        "an open Hom complex files from the source's coreach",
+        "src/twistcat/homcore.py",
+        "        if window is not None and type(source) is _Reader and type(target) is not _Reader:\n",
+        "        if type(source) is _Reader and type(target) is not _Reader:\n",
+        ("tests/test_properties.py::test_a_shared_reader_changes_no_answer",),
+    ),
+    Mutant(
+        "the open layout keeps only Hom degrees 0..2",
+        "src/twistcat/homcore.py",
+        "        lo, hi = window or (-math.inf, math.inf)\n",
+        "        lo, hi = window or (0, 2)\n",
+        ("tests/test_properties.py::test_hom_basis_order_is_the_pair_by_pair_order",),
+    ),
+    Mutant(
         "rep_vectors keeps every kernel vector when D_{d-1} has rank 1",
         "src/twistcat/homcore.py",
         "            if rank == 0:\n",
@@ -222,6 +236,21 @@ MUTANTS = (
         "        if type(self.letters) is not tuple:\n",
         "        if False:\n",
         ("tests/test_homcore.py::test_validation_rejects_bad_generators_and_keys",),
+    ),
+    Mutant(
+        "a Weyl word takes a bool letter",
+        "src/twistcat/rootlat.py",
+        "            type(v) is not int or v < 0 for v in self.letters\n",
+        "            not isinstance(v, int) or v < 0 for v in self.letters\n",
+        ("tests/test_rootlat.py::"
+         "test_weyl_words_and_reflections_reject_bad_vertices_and_roots",),
+    ),
+    Mutant(
+        "the CLI reads an empty --type as no --type",
+        "src/twistcat/cli.py",
+        "    if args.type is not None:\n",
+        "    if args.type:\n",
+        ("tests/test_cli.py::test_the_cli_exits_0_or_2_without_a_traceback_on_fuzzed_arguments",),
     ),
 )
 

@@ -47,7 +47,7 @@ def _add_charge_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_quiver(args) -> QuiverGraph:
-    if args.type:
+    if args.type is not None:
         return named_quiver(args.type)
     return load_quiver(args.quiver)
 

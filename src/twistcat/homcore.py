@@ -29,9 +29,11 @@ each vertex into its generators and the coreach of its generators into
 each vertex, each built on first use.  A plain complex gets a fresh reader
 per Hom complex; a probe walk shares one reader of its target among its
 Hom tests and drops it when the walk ends, so no index is ever kept on a
-complex.  A Hom test (`hom0_is_nonzero`) of H^k lays out only Hom degrees
-k-1..k+1, the ones dim H^k reads, filed from the walk's reader whichever
-end it is; every other caller lays out every degree.  A cohomology
+complex.  A Hom complex files its basis by one rule: the pairs whose degree
+lies in its window, where a complex with no window has the unbounded one.
+A Hom test (`hom0_is_nonzero`) of H^k passes the window k-1..k+1, the
+degrees dim H^k reads, and is filed from the walk's reader whichever end
+it is; every other caller lays out every degree.  A cohomology
 dimension ranks only the differentials with both ends nonzero, so a Hom
 test with Hom^{k-1} empty ranks D_k alone.
 
@@ -53,6 +55,7 @@ ValueError.  Two algebras of one quiver are interchangeable.
 from __future__ import annotations
 
 import heapq
+import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -528,14 +531,16 @@ class HomComplex:
     `window` (lo, hi), when given, lays out only the Hom degrees lo..hi;
     every degree a call reads must lie inside it, and a call that needs
     every degree (`dims`, `cocycle_reps`, `rep_vectors`) raises ValueError.
-    Without it every degree is laid out.  The basis is filed from the
-    target's reach, g-major, then by h, then by path degree.  The one
-    exception is a window with only the source given as a reader, as in a
-    bottom probe walk, where the source is the walk's y and the target a
-    record: the pairs are then filed from the source's coreach, h-major,
-    then by g, so no list is built on the record.  The order of the pairs
-    within a degree permutes the rows and columns of every matrix, which
-    changes no rank, so every cohomology dimension is the same either way.
+    Without it the window is unbounded and every degree is laid out: one
+    rule files the basis either way, every pair whose degree lies in the
+    window.  The pairs are filed from the target's reach, g-major, then by
+    h, then by path degree.  The one exception is a window with only the source
+    given as a reader, as in a bottom probe walk, where the source is the
+    walk's y and the target a record: the pairs are then filed from the
+    source's coreach, h-major, then by g, so no list is built on the
+    record.  The order of the pairs within a degree permutes the rows and
+    columns of every matrix, which changes no rank, so every cohomology
+    dimension is the same either way.
     """
 
     def __init__(
@@ -544,7 +549,6 @@ class HomComplex:
         target: TwistedComplex | _Reader,
         window: tuple[int, int] | None = None,
     ):
-        from_source = type(source) is _Reader and type(target) is not _Reader
         x = source if type(source) is _Reader else _Reader(source)
         y = target if type(target) is _Reader else _Reader(target)
         _same_quiver(x.complex.alg, y.complex.alg)
@@ -554,34 +558,17 @@ class HomComplex:
         self.window = window
         # Hom degree -> the (g, h) pairs with a path of that degree; a pair fixes its path.
         self.basis: dict[int, list[tuple[int, int]]] = {}
-        if window is None:
-            reach = y._reach
-            for g, (vg, sg) in enumerate(self.source.generators):
-                hits = reach.get(vg)
-                if hits is None:
-                    hits = y.reach(vg)
-                for h, offset in hits:
-                    self.basis.setdefault(offset + sg, []).append((g, h))
-            return
-        lo, hi = window
         basis = self.basis
-        if from_source:
-            coreach = x._coreach
+        lo, hi = window or (-math.inf, math.inf)
+        if window is not None and type(source) is _Reader and type(target) is not _Reader:
             for h, (vh, sh) in enumerate(self.target.generators):
-                hits = coreach.get(vh)
-                if hits is None:
-                    hits = x.coreach(vh)
-                for g, key in hits:
+                for g, key in x.coreach(vh):
                     d = key - sh
                     if lo <= d <= hi:
                         basis.setdefault(d, []).append((g, h))
             return
-        reach = y._reach
         for g, (vg, sg) in enumerate(self.source.generators):
-            hits = reach.get(vg)
-            if hits is None:
-                hits = y.reach(vg)
-            for h, offset in hits:
+            for h, offset in y.reach(vg):
                 d = offset + sg
                 if lo <= d <= hi:
                     basis.setdefault(d, []).append((g, h))

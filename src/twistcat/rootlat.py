@@ -50,6 +50,16 @@ class QuiverGraph:
     def adjacent(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edges
 
+    def check_vertex(self, i: int) -> None:
+        """Raise ValueError unless i is an int vertex, 0..vertex_count-1."""
+        if type(i) is not int or not 0 <= i < self.vertex_count:
+            raise ValueError(f"vertex {i!r} out of range 0..{self.vertex_count - 1}")
+
+    def check_root(self, w: Root) -> None:
+        """Raise ValueError unless w has one coordinate per vertex."""
+        if len(w) != self.vertex_count:
+            raise ValueError(f"root {w!r} needs {self.vertex_count} coordinates, one per vertex")
+
     def neighbors(self, i: int) -> list[int]:
         out = [b if a == i else a for a, b in self.edges if i in (a, b)]
         return sorted(out)
@@ -93,6 +103,14 @@ class WeylWord:
 
     base: int
     letters: tuple[int, ...]
+
+    def __post_init__(self):
+        if type(self.base) is not int or self.base < 0:
+            raise ValueError(f"base {self.base!r} must be an int vertex >= 0")
+        if type(self.letters) is not tuple or any(
+            type(v) is not int or v < 0 for v in self.letters
+        ):
+            raise ValueError(f"letters {self.letters!r} must be a tuple of int vertices >= 0")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -145,8 +163,7 @@ def load_quiver(path) -> QuiverGraph:
 
 
 def simple_root(q: QuiverGraph, i: int) -> Root:
-    if not 0 <= i < q.vertex_count:
-        raise ValueError(f"vertex {i} out of range")
+    q.check_vertex(i)
     return tuple(1 if j == i else 0 for j in range(q.vertex_count))
 
 
@@ -156,8 +173,8 @@ def root_height(w: Root) -> int:
 
 def cartan_pairing(q: QuiverGraph, a: Root, b: Root) -> int:
     """Symmetric bilinear form: <alpha_i, alpha_i> = 2, -1 across edges, 0 otherwise."""
-    if len(a) != q.vertex_count or len(b) != q.vertex_count:
-        raise ValueError("coordinate length does not match the quiver")
+    q.check_root(a)
+    q.check_root(b)
     total = 2 * sum(x * y for x, y in zip(a, b))
     for i, j in q.edges:
         total -= a[i] * b[j] + a[j] * b[i]
@@ -170,6 +187,13 @@ def pairing_with_simple(q: QuiverGraph, w: Root, i: int) -> int:
 
 def reflect(q: QuiverGraph, w: Root, i: int) -> Root:
     """Simple reflection s_i(w) = w - <w, alpha_i> alpha_i."""
+    q.check_vertex(i)
+    q.check_root(w)
+    return _reflect(q, w, i)
+
+
+def _reflect(q: QuiverGraph, w: Root, i: int) -> Root:
+    """`reflect` for a vertex and a root its caller has checked."""
     c = pairing_with_simple(q, w, i)
     if c == 0:
         return w
@@ -201,7 +225,7 @@ def positive_roots(q: QuiverGraph) -> list[Root]:
         nxt = []
         for w in frontier:
             for i in range(q.vertex_count):
-                r = reflect(q, w, i)
+                r = _reflect(q, w, i)
                 if r not in seen:
                     seen.add(r)
                     nxt.append(r)
@@ -241,7 +265,7 @@ def _greedy_word(q: QuiverGraph, w: Root, vertices: range) -> WeylWord:
         for i in vertices:
             if pairing_with_simple(q, cur, i) > 0:
                 descent.append(i)
-                cur = reflect(q, cur, i)
+                cur = _reflect(q, cur, i)
                 break
         else:  # pragma: no cover - unreachable in finite type
             raise RuntimeError(f"no descent available from {cur}")
@@ -257,12 +281,10 @@ def root_sequence(q: QuiverGraph, word: WeylWord) -> list[Root]:
 
     R_0 is the word's target root; for a minimal word every entry is positive.
     """
-    entries = (word.base,) + word.letters
-    n = len(word.letters)
+    simples = [simple_root(q, v) for v in (word.base,) + word.letters]  # checks every vertex
     seq = []
-    for i, v in enumerate(entries):
-        r = simple_root(q, v)
-        for j in range(i, n):
-            r = reflect(q, r, word.letters[j])
+    for i, r in enumerate(simples):
+        for v in word.letters[i:]:
+            r = _reflect(q, r, v)
         seq.append(r)
     return seq

@@ -189,8 +189,7 @@ def apply_braid(
 
 def braid_class_action(q: QuiverGraph, word: BraidWord, w: Root) -> Root:
     """Induced action on classes: the product of simple reflections."""
+    q.check_root(w)
     for v, _ in word.letters:
-        if v >= q.vertex_count:
-            raise ValueError(f"vertex {v} of the word is not a vertex of the quiver")
         w = reflect(q, w, v)
     return w

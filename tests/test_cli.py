@@ -1,8 +1,16 @@
+import contextlib
+import io
 import json
+import pathlib
+import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from twistcat import InvariantViolation
+from twistcat import (
+    InvariantViolation, minimal_word, named_quiver, positive_roots, random_generic_charge,
+)
 from twistcat.cli import main
 from twistcat.verify import SuiteResult
 from conftest import a3_reference_charge
@@ -304,3 +312,113 @@ def test_verify_unknown_type(capsys):
     code, _, err = run(capsys, "verify", "--type", "A99", "--seeds", "1")
     assert code == 2
     assert "A99" in err or "error" in err
+
+
+# -- fuzzing the command line ---------------------------------------------------
+
+_FUZZ_TYPES = ("A1", "A2", "A3", "A4", "D4")
+_FUZZ_QUIVERS = {name: named_quiver(name) for name in _FUZZ_TYPES}
+_FUZZ_ROOTS = {name: positive_roots(q) for name, q in _FUZZ_QUIVERS.items()}
+_BAD_TYPES = ("", "A0", "a3", "B2", "A10", "E9", "X3")
+_BAD_QUIVER_TEXTS = (
+    "", "x\n", "0\n", "-2\n", "2.5\n", "3\n1 2\nfoo\n", "2\n1 1\n", "2\n1 5\n",
+    "3\n1 2 3\n", "2\n1 x\n", "3\n1 2\n2 3\n1 3\n", "2\n1 2\n1 2\n",
+)
+_BAD_CHARGES = (
+    "", "{", "[]", "null", '{"x": "y"}', '{"0": [1, 1, 1, 1]}', '{"1": [1, 1, 1]}',
+    '{"1": [true, 1, 1, 1]}', '{"1": [1.5, 1, 1, 1]}', '{"1": [0, 1, 0, 1]}',
+    '{"1": [-1, 1, 0, 1]}', '{"1": [1, 0, 1, 1]}', '{"1": [1, 1, 1, 1], "2": [1, 1, 1, 1]}',
+)
+_BAD_TEXTS = ("", " ", "s", "s1''", "t1", "a", "s1 a", "s0", "a0", "1,,1", "1;1", "x", "-")
+
+
+def _fuzz_value(draw, valid, invalid):
+    """Mostly a valid value, one time in four a malformed one."""
+    return draw(st.sampled_from(valid if draw(st.integers(0, 3)) else invalid))
+
+
+def _fuzz_text(draw, kind, name):
+    """A short braid word, reflection expression or root on the named type,
+    valid or malformed."""
+    n = _FUZZ_QUIVERS[name].vertex_count
+    if not draw(st.integers(0, 3)):
+        return draw(st.sampled_from(_BAD_TEXTS))
+    vertex = st.integers(1, n) if draw(st.integers(0, 3)) else st.integers(0, n + 1)
+    if kind == "word":
+        letters = draw(st.lists(st.tuples(vertex, st.booleans()), max_size=3))
+        return " ".join(f"s{v}" + ("'" if inv else "") for v, inv in letters)
+    if kind == "expression":
+        return " ".join([f"s{v}" for v in draw(st.lists(vertex, max_size=3))]
+                        + [f"a{draw(vertex)}"])
+    roots = _FUZZ_ROOTS[name] + [(1,) * (n + 1), (-1,) + (0,) * (n - 1), (2,) * n]
+    return ",".join(str(c) for c in draw(st.sampled_from(roots)))
+
+
+@st.composite
+def _fuzz_argv(draw, command):
+    """Tokens for the command, with its options valid or malformed, and the
+    contents of the quiver and charge files those tokens name."""
+    name = draw(st.sampled_from(_FUZZ_TYPES))
+    q = _FUZZ_QUIVERS[name]
+    argv, files = [command], {}
+    if command == "verify":
+        argv += ["--type", _fuzz_value(draw, (name,), _BAD_TYPES)]
+        argv += ["--seeds", _fuzz_value(draw, ("1",), ("0", "-1", "x"))]
+    elif draw(st.booleans()):
+        argv += ["--type", _fuzz_value(draw, (name,), _BAD_TYPES)]
+    else:
+        text = f"{q.vertex_count}\n" + "".join(f"{a + 1} {b + 1}\n" for a, b in sorted(q.edges))
+        files["quiver"] = _fuzz_value(draw, (text,), _BAD_QUIVER_TEXTS)
+        argv += ["--quiver", "quiver"]
+    if command in ("stable", "reduce", "align"):
+        if draw(st.booleans()):
+            charge = random_generic_charge(q, random.Random(f"fuzz:{draw(st.integers(0, 3))}"))
+            files["charge"] = _fuzz_value(draw, (json.dumps(charge.to_json_dict()),), _BAD_CHARGES)
+            argv += ["--charge", "charge"]
+        else:
+            argv += ["--seed", _fuzz_value(draw, ("0", "7", "-3"), ("x", "1.5"))]
+    if command == "stable":
+        root = draw(st.sampled_from(_FUZZ_ROOTS[name]))
+        word = minimal_word(q, root)
+        expression = " ".join(f"s{v + 1}" for v in reversed(word.letters)) + f" a{word.base + 1}"
+        argv += ["--root", _fuzz_value(draw, (",".join(map(str, root)),),
+                                       (_fuzz_text(draw, "root", name),))]
+        if draw(st.booleans()):
+            argv += ["--expression", _fuzz_value(draw, (expression,),
+                                                 (_fuzz_text(draw, "expression", name),))]
+        if draw(st.booleans()):
+            argv += ["--flip", _fuzz_value(draw, ("1", "2"), ("0", "9", "x"))]
+    if command in ("reduce", "align"):
+        argv += ["--word", _fuzz_text(draw, "word", name)]
+    if command == "reduce":
+        argv += ["--start", _fuzz_value(draw, [str(v) for v in range(1, q.vertex_count + 1)],
+                                        ("0", str(q.vertex_count + 1), "x"))]
+        argv += ["--strategy", _fuzz_value(draw, ("bottom", "top"), ("sideways",))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    if not draw(st.integers(0, 9)):  # a stray option or a dropped token
+        argv = draw(st.sampled_from((argv + ["--bogus"], argv[:-1])))
+    return argv, files
+
+
+@pytest.mark.parametrize("command", ["roots", "stable", "reduce", "align", "verify"])
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_the_cli_exits_0_or_2_without_a_traceback_on_fuzzed_arguments(command, data):
+    """Every token list drawn from a command and its options, valid or
+    malformed, either runs or is rejected with exit code 2, and an error
+    prints one message, never a traceback."""
+    argv, files = data.draw(_fuzz_argv(command))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            (pathlib.Path(tmp) / name).write_text(text)
+        argv = [str(pathlib.Path(tmp) / tok) if tok in files else tok for tok in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's own usage errors
+                code = exc.code
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue() + out.getvalue()
+    assert bool(err.getvalue()) == (code == 2), argv

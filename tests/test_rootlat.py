@@ -4,9 +4,11 @@ from collections import deque
 import pytest
 
 from twistcat import (
+    BraidWord,
     NotFiniteTypeError,
     QuiverGraph,
     WeylWord,
+    braid_class_action,
     cartan_pairing,
     evaluate_word,
     last_minimal_word,
@@ -152,6 +154,33 @@ def test_root_sequence_staircase(a3):
 def test_root_sequence_edges(a2):
     assert root_sequence(a2, WeylWord(base=1, letters=())) == [(0, 1)]
     assert root_sequence(a2, WeylWord(base=1, letters=(0,))) == [(1, 1), (1, 0)]
+
+
+@pytest.mark.parametrize(
+    "call, offender",
+    [
+        # a Weyl word takes an int base >= 0 and a tuple of int letters >= 0, no bools
+        (lambda q, stab: WeylWord(0, [1]), r"letters \[1\] must be a tuple"),
+        (lambda q, stab: WeylWord(0, (True,)), r"letters \(True,\)"),
+        (lambda q, stab: WeylWord(0, (-1,)), r"letters \(-1,\)"),
+        (lambda q, stab: WeylWord(True, ()), r"base True"),
+        (lambda q, stab: WeylWord(0.0, ()), r"base 0\.0"),
+        # a vertex outside 0..n-1 or a root of the wrong length
+        (lambda q, stab: stab.stable_build((1, 0, 0), WeylWord(0, (9,))), r"vertex 9 out of range"),
+        (lambda q, stab: root_sequence(q, WeylWord(0, (9,))), r"vertex 9 out of range"),
+        (lambda q, stab: root_sequence(q, WeylWord(3, ())), r"vertex 3 out of range"),
+        (lambda q, stab: evaluate_word(q, WeylWord(0, (3,))), r"vertex 3 out of range"),
+        (lambda q, stab: reflect(q, (1, 0, 0), 9), r"vertex 9 out of range"),
+        (lambda q, stab: reflect(q, (1, 0, 0), -1), r"vertex -1 out of range"),
+        (lambda q, stab: reflect(q, (1, 0, 0), True), r"vertex True out of range"),
+        (lambda q, stab: reflect(q, (1, 0), 0), r"root \(1, 0\) needs 3 coordinates"),
+        (lambda q, stab: braid_class_action(q, BraidWord(), (1, 0)), r"needs 3 coordinates"),
+        (lambda q, stab: braid_class_action(q, BraidWord(((3, 1),)), (1, 0, 0)), r"vertex 3"),
+    ],
+)
+def test_weyl_words_and_reflections_reject_bad_vertices_and_roots(a3, stab_a3, call, offender):
+    with pytest.raises(ValueError, match=offender):
+        call(a3, stab_a3)
 
 
 def test_all_minimal_words(a2, a3):
