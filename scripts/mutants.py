@@ -155,9 +155,24 @@ MUTANTS = (
     Mutant(
         "the top walk's window is one shift off",
         "src/twistcat/stability.py",
-        "        pad = 0 if bottom else 2\n",
-        "        pad = 0 if bottom else 1\n",
+        "            pad = 0 if bottom else 2\n",
+        "            pad = 0 if bottom else 1\n",
         ("tests/test_stability.py::test_probe_candidates_follow_phase_order",),
+    ),
+    Mutant(
+        "the bottom walk probes the top layer",
+        "src/twistcat/stability.py",
+        "            y = _layer(y, k)\n",
+        "            y = _layer(y, y.shift_range()[1])\n",
+        ("tests/test_stability.py::"
+         "test_walks_on_multi_shift_images_test_one_layer_and_find_the_unpruned_hits",),
+    ),
+    Mutant(
+        "the shift-0 certificate of a record is dropped",
+        "src/twistcat/stability.py",
+        "            if obj.shift_range() != (0, 0):\n",
+        "            if False:\n",
+        ("tests/test_stability.py::test_a_lift_off_shift_0_raises_and_is_not_stored",),
     ),
     Mutant(
         "every charge is taken as generic",

@@ -380,10 +380,10 @@ def minimize(x: TwistedComplex) -> TwistedComplex:
     entries stay exact.  An object with no degree-0 entry is returned as is.
     """
     shifts = [s for _, s in x.generators]
-    diff = dict(x.differential)
-    heap = [(h, g) for h, g in diff if shifts[h] == shifts[g] - 1]
+    heap = [(h, g) for h, g in x.differential if shifts[h] == shifts[g] - 1]
     if not heap:
         return x
+    diff = dict(x.differential)
     heapq.heapify(heap)
     vertices = [v for v, _ in x.generators]
     paths = x.alg.paths

@@ -140,20 +140,22 @@ def _step(
 
 
 def _step_budget(stab: StabilityCondition, start: TwistedComplex) -> int:
-    """The most steps `_reduce` takes from `start` before it gives up.
+    """The most steps `_reduce` takes from `start`, N * (hi - lo + 1) for N
+    positive roots and the start's shifts lo..hi.
 
-    A counting argument bounds the steps.  Each certified step moves the
-    driven end strictly inward and never moves the other end out
-    (`_certify`), so the driven end passes each stable phase at most once
-    and stays between the start's two phases.  When every stable object
-    sits at shift 0, those phases lie within the start's shifts lo..hi,
-    which hold N * (hi - lo + 1) stable phases for N positive roots.  That
-    premise is measured, not proven: the ladder span was 0 on A9, D9, E6,
-    E7 and E8 under five charges each.  The budget is at least four times
-    the bound.
+    Each certified step moves the driven end strictly inward and never
+    moves the other end out (`_certify`), so the driven end's phases form a
+    strictly monotone sequence between the start's two phases, each the
+    phase of a stable S_w[k].  The start is minimal, and when its entry
+    graph has no cycle (every braid image's) it is an iterated extension of
+    its generators P_v[s], s in lo..hi, so its phases lie in [lo, hi + 1).
+    Every stable object sits at shift 0 (certified by `_records`), so
+    S_w[k] has phase in [k, k + 1), and [lo, hi + 1) holds the
+    N * (hi - lo + 1) phases of the S_w[k] with k in lo..hi.  A run of m
+    steps visits m + 1 of them, so m < N * (hi - lo + 1).
     """
     lo, hi = start.shift_range()
-    return max(16, 4 * len(stab.roots) * (hi - lo + 3))
+    return len(stab.roots) * (hi - lo + 1)
 
 
 def _reduce(

@@ -182,6 +182,14 @@ def cartan_pairing(q: QuiverGraph, a: Root, b: Root) -> int:
 
 
 def pairing_with_simple(q: QuiverGraph, w: Root, i: int) -> int:
+    """<w, alpha_i>; a vertex out of range or a root of the wrong length raises ValueError."""
+    q.check_vertex(i)
+    q.check_root(w)
+    return _pairing(q, w, i)
+
+
+def _pairing(q: QuiverGraph, w: Root, i: int) -> int:
+    """`pairing_with_simple` for a vertex and a root its caller has checked."""
     return 2 * w[i] - sum(w[j] for j in q.neighbors(i))
 
 
@@ -194,7 +202,7 @@ def reflect(q: QuiverGraph, w: Root, i: int) -> Root:
 
 def _reflect(q: QuiverGraph, w: Root, i: int) -> Root:
     """`reflect` for a vertex and a root its caller has checked."""
-    c = pairing_with_simple(q, w, i)
+    c = _pairing(q, w, i)
     if c == 0:
         return w
     return tuple(x - c if j == i else x for j, x in enumerate(w))
@@ -263,7 +271,7 @@ def _greedy_word(q: QuiverGraph, w: Root, vertices: range) -> WeylWord:
     cur = w
     while root_height(cur) > 1:
         for i in vertices:
-            if pairing_with_simple(q, cur, i) > 0:
+            if _pairing(q, cur, i) > 0:
                 descent.append(i)
                 cur = _reflect(q, cur, i)
                 break

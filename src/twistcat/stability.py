@@ -27,21 +27,39 @@ output (`to_json_dict`, `float`, `repr`); the exact Z(w) is
 
 The stable objects a condition probes with depend on its charge only
 through their sign vectors, so the algebra's shared record keeps one
-certified `StableBuild` (root, word, signs, lift, its shift range) per
-(word, sign vector), and a new condition's probe ladder is the list of
-the records of its roots' minimal words, read off that table after working
-out each root's signs with integer crosses (see `_probe_ladder`).
+certified `StableBuild` (root, word, signs, lift) per (word, sign vector),
+and a new condition's probe ladder is the list of the records of its roots'
+minimal words, read off that table after working out each root's signs
+with integer crosses (see `_probe_ladder`).  Every lift is certified at
+shift 0: a stable object lies in the heart A of the P_v, so its minimal
+model has every generator there.
 
 A probe walk tries the stable objects S_w[k] in phase order and starts at
-the phase bound of the object's own generators.  When the entry graph of
-the differential (an edge g -> h per entry (h, g)) has no cycle, peeling
-off a sink, which is a subcomplex, again and again shows y to be an
-iterated cone of its generators P_v[s], each the stable object of e_v with
-phase Phase(s, Z(e_v)).  P(>= L) and P(<= U) are extension-closed
-(Bridgeland, arXiv:math/0212237), so the least and greatest generator
-phases L and U bound the phases of y, and no S_w[k] below L receives a
-map from y and none above U maps to it.  When the graph has a cycle there
-is no bound and the walk tries every candidate.
+the phase bound of the object's own generators.  `phi_probes` minimizes y
+first, so no entry has degree 0 and every entry keeps or raises the shift.
+When the entry graph of the differential (an edge g -> h per entry (h, g))
+has no cycle, peeling off a sink, which is a subcomplex, again and again
+shows y to be an iterated cone of its generators P_v[s], each the stable
+object of e_v with phase Phase(s, Z(e_v)).  P(>= L) and P(<= U) are
+extension-closed (Bridgeland, arXiv:math/0212237), so the least and
+greatest generator phases L and U bound the phases of y, and no S_w[k]
+below L receives a map from y and none above U maps to it.
+
+Such a walk tests one shift, on one layer of y.  Let lo and hi be y's
+least and greatest shift, Q the generators at lo with the entries among
+them and T those at hi.  The generators above lo form a subcomplex y', so
+Q is a quotient of y, and T is a subcomplex.  A one-shift acyclic complex
+at s is an iterated extension of objects P_v[s], so Q lies in A[lo], T in
+A[hi] and y' is built from A[j] with j > lo.  For E in A[lo],
+Hom(A[j], A[lo]) = 0 for j > lo, so Hom(y', E) = Hom(y'[1], E) = 0 and the
+triangle y' -> y -> Q gives Hom(y, E) = Hom(Q, E).  Each S_w[lo] lies in
+A[lo], its record being at shift 0.  Q has a simple quotient P_u[lo] in
+A[lo], a stable object of phase below lo + 1, so the bottom walk's first
+hit has shift at most lo, and at least lo by the bound: the bottom walk
+tests Q at k = lo alone.  The top walk is the mirror case: for E in
+A[hi], Hom(E, y) = Hom(E, T), and T has a simple subobject P_u[hi], so it
+tests T at k = hi alone.  When the graph has a cycle there is no bound and
+the walk tries every root at every shift where a Hom can be nonzero.
 
 A probe ends after one walk when that walk proves y semistable: the
 graph has no cycle, every generator sits at one shift s, the hit S_u[s]
@@ -58,19 +76,19 @@ lies nearer the top bound and the bottom walk otherwise, so a semistable
 object costs about the Hom tests between its phase and the nearer bound
 (the proof in full is in `phi_probes`).
 
-On such a one-shift acyclic y a walk tests at shift s only the roots w
-that are <= a, y's generator count per vertex, in every coordinate; the
-others are skipped without a Hom test.  y lies in A[s], for A the heart of
-the P_v, and has class a there.  Let E = S_w[s] be the first candidate of
-the bottom walk with Hom(y, E) != 0.  Every candidate below E has a zero
-Hom, and so do their extensions, so y lies in P(>= phi(E)).  The image I
-of a nonzero map y -> E is a quotient of y, so phi-(I) >= phi(E), and a
-subobject of the stable E, so phi+(I) <= phi(E); a proper subobject of E
-would have a strictly smaller phase, so I = E, and E, a quotient of y in
-A[s], has class w <= a.  The top walk is the mirror case: its first hit
-is a subobject of y (Bridgeland, arXiv:math/0212237; King, Quart. J. Math.
-45, 1994).  So the prune never skips the first hit, and every hit is the
-one the unpruned walk finds.
+A walk on a layer L (Q or T, at shift s, with a the generator count per
+vertex) tests only the roots w <= a in every coordinate; the others are
+skipped without a Hom test.  L lies in A[s] and has class a there.  Let
+E = S_w[s] be the first candidate of the bottom walk with Hom(Q, E) != 0.
+Every candidate below E has a zero Hom, and so do their extensions, so Q
+lies in P(>= phi(E)).  The image I of a nonzero map Q -> E is a quotient
+of Q, so phi-(I) >= phi(E), and a subobject of the stable E, so
+phi+(I) <= phi(E); a proper subobject of E would have a strictly smaller
+phase, so I = E, and E, a quotient of Q in A[s], has class w <= a.  The
+top walk is the mirror case: its first hit is a subobject of T
+(Bridgeland, arXiv:math/0212237; King, Quart. J. Math. 45, 1994).  So the
+prune never skips the first hit, and every hit is the one the unpruned
+walk finds.
 """
 
 from __future__ import annotations
@@ -93,6 +111,7 @@ from .homcore import (
     _same_quiver,
     hom0_is_nonzero,
     is_spherical,
+    minimize,
     simple_object,
 )
 from .rootlat import (
@@ -378,6 +397,17 @@ def _by_argument(rays: list[Ray]) -> tuple[list[int], bool]:
     return order, all(_ray_cross(rays[i], rays[j]) for i, j in zip(order, order[1:]))
 
 
+def _layer(y: TwistedComplex, s: int) -> TwistedComplex:
+    """The generators of y at shift s with the entries among them; y itself when
+    every generator sits at s."""
+    keep = [i for i, (_, t) in enumerate(y.generators) if t == s]
+    if len(keep) == len(y.generators):
+        return y
+    new = {old: i for i, old in enumerate(keep)}
+    diff = {(new[h], new[g]): c for (h, g), c in y.differential.items() if h in new and g in new}
+    return TwistedComplex._trusted(y.alg, tuple(y.generators[i] for i in keep), diff)
+
+
 class ProbeHit(NamedTuple):
     """A phase witnessed by a nonzero Hom^0 with the stable object of root, shifted."""
 
@@ -405,8 +435,8 @@ class Phases(NamedTuple):
 @dataclass(frozen=True, slots=True)
 class StableBuild:
     """The certified stable object of a class under one sign vector: the root,
-    the word and its root sequence, the signs, the signed braid, its lift of
-    the word's base simple and that lift's shift range.
+    the word and its root sequence, the signs, the signed braid and its lift
+    of the word's base simple, certified spherical and at shift 0.
 
     A record is shared by every condition on the algebra that gives the word
     the same signs (see `_ChargeFree`), so it never changes after it is
@@ -420,8 +450,6 @@ class StableBuild:
     signs: tuple[int, ...]
     braid: BraidWord
     obj: TwistedComplex
-    lo: int
-    hi: int
 
     @property
     def sequence(self) -> list[Root]:
@@ -450,7 +478,7 @@ class _ChargeFree:
     tuples held here, so no condition adds copies of either.  A word and its
     sign vector select the lift, so a condition whose sign vectors all have
     records reads its probe ladder off them.  A record enters the table only
-    after its lift has passed the sphericity certificate.
+    after its lift has passed the sphericity and shift-0 certificates.
 
     The record is the algebra's `charge_free` attribute, not an entry of a
     table keyed by the algebra: every stored object refers back to its
@@ -502,10 +530,8 @@ class StabilityCondition:
         order, self._generic = _by_argument(rays)
         self._arg_order: list[Root] = [self.roots[i] for i in order]
         self._pos: dict[Root, int] = {w: i for i, w in enumerate(self._arg_order)}
-        # the ladder by arg Z, the same reversed, and (least lo, greatest hi) over its records
+        # the ladder by arg Z
         self._ladder: list[StableBuild] | None = None
-        self._ladder_down: list[StableBuild] = []
-        self._ladder_span = (0, 0)
 
     # -- charges and phases ------------------------------------------------
 
@@ -594,8 +620,10 @@ class StabilityCondition:
         with that path and applies the rest one letter at a time.
         `apply_braid` is a left fold over the letters, so every lift equals
         the one applied in a single call.  A record enters the table only
-        after its lift has passed the sphericity certificate; prefixes never
-        do.
+        after its lift has passed two certificates, prefixes never: it is
+        spherical, and its generators all sit at shift 0, as the minimal
+        model of an object of the heart A must (the probe walks rely on it;
+        see the module docstring).
         """
         table, letters = self._shared.builds, self._shared.letters
         # (base, signed letters) determines (word, signs), so the sort never compares the values
@@ -620,9 +648,9 @@ class StabilityCondition:
             obj = path[-1]
             if not is_spherical(obj):
                 raise InvariantViolation(f"constructed object of class {w} is not spherical")
-            table[word, signs] = StableBuild(
-                w, word, seq, signs, BraidWord(braid), obj, *obj.shift_range()
-            )
+            if obj.shift_range() != (0, 0):
+                raise InvariantViolation(f"constructed object of class {w} is not in the heart")
+            table[word, signs] = StableBuild(w, word, seq, signs, BraidWord(braid), obj)
         return [table[word, signs] for _, word, _, signs in items]
 
     def stable_object(self, w: Root, word: WeylWord | None = None) -> TwistedComplex:
@@ -648,8 +676,6 @@ class StabilityCondition:
             ladder = self._records(
                 [(w, *words[w], self._signs(words[w][1])) for w in self._arg_order]
             )
-            self._ladder_down = ladder[::-1]
-            self._ladder_span = (min(b.lo for b in ladder), max(b.hi for b in ladder))
             self._ladder = ladder
         return self._ladder
 
@@ -680,88 +706,70 @@ class StabilityCondition:
         return min(keys), max(keys)
 
     def _first_hit(self, y: TwistedComplex, side: str, bound: PhaseKey | None) -> ProbeHit:
-        """The first S_w[k] on one side of the probe of y with a nonzero Hom^0.
+        """The first S_w[k] on one side of the probe of a minimal y with a nonzero Hom^0.
 
-        Each root w is tried at the shifts k of its window, the ones where
-        Hom^0 between y and S_w[k] can be nonzero: lo_y - hi_w <= k + pad
-        and k + pad < hi_y - lo_w + 3, for the shift ranges [lo_y, hi_y] of
-        y and [lo_w, hi_w] of S_w, and pad 0 for the bottom and 2 for the
-        top.  The walk covers the union of the windows, read off the
-        ladder's least lo_w and greatest hi_w.  Phase(k, Z(w)) orders by
-        k, then by arg Z(w), and a generic charge puts no two roots on one
-        ray, so the phase order is the integer order (k, position of w by
-        arg Z): ascending for the bottom, descending for the top.  Both Hom
-        tests read the complex with the unshifted S_w, as H^k Hom(y, S_w)
-        and H^{-k} Hom(S_w, y).
+        Phase(k, Z(w)) orders by k, then by arg Z(w), and a generic charge
+        puts no two roots on one ray, so the phase order is the integer
+        order (k, position of w by arg Z): ascending for the bottom,
+        descending for the top.  Both Hom tests read the complex with the
+        unshifted S_w, as H^k Hom(y, S_w) and H^{-k} Hom(S_w, y).
 
-        The walk starts at `bound`, the least generator key (s, position of
-        e_v) for the bottom and the greatest for the top (see
-        `_generator_bounds`); it tests every candidate from there on in the
-        same order, and every candidate when the bound is None.  Why no
-        nonzero Hom is skipped: when the entry graph of y has no cycle, y is
-        an iterated cone of its generators, each P_v[s] the stable object
-        of e_v with phase Phase(s, Z(e_v)), so y lies in P(>= L) and in
-        P(<= U) for its least and greatest generator phases L and U (both
-        subcategories are extension-closed).  Hom^0(y, S) = 0 for a
-        semistable S of phase below L, and Hom^0(S, y) = 0 for one above U.
+        `bound` is the least generator key (s, position of e_v) for the
+        bottom and the greatest for the top (see `_generator_bounds`), or
+        None when the entry graph of y has a cycle.  With a bound, the walk
+        tests one shift, k = s, on one layer of y: the generators at s with
+        the entries among them, a quotient of y for the bottom (s = lo_y)
+        and a subcomplex for the top (s = hi_y).  It starts at the bound's
+        arg position and tests only the roots w <= the layer's generator
+        count per vertex.  The module docstring shows that the first hit
+        has shift s, that y and its layer have the same Homs with every
+        S_w[s], and that the prune never skips the first hit.  The
+        comparison is made lazily, candidate by candidate, so the walk pays
+        it only up to its hit.
 
-        When y also has every generator at one shift s (a bound was given
-        and lo_y = hi_y), the walk at k = s tests only the roots w <= a,
-        the generator counts of y (the absolute class), which the module
-        docstring shows never skips the first hit.
-        The comparison is made lazily, candidate by candidate, so the walk
-        pays it only up to its hit.  Every other k is unpruned: y lies in
-        P([s, s+1)), so its hits have shift s anyway.
+        With no bound the walk tests every root at every shift k with
+        lo_y <= k + pad < hi_y + 3, pad 0 for the bottom and 2 for the top:
+        every record sits at shift 0, so these are the shifts where
+        H^k Hom(y, S_w) or H^{-k} Hom(S_w, y) has a Hom degree at all, the
+        path degrees being 0..2.
 
         Either walk may run first: `phi_probes` starts with the one whose
         bound lies nearer the class of a one-shift acyclic y, and ends the
         probe there when the hit proves y semistable.  The walks share no
         state, so each finds the same hit whichever runs first.
 
-        The walk makes one `_Reader` of y and passes it to every Hom test,
-        so y's differential is indexed once per walk rather than once per
-        test.  Each test lays out only Hom degrees k-1..k+1, and files its
-        basis from per-vertex lists on that reader, each built at most
-        once per walk: the top walk reads the reach of each vertex into
-        y's generators (the record is the source), and the bottom walk the
-        coreach, y's generators with a path into each vertex (the record
-        is the target), so no list is built on a record.  The bottom walk
-        files its pairs record-generator-major, which permutes rows and
-        columns and changes no rank (see `HomComplex`).  The reader is a
-        local of the walk: nothing is kept on y, on a record or on the
-        condition, and it goes when the walk ends.
+        The walk makes one `_Reader` of the complex it tests (the layer, or
+        y) and passes it to every Hom test, so that complex's differential
+        is indexed once per walk rather than once per test.  Each test lays
+        out only Hom degrees k-1..k+1, and files its basis from per-vertex
+        lists on that reader, each built at most once per walk: the top walk
+        reads the reach of each vertex into the complex's generators (the
+        record is the source), and the bottom walk the coreach, its
+        generators with a path into each vertex (the record is the target),
+        so no list is built on a record.  The bottom walk files its pairs
+        record-generator-major, which permutes rows and columns and changes
+        no rank (see `HomComplex`).  The reader is a local of the walk:
+        nothing is kept on y, on a record or on the condition, and it goes
+        when the walk ends.
         """
         bottom = side == "bottom"
-        reader = _Reader(y)  # y's indexes, shared by this walk's Hom tests only
         ladder = self._probe_ladder()
-        lo_y, hi_y = y.shift_range()
-        pad = 0 if bottom else 2
-        lo_s, hi_s = self._ladder_span
-        ks = range(lo_y - hi_s - pad, hi_y - lo_s + 3 - pad)
-        skip = 0  # candidates past the bound at the first k
-        if bound is not None:
+        if bound is None:
+            lo_y, hi_y = y.shift_range()
+            pad = 0 if bottom else 2
+            ks = range(lo_y - pad, hi_y + 3 - pad)
+            walk = ((k, b) for k in ks for b in ladder) if bottom else (
+                (k, b) for k in reversed(ks) for b in reversed(ladder))
+        else:
             k, pos = bound
-            if bottom and k >= ks.start:
-                ks, skip = range(k, ks.stop), pos
-            elif not bottom and k < ks.stop:
-                ks, skip = range(ks.start, k + 1), len(ladder) - 1 - pos
-        if not bottom:
-            ks, ladder = reversed(ks), self._ladder_down
-        # a one-shift acyclic y: at k = lo_y only roots w <= its generator counts can hit
-        dim = [abs(c) for c in y.k_class()] if bound is not None and lo_y == hi_y else None
-        row = ladder[skip:]
-        for k in ks:
-            # S_w[k] is in its window exactly when hi_w >= above and lo_w < below
-            above, below = lo_y - k - pad, hi_y - k + 3 - pad
-            if dim is not None and k == lo_y:
-                row = (b for b in row if all(map(operator.le, b.root, dim)))
-            for b in row:
-                if b.hi >= above and b.lo < below and (
-                    hom0_is_nonzero(reader, b.obj, k) if bottom
-                    else hom0_is_nonzero(b.obj, reader, -k)
-                ):
-                    return ProbeHit(Phase._on_ray(k, *self._rays[b.root], self._d), b.root, k)
-            row = ladder
+            y = _layer(y, k)
+            dim = [abs(c) for c in y.k_class()]
+            row = ladder[pos:] if bottom else reversed(ladder[:pos + 1])
+            walk = ((k, b) for b in row if all(map(operator.le, b.root, dim)))
+        reader = _Reader(y)  # the tested complex's indexes, shared by this walk's Hom tests only
+        for k, b in walk:
+            if hom0_is_nonzero(reader, b.obj, k) if bottom else hom0_is_nonzero(b.obj, reader, -k):
+                return ProbeHit(Phase._on_ray(k, *self._rays[b.root], self._d), b.root, k)
         raise InvariantViolation(
             "no stable object receives a map from the probe target" if bottom
             else "no stable object maps to the probe target"
@@ -773,8 +781,12 @@ class StabilityCondition:
         This is the one phase measurement; read the spread and heart
         membership off the returned Phases instead of probing again.  The
         bottom is the first candidate S_w[k] with Hom^0(y, S_w[k]) != 0, the
-        top the first with Hom^0(S_w[k], y) != 0 (see `_first_hit`); both
-        walks start at y's generator-phase bounds when it has them.
+        top the first with Hom^0(S_w[k], y) != 0 (see `_first_hit`).  y is
+        minimized first, which changes no Hom and returns the engine's own
+        objects, minimal already, after one scan of their entries.  When
+        the entry graph has no cycle, the bottom walk tests y's lowest layer
+        at its lowest shift, and the top walk its highest layer at its
+        highest shift, each from y's generator-phase bound on that side.
 
         When the entry graph has no cycle and every generator sits at one
         shift s, the probe runs first the walk whose bound lies nearer the
@@ -801,15 +813,16 @@ class StabilityCondition:
         proves nothing, the other walk runs as it would alone, so every
         hit is the two-walk probe's.
 
-        On such a one-shift acyclic y both walks also skip, without a Hom
-        test, every S_w[s] whose root w is not <= y's generator counts in
-        every coordinate; the module docstring shows that the pruned walks
-        find the unpruned hits.
+        Every walk with a bound also skips, without a Hom test, every S_w[s]
+        whose root w is not <= its layer's generator counts in every
+        coordinate; the module docstring shows that these walks find the
+        hits of the walk over every shift and every root.
 
-        An object over an algebra of another quiver than the condition's
+        An object isomorphic to zero raises ValueError, and an object over an algebra of another quiver than the condition's
         raises the ValueError of `homcore`'s quiver check.
         """
         _same_quiver(self.alg, y.alg)
+        y = minimize(y)
         if y.is_zero:
             raise ValueError("the zero object has no phases")
         self.require_generic()

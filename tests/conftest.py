@@ -175,10 +175,10 @@ def unpruned_first_hit(stab, y, side):
     bottom = side == "bottom"
     lo_y, hi_y = y.shift_range()
     pad = 0 if bottom else -2
-    windows = [
-        (b.root, b.obj, lo_y - b.hi + pad, hi_y - b.lo + 3 + pad)
-        for b in stab._probe_ladder()
-    ]
+    windows = []
+    for b in stab._probe_ladder():
+        lo_w, hi_w = b.obj.shift_range()
+        windows.append((b.root, b.obj, lo_y - hi_w + pad, hi_y - lo_w + 3 + pad))
     ks = range(min(lo for _, _, lo, _ in windows), max(hi for _, _, _, hi in windows))
     if not bottom:
         ks = reversed(ks)

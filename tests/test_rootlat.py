@@ -174,6 +174,9 @@ def test_root_sequence_edges(a2):
         (lambda q, stab: reflect(q, (1, 0, 0), -1), r"vertex -1 out of range"),
         (lambda q, stab: reflect(q, (1, 0, 0), True), r"vertex True out of range"),
         (lambda q, stab: reflect(q, (1, 0), 0), r"root \(1, 0\) needs 3 coordinates"),
+        (lambda q, stab: pairing_with_simple(q, (1, 0, 0), -1), r"vertex -1 out of range"),
+        (lambda q, stab: pairing_with_simple(q, (1, 0, 0), 3), r"vertex 3 out of range"),
+        (lambda q, stab: pairing_with_simple(q, (1, 0), 1), r"root \(1, 0\) needs 3 coordinates"),
         (lambda q, stab: braid_class_action(q, BraidWord(), (1, 0)), r"needs 3 coordinates"),
         (lambda q, stab: braid_class_action(q, BraidWord(((3, 1),)), (1, 0, 0)), r"vertex 3"),
     ],

@@ -277,8 +277,11 @@ def test_unstable_flip_example(stab_a2, alg_a2):
 
 
 def test_phi_bounds_rejects_zero(stab_a2, alg_a2):
-    with pytest.raises(ValueError):
-        stab_a2.phi_probes(zero_object(alg_a2))
+    """The zero object, and the cone of an identity, which minimizes to it."""
+    contractible = cone(identity_morphism(simple_object(alg_a2, 1, 2)))
+    for y in (zero_object(alg_a2), contractible):
+        with pytest.raises(ValueError, match="the zero object has no phases"):
+            stab_a2.phi_probes(y)
 
 
 def test_heart_examples(stab_a2, alg_a2):
@@ -326,37 +329,37 @@ def test_random_generic_charges_are_generic():
             assert z.re.denominator <= 64 and z.im.denominator <= 64
 
 
-def _generator_counts(y):
-    """Oracle: the number of generators of y at each vertex."""
+def _generator_counts(y, shift=None):
+    """Oracle: the number of generators of y at each vertex, or of those at one shift."""
     counts = [0] * y.alg.quiver.vertex_count
-    for v, _ in y.generators:
-        counts[v] += 1
+    for v, s in y.generators:
+        counts[v] += shift is None or s == shift
     return counts
 
 
 def _phase_sorted_candidates(stab, y, side):
-    """Oracle: every (root, k) of the probe windows at or past y's generator-phase
-    bound, sorted by Phase(k, Z(root)).  For a target (acyclic, as every target
-    here) with all generators at one shift s, the candidates (w, s) with w not
-    <= the generator count per vertex are left out: none of them can be a first
-    hit (see the stability module docstring), so the walk does not test them."""
+    """Oracle: the (root, k) a walk tests, sorted by Phase(k, Z(root)).
+
+    For an acyclic y, the bottom walk tests only k = lo_y and the top walk
+    only k = hi_y, from y's generator-phase bound on, and only the roots w
+    <= the generator count per vertex at that shift: no other candidate can
+    be a first hit (see the stability module docstring).  For y with a cycle,
+    every (root, k) where a Hom degree exists against a record at shift 0:
+    lo_y <= k < hi_y + 3 for the bottom, lo_y - 2 <= k < hi_y + 1 for the top.
+    """
     lo_y, hi_y = y.shift_range()
-    low, high = _generator_phase_bounds(stab, y)
-    counts = _generator_counts(y)
-    out = []
-    for w in stab.roots:
-        lo_s, hi_s = stab.stable_object(w).shift_range()
-        if side == "bottom":
-            k_range = range(lo_y - hi_s, hi_y - lo_s + 3)
-        else:
-            k_range = range(lo_y - hi_s - 2, hi_y - lo_s + 1)
-        fits = all(c <= n for c, n in zip(w, counts))
-        out.extend(
+    if stab._generator_bounds(y) is None:
+        ks = range(lo_y, hi_y + 3) if side == "bottom" else range(lo_y - 2, hi_y + 1)
+        out = [(Phase(k, stab.charge.of_root(w)), w, k) for w in stab.roots for k in ks]
+    else:
+        low, high = _generator_phase_bounds(stab, y)
+        k = lo_y if side == "bottom" else hi_y
+        counts = _generator_counts(y, k)
+        out = [
             (Phase(k, stab.charge.of_root(w)), w, k)
-            for k in k_range
-            if lo_y != hi_y or k != lo_y or fits
-        )
-    out = [item for item in out if (low <= item[0] if side == "bottom" else item[0] <= high)]
+            for w in stab.roots if all(c <= n for c, n in zip(w, counts))
+        ]
+        out = [item for item in out if (low <= item[0] if side == "bottom" else item[0] <= high)]
     out.sort(key=lambda item: item[0], reverse=(side == "top"))
     return [(w, k) for _, w, k in out]
 
@@ -375,7 +378,8 @@ def _generator_phase_bounds(stab, y):
 @pytest.mark.parametrize("name", ["A3", "D4", "E6"])
 def test_probe_candidates_follow_phase_order(name, monkeypatch):
     """The integer (k, arg rank) order of the Hom tests is the order of the
-    candidates' phases, from the generator-phase bound on."""
+    candidates' phases: from the generator-phase bound on, at one shift, on
+    one-shift and multi-shift images, and over every shift on a cyclic y."""
     alg = ZigzagAlgebra(named_quiver(name))
     q = alg.quiver
     rng = random.Random(f"candidate-order:{name}")
@@ -387,18 +391,27 @@ def test_probe_candidates_follow_phase_order(name, monkeypatch):
         tested.append((y.k_class(), k) if side == "bottom" else (x.k_class(), -k))
         return len(tested) - 1 == answer[0]
 
+    # two adjacent vertices joined both ways at shift 0, and a third generator at
+    # shift 1: no bound, so every shift a Hom degree reaches is walked
+    a, b = min(q.edges)
+    cyclic = TwistedComplex._trusted(
+        alg, (Generator(a, 0), Generator(b, 0), Generator(a, 1)), {(1, 0): 1, (0, 1): 1}
+    )
     monkeypatch.setattr(stability, "hom0_is_nonzero", record)
     for _ in range(3):
         stab = StabilityCondition(alg, random_generic_charge(q, rng))
         word = BraidWord(
             tuple((rng.randrange(q.vertex_count), rng.choice((1, -1))) for _ in range(3))
         )
+        image = apply_braid(alg, word, simple_object(alg, rng.randrange(q.vertex_count)))
         targets = [
             stab.stable_object(rng.choice(stab.roots)),
-            apply_braid(alg, word, simple_object(alg, rng.randrange(q.vertex_count))),
+            image,
+            direct_sum(image, image.shift(rng.choice((1, 2)))),
+            cyclic,
         ]
         for y in targets:
-            bounds = dict(zip(("bottom", "top"), stab._generator_bounds(y)))
+            bounds = dict(zip(("bottom", "top"), stab._generator_bounds(y) or (None, None)))
             for side, message in (("bottom", "receives a map from"), ("top", "maps to")):
                 want = _phase_sorted_candidates(stab, y, side)
                 tested.clear()
@@ -664,13 +677,15 @@ def test_cyclic_entry_graph_on_one_shift_runs_the_top_walk(monkeypatch, alg_a3, 
 
 @pytest.mark.parametrize("name", ["D4", "E6"])
 def test_a_walk_indexes_y_once_and_keeps_no_reader(monkeypatch, name):
-    """Every Hom test of a walk reads y through the walk's one reader: during
-    a probe, y's differential is indexed at most once per walk and a record's
-    at most once per Hom test.  A Hom test of H^k lays out only Hom degrees
-    k-1..k+1.  Every reach and coreach list is built on y's reader, none on
-    a record's, each at most once per vertex per walk.  Once the probe has
-    returned, or raised InvariantViolation, no reader is left: nothing holds
-    it on y, a record or the condition."""
+    """Every Hom test of a walk reads the walk's layer of y (its generators at
+    the lowest shift for the bottom walk and at the highest for the top, y
+    itself on one shift) through the walk's one reader: during a probe, the
+    layer's differential is indexed at most once per walk and a record's at
+    most once per Hom test.  A Hom test of H^k lays out only Hom degrees
+    k-1..k+1.  Every reach and coreach list is built on the layer's reader,
+    none on a record's, each at most once per vertex per walk.  Once the
+    probe has returned, or raised InvariantViolation, no reader is left:
+    nothing holds it on y, a record or the condition."""
     alg = ZigzagAlgebra(named_quiver(name))
     rng = random.Random(f"walk-reader:{name}")
     stab = StabilityCondition(alg, random_generic_charge(alg.quiver, rng))
@@ -679,15 +694,20 @@ def test_a_walk_indexes_y_once_and_keeps_no_reader(monkeypatch, name):
     walks, refs, miss = [], [], [False]
 
     def first_hit(self, z, side, bound, real=StabilityCondition._first_hit):
-        walks.append({"y": 0, "tests": [], "lists": []})
+        walks.append({"side": side, "layer": None, "y": 0, "tests": [], "lists": []})
         return real(self, z, side, bound)
 
     def hom0(x, z, k, real=stability.hom0_is_nonzero):
         (reader,) = [a for a in (x, z) if type(a) is homcore._Reader]
-        assert reader.complex is y
         walk = walks[-1]
         if not walk["tests"]:
+            layer = walk["layer"] = reader.complex
+            lo, hi = y.shift_range()
+            s = lo if walk["side"] == "bottom" else hi
+            assert layer.generators == tuple(g for g in y.generators if g.shift == s)
+            assert layer is y if lo == hi else len(layer.generators) < len(y.generators)
             refs.append(weakref.ref(reader))
+        assert reader.complex is walk["layer"]
         assert refs[-1]() is reader
         walk["tests"].append(0)
         hit = real(x, z, k)
@@ -705,7 +725,7 @@ def test_a_walk_indexes_y_once_and_keeps_no_reader(monkeypatch, name):
 
     def lister(kind, real):
         def listed(reader, v):
-            assert reader.complex is y
+            assert reader.complex is walks[-1]["layer"]
             if v not in getattr(reader, f"_{kind}"):  # this call builds the list
                 walks[-1]["lists"].append((kind, v))
             return real(reader, v)
@@ -713,7 +733,7 @@ def test_a_walk_indexes_y_once_and_keeps_no_reader(monkeypatch, name):
 
     def index(differential, by_source, real=homcore._index):
         walk = walks[-1]
-        if differential is y.differential:
+        if differential is walk["layer"].differential:
             walk["y"] += 1
         else:
             walk["tests"][-1] += 1
@@ -868,8 +888,9 @@ def test_pruned_walks_on_one_shift_sums_find_the_unpruned_hits(name):
 
 @pytest.mark.parametrize("name", ["A3", "D4", "E6"])
 def test_mixed_shift_sums_make_unpruned_walks(name):
-    """S_a + S_b[1] has generators at two shifts, so no candidate may be left
-    out by class: the probe finds the unpruned hits, (a, 0) at the bottom."""
+    """S_a + S_b[1] has generators at two shifts: the bottom walk tests the
+    layer S_a at shift 0 and the top walk the layer S_b[1] at shift 1, and
+    the probe finds the hits of the unpruned walk, (a, 0) at the bottom."""
     alg = ZigzagAlgebra(named_quiver(name))
     rng = random.Random(f"class-prune-mixed:{name}")
     stab = StabilityCondition(alg, random_generic_charge(alg.quiver, rng))
@@ -914,6 +935,60 @@ def _one_shift_braid_images(draw):
 def test_pruned_walks_on_one_shift_braid_images_find_the_unpruned_hits(drawn):
     stab, y = drawn
     assert_one_shift_probe_is_pruned(stab, y)
+
+
+# -- the layer walks of multi-shift objects against the unpruned walk -------------
+
+
+_MULTI_SHIFT_ALGEBRAS = {
+    name: ZigzagAlgebra(named_quiver(name)) for name in ("A2", "A3", "A4", "A5", "D4", "D5", "E6")
+}
+
+
+@st.composite
+def _multi_shift_images(draw):
+    """An algebra, a generic charge and an acyclic minimal object whose
+    generators sit at two or more shifts: the minimal model of a braid image
+    of a simple, summed with a shifted second image when it sits on one."""
+    alg = _MULTI_SHIFT_ALGEBRAS[draw(st.sampled_from(sorted(_MULTI_SHIFT_ALGEBRAS)))]
+    n = alg.quiver.vertex_count
+
+    def image():
+        letters = draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.sampled_from((1, -1))), min_size=1, max_size=6
+        ))
+        x = simple_object(alg, draw(st.integers(0, n - 1)))
+        return minimize(apply_braid(alg, BraidWord(tuple(letters)), x))
+
+    y = image()
+    if len({s for _, s in y.generators}) == 1:
+        y = direct_sum(y, image().shift(draw(st.integers(1, 3))))
+    lo, hi = y.shift_range()
+    assume(lo < hi)
+    charge = random_generic_charge(alg.quiver, random.Random(draw(st.integers(0, 2**32))))
+    return StabilityCondition(alg, charge), y
+
+
+@settings(ORACLE_SETTINGS, max_examples=40)
+@given(_multi_shift_images())
+def test_walks_on_multi_shift_images_test_one_layer_and_find_the_unpruned_hits(drawn):
+    """Both hits are the unpruned walk's; every Hom test of the bottom walk is
+    at k = lo_y and every one of the top walk at k = hi_y, each against a root
+    <= the generator counts of y at that shift."""
+    stab, y = drawn
+    lo, hi = y.shift_range()
+    assert stab._generator_bounds(y) is not None
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        phases, walks = _walks(monkeypatch, stab, y)
+    assert phases.bottom == unpruned_first_hit(stab, y, "bottom")
+    assert phases.top == unpruned_first_hit(stab, y, "top")
+    assert [side for side, _ in walks] == ["bottom", "top"]
+    for side, tests in walks:
+        s = lo if side == "bottom" else hi
+        counts = _generator_counts(y, s)
+        assert tests
+        for w, k in tests:
+            assert k == s and all(c <= n for c, n in zip(w, counts)), (side, w, k, counts)
 
 
 # -- the per-algebra record shared by all charges ------------------------------
@@ -1007,6 +1082,26 @@ def test_failed_certificate_raises_and_is_not_stored(monkeypatch, a3):
     ladder = stab._probe_ladder()
     assert ladder[stab._pos[(1, 1, 1)]].obj is obj
     assert sorted(map(id, alg.charge_free.builds.values())) == sorted(map(id, ladder))
+
+
+def test_a_lift_off_shift_0_raises_and_is_not_stored(monkeypatch, a3):
+    """A lift whose generators leave shift 0 is not in the heart: the record's
+    second certificate raises, though the lift is spherical, and only the
+    simples, whose lifts take no letter, are stored."""
+    alg = ZigzagAlgebra(a3)
+    stab = StabilityCondition(alg, a3_reference_charge())
+    monkeypatch.setattr(
+        stability, "apply_braid", lambda alg, word, y, real=apply_braid: real(alg, word, y).shift(1)
+    )
+    with pytest.raises(InvariantViolation, match=r"class \(1, 1, 1\) is not in the heart"):
+        stab.stable_build((1, 1, 1), minimal_word(a3, (1, 1, 1)))
+    for build in (stab.stable_table, stab._probe_ladder):
+        with pytest.raises(InvariantViolation, match="is not in the heart"):
+            build()
+    assert stab._ladder is None
+    assert all(len(b.braid) == 0 for b in alg.charge_free.builds.values())
+    monkeypatch.undo()
+    assert stab.stable_object((1, 1, 1)).shift_range() == (0, 0)
 
 
 @pytest.mark.parametrize("name", ["E6", "E7"])
@@ -1119,7 +1214,7 @@ def test_known_sign_vectors_read_the_ladder_off_the_rungs(monkeypatch, name):
         for b in ladder:
             assert b.word == words[b.root][0] and b.signs == stab.sign_rule(b.sequence)
             assert builds[b.word, b.signs] is b
-            assert (b.lo, b.hi) == b.obj.shift_range()
+            assert b.obj.shift_range() == (0, 0)  # certified in the heart
     assert seen == {True, False}
 
 
@@ -1151,7 +1246,7 @@ def test_stable_build_is_the_ladder_record(name):
 def test_shared_records_are_immutable(alg_a3):
     stab = StabilityCondition(alg_a3, a3_reference_charge())
     build = stab.stable_build((1, 1, 1))
-    names = ("root", "word", "root_seq", "signs", "braid", "obj", "lo", "hi")
+    names = ("root", "word", "root_seq", "signs", "braid", "obj")
     for name in names:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(build, name, None)
