@@ -78,8 +78,15 @@ MUTANTS = (
     Mutant(
         "the twist's tensor copies of x keep an unshifted differential",
         "src/twistcat/twists.py",
-        "            diff[(h + offset, g + offset)] = -c if shift % 2 else c\n",
-        "            diff[(h + offset, g + offset)] = c\n",
+        "            diff[(h + offset, g + offset)] = c if d % 2 else -c\n",
+        "            diff[(h + offset, g + offset)] = -c\n",
+        ("tests/test_twists.py::test_each_twist_minimizes_the_checked_cone_of_its_map",),
+    ),
+    Mutant(
+        "the untwist's rep entries take the wrong sign",
+        "src/twistcat/twists.py",
+        "                diff[(h + offset, g + at_y)] = -vec[pos]\n",
+        "                diff[(h + offset, g + at_y)] = vec[pos]\n",
         ("tests/test_twists.py::test_each_twist_minimizes_the_checked_cone_of_its_map",),
     ),
     Mutant(
@@ -126,8 +133,9 @@ MUTANTS = (
     Mutant(
         "the open layout keeps only Hom degrees 0..2",
         "src/twistcat/homcore.py",
-        "        lo, hi = window or (-math.inf, math.inf)\n",
-        "        lo, hi = window or (0, 2)\n",
+        "                    basis.setdefault(offset + sg, []).append((g, h))\n",
+        ("                    if 0 <= offset + sg <= 2:\n"
+         "                        basis.setdefault(offset + sg, []).append((g, h))\n"),
         ("tests/test_properties.py::test_hom_basis_order_is_the_pair_by_pair_order",),
     ),
     Mutant(
@@ -136,6 +144,14 @@ MUTANTS = (
         "            if rank == 0:\n",
         "            if rank <= 1:\n",
         ("tests/test_properties.py::test_rep_vectors_match_the_oracle_on_every_count_branch",),
+    ),
+    Mutant(
+        "phi_probes takes every input as minimal",
+        "src/twistcat/stability.py",
+        "            if gens[h].shift == gens[g].shift - 1:\n",
+        "            if False:\n",
+        ("tests/test_stability.py::"
+         "test_bounded_walk_matches_the_unpruned_walk_on_shifted_and_padded_objects",),
     ),
     Mutant(
         "the one-walk probe ends without the ray test",

@@ -44,8 +44,8 @@ and store each entry as a Fraction.  The engine builds its own values with
 made.  An entry is an int or a Fraction, and equal values compare equal
 either way.  The reps `cocycle_reps` returns hold Fractions.  The twists
 lay out their cones from the echelon's kernel vectors as they are
-(`_cone`), so a twisted object keeps its integral entries as ints, and
-`minimize` and later Hom tests on it run in ints.
+(`twists._twisted`), so a twisted object keeps its integral entries as
+ints, and `minimize` and later Hom tests on it run in ints.
 
 Objects over algebras of different quivers never meet: `==` is False
 between them, and maps, sums, Hom complexes and the isomorphism tests raise
@@ -55,7 +55,6 @@ ValueError.  Two algebras of one quiver are interchangeable.
 from __future__ import annotations
 
 import heapq
-import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -134,7 +133,7 @@ class TwistedComplex:
     The constructor is the public boundary: it validates the generators,
     every entry and d² = 0, and stores the entries as Fractions.  The
     engine's own layouts (`shift`, `_cone`, `minimize`, `direct_sum`, the
-    simple and zero objects and the twists' tensors) are correct by
+    simple and zero objects and the twists' cones) are correct by
     construction and skip the checks through `_trusted`.
     """
 
@@ -330,27 +329,21 @@ def _cone(
     y_gens: Sequence[Generator],
     y_diff: Entries,
     entries: Entries,
-    shift: int = 0,
 ) -> TwistedComplex:
-    """cone(f)[shift] for the degree-0 map f: x -> y with these entries, laid out
-    with no check: y[shift] first, then x[shift + 1], with differential blocks
-    d_Y, f, -d_X, each times (-1)^shift.
+    """cone(f) for the degree-0 map f: x -> y with these entries, laid out
+    with no check: y first, then x[1], with differential blocks d_Y, f, -d_X.
 
     Square-zero ends leave D(f) as the cone's only square block, so the
-    caller vouches that f is closed; `cone` checks it first.  The keys come
-    in the order `cone` and then `shift` leave them, and entries keep their
-    type.
+    caller vouches that f is closed; `cone` checks it first.  Entries keep
+    their type.
     """
     n_y = len(y_gens)
-    gens = (
-        tuple(Generator(v, s + shift) for v, s in y_gens) if shift else tuple(y_gens)
-    ) + tuple(Generator(v, s + shift + 1) for v, s in x_gens)
-    odd = shift % 2
-    diff: Entries = {k: -c for k, c in y_diff.items()} if odd else dict(y_diff)
+    gens = tuple(y_gens) + tuple(Generator(v, s + 1) for v, s in x_gens)
+    diff: Entries = dict(y_diff)
     for (h, g), c in x_diff.items():
-        diff[(h + n_y, g + n_y)] = c if odd else -c
+        diff[(h + n_y, g + n_y)] = -c
     for (h, g), c in entries.items():
-        diff[(h, g + n_y)] = -c if odd else c
+        diff[(h, g + n_y)] = c
     return TwistedComplex._trusted(alg, gens, diff)
 
 
@@ -533,7 +526,8 @@ class HomComplex:
     every degree (`dims`, `cocycle_reps`, `rep_vectors`) raises ValueError.
     Without it the window is unbounded and every degree is laid out: one
     rule files the basis either way, every pair whose degree lies in the
-    window.  The pairs are filed from the target's reach, g-major, then by
+    window, and the unbounded window files every pair with no degree
+    test.  The pairs are filed from the target's reach, g-major, then by
     h, then by path degree.  The one exception is a window with only the source
     given as a reader, as in a bottom probe walk, where the source is the
     walk's y and the target a record: the pairs are then filed from the
@@ -559,14 +553,20 @@ class HomComplex:
         # Hom degree -> the (g, h) pairs with a path of that degree; a pair fixes its path.
         self.basis: dict[int, list[tuple[int, int]]] = {}
         basis = self.basis
-        lo, hi = window or (-math.inf, math.inf)
         if window is not None and type(source) is _Reader and type(target) is not _Reader:
+            lo, hi = window
             for h, (vh, sh) in enumerate(self.target.generators):
                 for g, key in x.coreach(vh):
                     d = key - sh
                     if lo <= d <= hi:
                         basis.setdefault(d, []).append((g, h))
             return
+        if window is None:
+            for g, (vg, sg) in enumerate(self.source.generators):
+                for h, offset in y.reach(vg):
+                    basis.setdefault(offset + sg, []).append((g, h))
+            return
+        lo, hi = window
         for g, (vg, sg) in enumerate(self.source.generators):
             for h, offset in y.reach(vg):
                 d = offset + sg
@@ -691,11 +691,14 @@ class HomComplex:
         complement test of the next degree.  When d-1 is not a degree, the
         previous degree's differential maps into the zero space Hom^{d-1},
         so its echelon has no pivots and the image it seeds is empty, as it
-        should be.  `complement_reps` keeps a kernel vector exactly when it
-        lies outside the span of im D_{d-1} and the kernel vectors before
-        it.  That is a question of span membership alone, and the pivots of
-        D_{d-1} span the same space as its columns, so the test keeps the
-        same vectors and the reps equal `cocycle_reps(d)`.
+        should be.  When d+1 is not a degree, D_d maps into the zero space
+        and `matrix(d)` returns empty columns, which are not eliminated: the
+        kernel is the unit vectors, as the echelon returns for empty columns,
+        and the image is empty.  `complement_reps` keeps a kernel vector
+        exactly when it lies outside the span of im D_{d-1} and the kernel
+        vectors before it.  That is a question of span membership alone, and
+        the pivots of D_{d-1} span the same space as its columns, so the test
+        keeps the same vectors and the reps equal `cocycle_reps(d)`.
 
         The count dim H^d = #ker D_d - rank D_{d-1} settles two cases
         without the test, since d² = 0 puts im D_{d-1} inside ker D_d.  At
@@ -709,7 +712,11 @@ class HomComplex:
         rank = 0  # rank of the previous degree's differential
         image = None  # its echelon, whose pivots span im D_{d-1}
         for d in self.degrees():
-            kernel, ech = linalg.kernel_and_image(self.matrix(d))
+            cols = self.matrix(d)
+            if d + 1 in self.basis:
+                kernel, ech = linalg.kernel_and_image(cols)
+            else:  # D_d is zero
+                kernel, ech = [{i: 1} for i in range(len(cols))], None
             if rank == 0:
                 reps = kernel
             elif rank == len(kernel):
@@ -717,7 +724,7 @@ class HomComplex:
             else:
                 reps = linalg.complement_of_span(kernel, image)
             out.extend((d, vec) for vec in reps)
-            rank, image = len(ech.pivots), ech
+            rank, image = (len(ech.pivots), ech) if ech else (0, None)
         return out
 
 

@@ -35,8 +35,9 @@ shift 0: a stable object lies in the heart A of the P_v, so its minimal
 model has every generator there.
 
 A probe walk tries the stable objects S_w[k] in phase order and starts at
-the phase bound of the object's own generators.  `phi_probes` minimizes y
-first, so no entry has degree 0 and every entry keeps or raises the shift.
+the phase bound of the object's own generators.  `phi_probes` minimizes a
+y with an entry of degree 0 first, so no entry has degree 0 and every entry
+keeps or raises the shift.
 When the entry graph of the differential (an edge g -> h per entry (h, g))
 has no cycle, peeling off a sink, which is a subcomplex, again and again
 shows y to be an iterated cone of its generators P_v[s], each the stable
@@ -681,16 +682,28 @@ class StabilityCondition:
 
     def _generator_bounds(self, y: TwistedComplex) -> tuple[PhaseKey, PhaseKey] | None:
         """The least and greatest key (s, arg position of e_v) over the generators
-        P_v[s] of y, or None when the entry graph of its differential has a cycle.
+        P_v[s] of y, or None when the entry graph of its differential has a cycle
+        (or y has no generator)."""
+        return self._bounds_and_minimal(y)[0]
 
-        One pass of Kahn's algorithm over the edges g -> h, one per entry (h, g).
+    def _bounds_and_minimal(
+        self, y: TwistedComplex
+    ) -> tuple[tuple[PhaseKey, PhaseKey] | None, bool]:
+        """`_generator_bounds(y)`, and whether y is minimal (no entry of degree 0).
+
+        One pass over the entries builds the edges g -> h, one per entry
+        (h, g), and finds any entry of degree 0 (shift(h) = shift(g) - 1);
+        Kahn's algorithm then peels the graph.
         """
         gens = y.generators
         succ: list[list[int]] = [[] for _ in gens]
         indegree = [0] * len(gens)
+        minimal = True
         for h, g in y.differential:
             succ[g].append(h)
             indegree[h] += 1
+            if gens[h].shift == gens[g].shift - 1:
+                minimal = False
         ready = [i for i, d in enumerate(indegree) if not d]
         peeled = 0
         while ready:
@@ -699,11 +712,11 @@ class StabilityCondition:
                 indegree[h] -= 1
                 if not indegree[h]:
                     ready.append(h)
-        if peeled < len(gens):
-            return None
+        if peeled < len(gens) or not gens:
+            return None, minimal
         pos, simples = self._pos, self._shared.simples
         keys = [(s, pos[simples[v]]) for v, s in gens]
-        return min(keys), max(keys)
+        return (min(keys), max(keys)), minimal
 
     def _first_hit(self, y: TwistedComplex, side: str, bound: PhaseKey | None) -> ProbeHit:
         """The first S_w[k] on one side of the probe of a minimal y with a nonzero Hom^0.
@@ -781,12 +794,14 @@ class StabilityCondition:
         This is the one phase measurement; read the spread and heart
         membership off the returned Phases instead of probing again.  The
         bottom is the first candidate S_w[k] with Hom^0(y, S_w[k]) != 0, the
-        top the first with Hom^0(S_w[k], y) != 0 (see `_first_hit`).  y is
-        minimized first, which changes no Hom and returns the engine's own
-        objects, minimal already, after one scan of their entries.  When
-        the entry graph has no cycle, the bottom walk tests y's lowest layer
-        at its lowest shift, and the top walk its highest layer at its
-        highest shift, each from y's generator-phase bound on that side.
+        top the first with Hom^0(S_w[k], y) != 0 (see `_first_hit`).  A y
+        with an entry of degree 0 is minimized first, which changes no Hom;
+        the pass over the entries that finds the generator bounds looks for
+        one, so the engine's own objects, minimal already, are not scanned
+        again.  When the entry graph has no cycle, the bottom walk tests y's
+        lowest layer at its lowest shift, and the top walk its highest layer
+        at its highest shift, each from y's generator-phase bound on that
+        side.
 
         When the entry graph has no cycle and every generator sits at one
         shift s, the probe runs first the walk whose bound lies nearer the
@@ -822,11 +837,14 @@ class StabilityCondition:
         raises the ValueError of `homcore`'s quiver check.
         """
         _same_quiver(self.alg, y.alg)
-        y = minimize(y)
+        bounds, minimal = self._bounds_and_minimal(y)
+        if not minimal:
+            y = minimize(y)
+            bounds = self._generator_bounds(y)
         if y.is_zero:
             raise ValueError("the zero object has no phases")
         self.require_generic()
-        low, high = self._generator_bounds(y) or (None, None)
+        low, high = bounds or (None, None)
         if low is None or low[0] != high[0]:
             return Phases(self._first_hit(y, "bottom", low), self._first_hit(y, "top", high))
         s, k_class = low[0], y.k_class()

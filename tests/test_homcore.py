@@ -30,7 +30,7 @@ from twistcat import (
     untwist_triangle,
     zero_object,
 )
-from twistcat import homcore, linalg
+from twistcat import homcore, linalg, twists
 from twistcat.homcore import HomComplex
 from conftest import all_cohomology_reps, minimize_by_passes, random_image, random_word
 
@@ -543,13 +543,19 @@ def _assert_vouched_for(obj: TwistedComplex) -> None:
 
 
 @pytest.mark.parametrize("name", ["A3", "D4"])
-def test_trusted_layouts_hold_generators_and_nonzero_entries(name):
+def test_trusted_layouts_hold_generators_and_nonzero_entries(name, monkeypatch):
     """Every internal caller that stores its data as given hands over
-    `Generator`s and no zero entry, and `minimize` and `_cone` change no
-    input dict."""
+    `Generator`s and no zero entry, the twists' cone layouts included, and
+    `minimize` and `_cone` change no input dict."""
     alg = ZigzagAlgebra(named_quiver(name))
     rng = random.Random(f"trusted:{name}")
     n = alg.quiver.vertex_count
+    layouts = []
+
+    def recording(c):
+        layouts.append(c)
+        return minimize(c)
+
     _assert_vouched_for(zero_object(alg))
     for _ in range(6):
         y = apply_braid(alg, random_word(rng, n, rng.randint(1, 6)), simple_object(alg, 0))
@@ -557,22 +563,26 @@ def test_trusted_layouts_hold_generators_and_nonzero_entries(name):
         _assert_vouched_for(x)
         for obj in (y.shift(1), y.shift(2), direct_sum(x, y), direct_sum(y, x.shift(3))):
             _assert_vouched_for(obj)
+        monkeypatch.setattr(twists, "minimize", recording)
         for exp in (1, -1):
             triangle = (twist_triangle if exp == 1 else untwist_triangle)(x, y)
             if triangle is not None:
                 for obj in triangle:
                     _assert_vouched_for(obj)
+        monkeypatch.undo()
         entries = {(i, i): 1 for i in range(len(y.generators))}
         before = [list(d.items()) for d in (y.differential, entries)]
-        for shift in (-1, 0, 1, 2):
-            layout = homcore._cone(
-                alg, y.generators, y.differential, y.generators, y.differential, entries, shift
-            )
-            _assert_vouched_for(layout)
-            assert [list(d.items()) for d in (y.differential, entries)] == before
-            assert layout == cone(identity_morphism(y)).shift(shift)
-            kept = list(layout.differential.items())
-            reduced = minimize(layout)
-            _assert_vouched_for(reduced)
-            assert reduced.is_zero
-            assert list(layout.differential.items()) == kept
+        layout = homcore._cone(
+            alg, y.generators, y.differential, y.generators, y.differential, entries
+        )
+        layouts.append(layout)
+        assert [list(d.items()) for d in (y.differential, entries)] == before
+        assert layout == cone(identity_morphism(y))
+        kept = list(layout.differential.items())
+        reduced = minimize(layout)
+        _assert_vouched_for(reduced)
+        assert reduced.is_zero
+        assert list(layout.differential.items()) == kept
+    assert len(layouts) >= 6 + 8  # six `_cone` layouts, and a twist layout per triangle
+    for layout in layouts:
+        _assert_vouched_for(layout)

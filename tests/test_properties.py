@@ -210,19 +210,16 @@ def test_minimize_is_idempotent_and_leaves_no_degree_zero_entry(image, v):
 
 @contextlib.contextmanager
 def _recording(outputs):
-    """Keep every complex the twists build with the cone layout and minimize."""
+    """Keep every complex the twists hand to minimize (each cone layout) and
+    every complex minimize returns to them."""
 
-    def keep(fn):
-        def wrapped(*args, **kwargs):
-            out = fn(*args, **kwargs)
-            outputs.append(out)
-            return out
+    def keep(c):
+        out = minimize(c)
+        outputs.extend((c, out))
+        return out
 
-        return wrapped
-
-    with mock.patch.object(twists, "_cone", keep(twists._cone)):
-        with mock.patch.object(twists, "minimize", keep(minimize)):
-            yield
+    with mock.patch.object(twists, "minimize", keep):
+        yield
 
 
 @SETTINGS

@@ -284,6 +284,32 @@ def test_phi_bounds_rejects_zero(stab_a2, alg_a2):
             stab_a2.phi_probes(y)
 
 
+def test_phi_probes_minimizes_only_an_input_with_a_degree_zero_entry(
+    monkeypatch, stab_a3, alg_a3
+):
+    """Minimal inputs are probed as they are; an input padded with the cone of
+    an identity is minimized once and probes like its minimal model."""
+    minimized = []
+
+    def recording(c, real=stability.minimize):
+        minimized.append(c)
+        return real(c)
+
+    monkeypatch.setattr(stability, "minimize", recording)
+    rng = random.Random("minimize-only-padded")
+    for _ in range(6):
+        word = BraidWord(tuple((rng.randrange(3), rng.choice((1, -1))) for _ in range(4)))
+        y = apply_braid(alg_a3, word, simple_object(alg_a3, rng.randrange(3)))
+        pad = cone(identity_morphism(simple_object(alg_a3, rng.randrange(3), rng.randint(-2, 2))))
+        padded = direct_sum(y, pad)
+        assert minimize(padded) == y
+        minimized.clear()
+        phases = stab_a3.phi_probes(y)
+        assert minimized == []
+        assert stab_a3.phi_probes(padded) == phases
+        assert minimized == [padded]
+
+
 def test_heart_examples(stab_a2, alg_a2):
     p1, p2 = simple_object(alg_a2, 0), simple_object(alg_a2, 1)
     assert stab_a2.phi_probes(direct_sum(p1, p2)).in_heart

@@ -274,13 +274,18 @@ def test_each_twist_minimizes_the_checked_cone_of_its_map(name):
     """The cone each twist and untwist minimizes, laid out from the kernel
     vectors with no closure check, equals `cone` of the same map (which
     checks closure): equal generators, and equal entries in the same key
-    order.  Twists by simples and by stable objects of random words."""
+    order.  Twists of random words by simples and by stable objects, and by
+    shifts of them by -1, 1 and 2, so that the copies of x sit at shifts of
+    both parities."""
     alg = ZigzagAlgebra(named_quiver(name))
     n = alg.quiver.vertex_count
     rng = random.Random(f"cone-layout:{name}")
     stab = StabilityCondition(alg, random_generic_charge(alg.quiver, rng))
     xs = [simple_object(alg, v) for v in range(n)]
-    xs += [stab.stable_object(w) for w in rng.sample(stab.roots, 4)]
+    stables = [stab.stable_object(w) for w in rng.sample(stab.roots, 4)]
+    widest = max(stables, key=lambda x: len(x.differential))
+    assert widest.differential
+    xs += stables + [x.shift(s) for x in (xs[0], widest) for s in (-1, 1, 2)]
     cones = 0
     for _ in range(12):
         y = random_image(rng, alg, 6)
