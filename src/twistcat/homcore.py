@@ -29,11 +29,9 @@ each vertex into its generators and the coreach of its generators into
 each vertex, each built on first use.  A plain complex gets a fresh reader
 per Hom complex; a probe walk shares one reader of its target among its
 Hom tests and drops it when the walk ends, so no index is ever kept on a
-complex.  A Hom complex files its basis by one rule: the pairs whose degree
-lies in its window, where a complex with no window has the unbounded one.
-A Hom test (`hom0_is_nonzero`) of H^k passes the window k-1..k+1, the
-degrees dim H^k reads, and is filed from the walk's reader whichever end
-it is; every other caller lays out every degree.  A cohomology
+complex.  Every Hom complex lays out every degree.  A probe walk tests
+one layer of its target against records at shift 0, so a Hom test
+(`hom0_is_nonzero`) of H^k has basis degrees k..k+2 only.  A cohomology
 dimension ranks only the differentials with both ends nonzero, so a Hom
 test with Hom^{k-1} empty ranks D_k alone.
 
@@ -459,13 +457,14 @@ class _Reader:
     per-vertex lists, each filled one vertex at a time on first use: the
     reach from a vertex into the complex's generators (a Hom complex with
     this complex as its target files its basis from it), and the coreach,
-    the generators with a path into a vertex (a Hom test with this complex
-    as its source files its basis from it).  A Hom complex given a plain
-    complex makes a reader of its own, so every index and list is built at
-    most once per Hom complex.  A probe walk makes one reader of its
-    target y and hands it to every Hom test of the walk, so y is indexed,
-    and each of its lists built, at most once per walk; the walk's records
-    get fresh readers, and no Hom test lists a reach or a coreach on one.
+    the generators with a path into a vertex (a Hom complex with this
+    reader as its source and a plain target files its basis from it).  A
+    Hom complex given a plain complex makes a reader of its own, so every
+    index and list is built at most once per Hom complex.  A probe walk
+    makes one reader of its target y and hands it to every Hom test of the
+    walk, so y is indexed, and each of its lists built, at most once per
+    walk; the walk's records get fresh readers, and no Hom test lists a
+    reach or a coreach on one.
     Nothing is kept on the complex, and the reader goes with the walk.
     """
 
@@ -521,81 +520,45 @@ class HomComplex:
     its matrices from the target's differential by source and the source's
     by target.  `source` and `target` are the complexes.
 
-    `window` (lo, hi), when given, lays out only the Hom degrees lo..hi;
-    every degree a call reads must lie inside it, and a call that needs
-    every degree (`dims`, `cocycle_reps`, `rep_vectors`) raises ValueError.
-    Without it the window is unbounded and every degree is laid out: one
-    rule files the basis either way, every pair whose degree lies in the
-    window, and the unbounded window files every pair with no degree
-    test.  The pairs are filed from the target's reach, g-major, then by
-    h, then by path degree.  The one exception is a window with only the source
-    given as a reader, as in a bottom probe walk, where the source is the
-    walk's y and the target a record: the pairs are then filed from the
-    source's coreach, h-major, then by g, so no list is built on the
-    record.  The order of the pairs within a degree permutes the rows and
-    columns of every matrix, which changes no rank, so every cohomology
-    dimension is the same either way.
+    Every degree is laid out.  The pairs are filed from the target's
+    reach, g-major, then by h, then by path degree.  The one exception is
+    a source given as a reader with a plain target, as in a bottom probe
+    walk, where the source is the walk's y and the target a record: the
+    pairs are then filed from the source's coreach, h-major, then by g, so
+    no list is built on the record.  The order of the pairs within a
+    degree permutes the rows and columns of every matrix, which changes no
+    rank, so every cohomology dimension is the same either way.
     """
 
-    def __init__(
-        self,
-        source: TwistedComplex | _Reader,
-        target: TwistedComplex | _Reader,
-        window: tuple[int, int] | None = None,
-    ):
+    def __init__(self, source: TwistedComplex | _Reader, target: TwistedComplex | _Reader):
         x = source if type(source) is _Reader else _Reader(source)
         y = target if type(target) is _Reader else _Reader(target)
         _same_quiver(x.complex.alg, y.complex.alg)
         self.source = x.complex
         self.target = y.complex
         self._x, self._y = x, y
-        self.window = window
         # Hom degree -> the (g, h) pairs with a path of that degree; a pair fixes its path.
         self.basis: dict[int, list[tuple[int, int]]] = {}
         basis = self.basis
-        if window is not None and type(source) is _Reader and type(target) is not _Reader:
-            lo, hi = window
+        if type(source) is _Reader and type(target) is not _Reader:
             for h, (vh, sh) in enumerate(self.target.generators):
                 for g, key in x.coreach(vh):
-                    d = key - sh
-                    if lo <= d <= hi:
-                        basis.setdefault(d, []).append((g, h))
+                    basis.setdefault(key - sh, []).append((g, h))
             return
-        if window is None:
-            for g, (vg, sg) in enumerate(self.source.generators):
-                for h, offset in y.reach(vg):
-                    basis.setdefault(offset + sg, []).append((g, h))
-            return
-        lo, hi = window
         for g, (vg, sg) in enumerate(self.source.generators):
             for h, offset in y.reach(vg):
-                d = offset + sg
-                if lo <= d <= hi:
-                    basis.setdefault(d, []).append((g, h))
+                basis.setdefault(offset + sg, []).append((g, h))
 
-    def _check(self, d: int, below: int, above: int) -> None:
-        """Raise ValueError unless d is an int and degrees d-below..d+above are laid out."""
+    def _check(self, d: int) -> None:
+        """Raise ValueError unless d is an int."""
         if type(d) is not int:
             raise ValueError(f"Hom degree {d!r} must be an int")
-        window = self.window
-        lo, hi = d - below, d + above
-        if window is not None and not (window[0] <= lo and hi <= window[1]):
-            raise ValueError(
-                f"Hom degrees {lo}..{hi} lie outside the laid-out window {window[0]}..{window[1]}"
-            )
-
-    def _check_open(self) -> None:
-        if self.window is not None:
-            raise ValueError(
-                f"this call needs every Hom degree, but only {self.window[0]}..{self.window[1]}"
-                " are laid out"
-            )
 
     def degrees(self) -> list[int]:
         return sorted(self.basis)
 
     def dim_at(self, d: int) -> int:
-        self._check(d, 0, 0)
+        self._check(d)
         return len(self.basis.get(d, ()))
 
     def matrix(self, d: int) -> list[linalg.Vector]:
@@ -614,7 +577,7 @@ class HomComplex:
         is applied as each column is written, so every degree reads the
         same indexes.
         """
-        self._check(d, 0, 1)
+        self._check(d)
         dom = self.basis.get(d, [])
         cod = self.basis.get(d + 1, [])
         if not (dom and cod):
@@ -644,7 +607,7 @@ class HomComplex:
         is neither assembled nor ranked: D_d when Hom^{d+1} is empty, and
         D_{d-1} when Hom^{d-1} is.
         """
-        self._check(d, 1, 1)
+        self._check(d)
         n = len(self.basis.get(d, ()))
         if n == 0:
             return 0
@@ -656,7 +619,6 @@ class HomComplex:
 
     def dims(self) -> dict[int, int]:
         """Nonzero cohomology dimensions by degree, ranking each differential once."""
-        self._check_open()
         ranks = {d: linalg.rank(self.matrix(d)) for d in self.degrees() if d + 1 in self.basis}
         dims = {d: self.dim_at(d) - ranks.get(d, 0) - ranks.get(d - 1, 0) for d in self.degrees()}
         return {d: dim for d, dim in dims.items() if dim != 0}
@@ -671,7 +633,6 @@ class HomComplex:
 
     def cocycle_reps(self, d: int) -> list[Morphism]:
         """Closed degree-d morphisms representing a basis of H^d."""
-        self._check_open()
         n = self.dim_at(d)
         if n == 0:
             return []
@@ -707,7 +668,6 @@ class HomComplex:
         = #ker the image is all of ker D_d and the test keeps none.  Only
         a rank strictly between runs `complement_of_span`.
         """
-        self._check_open()
         out = []
         rank = 0  # rank of the previous degree's differential
         image = None  # its echelon, whose pivots span im D_{d-1}
@@ -746,17 +706,13 @@ def hom0_is_nonzero(
     This is H^shift Hom(x, y): the two complexes have the same basis, and
     since shifting y by [shift] multiplies its differential by
     (-1)^shift, their differentials differ by that global sign and have
-    equal ranks.  So no shifted copy of y is built.  dim H^shift reads
-    only Hom degrees shift-1..shift+1, so only those are laid out (the
-    window of `HomComplex`).  `cohomology_dim` ranks only the
-    differentials with both ends nonzero, so when Hom^{shift-1} is empty
-    (as in every Hom test of the probe workloads) the test ranks D_shift
-    alone.  A shift that is not an int (a bool included) raises
-    ValueError before its window is laid out.
+    equal ranks.  So no shifted copy of y is built.  `cohomology_dim`
+    ranks only the differentials with both ends nonzero, so when
+    Hom^{shift-1} is empty (as in every Hom test of a probe walk) the
+    test ranks D_shift alone.  A shift that is not an int (a bool
+    included) raises ValueError.
     """
-    if type(shift) is not int:
-        raise ValueError(f"Hom degree {shift!r} must be an int")
-    return HomComplex(x, y, (shift - 1, shift + 1)).cohomology_dim(shift) > 0
+    return HomComplex(x, y).cohomology_dim(shift) > 0
 
 
 def is_spherical(x: TwistedComplex) -> bool:

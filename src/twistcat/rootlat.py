@@ -150,10 +150,14 @@ def quiver_from_text(text: str) -> QuiverGraph:
         raise ValueError(f"first line must be the vertex count, got {lines[0]!r}") from None
     pairs = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line {ln!r}")
-        a, b = int(parts[0]), int(parts[1])
+        try:
+            a, b = map(int, ln.split())
+        except ValueError:
+            raise ValueError(f"bad edge line {ln!r}: an edge is two vertex numbers") from None
+        if not (1 <= a <= count and 1 <= b <= count):
+            raise ValueError(f"edge line {ln!r}: vertices are numbered 1..{count}")
+        if a == b:
+            raise ValueError(f"edge line {ln!r}: loop at vertex {a} is not allowed")
         pairs.append((a - 1, b - 1))
     return QuiverGraph.of(count, pairs)
 

@@ -753,11 +753,11 @@ class StabilityCondition:
 
         The walk makes one `_Reader` of the complex it tests (the layer, or
         y) and passes it to every Hom test, so that complex's differential
-        is indexed once per walk rather than once per test.  Each test lays
-        out only Hom degrees k-1..k+1, and files its basis from per-vertex
-        lists on that reader, each built at most once per walk: the top walk
-        reads the reach of each vertex into the complex's generators (the
-        record is the source), and the bottom walk the coreach, its
+        is indexed once per walk rather than once per test.  Each test
+        files its basis from per-vertex lists on that reader, each built at
+        most once per walk: the top walk reads the reach of each vertex
+        into the complex's generators (the record is the source), and the
+        bottom walk the coreach, its
         generators with a path into each vertex (the record is the target),
         so no list is built on a record.  The bottom walk files its pairs
         record-generator-major, which permutes rows and columns and changes

@@ -54,6 +54,20 @@ def test_roots_rejects_affine_quiver(tmp_path, capsys):
         assert "finite" in err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("1 5", "edge line '1 5': vertices are numbered 1..3"),
+    ("2 2", "edge line '2 2': loop at vertex 2 is not allowed"),
+    ("1 x", "bad edge line '1 x': an edge is two vertex numbers"),
+    ("0 1", "edge line '0 1': vertices are numbered 1..3"),
+    ("1 2 3", "bad edge line '1 2 3': an edge is two vertex numbers"),
+], ids=("out of range", "loop", "not a number", "vertex 0", "three numbers"))
+def test_a_bad_quiver_edge_line_is_quoted_as_written(tmp_path, capsys, line, message):
+    bad = tmp_path / "bad.quiver"
+    bad.write_text(f"3\n1 2\n{line}\n")
+    code, out, err = run(capsys, "roots", "--quiver", str(bad))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_stable_command_figure_configuration(capsys, charge_file):
     code, out, _ = run(
         capsys, "stable", "--type", "A3", "--charge", charge_file,

@@ -211,8 +211,6 @@ def test_hom_dims_shift_shuffle(alg_a2):
     assert hom_dims(p1, p1.shift(1)) == {-1: 1, 1: 1}
 
 
-# Hom(P, P) has degrees 0 and 2; WINDOW lays out degrees -1..1 only
-WINDOW = (-1, 1)
 BAD_DEGREES = {
     "hom0 of a float degree": lambda p: homcore.hom0_is_nonzero(p, p, 0.0),
     "hom0 of a bool degree": lambda p: homcore.hom0_is_nonzero(p, p, True),
@@ -221,30 +219,15 @@ BAD_DEGREES = {
     "cohomology_dim of a str degree": lambda p: HomComplex(p, p).cohomology_dim("2"),
     "dim_at of a float degree": lambda p: HomComplex(p, p).dim_at(0.0),
     "matrix of a bool degree": lambda p: HomComplex(p, p).matrix(True),
-    "cohomology_dim past the window": lambda p: HomComplex(p, p, WINDOW).cohomology_dim(1),
-    "dim_at past the window": lambda p: HomComplex(p, p, WINDOW).dim_at(2),
-    "matrix into a degree past the window": lambda p: HomComplex(p, p, WINDOW).matrix(1),
-    "matrix below the window": lambda p: HomComplex(p, p, WINDOW).matrix(-2),
-    "dims of a window": lambda p: HomComplex(p, p, WINDOW).dims(),
-    "rep_vectors of a window": lambda p: HomComplex(p, p, WINDOW).rep_vectors(),
-    "cocycle_reps of a window": lambda p: HomComplex(p, p, WINDOW).cocycle_reps(0),
 }
 
 
 @pytest.mark.parametrize("case", BAD_DEGREES)
 def test_a_hom_complex_rejects_a_degree_it_cannot_read(alg_a2, case):
-    """A degree that is not an int (a bool included), a degree outside a
-    windowed complex and a call that needs every degree of one raise
-    ValueError instead of reading the degree as an int or as empty."""
+    """A degree that is not an int (a bool included) raises ValueError
+    instead of being read as an int or as empty."""
     with pytest.raises(ValueError):
         BAD_DEGREES[case](simple_object(alg_a2, 0))
-
-
-def test_a_windowed_hom_complex_reads_the_degrees_inside_it(alg_a2):
-    p = simple_object(alg_a2, 0)
-    hom = HomComplex(p, p, WINDOW)
-    assert sorted(hom.basis) == [0]
-    assert [hom.cohomology_dim(0), hom.dim_at(-1), hom.dim_at(1), hom.matrix(0)] == [1, 0, 0, [{}]]
 
 
 def test_cone_of_identity_is_zero(alg_a2):

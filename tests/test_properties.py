@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistcat import (
@@ -39,6 +40,7 @@ from twistcat import (
     zero_object,
 )
 from twistcat import linalg, twists
+from twistcat.zigzag import BasisElement, basis_product
 from twistcat.homcore import Generator, HomComplex, _Reader, hom0_is_nonzero
 from twistcat.reduce import _conjugated_twist_word
 from conftest import (
@@ -52,6 +54,7 @@ from conftest import (
     twists_checked_against_oracles,
     two_walk_probes,
 )
+from test_linalg import dense_rank
 
 ALGEBRAS = {name: ZigzagAlgebra(named_quiver(name)) for name in ("A3", "D4", "E6")}
 
@@ -574,52 +577,127 @@ def test_a_shared_reader_changes_no_answer():
 
 
 def _assert_same_hom(read, plain):
-    """The Hom complex of `read` (readers or complexes) is that of the plain pair."""
+    """The Hom complex of `read` (readers or complexes) is that of the plain
+    pair: the same pairs in each degree and the same matrices, keyed by
+    (column pair, row pair), since a reader source with a plain target
+    files its pairs from the source's coreach, in another order."""
     want, got = HomComplex(*plain), HomComplex(*read)
     assert got.source is plain[0] and got.target is plain[1]
-    assert got.basis == want.basis
+    assert {d: sorted(pairs) for d, pairs in got.basis.items()} == {
+        d: sorted(pairs) for d, pairs in want.basis.items()}
     lo, hi = min(want.degrees(), default=0), max(want.degrees(), default=0)
     for k in range(lo - 1, hi + 2):
-        assert got.matrix(k) == want.matrix(k)
+        assert _keyed_matrix(got, k) == _keyed_matrix(want, k)
         assert got.cohomology_dim(k) == want.cohomology_dim(k)
         assert hom0_is_nonzero(*read, k) == hom0_is_nonzero(*plain, k)
 
 
-def test_a_windowed_hom_complex_reads_every_degree_as_the_open_one():
-    """A Hom complex that lays out only degrees k-1..k+1 has the open one's
-    cohomology dimension at k, and `hom0_is_nonzero` its answer, at every
-    degree around the complex, with a reader on the source, on the target,
-    on both or on neither (each reader kept across every k, as in a probe
-    walk).  Each windowed degree holds exactly the open degree's pairs: in
-    the same order, or by target generator first when only the source is a
-    reader.  Inputs are braid-image pairs on A3/D4/E6, padded (Fraction
-    entries), shifted and direct-sum variants."""
-    from_source = {False: 0, True: 0}
+def _keyed_matrix(hom, d):
+    """The entries of D_d keyed by (Hom^d pair, Hom^{d+1} pair)."""
+    dom, cod = hom.basis.get(d, []), hom.basis.get(d + 1, [])
+    return {(dom[col], cod[row]): c
+            for col, column in enumerate(hom.matrix(d)) for row, c in column.items()}
 
-    @SETTINGS
-    @given(braid_image_pairs(types=("A3", "D4", "E6")), st.integers(0, 2**16))
-    def check(pair, seed):
-        x, y = pair
-        rng = random.Random(seed)
-        objects = [x, y, _padded(y, rng), x.shift(1), direct_sum(x, y.shift(-1))]
-        for a in objects:
-            for b in objects:
-                hom = HomComplex(a, b)
-                lo, hi = min(hom.degrees(), default=0), max(hom.degrees(), default=0)
-                for ends in ((a, b), (_Reader(a), b), (a, _Reader(b)), (_Reader(a), _Reader(b))):
-                    h_major = type(ends[0]) is _Reader and type(ends[1]) is not _Reader
-                    for k in range(lo - 2, hi + 3):
-                        windowed = HomComplex(*ends, (k - 1, k + 1))
-                        assert set(windowed.basis) <= {k - 1, k, k + 1}
-                        for d in (k - 1, k, k + 1):
-                            pairs = hom.basis.get(d, [])
-                            if h_major:
-                                pairs = sorted(pairs, key=lambda p: (p[1], p[0]))
-                            assert windowed.basis.get(d, []) == pairs
-                        want = hom.cohomology_dim(k)
-                        assert windowed.cohomology_dim(k) == want
-                        assert hom0_is_nonzero(*ends, k) == (want > 0)
-                        from_source[h_major] += bool(want)
 
-    check()
-    assert all(from_source.values()), from_source
+def _oracle_paths(quiver):
+    """The zigzag algebra's basis paths keyed by their ends, listed from the
+    quiver's adjacency: e_i and l_i at each vertex, an arrow along each edge."""
+    paths = {}
+    for i in range(quiver.vertex_count):
+        paths[(i, i)] = [BasisElement("e", i, i), BasisElement("l", i, i)]
+        for j in quiver.neighbors(i):
+            paths[(i, j)] = [BasisElement("a", i, j)]
+    return paths
+
+
+def _oracle_hom_dims(x, y):
+    """The nonzero dim H^d Hom(x, y) by degree, from products of basis paths.
+
+    Hom^d has a basis of (g, h, path) triples, the path running from g's
+    vertex to h's with degree d - shift(g) + shift(h).  D(f) = d_Y·f -
+    (-1)^d f·d_X is written out by `basis_product`, each differential entry
+    standing for its one path of degree 1 + the shift difference, and
+    ranked by the dense Fraction RREF."""
+    paths = _oracle_paths(x.alg.quiver)
+    basis = {}
+    for g, (vg, sg) in enumerate(x.generators):
+        for h, (vh, sh) in enumerate(y.generators):
+            for b in paths.get((vg, vh), ()):
+                basis.setdefault(b.degree + sg - sh, []).append((g, h, b))
+
+    def entries(obj, by_source):
+        """Each entry as (its other end, c, its path), keyed by source or by target."""
+        out = {}
+        for (t, s), c in obj.differential.items():
+            src, tgt = obj.generators[s], obj.generators[t]
+            (b,) = [b for b in paths[(src.vertex, tgt.vertex)]
+                    if b.degree == tgt.shift - src.shift + 1]
+            out.setdefault(s if by_source else t, []).append((t if by_source else s, c, b))
+        return out
+
+    out_of_y, into_x = entries(y, True), entries(x, False)
+    ranks = {}
+    for d, dom in basis.items():
+        cod = {triple: i for i, triple in enumerate(basis.get(d + 1, []))}
+        rows = []
+        for g, h, b in dom:
+            row = [Fraction(0)] * len(cod)
+            for t, c, p in out_of_y.get(h, ()):  # f, then d_Y out of h
+                if (q := basis_product(b, p)) is not None:
+                    row[cod[(g, t, q)]] += c
+            for s, c, p in into_x.get(g, ()):  # d_X into g, then f
+                if (q := basis_product(p, b)) is not None:
+                    row[cod[(s, h, q)]] -= (-1) ** d * c
+            rows.append(row)
+        ranks[d] = dense_rank(rows, len(cod))
+    dims = {d: len(dom) - ranks[d] - ranks.get(d - 1, 0) for d, dom in basis.items()}
+    return {d: n for d, n in dims.items() if n}
+
+
+def _projectives_of_a3():
+    """P0, P1, P2 on A3 (a path 0 - 1 - 2) and the twist by P0."""
+    p = [simple_object(ALGEBRAS["A3"], i) for i in range(3)]
+    return p, lambda y: twist(p[0], y)
+
+
+HAND_HOM_DIMS = {
+    # Hom(P_i, P_i) is spanned by e_i in degree 0 and the loop l_i in degree 2
+    "a projective with itself": (lambda p, t: (p[0], p[0]), {0: 1, 2: 1}),
+    "a projective with its shift": (lambda p, t: (p[0], p[0].shift(1)), {-1: 1, 1: 1}),
+    # one arrow of degree 1 joins adjacent vertices, no path joins 0 and 2
+    "adjacent projectives": (lambda p, t: (p[0], p[1]), {1: 1}),
+    "distant projectives": (lambda p, t: (p[0], p[2]), {}),
+    # the twist is an autoequivalence: T(P1) = cone(P0[-1] -> P1) keeps Hom(P1, P1)
+    "a twisted projective with itself": (lambda p, t: (t(p[1]), t(p[1])), {0: 1, 2: 1}),
+    "a twisted projective with a fixed one": (lambda p, t: (t(p[1]), t(p[2])), {1: 1}),
+}
+
+
+@pytest.mark.parametrize("case", HAND_HOM_DIMS)
+def test_the_product_oracle_reads_hand_computed_hom_dims(case):
+    """The product oracle, and `hom_dims`, give the Hom dimensions worked
+    out by hand on A3, a complex with a differential included."""
+    pair, want = HAND_HOM_DIMS[case]
+    x, y = pair(*_projectives_of_a3())
+    assert _oracle_hom_dims(x, y) == want
+    assert hom_dims(x, y) == want
+
+
+@settings(SETTINGS, max_examples=48)
+@given(braid_image_pairs(max_len=5, types=("A3", "D4", "E6")), st.integers(0, 2**16))
+def test_hom_dims_and_hom_tests_match_the_product_oracle(pair, seed):
+    """`hom_dims` equals the oracle built from the algebra's products alone,
+    and `hom0_is_nonzero` at every degree around the complex equals oracle
+    dim H^k > 0, with a reader on the source, on the target, on both or on
+    neither (each reader kept across every k, as in a probe walk).  Inputs
+    are braid-image pairs on A3/D4/E6, a padded image (Fraction entries)
+    and a shifted sum."""
+    x, y = pair
+    padded, summed = _padded(y, random.Random(seed)), direct_sum(x, y.shift(-1))
+    for a, b in ((x, y), (y, x), (padded, x), (x, summed), (summed, padded)):
+        want = _oracle_hom_dims(a, b)
+        assert hom_dims(a, b) == want
+        (a_lo, a_hi), (b_lo, b_hi) = a.shift_range(), b.shift_range()
+        for ends in ((a, b), (_Reader(a), b), (a, _Reader(b)), (_Reader(a), _Reader(b))):
+            for k in range(a_lo - b_hi - 1, a_hi - b_lo + 4):
+                assert hom0_is_nonzero(*ends, k) == (k in want)
