@@ -77,17 +77,38 @@ MUTANTS = (
     ),
     Mutant(
         "the twist's tensor copies of x keep an unshifted differential",
-        "src/twistcat/twists.py",
+        "src/twistcat/homcore.py",
         "            diff[(h + offset, g + offset)] = c if d % 2 else -c\n",
         "            diff[(h + offset, g + offset)] = -c\n",
         ("tests/test_twists.py::test_each_twist_minimizes_the_checked_cone_of_its_map",),
     ),
     Mutant(
         "the untwist's rep entries take the wrong sign",
-        "src/twistcat/twists.py",
+        "src/twistcat/homcore.py",
         "                diff[(h + offset, g + at_y)] = -vec[pos]\n",
         "                diff[(h + offset, g + at_y)] = vec[pos]\n",
         ("tests/test_twists.py::test_each_twist_minimizes_the_checked_cone_of_its_map",),
+    ),
+    Mutant(
+        "a cone's map entries lose the offset of their copy of x",
+        "src/twistcat/homcore.py",
+        "                diff[(h, g + offset)] = vec[pos]\n",
+        "                diff[(h, g)] = vec[pos]\n",
+        ("tests/test_homcore.py::test_cone_lays_out_y_then_x_shifted_with_the_map_last",),
+    ),
+    Mutant(
+        "a cone drops y's own differential",
+        "src/twistcat/homcore.py",
+        "    diff: Entries = dict(y.differential) if exponent == 1 else {}\n",
+        "    diff: Entries = {}\n",
+        ("tests/test_homcore.py::test_cone_lays_out_y_then_x_shifted_with_the_map_last",),
+    ),
+    Mutant(
+        "a twist drops the last term of its tensor",
+        "src/twistcat/twists.py",
+        "    maps = HomComplex(source, target).rep_maps()\n",
+        "    maps = HomComplex(source, target).rep_maps()[:-1]\n",
+        ("tests/test_curves.py::test_braid_images_have_the_curve_counts",),
     ),
     Mutant(
         "the class prune of a one-shift walk compares the wrong way",

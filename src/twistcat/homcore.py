@@ -40,9 +40,10 @@ Inputs are checked once, at the boundary: the public constructors
 and store each entry as a Fraction.  The engine builds its own values with
 `_trusted`, which stores the data as given, and no value changes after it is
 made.  An entry is an int or a Fraction, and equal values compare equal
-either way.  The reps `cocycle_reps` returns hold Fractions.  The twists
-lay out their cones from the echelon's kernel vectors as they are
-(`twists._twisted`), so a twisted object keeps its integral entries as
+either way.  The reps `cocycle_reps` returns hold Fractions.  Every cone,
+`cone(f)` and the twists' alike, is laid out by `_cone`, which keeps each
+entry's type; the twists hand it the echelon's kernel vectors as they are
+(`HomComplex.rep_maps`), so a twisted object keeps its integral entries as
 ints, and `minimize` and later Hom tests on it run in ints.
 
 Objects over algebras of different quivers never meet: `==` is False
@@ -130,8 +131,8 @@ class TwistedComplex:
 
     The constructor is the public boundary: it validates the generators,
     every entry and d² = 0, and stores the entries as Fractions.  The
-    engine's own layouts (`shift`, `_cone`, `minimize`, `direct_sum`, the
-    simple and zero objects and the twists' cones) are correct by
+    engine's own layouts (`shift`, `_cone` for every cone and twist,
+    `minimize`, `direct_sum`, the simple and zero objects) are correct by
     construction and skip the checks through `_trusted`.
     """
 
@@ -311,38 +312,71 @@ def identity_morphism(x: TwistedComplex) -> Morphism:
 
 
 def cone(f: Morphism) -> TwistedComplex:
-    """Cone of a closed degree-0 morphism; the triangle is X -> Y -> cone -> X[1]."""
+    """Cone of a closed degree-0 morphism; the triangle is X -> Y -> cone -> X[1].
+
+    After the checks, `_cone` lays it out as its one map, the entries filed
+    by position in their key order."""
     if f.degree != 0:
         raise ValueError("cone needs a degree-0 morphism")
     if not f.is_closed():
         raise ValueError("cone needs a closed morphism")
-    x, y = f.source, f.target
-    return _cone(x.alg, x.generators, x.differential, y.generators, y.differential, f.entries)
+    pairs = [(g, h) for h, g in f.entries]
+    return _cone(f.source, f.target, [(0, pairs, dict(enumerate(f.entries.values())))], 1)
+
+
+# (d, pairs, vector): the degree-d map whose entry (h, g) is vector[pos] for
+# the (g, h) at position pos of the pairs, as `HomComplex.basis[d]` files them
+ConeMap = tuple[int, Sequence[tuple[int, int]], linalg.Vector]
 
 
 def _cone(
-    alg: ZigzagAlgebra,
-    x_gens: Sequence[Generator],
-    x_diff: Entries,
-    y_gens: Sequence[Generator],
-    y_diff: Entries,
-    entries: Entries,
+    x: TwistedComplex, y: TwistedComplex, maps: Sequence[ConeMap], exponent: int
 ) -> TwistedComplex:
-    """cone(f) for the degree-0 map f: x -> y with these entries, laid out
-    with no check: y first, then x[1], with differential blocks d_Y, f, -d_X.
+    """The cone of the maps, laid out in one pass with no check.
 
-    Square-zero ends leave D(f) as the cone's only square block, so the
-    caller vouches that f is closed; `cone` checks it first.  Entries keep
-    their type.
+    Exponent 1 reads each degree-d map as a degree-0 map from x[-d] to y,
+    and lays out the cone of their sum f from the direct sum of the x[-d]
+    to y: y first, then the copies x[1 - d] in the maps' order, with
+    differential blocks d_Y, f and minus each copy's own.  Exponent -1
+    reads each map, from y to x, as a degree-0 map from y to x[d], and lays
+    out the cone of f from y to the direct sum of the x[d], shifted by
+    [-1]: the copies x[d - 1] first and then y.  Either way each copy's
+    differential is -(-1)^d d_X, y keeps its own, and the maps' entries
+    come last, in the maps' order and by position, signed -1 for exponent
+    -1.  `cone(f)` is the one degree-0 map of exponent 1.
+
+    No entry joins two copies of x, so D(f) is the cone's only square
+    block, and the caller vouches that each map is closed: `cone` checks
+    it first.  A twist's maps are the kernel vectors of D_d that
+    `HomComplex.rep_vectors` returns, so D(rep) = 0 exactly, and read as a
+    degree-0 map from x[-d] to y, or from y to x[d], each has the
+    differential D(rep) or (-1)^d D(rep).  Entries keep their type, so
+    integral data stays in ints through the cone, `minimize` and every
+    later Hom test.
     """
-    n_y = len(y_gens)
-    gens = tuple(y_gens) + tuple(Generator(v, s + 1) for v, s in x_gens)
-    diff: Entries = dict(y_diff)
-    for (h, g), c in x_diff.items():
-        diff[(h + n_y, g + n_y)] = -c
-    for (h, g), c in entries.items():
-        diff[(h, g + n_y)] = c
-    return TwistedComplex._trusted(alg, gens, diff)
+    n_x = len(x.generators)
+    at_y = n_x * len(maps)  # y's place for exponent -1
+    gens: list[Generator] = list(y.generators) if exponent == 1 else []
+    diff: Entries = dict(y.differential) if exponent == 1 else {}
+    first = len(gens)  # the first copy of x
+    for i, (d, _, _) in enumerate(maps):
+        offset, shift = first + i * n_x, exponent * (1 - d)
+        gens.extend(Generator(v, s + shift) for v, s in x.generators)
+        for (h, g), c in x.differential.items():
+            diff[(h + offset, g + offset)] = c if d % 2 else -c
+    if exponent == -1:
+        gens.extend(y.generators)
+        for (h, g), c in y.differential.items():
+            diff[(h + at_y, g + at_y)] = c
+    for i, (_, pairs, vec) in enumerate(maps):
+        offset = first + i * n_x
+        for pos in sorted(vec):
+            g, h = pairs[pos]
+            if exponent == 1:
+                diff[(h, g + offset)] = vec[pos]
+            else:
+                diff[(h + offset, g + at_y)] = -vec[pos]
+    return TwistedComplex._trusted(x.alg, tuple(gens), diff)
 
 
 def minimize(x: TwistedComplex) -> TwistedComplex:
@@ -653,11 +687,11 @@ class HomComplex:
         previous degree's differential maps into the zero space Hom^{d-1},
         so its echelon has no pivots and the image it seeds is empty, as it
         should be.  When d+1 is not a degree, D_d maps into the zero space
-        and `matrix(d)` returns empty columns, which are not eliminated: the
-        kernel is the unit vectors, as the echelon returns for empty columns,
-        and the image is empty.  `complement_reps` keeps a kernel vector
-        exactly when it lies outside the span of im D_{d-1} and the kernel
-        vectors before it.  That is a question of span membership alone, and
+        and `matrix(d)` returns empty columns: the echelon returns the int
+        unit vectors as the kernel and has no pivots, so the image is
+        empty.  `complement_reps` keeps a kernel vector exactly when it
+        lies outside the span of im D_{d-1} and the kernel vectors before
+        it.  That is a question of span membership alone, and
         the pivots of D_{d-1} span the same space as its columns, so the test
         keeps the same vectors and the reps equal `cocycle_reps(d)`.
 
@@ -672,11 +706,7 @@ class HomComplex:
         rank = 0  # rank of the previous degree's differential
         image = None  # its echelon, whose pivots span im D_{d-1}
         for d in self.degrees():
-            cols = self.matrix(d)
-            if d + 1 in self.basis:
-                kernel, ech = linalg.kernel_and_image(cols)
-            else:  # D_d is zero
-                kernel, ech = [{i: 1} for i in range(len(cols))], None
+            kernel, ech = linalg.kernel_and_image(self.matrix(d))
             if rank == 0:
                 reps = kernel
             elif rank == len(kernel):
@@ -684,8 +714,13 @@ class HomComplex:
             else:
                 reps = linalg.complement_of_span(kernel, image)
             out.extend((d, vec) for vec in reps)
-            rank, image = (len(ech.pivots), ech) if ech else (0, None)
+            rank, image = len(ech.pivots), ech
         return out
+
+    def rep_maps(self) -> list[ConeMap]:
+        """(d, the Hom^d basis pairs, vector) for each of `rep_vectors`: the
+        reps as the maps `_cone` lays out, with nothing built per entry."""
+        return [(d, self.basis[d], vec) for d, vec in self.rep_vectors()]
 
 
 def hom_dims(x: TwistedComplex, y: TwistedComplex) -> dict[int, int]:

@@ -30,10 +30,14 @@ class QuiverGraph:
 
     @classmethod
     def of(cls, vertex_count: int, pairs) -> "QuiverGraph":
+        if type(vertex_count) is not int:
+            raise ValueError(f"vertex count {vertex_count!r} must be an int")
         if vertex_count < 1:
             raise ValueError("quiver needs at least one vertex")
         edges = set()
         for a, b in pairs:
+            if type(a) is not int or type(b) is not int:
+                raise ValueError(f"edge ({a!r},{b!r}) needs int vertices")
             if a == b:
                 raise ValueError(f"loop at vertex {a} is not allowed")
             if not (0 <= a < vertex_count and 0 <= b < vertex_count):

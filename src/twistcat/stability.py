@@ -173,6 +173,18 @@ class ExactComplex:
 Ray = tuple[int, int]
 
 
+def _check_exact(z, what: str) -> None:
+    """Raise ValueError unless z is an ExactComplex with int or Fraction parts (no bool)."""
+    if not (isinstance(z, ExactComplex) and {type(z.re), type(z.im)} <= {int, Fraction}):
+        raise ValueError(f"{what} must be an ExactComplex with int or Fraction parts, got {z!r}")
+
+
+def _check_shift(shift) -> None:
+    """Raise ValueError unless the shift is an int (a bool is not)."""
+    if type(shift) is not int:
+        raise ValueError(f"phase shift {shift!r} must be an int")
+
+
 def _lattice(values: Sequence[ExactComplex]) -> tuple[int, tuple[Ray, ...]]:
     """The scale D, the lcm of the values' denominators, and the ray D*z of each value z."""
     d = math.lcm(*(z.re.denominator for z in values), *(z.im.denominator for z in values))
@@ -197,6 +209,8 @@ class Phase:
     __slots__ = ("shift", "_re", "_im", "_scale")
 
     def __init__(self, shift: int, z: ExactComplex):
+        _check_shift(shift)
+        _check_exact(z, "phase witness")
         if not z.in_upper_half():
             raise ValueError("phase witness must have argument in [0, pi)")
         self.shift = shift
@@ -222,6 +236,8 @@ class Phase:
     @classmethod
     def of(cls, z: ExactComplex, shift: int = 0) -> "Phase":
         """Phase shift + arg(z)/pi for any nonzero z (principal argument)."""
+        _check_shift(shift)
+        _check_exact(z, "phase witness")
         if z.is_zero():
             raise ValueError("zero has no phase")
         scale, ((re, im),) = _lattice((z,))
@@ -229,6 +245,7 @@ class Phase:
 
     @classmethod
     def integer(cls, k: int) -> "Phase":
+        _check_shift(k)
         return cls._on_ray(k, 1, 0, 1)
 
     @property
@@ -297,6 +314,7 @@ class CentralCharge:
     def __init__(self, values):
         self.values = tuple(values)
         for i, z in enumerate(self.values):
+            _check_exact(z, f"charge of simple root {i}")
             if not z.in_upper_half():
                 raise ValueError(f"charge of simple root {i} lies outside the upper half plane")
 

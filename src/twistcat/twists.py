@@ -9,16 +9,12 @@ Over the rationals the retract has zero internal differential, so the
 tensor factor is a plain direct sum of shifts.
 
 The reps are read as the kernel vectors of the Hom complex's echelon
-(`HomComplex.rep_vectors`), ints wherever the data is integral, and the
-cone is laid out from them in one pass (`_twisted`), with no tensor
-complex built first and without the closure check that `cone` makes.
-None is needed: each rep is a kernel vector of D_d, so D(rep) = 0 exactly.
-The same entries read as a degree-0 map from x[-d] to y, or from y to
-x[d], have the differential D(rep) or (-1)^d D(rep), and no entry joins
-two copies of x in the tensor, so the whole map is closed.  The layout
-has the generators, signs and key order of `cone` of that map (shifted
-by [-1] for an untwist), and `minimize` is its one elimination.  Only the
-triangles build the tensor, as the direct sum of the shifts of x.
+(`HomComplex.rep_maps`), ints wherever the data is integral, and
+`homcore._cone`, the one cone layout, lays out the cone of the map from
+them in one pass, with no tensor complex built first and without the
+closure check that `cone` makes (its docstring says why none is needed).
+`minimize` is the twist's one elimination.  Only the triangles build the
+tensor, as the direct sum of the shifts of x.
 
 Braid words store letters in application order: ``letters[0]`` acts first.
 The text syntax mirrors the usual operator order instead, so in
@@ -31,16 +27,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .homcore import (
-    Entries,
-    Generator,
+    ConeMap,
     HomComplex,
     TwistedComplex,
+    _cone,
     direct_sum,
     is_spherical,
     minimize,
     simple_object,
 )
-from .linalg import Vector
 from .rootlat import QuiverGraph, Root, reflect
 from .zigzag import ZigzagAlgebra
 
@@ -99,50 +94,23 @@ Triangle = tuple[TwistedComplex, TwistedComplex, TwistedComplex]
 
 def _twisted(
     x: TwistedComplex, y: TwistedComplex, exponent: int, checked: bool
-) -> tuple[list[tuple[int, Vector]], TwistedComplex] | None:
-    """The reps and the minimized twist (exponent 1) or untwist (-1) of y by
-    x; None when the Hom space vanishes.
+) -> tuple[list[ConeMap], TwistedComplex] | None:
+    """The reps, as maps, and the minimized twist (exponent 1) or untwist
+    (-1) of y by x; None when the Hom space vanishes.
 
     Exponent 1 takes the evaluation map from (cohomology of Hom(x, y))
     tensor x into y, exponent -1 the adjoint map from y into x tensor the
-    dual of Hom(y, x).  The cone is laid out in one pass, with the
-    generators, signs and key order of `cone` of that map, shifted by [-1]
-    for an untwist: y first and then the copies x[1 - d] for a twist, the
-    copies x[d - 1] first and then y for an untwist, one copy per rep of
-    degree d.  Each copy's differential is -(-1)^d d_X, y keeps its own,
-    and the map's entries come last, signed -1 for an untwist.  The map is
-    closed with no check (module docstring), and integral data stays in
-    ints through the cone, `minimize` and every later Hom test.
+    dual of Hom(y, x), one copy of x per rep.  `homcore._cone` lays out
+    the cone of that map from the reps, and `minimize` is its one
+    elimination.
     """
     if not checked and not is_spherical(x):
         raise ValueError("twist functors are only defined for spherical objects")
     source, target = (x, y) if exponent == 1 else (y, x)
-    hom = HomComplex(source, target)
-    reps = hom.rep_vectors()
-    if not reps:
+    maps = HomComplex(source, target).rep_maps()
+    if not maps:
         return None
-    n_x, at_y = len(x.generators), len(x.generators) * len(reps)  # at_y: y's place in an untwist
-    gens: list[Generator] = list(y.generators) if exponent == 1 else []
-    diff: Entries = dict(y.differential) if exponent == 1 else {}
-    first = len(gens)  # the first copy of x
-    for i, (d, _) in enumerate(reps):
-        offset, shift = first + i * n_x, exponent * (1 - d)
-        gens.extend(Generator(v, s + shift) for v, s in x.generators)
-        for (h, g), c in x.differential.items():
-            diff[(h + offset, g + offset)] = c if d % 2 else -c
-    if exponent == -1:
-        gens.extend(y.generators)
-        for (h, g), c in y.differential.items():
-            diff[(h + at_y, g + at_y)] = c
-    for i, (d, vec) in enumerate(reps):
-        offset, basis = first + i * n_x, hom.basis[d]
-        for pos in sorted(vec):
-            g, h = basis[pos]
-            if exponent == 1:
-                diff[(h, g + offset)] = vec[pos]
-            else:
-                diff[(h + offset, g + at_y)] = -vec[pos]
-    return reps, minimize(TwistedComplex._trusted(x.alg, tuple(gens), diff))
+    return maps, minimize(_cone(x, y, maps, exponent))
 
 
 def _triangle(
@@ -155,8 +123,8 @@ def _triangle(
     out = _twisted(x, y, exponent, checked)
     if out is None:
         return None
-    reps, twisted = out
-    tensor = direct_sum(*[x.shift(-exponent * d) for d, _ in reps])
+    maps, twisted = out
+    tensor = direct_sum(*[x.shift(-exponent * d) for d, _, _ in maps])
     return (tensor, y, twisted) if exponent == 1 else (twisted, y, tensor)
 
 

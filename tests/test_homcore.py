@@ -251,6 +251,16 @@ def test_cone_of_arrow(alg_a2):
     assert minimize(c) == c
 
 
+def test_cone_lays_out_y_then_x_shifted_with_the_map_last(alg_a2):
+    """cone(id) on the extension E = (P1 <- P0) of A2, worked out by hand:
+    E, then E[1], with blocks d_E, -d_E and the identity, in that key order."""
+    ext = arrow_extension(alg_a2)
+    c = cone(identity_morphism(ext))
+    assert c.generators == (Generator(1, 0), Generator(0, 0), Generator(1, 1), Generator(0, 1))
+    assert list(c.differential.items()) == [((0, 1), 1), ((2, 3), -1), ((0, 2), 1), ((1, 3), 1)]
+    assert minimize(c).is_zero
+
+
 def test_cone_rejects_nonclosed(alg_a2):
     ext = arrow_extension(alg_a2)
     # projecting onto the subobject generator does not commute with the differential
@@ -529,7 +539,7 @@ def _assert_vouched_for(obj: TwistedComplex) -> None:
 def test_trusted_layouts_hold_generators_and_nonzero_entries(name, monkeypatch):
     """Every internal caller that stores its data as given hands over
     `Generator`s and no zero entry, the twists' cone layouts included, and
-    `minimize` and `_cone` change no input dict."""
+    `minimize` and `_cone` change none of their inputs."""
     alg = ZigzagAlgebra(named_quiver(name))
     rng = random.Random(f"trusted:{name}")
     n = alg.quiver.vertex_count
@@ -553,13 +563,12 @@ def test_trusted_layouts_hold_generators_and_nonzero_entries(name, monkeypatch):
                 for obj in triangle:
                     _assert_vouched_for(obj)
         monkeypatch.undo()
-        entries = {(i, i): 1 for i in range(len(y.generators))}
-        before = [list(d.items()) for d in (y.differential, entries)]
-        layout = homcore._cone(
-            alg, y.generators, y.differential, y.generators, y.differential, entries
-        )
+        pairs = [(i, i) for i in range(len(y.generators))]
+        vec = {i: 1 for i in range(len(y.generators))}
+        before = [list(y.differential.items()), list(pairs), list(vec.items())]
+        layout = homcore._cone(y, y, [(0, pairs, vec)], 1)
         layouts.append(layout)
-        assert [list(d.items()) for d in (y.differential, entries)] == before
+        assert [list(y.differential.items()), pairs, list(vec.items())] == before
         assert layout == cone(identity_morphism(y))
         kept = list(layout.differential.items())
         reduced = minimize(layout)

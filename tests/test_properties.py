@@ -701,3 +701,49 @@ def test_hom_dims_and_hom_tests_match_the_product_oracle(pair, seed):
         for ends in ((a, b), (_Reader(a), b), (a, _Reader(b)), (_Reader(a), _Reader(b))):
             for k in range(a_lo - b_hi - 1, a_hi - b_lo + 4):
                 assert hom0_is_nonzero(*ends, k) == (k in want)
+
+
+def _cyclic_complex():
+    """A validated complex on A2 whose entry graph has a cycle: P0 + P0 + P1 + P1,
+    with U all 1 from the P0s to the P1s and V = [[1, -1], [-1, 1]] back.
+    VU = UV = 0, so each square of the cycle cancels on the loop of its vertex."""
+    u = {(h, g): 1 for h in (2, 3) for g in (0, 1)}
+    v = {(0, 2): 1, (0, 3): -1, (1, 2): -1, (1, 3): 1}
+    return TwistedComplex(ZigzagAlgebra(named_quiver("A2")),
+                          [Generator(0, 0), Generator(0, 0), Generator(1, 0), Generator(1, 0)],
+                          {**u, **v})
+
+
+def _assert_reps_and_sphericity_match_the_oracle(x, y):
+    """The per-degree counts of `rep_vectors` equal the oracle's dim H^d, and
+    `is_spherical` on each end equals oracle dims == {0: 1, 2: 1}."""
+    counts = {}
+    for d, _ in HomComplex(x, y).rep_vectors():
+        counts[d] = counts.get(d, 0) + 1
+    assert counts == _oracle_hom_dims(x, y)
+    for end in (x, y):
+        assert is_spherical(end) == (_oracle_hom_dims(end, end) == {0: 1, 2: 1})
+
+
+@settings(SETTINGS, max_examples=24)
+@given(braid_image_pairs(max_len=5, types=("A3", "D4", "E6")))
+def test_rep_counts_and_sphericity_match_the_product_oracle(pair):
+    """On braid-image pairs of A3/D4/E6 (spherical) and their sums (not)."""
+    x, y = pair
+    summed = direct_sum(x, y.shift(1))
+    for a, b in ((x, y), (y, x), (summed, x), (y, summed)):
+        _assert_reps_and_sphericity_match_the_oracle(a, b)
+
+
+def test_the_product_oracle_reads_a_complex_with_a_cycle():
+    """The cyclic complex passes the square-zero check and has Hom dims
+    {0: 4, 2: 4}, so it is not spherical; its reps and those against each
+    projective match the oracle."""
+    c = _cyclic_complex()
+    assert hom_dims(c, c) == _oracle_hom_dims(c, c) == {0: 4, 2: 4}
+    _assert_reps_and_sphericity_match_the_oracle(c, c)
+    assert not is_spherical(c)
+    for v in (0, 1):
+        p = simple_object(c.alg, v)
+        _assert_reps_and_sphericity_match_the_oracle(p, c)
+        _assert_reps_and_sphericity_match_the_oracle(c, p.shift(1))

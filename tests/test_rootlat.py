@@ -117,6 +117,14 @@ def test_non_finite_type_rejected():
         positive_roots(star)
 
 
+@pytest.mark.parametrize("count, pairs", [(2, [(0, 1.0)]), (2, [(True, 0)]), (True, []), (2.0, [])])
+def test_a_quiver_rejects_a_non_int_vertex_or_count(count, pairs):
+    """A float or bool vertex, or vertex count, raises ValueError instead of
+    making a graph that fails later (a float vertex) or counts True vertices."""
+    with pytest.raises(ValueError):
+        QuiverGraph.of(count, pairs)
+
+
 def test_minimal_word_examples(a2, a3):
     word = minimal_word(a2, (1, 1))
     assert word == WeylWord(base=1, letters=(0,))

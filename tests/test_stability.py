@@ -184,6 +184,29 @@ def test_charge_validation_and_json():
     assert back.values == charge.values
 
 
+INEXACT = {
+    "an int charge": lambda alg: CentralCharge([1, 2]),
+    "a float charge": lambda alg: StabilityCondition(
+        alg, CentralCharge([ExactComplex(0.5, 1.0), ExactComplex(0, 1)])),
+    "a bool charge": lambda alg: CentralCharge([ExactComplex(True, True), ExactComplex(0, 1)]),
+    "a float witness": lambda alg: Phase(0, ExactComplex(0.5, 1.0)),
+    "a float witness of Phase.of": lambda alg: Phase.of(ExactComplex(0.5, 1.0)),
+    "a bool shift": lambda alg: Phase(True, ExactComplex.of(0, 1)),
+    "a bool integer phase": lambda alg: Phase.integer(True),
+    "a float integer phase": lambda alg: Phase.integer(1.0),
+    "a bool shift of Phase.of": lambda alg: Phase.of(ExactComplex.of(1), True),
+}
+
+
+@pytest.mark.parametrize("case", INEXACT)
+def test_charges_and_phases_reject_inexact_parts_and_bool_shifts(alg_a2, case):
+    """A charge or phase witness that is not an ExactComplex of int or
+    Fraction parts, and a shift that is not an int (a bool included),
+    raise ValueError in the constructor instead of failing later."""
+    with pytest.raises(ValueError):
+        INEXACT[case](alg_a2)
+
+
 def test_validate_generic(stab_a3, alg_a2):
     assert stab_a3.validate_generic()
     equal = StabilityCondition(

@@ -280,7 +280,10 @@ def test_each_twist_minimizes_the_checked_cone_of_its_map(name):
     checks closure): equal generators, and equal entries in the same key
     order.  Twists of random words by simples and by stable objects, and by
     shifts of them by -1, 1 and 2, so that the copies of x sit at shifts of
-    both parities."""
+    both parities.  Both sides are laid out by `homcore._cone`: this checks
+    the twists' reading of several maps (copies, shifts, signs, the
+    untwist's order) against its one-map reading on the validated direct
+    sum, and the hand-computed cone tests pin the lines the two share."""
     alg = ZigzagAlgebra(named_quiver(name))
     n = alg.quiver.vertex_count
     rng = random.Random(f"cone-layout:{name}")
