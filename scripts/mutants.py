@@ -219,17 +219,53 @@ MUTANTS = (
     Mutant(
         "find_isomorphism compares objects over different quivers",
         "src/twistcat/homcore.py",
-        "    since its End^0 has dimension 1.\n    \"\"\"\n    _same_quiver(x.alg, y.alg)\n",
-        "    since its End^0 has dimension 1.\n    \"\"\"\n",
+        "    A spherical x never raises, since its End^0 has dimension 1.\n    \"\"\"\n"
+        "    _same_quiver(x.alg, y.alg)\n",
+        "    A spherical x never raises, since its End^0 has dimension 1.\n    \"\"\"\n",
         ("tests/test_homcore.py::"
          "test_objects_over_different_quivers_are_neither_equal_nor_compared",),
     ),
     Mutant(
-        "find_isomorphism takes the one H^0 rep without its cone",
+        "find_isomorphism takes the one H^0 rep without testing its degree-0 block",
         "src/twistcat/homcore.py",
-        "        return (reps[0] if minimize(cone(reps[0])).is_zero else None), 1\n",
-        "        return reps[0], 1\n",
+        "        return (rep if iso else None), 1\n",
+        "        return rep, 1\n",
         ("tests/test_homcore.py::test_find_isomorphism_matches_bounded_search",),
+    ),
+    Mutant(
+        "the degree-0 block is keyed on the vertex only",
+        "src/twistcat/homcore.py",
+        "            if xs[g] == ys[h]:\n",
+        "            if xs[g][0] == ys[h][0]:\n",
+        ("tests/test_homcore.py::test_find_isomorphism_matches_bounded_search",),
+    ),
+    Mutant(
+        "the degree-0 block passes one short of full rank",
+        "src/twistcat/homcore.py",
+        "linalg.rank(list(block.values())) == len(xs)",
+        "linalg.rank(list(block.values())) >= len(xs) - 1",
+        ("tests/test_homcore.py::test_find_isomorphism_matches_bounded_search",),
+    ),
+    Mutant(
+        "the degree-0 block test skips the generator count",
+        "src/twistcat/homcore.py",
+        "        iso = len(xs) == len(ys) and linalg.rank(",
+        "        iso = linalg.rank(",
+        ("tests/test_homcore.py::test_the_degree_0_block_decides_as_the_cone_did",),
+    ),
+    Mutant(
+        "find_isomorphism raises on two-dimensional H^0 between unequal generators",
+        "src/twistcat/homcore.py",
+        "    if sorted(xs) != sorted(ys):\n        return None, 0\n",
+        "",
+        ("tests/test_homcore.py::test_sums_of_two_shifted_simples_raise_only_on_equal_generators",),
+    ),
+    Mutant(
+        "`minimize` leaves one cancellation",
+        "src/twistcat/homcore.py",
+        "    heapq.heapify(heap)\n",
+        "    heapq.heapify(heap)\n    heapq.heappop(heap)\n",
+        ("tests/test_curves.py::test_braid_images_are_isomorphic_up_to_shift_exactly_on_one_curve",),
     ),
     Mutant(
         "has_path finds a path of every degree",

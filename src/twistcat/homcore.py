@@ -45,6 +45,9 @@ either way.  The reps `cocycle_reps` returns hold Fractions.  Every cone,
 entry's type; the twists hand it the echelon's kernel vectors as they are
 (`HomComplex.rep_maps`), so a twisted object keeps its integral entries as
 ints, and `minimize` and later Hom tests on it run in ints.
+`find_isomorphism` lays out no cone: with one H^0 rep it decides by the
+rank of the rep's degree-0 block, since minimal complexes are homotopy
+equivalent only when they are isomorphic.
 
 Objects over algebras of different quivers never meet: `==` is False
 between them, and maps, sums, Hom complexes and the isomorphism tests raise
@@ -763,18 +766,40 @@ def is_spherical(x: TwistedComplex) -> bool:
 def find_isomorphism(
     x: TwistedComplex, y: TwistedComplex
 ) -> tuple[Morphism | None, int]:
-    """Decide x ≅ y by a closed degree-0 map with acyclic cone.
+    """Decide x ≅ y by a closed degree-0 map that is an isomorphism.
 
     Returns the witness (None when x ≇ y) and the number of maps tried,
     0 or 1.  After minimizing, zero objects, classes and equal complexes
-    (the identity) are settled directly; otherwise m = dim H^0 Hom(x, y) decides.
-    m = 0: there is no nonzero map, so x ≇ y.  m = 1: every closed
-    degree-0 map is c·rep + D(h); homotopic maps have isomorphic cones and
-    c ≠ 0 leaves the cone unchanged, so x ≅ y exactly when cone(rep) is
-    acyclic.  m ≥ 2: x ≅ y forces m = dim H^0 End(x), so unequal
-    dimensions mean x ≇ y; equal ones raise HypothesisNotMet rather than
-    search the maps for an invertible one.  A spherical x never raises,
-    since its End^0 has dimension 1.
+    (the identity) are settled directly; otherwise m = dim H^0 Hom(x, y)
+    decides, on the minimal models x and y.
+
+    The degree-0 block f_0 of a degree-0 map f is its entries (h, g) on
+    idempotent paths, those with x.generators[g] == y.generators[h]; the
+    rest, f_+, lie on paths of positive degree.  Paths compose with
+    degrees adding, so the degree-0 block of a composite is the product
+    of the blocks.  The minimal-complex argument of Khovanov–Seidel
+    (arXiv:math/0006056) then decides m = 1 from the rep f alone:
+    x ≅ y exactly when x and y have equally many generators and f_0 has
+    full rank.
+
+    * If f_0 is invertible, f is an isomorphism.  f = f_0 (1 + f_0^-1 f_+),
+      and f_0^-1 f_+ is nilpotent, since path degrees stop at 2.  So f is
+      invertible, and the inverse of a closed map is closed.
+    * If x ≅ y, f_0 is invertible.  A homotopy equivalence φ: x → y is
+      closed of degree 0, so φ = c·f + D(h) with c a scalar.  Every entry
+      of a minimal differential has positive degree, so D(h) =
+      d_Y h + h d_X has no degree-0 part, and φ_0 = c·f_0.  A homotopy
+      inverse ψ has ψφ = 1 + D(k) and φψ = 1 + D(k'), so ψ_0 φ_0 = 1 =
+      φ_0 ψ_0: φ_0 is square and invertible, so c ≠ 0, x and y have
+      equally many generators and f_0 = φ_0 / c is invertible.
+
+    m = 0: there is no nonzero map, so x ≇ y.  m ≥ 2: the step from ψ
+    does not use m, so if x ≅ y, a homotopy equivalence φ has an
+    invertible φ_0.  φ_0 joins only equal generators, so then x and y
+    have the same sorted generator lists; lists that differ mean x ≇ y,
+    and so does m ≠ dim H^0 End(x).  Otherwise it raises
+    HypothesisNotMet rather than search the maps for an invertible one.
+    A spherical x never raises, since its End^0 has dimension 1.
     """
     _same_quiver(x.alg, y.alg)
     x = minimize(x)
@@ -788,9 +813,20 @@ def find_isomorphism(
     if x == y:
         return identity_morphism(x), 1
     reps = HomComplex(x, y).cocycle_reps(0)
+    if not reps:
+        return None, 0
+    xs, ys = x.generators, y.generators
     if len(reps) == 1:
-        return (reps[0] if minimize(cone(reps[0])).is_zero else None), 1
-    if len(reps) > 1 and HomComplex(x, x).cohomology_dim(0) == len(reps):
+        rep = reps[0]
+        block: dict[int, linalg.Vector] = {}  # g -> the column of f_0 at g
+        for (h, g), c in rep.entries.items():
+            if xs[g] == ys[h]:
+                block.setdefault(g, {})[h] = c
+        iso = len(xs) == len(ys) and linalg.rank(list(block.values())) == len(xs)
+        return (rep if iso else None), 1
+    if sorted(xs) != sorted(ys):
+        return None, 0
+    if HomComplex(x, x).cohomology_dim(0) == len(reps):
         raise HypothesisNotMet(f"dim H^0 Hom(x, y) = dim H^0 End(x) = {len(reps)} > 1")
     return None, 0
 
@@ -802,14 +838,12 @@ def is_isomorphic(x: TwistedComplex, y: TwistedComplex) -> bool:
 def find_shift_isomorphism(x: TwistedComplex, y: TwistedComplex) -> int | None:
     """Shift k with x isomorphic to y[k], or None.
 
-    The degree-0 part of the zigzag algebra is semisimple and a minimal
-    complex has no entries of degree 0, so dividing out the paths of
-    positive degree kills its differential and turns a homotopy equivalence
-    of minimal complexes into an isomorphism of their sums of generators.
-    So the minimal models of isomorphic objects have the same generators:
-    the only candidate is k = min shift of minimize(x) - min shift of
-    minimize(y), and it is rejected at once when the sorted generator lists
-    of minimize(x) and minimize(y)[k] differ.
+    A homotopy equivalence of minimal complexes has an invertible degree-0
+    block (the argument is in `find_isomorphism`), so the minimal models
+    of isomorphic objects have the same generators: the only candidate is
+    k = min shift of minimize(x) - min shift of minimize(y), and it is
+    rejected at once when the sorted generator lists of minimize(x) and
+    minimize(y)[k] differ.
     """
     _same_quiver(x.alg, y.alg)
     x = minimize(x)

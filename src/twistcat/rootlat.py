@@ -23,10 +23,22 @@ Root = tuple[int, ...]
 
 @dataclass(frozen=True)
 class QuiverGraph:
-    """Finite simple graph: no loops, no multiple edges."""
+    """Finite simple graph: no loops, no multiple edges.
+
+    Each vertex's sorted neighbours are listed once, when the graph is
+    made; they are not a field, so equality and hashing stay on
+    `vertex_count` and `edges`.
+    """
 
     vertex_count: int
     edges: frozenset[tuple[int, int]]
+
+    def __post_init__(self):
+        adjacency: dict[int, list[int]] = {}
+        for a, b in self.edges:
+            adjacency.setdefault(a, []).append(b)
+            adjacency.setdefault(b, []).append(a)
+        object.__setattr__(self, "_neighbors", {i: sorted(js) for i, js in adjacency.items()})
 
     @classmethod
     def of(cls, vertex_count: int, pairs) -> "QuiverGraph":
@@ -65,8 +77,7 @@ class QuiverGraph:
             raise ValueError(f"root {w!r} needs {self.vertex_count} coordinates, one per vertex")
 
     def neighbors(self, i: int) -> list[int]:
-        out = [b if a == i else a for a, b in self.edges if i in (a, b)]
-        return sorted(out)
+        return list(self._neighbors.get(i, ()))
 
     def cartan_matrix(self) -> list[list[int]]:
         n = self.vertex_count

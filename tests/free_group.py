@@ -21,8 +21,14 @@ twice as often as the arc does.  Two cyclically adjacent letters x_a, x_b
 of the reduced word cross d_i once for each i from min(a, b) to
 max(a, b) - 1, so half the crossings of d_i is the count at vertex i.
 
+Isomorphism: a simple closed curve around two punctures determines the
+arc between them, and free homotopy classes of unoriented loops are the
+conjugacy classes up to inversion.  So beta(P_v) and beta'(P_u) are
+isomorphic up to shift exactly when their boundary loops are one curve
+(`same_curve`).
+
 Only plain tuples and ints are used: no engine code is imported, so the
-counts share nothing with the twists they check.  A word is a tuple of
+counts and the curve test share nothing with the code they check.  A word is a tuple of
 (generator, exponent +1 or -1) letters; a braid word is a sequence of
 (vertex, exponent) letters in application order, first letter first.
 """
@@ -104,3 +110,16 @@ def generator_counts(n: int, braid: Sequence[tuple[int, int]], v: int) -> list[i
             crossings[i] += 1
     assert all(c % 2 == 0 for c in crossings), crossings
     return [c // 2 for c in crossings]
+
+
+def same_curve(a: Word, b: Word) -> bool:
+    """Whether two cyclically reduced loops are freely homotopic as unoriented
+    loops: b is a rotation of a or of a's inverse.
+
+    Cyclically reduced words are conjugate exactly when one is a rotation of
+    the other, and the inverse of a cyclically reduced word is cyclically
+    reduced, so this is equality of conjugacy classes up to inversion.
+    """
+    if len(a) != len(b):
+        return False
+    return any(b in (w[i:] + w[:i] for i in range(max(len(w), 1))) for w in (a, inverse(a)))

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import deque
 
@@ -115,6 +116,23 @@ def test_non_finite_type_rejected():
     star = QuiverGraph.of(5, [(0, 4), (1, 4), (2, 4), (3, 4)])  # affine D4
     with pytest.raises(NotFiniteTypeError):
         positive_roots(star)
+
+
+@pytest.mark.parametrize("name", ["A1", "A5", "D4", "D7", "E6", "E8"])
+def test_neighbors_are_the_sorted_edge_scan_and_stay_off_equality(name):
+    """Each vertex's neighbours, listed once per graph, are the sorted scan of
+    the edges; a caller may change the returned list; a vertex outside the
+    graph has none; and two graphs of one edge set are equal with equal
+    hashes, however they were made."""
+    q = named_quiver(name)
+    for i in range(-1, q.vertex_count + 1):
+        scan = sorted(b if a == i else a for a, b in q.edges if i in (a, b))
+        assert q.neighbors(i) == scan
+        q.neighbors(i).append(99)
+        assert q.neighbors(i) == scan
+    twin = QuiverGraph.of(q.vertex_count, sorted(q.edges, reverse=True))
+    assert twin == q and hash(twin) == hash(q)
+    assert [f.name for f in dataclasses.fields(q)] == ["vertex_count", "edges"]
 
 
 @pytest.mark.parametrize("count, pairs", [(2, [(0, 1.0)]), (2, [(True, 0)]), (True, []), (2.0, [])])
