@@ -61,6 +61,20 @@ MUTANTS = (
         ("tests/test_linalg.py::test_rank_stays_in_ints_on_incidence_columns",),
     ),
     Mutant(
+        "the pivot loop files a carried-only remainder as a pivot",
+        "src/twistcat/linalg.py",
+        "    while reduced and (low := min(reduced)) < _CARRY:\n",
+        "    while reduced and (low := min(reduced)) is not None:\n",
+        ("tests/test_linalg.py::test_the_carried_pivot_loop_is_the_reference_echelon",),
+    ),
+    Mutant(
+        "a carried column starts without its unit entry",
+        "src/twistcat/linalg.py",
+        "        left = _insert(pivots, {**col, j: 1})\n",
+        "        left = _insert(pivots, dict(col))\n",
+        ("tests/test_linalg.py::test_the_carried_pivot_loop_is_the_reference_echelon",),
+    ),
+    Mutant(
         "no sign on f o d_X in the Hom-complex matrix",
         "src/twistcat/homcore.py",
         "                    col[row] = c if odd else -c\n",
@@ -153,8 +167,8 @@ MUTANTS = (
     Mutant(
         "rep_vectors keeps every kernel vector when D_{d-1} has rank 1",
         "src/twistcat/homcore.py",
-        "            if rank == 0:\n",
-        "            if rank <= 1:\n",
+        "            if not image:\n",
+        "            if len(image) <= 1:\n",
         ("tests/test_properties.py::test_rep_vectors_match_the_oracle_on_every_count_branch",),
     ),
     Mutant(

@@ -42,9 +42,9 @@ and store each entry as a Fraction.  The engine builds its own values with
 made.  An entry is an int or a Fraction, and equal values compare equal
 either way.  The reps `cocycle_reps` returns hold Fractions.  Every cone,
 `cone(f)` and the twists' alike, is laid out by `_cone`, which keeps each
-entry's type; the twists hand it the echelon's kernel vectors as they are
-(`HomComplex.rep_maps`), so a twisted object keeps its integral entries as
-ints, and `minimize` and later Hom tests on it run in ints.
+entry's type; the twists hand it the elimination's kernel vectors as they
+are (`HomComplex.rep_maps`), so a twisted object keeps its integral entries
+as ints, and `minimize` and later Hom tests on it run in ints.
 `find_isomorphism` lays out no cone: with one H^0 rep it decides by the
 rank of the rep's degree-0 block, since minimal complexes are homotopy
 equivalent only when they are isomorphic.
@@ -680,23 +680,24 @@ class HomComplex:
     def rep_vectors(self) -> list[tuple[int, linalg.Vector]]:
         """(d, vector) for every degree d in ascending order: the coordinates,
         on the Hom^d basis, of the reps `cocycle_reps(d)` returns, with the
-        int-or-Fraction entries of the echelon.  Each differential is
+        int-or-Fraction entries of the elimination.  Each differential is
         eliminated once, and each vector lies in the kernel of D_d.
 
-        One carried echelon of D_d gives two things.  Its dependent columns
-        reduce to ker D_d, the vectors `nullspace` returns.  Its pivots,
-        with the combinations dropped, span im D_d, and seed the carry-free
-        complement test of the next degree.  When d-1 is not a degree, the
-        previous degree's differential maps into the zero space Hom^{d-1},
-        so its echelon has no pivots and the image it seeds is empty, as it
-        should be.  When d+1 is not a degree, D_d maps into the zero space
-        and `matrix(d)` returns empty columns: the echelon returns the int
-        unit vectors as the kernel and has no pivots, so the image is
-        empty.  `complement_reps` keeps a kernel vector exactly when it
-        lies outside the span of im D_{d-1} and the kernel vectors before
-        it.  That is a question of span membership alone, and
-        the pivots of D_{d-1} span the same space as its columns, so the test
-        keeps the same vectors and the reps equal `cocycle_reps(d)`.
+        One carried elimination of D_d (`linalg.kernel_and_image`) gives two
+        things.  Its dependent columns reduce to ker D_d, the vectors
+        `nullspace` returns.  Its pivots, with the carried entries stripped,
+        span im D_d, and seed the complement test of the next degree.  When
+        d-1 is not a degree, the previous degree's differential maps into
+        the zero space Hom^{d-1}, so it has no pivots and the image it seeds
+        is empty, as it should be.  When d+1 is not a degree, D_d maps into
+        the zero space and `matrix(d)` returns empty columns: the
+        elimination returns the int unit vectors as the kernel and has no
+        pivots, so the image is empty.  `complement_reps` keeps a kernel
+        vector exactly when it lies outside the span of im D_{d-1} and the
+        kernel vectors before it.  That is a question of span membership
+        alone, and the pivots of D_{d-1} span the same space as its columns,
+        so the test keeps the same vectors and the reps equal
+        `cocycle_reps(d)`.
 
         The count dim H^d = #ker D_d - rank D_{d-1} settles two cases
         without the test, since d² = 0 puts im D_{d-1} inside ker D_d.  At
@@ -706,18 +707,17 @@ class HomComplex:
         a rank strictly between runs `complement_of_span`.
         """
         out = []
-        rank = 0  # rank of the previous degree's differential
-        image = None  # its echelon, whose pivots span im D_{d-1}
+        image = {}  # the previous degree's pivots, which span im D_{d-1}
         for d in self.degrees():
-            kernel, ech = linalg.kernel_and_image(self.matrix(d))
-            if rank == 0:
+            kernel, pivots = linalg.kernel_and_image(self.matrix(d))
+            if not image:
                 reps = kernel
-            elif rank == len(kernel):
+            elif len(image) == len(kernel):
                 reps = []
             else:
                 reps = linalg.complement_of_span(kernel, image)
             out.extend((d, vec) for vec in reps)
-            rank, image = len(ech.pivots), ech
+            image = pivots
         return out
 
     def rep_maps(self) -> list[ConeMap]:

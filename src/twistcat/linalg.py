@@ -2,31 +2,34 @@
 
 A vector is a dict {index: int | Fraction} that holds only its nonzero
 entries; a matrix is a list of such vectors, its columns, so column c is
-the image of the c-th basis vector.  Every routine reduces each column at
-its lowest nonzero index against the pivots found so far, and inserting the
-columns of a matrix in order makes the pivots those of the reduced row
-echelon form.  That reduction comes in two forms:
+the image of the c-th basis vector.  Every routine runs one pivot loop
+(`_insert`): it reduces each column at its lowest nonzero index against the
+pivots found so far, and inserting the columns of a matrix in order makes
+the pivots those of the reduced row echelon form.
 
-* one carry-free pivot loop (`_insert`), which keeps only the pivot vectors.
-  It serves `rank` and `complement_of_span`;
-* one carried echelon (`_SparseEchelon`), which also carries the combination
-  of inserted columns that produced each vector.  The combinations that
-  dependent columns reduce to are exactly the kernel basis of the reduced
-  row echelon form, one vector per free column.  It serves
-  `kernel_and_image`, which returns both halves of one elimination (the
-  kernel basis, and the pivots, which span the image), and `complement_reps`.
+A routine that needs the combination of columns behind each vector carries
+it in the column itself: the j-th column gets an extra entry 1 at index
+`_CARRY + j`.  `_CARRY` = 2**40 lies above every row index, so a carried
+entry is never a pivot, and the loop stops once the lowest index left is a
+carried one.  What is left then is the combination of columns that a
+dependent column reduces to, and these are exactly the kernel basis of the
+reduced row echelon form, one vector per free column.  `kernel_and_image`
+returns both halves of one such elimination (the kernel basis, and the
+pivots, which span the image); `complement_reps` carries too, and `rank`
+and `complement_of_span` insert their vectors as they are.  Row indices
+must lie below `_CARRY`.
 
 Each elimination factor is an exact quotient (`exact_quotient`): a // p
 when the entry a and the pivot p are both ints and p divides a, and the
 Fraction a / p otherwise.  `/` is never applied to two ints, since it would
 return a float.  A step whose pivot divides stays in ints, so `rank` runs
 all in ints on the Hom-complex matrices of ±1 data (in the test suite every
-pivot vector of a Hom-complex rank holds only ±1).  The carried
-combinations start at the int 1 and take the same factors, so they too stay
-in ints on such data.  Combinations are ints inside the echelon and
-Fractions at the boundaries: `nullspace` returns Fraction-valued kernel
-vectors whatever the columns hold, and `kernel_and_image`, whose caller
-converts, returns them as they are.
+pivot vector of a Hom-complex rank holds only ±1).  The carried entries
+start at the int 1 and take the same factors, so they too stay in ints on
+such data.  Combinations are ints inside the loop and Fractions at the
+boundaries: `nullspace` returns Fraction-valued kernel vectors whatever the
+columns hold, and `kernel_and_image`, whose caller converts, returns them
+as they are.
 
 The Hom-complex matrices this serves are very sparse; this is the sparse
 Gaussian elimination of Bar-Natan, "Fast Khovanov homology computations"
@@ -43,6 +46,7 @@ from fractions import Fraction
 Vector = dict[int, int | Fraction]
 
 FILTER_PRIME = 2_147_483_647
+_CARRY = 2**40
 
 
 def exact_quotient(a: int | Fraction, p: int | Fraction) -> int | Fraction:
@@ -62,58 +66,26 @@ def _subtract(vec: Vector, coeff: int | Fraction, other: Vector) -> None:
             del vec[i]
 
 
-def _insert(pivots: dict[int, Vector], vec: Vector) -> bool:
-    """The carry-free pivot loop: reduce vec against `pivots` (lowest index ->
-    pivot vector) and file what is left as a new pivot.
+def _insert(pivots: dict[int, Vector], vec: Vector) -> Vector | None:
+    """The pivot loop: reduce vec against `pivots` (lowest index -> pivot
+    vector) and file what is left as a new pivot.
 
-    Returns True when vec was independent of the pivots, False when it
-    reduced to zero.  Neither vec nor a stored pivot is ever changed: vec is
-    copied before its first reduction step, and a vec that needs none is
-    filed as it is.
+    Returns None when vec was independent of the pivots.  Otherwise returns
+    what is left of vec once its lowest index is a carried one, at or above
+    `_CARRY`: its carried entries, and empty when it had none.  Neither vec
+    nor a stored pivot is ever changed: vec is copied before its first
+    reduction step, and a vec that needs none is filed as it is.
     """
     reduced = vec
-    while reduced:
-        low = min(reduced)
+    while reduced and (low := min(reduced)) < _CARRY:
         pivot = pivots.get(low)
         if pivot is None:
             pivots[low] = reduced
-            return True
+            return None
         if reduced is vec:
             reduced = dict(vec)
         _subtract(reduced, exact_quotient(reduced[low], pivot[low]), pivot)
-    return False
-
-
-class _SparseEchelon:
-    """Pivot vectors keyed by their lowest index, each with the combination of
-    inserted vectors it equals: the carried echelon behind `kernel_and_image`
-    and `complement_reps`."""
-
-    def __init__(self):
-        self.pivots: dict[int, tuple[Vector, Vector]] = {}
-        self.inserted = 0
-
-    def insert(self, vec: Vector) -> Vector | None:
-        """Add vec to the span.
-
-        Returns None when vec was independent of the vectors inserted before
-        it; otherwise the combination of inserted vectors (vec's own
-        coefficient 1) that vanishes.
-        """
-        vec = dict(vec)
-        comb = {self.inserted: 1}
-        self.inserted += 1
-        while vec:
-            low = min(vec)
-            hit = self.pivots.get(low)
-            if hit is None:
-                self.pivots[low] = (vec, comb)
-                return None
-            pivot, pivot_comb = hit
-            factor = exact_quotient(vec[low], pivot[low])
-            _subtract(vec, factor, pivot)
-            _subtract(comb, factor, pivot_comb)
-        return comb
+    return reduced
 
 
 def rank(cols: list[Vector]) -> int:
@@ -140,34 +112,41 @@ def nullspace(cols: list[Vector], ncols: int) -> list[Vector]:
     ]
 
 
-def kernel_and_image(cols: list[Vector]) -> tuple[list[Vector], _SparseEchelon]:
+def kernel_and_image(cols: list[Vector]) -> tuple[list[Vector], dict[int, Vector]]:
     """One carried elimination of the map with columns `cols`.
 
     Returns the kernel basis `nullspace` returns, with the int-or-Fraction
-    entries of the carried combinations, and the echelon, whose pivots span
-    the image of the map.
+    entries of the carried combinations, and the pivots (lowest index ->
+    carried pivot vector), whose entries below `_CARRY` span the image of
+    the map.
     """
-    ech = _SparseEchelon()
-    return [comb for col in cols if (comb := ech.insert(col)) is not None], ech
+    pivots: dict[int, Vector] = {}
+    kernel = []
+    for j, col in enumerate(cols, _CARRY):
+        left = _insert(pivots, {**col, j: 1})
+        if left is not None:
+            kernel.append({i - _CARRY: x for i, x in left.items()})
+    return kernel, pivots
 
 
 def complement_reps(space: list[Vector], subspace: list[Vector]) -> list[Vector]:
     """Vectors from `space`, in order, completing `subspace` to a basis of their joint span."""
-    ech = _SparseEchelon()
-    for vec in subspace:
-        ech.insert(vec)
-    return [vec for vec in space if ech.insert(vec) is None]
+    pivots: dict[int, Vector] = {}
+    for j, vec in enumerate(subspace, _CARRY):
+        _insert(pivots, {**vec, j: 1})
+    return [vec for j, vec in enumerate(space, _CARRY + len(subspace))
+            if _insert(pivots, {**vec, j: 1}) is None]
 
 
-def complement_of_span(space: list[Vector], span: _SparseEchelon) -> list[Vector]:
-    """Vectors from `space`, in order, completing the span of the echelon `span`
-    to a basis of their joint span.
+def complement_of_span(space: list[Vector], pivots: dict[int, Vector]) -> list[Vector]:
+    """Vectors from `space`, in order, completing the span of the pivots
+    `kernel_and_image` returns to a basis of their joint span.
 
-    Membership is tested by the carry-free pivot loop, on a copy of the
-    pivot table of `span` that shares its vectors, so `span` is not changed.
+    Membership is tested against the pivots with their carried entries
+    stripped, in a new table, so `pivots` is not changed.
     """
-    pivots = {low: vec for low, (vec, _) in span.pivots.items()}
-    return [vec for vec in space if _insert(pivots, vec)]
+    seed = {low: {i: x for i, x in vec.items() if i < _CARRY} for low, vec in pivots.items()}
+    return [vec for vec in space if _insert(seed, vec) is None]
 
 
 def rank_mod_p(rows: list[list[Fraction]], p: int = FILTER_PRIME) -> int:

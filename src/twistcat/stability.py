@@ -146,15 +146,6 @@ class ExactComplex:
     def __neg__(self) -> "ExactComplex":
         return ExactComplex(-self.re, -self.im)
 
-    def __mul__(self, other: "ExactComplex") -> "ExactComplex":
-        return ExactComplex(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def conjugate(self) -> "ExactComplex":
-        return ExactComplex(self.re, -self.im)
-
     def scale(self, c) -> "ExactComplex":
         c = Fraction(c)
         return ExactComplex(self.re * c, self.im * c)

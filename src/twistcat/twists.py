@@ -8,7 +8,7 @@ cohomology basis element, connected by the chosen closed representatives.
 Over the rationals the retract has zero internal differential, so the
 tensor factor is a plain direct sum of shifts.
 
-The reps are read as the kernel vectors of the Hom complex's echelon
+The reps are read as the kernel vectors of the Hom complex's elimination
 (`HomComplex.rep_maps`), ints wherever the data is integral, and
 `homcore._cone`, the one cone layout, lays out the cone of the map from
 them in one pass, with no tensor complex built first and without the

@@ -129,7 +129,11 @@ class FractionPhase:
         return FractionPhase(self.shift + other, self.z)
 
     def __sub__(self, other: "FractionPhase") -> "FractionPhase":
-        return FractionPhase.of(self.z * other.z.conjugate(), self.shift - other.shift)
+        a, b = self.z, other.z  # a times the conjugate of b
+        return FractionPhase.of(
+            ExactComplex(a.re * b.re + a.im * b.im, a.im * b.re - a.re * b.im),
+            self.shift - other.shift,
+        )
 
     def is_zero(self) -> bool:
         return self.shift == 0 and self.z.im == 0

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 from twistcat.linalg import (
+    _CARRY,
     _insert,
+    _subtract,
     complement_of_span,
     complement_reps,
     exact_quotient,
@@ -235,14 +237,107 @@ def test_one_elimination_gives_the_kernel_and_seeds_the_complement():
         nrows, ncols = rng.randint(0, 6), rng.randint(0, 6)
         rows = random_rows(rng, nrows, ncols, mixed_entry if trial % 2 else int_entry)
         cols = columns(rows, ncols)
-        kernel, ech = kernel_and_image(cols)
+        kernel, pivots = kernel_and_image(cols)
         assert [list(v.items()) for v in kernel] == [list(v.items()) for v in nullspace(cols, ncols)]
         assert all(type(x) in (int, Fraction) for v in kernel for x in v.values())
-        assert len(ech.pivots) == rank(cols)
+        assert len(pivots) == rank(cols)
         space = [sparse(v) for v in random_rows(rng, rng.randint(0, 6), nrows, mixed_entry)]
-        pivots = dict(ech.pivots)
-        assert complement_of_span(space, ech) == complement_reps(space, cols)
-        assert ech.pivots == pivots
+        seed = {low: dict(vec) for low, vec in pivots.items()}
+        assert complement_of_span(space, pivots) == complement_reps(space, cols)
+        assert pivots == seed
+
+
+# -- the oracle: a carried echelon that keeps each pivot's combination of
+#    inserted vectors in a second dict, beside the pivot vector --
+
+
+class ReferenceEchelon:
+    """Pivot vectors keyed by their lowest index, each with the combination of
+    inserted vectors it equals."""
+
+    def __init__(self):
+        self.pivots = {}
+        self.inserted = 0
+
+    def insert(self, vec):
+        """None when vec was independent of the vectors inserted before it;
+        otherwise the combination of inserted vectors (vec's own coefficient
+        1) that vanishes."""
+        vec = dict(vec)
+        comb = {self.inserted: 1}
+        self.inserted += 1
+        while vec:
+            low = min(vec)
+            hit = self.pivots.get(low)
+            if hit is None:
+                self.pivots[low] = (vec, comb)
+                return None
+            pivot, pivot_comb = hit
+            factor = exact_quotient(vec[low], pivot[low])
+            _subtract(vec, factor, pivot)
+            _subtract(comb, factor, pivot_comb)
+        return comb
+
+
+def typed(vec):
+    """The entries of vec in key order, each with its type."""
+    return [(i, type(x), x) for i, x in vec.items()]
+
+
+def random_column_set(rng):
+    """Sparse columns of int, Fraction or mixed entries on scattered row
+    indices, with empty, zero, repeated and ±1 incidence columns mixed in."""
+    rows = rng.sample(range(40), rng.randint(0, 8))
+    entry = rng.choice([int_entry, rational_entry, mixed_entry])
+    cols = []
+    for _ in range(rng.randint(0, 9)):
+        kind = rng.random()
+        if kind < 0.1 or not rows:
+            cols.append({})
+        elif kind < 0.2 and cols:
+            cols.append(dict(rng.choice(cols)))
+        elif kind < 0.35 and len(rows) >= 2:
+            i, j = rng.sample(rows, 2)
+            cols.append({i: 1, j: -1})
+        else:
+            col = {i: entry(rng) for i in rows if rng.random() < 0.4}
+            cols.append({i: x for i, x in col.items() if x})
+    return rows, cols
+
+
+def test_the_carried_pivot_loop_is_the_reference_echelon():
+    """kernel_and_image, complement_reps and complement_of_span give exactly
+    what the two-dict reference echelon gives: the same kernel vectors with
+    the same entries, types and key order, the same pivots (their row part
+    and their carried part, re-indexed), and the same kept vectors."""
+    rng = random.Random("carried-vs-reference")
+    dependent = carried_int = 0
+    for _ in range(1500):
+        rows, cols = random_column_set(rng)
+        ref = ReferenceEchelon()
+        want = [comb for col in cols if (comb := ref.insert(col)) is not None]
+        kernel, pivots = kernel_and_image(cols)
+        assert [typed(v) for v in kernel] == [typed(v) for v in want]
+        assert len(pivots) == rank(cols) == len(cols) - len(kernel)
+        assert list(pivots) == list(ref.pivots)
+        for low, vec in pivots.items():
+            ref_vec, ref_comb = ref.pivots[low]
+            assert typed({i: x for i, x in vec.items() if i < _CARRY}) == typed(ref_vec)
+            assert typed({i - _CARRY: x for i, x in vec.items() if i >= _CARRY}) == typed(ref_comb)
+        dependent += len(kernel)
+        carried_int += sum(all(type(x) is int for x in v.values()) for v in kernel)
+
+        _, space = random_column_set(rng)
+        space = [{rng.choice(rows): 1}] + space if rows else space
+        ref = ReferenceEchelon()
+        for vec in cols:
+            ref.insert(vec)
+        kept = [vec for vec in space if ref.insert(vec) is None]
+        assert complement_reps(space, cols) == kept
+        seed = {low: dict(vec) for low, vec in pivots.items()}
+        assert complement_of_span(space, pivots) == kept
+        assert pivots == seed
+    assert dependent and carried_int
 
 
 def test_exact_quotient_never_returns_a_float():

@@ -692,8 +692,30 @@ def test_hom_dims_and_hom_tests_match_the_product_oracle(pair, seed):
     neither (each reader kept across every k, as in a probe walk).  Inputs
     are braid-image pairs on A3/D4/E6, a padded image (Fraction entries)
     and a shifted sum."""
-    x, y = pair
-    padded, summed = _padded(y, random.Random(seed)), direct_sum(x, y.shift(-1))
+    _assert_hom_dims_and_hom_tests_match_the_product_oracle(*pair, random.Random(seed))
+
+
+VERIFY_TYPES = [f"A{n}" for n in range(1, 10)] + [f"D{n}" for n in range(4, 10)] + ["E6", "E7", "E8"]
+
+
+@pytest.mark.parametrize("name", VERIFY_TYPES)
+def test_hom_dims_and_hom_tests_match_the_product_oracle_on_every_type(name):
+    """The property above on every type `twistcat verify` accepts, with one
+    seeded pair of braid images of simples per type."""
+    alg = ZigzagAlgebra(named_quiver(name))
+    n = alg.quiver.vertex_count
+    rng = random.Random(f"product-oracle-{name}")
+    x, y = (
+        apply_braid(alg, BraidWord(tuple((rng.randrange(n), rng.choice((1, -1)))
+                                         for _ in range(rng.randint(6, 12)))),
+                    simple_object(alg, rng.randrange(n)))
+        for _ in range(2)
+    )
+    _assert_hom_dims_and_hom_tests_match_the_product_oracle(x, y, rng)
+
+
+def _assert_hom_dims_and_hom_tests_match_the_product_oracle(x, y, rng):
+    padded, summed = _padded(y, rng), direct_sum(x, y.shift(-1))
     for a, b in ((x, y), (y, x), (padded, x), (x, summed), (summed, padded)):
         want = _oracle_hom_dims(a, b)
         assert hom_dims(a, b) == want
