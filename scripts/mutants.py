@@ -70,8 +70,32 @@ MUTANTS = (
     Mutant(
         "a carried column starts without its unit entry",
         "src/twistcat/linalg.py",
-        "        left = _insert(pivots, {**col, j: 1})\n",
-        "        left = _insert(pivots, dict(col))\n",
+        "        vec[_CARRY + j] = 1\n",
+        "",
+        ("tests/test_linalg.py::test_the_carried_pivot_loop_is_the_reference_echelon",),
+    ),
+    Mutant(
+        "kernel_and_image never skips a paired column",
+        "src/twistcat/linalg.py",
+        "        if j in paired:\n",
+        "        if False:\n",
+        ("tests/test_linalg.py::test_one_elimination_gives_the_kernel_and_seeds_the_complement",),
+    ),
+    Mutant(
+        "kernel_and_image reads the image rows at the lowest row",
+        "src/twistcat/linalg.py",
+        ("        vec = {-i: x for i, x in col.items()}\n"
+         "        vec[_CARRY + j] = 1\n"
+         "        left = _insert(pivots, vec)\n"
+         "        if left is not None:\n"
+         "            kernel.append({i - _CARRY: x for i, x in left.items()})\n"
+         "    return kernel, {-low for low in pivots}\n"),
+        ("        vec = {i: x for i, x in col.items()}\n"
+         "        vec[_CARRY + j] = 1\n"
+         "        left = _insert(pivots, vec)\n"
+         "        if left is not None:\n"
+         "            kernel.append({i - _CARRY: x for i, x in left.items()})\n"
+         "    return kernel, {low for low in pivots}\n"),
         ("tests/test_linalg.py::test_the_carried_pivot_loop_is_the_reference_echelon",),
     ),
     Mutant(
@@ -167,8 +191,9 @@ MUTANTS = (
     Mutant(
         "rep_vectors keeps every kernel vector when D_{d-1} has rank 1",
         "src/twistcat/homcore.py",
-        "            if not image:\n",
-        "            if len(image) <= 1:\n",
+        "            reps, paired = linalg.kernel_and_image(self.matrix(d), paired)\n",
+        ("            reps, paired = linalg.kernel_and_image(\n"
+         "                self.matrix(d), paired if len(paired) > 1 else set())\n"),
         ("tests/test_properties.py::test_rep_vectors_match_the_oracle_on_every_count_branch",),
     ),
     Mutant(

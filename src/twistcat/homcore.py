@@ -21,8 +21,10 @@ Sign conventions, fixed once:
 
 Hom-complex differentials are assembled as sparse columns, and every rank,
 cohomology dimension and cocycle representative comes from the exact
-sparse elimination in linalg.  Integral entries enter those columns
-as ints, so the Hom tests on ±1 data eliminate without building a Fraction.
+sparse elimination in linalg.  The twists' reps take one elimination per
+differential: a kernel vector of D_d is a rep unless a vector of
+im D_{d-1} ends at its column (`HomComplex.rep_vectors`, with the proof).
+Integral entries enter those columns as ints, so the Hom tests on ±1 data eliminate without building a Fraction.
 A Hom complex reads each end through a `_Reader`, which holds the complex,
 its differential indexed by source and by target generator, the reach of
 each vertex into its generators and the coreach of its generators into
@@ -681,43 +683,38 @@ class HomComplex:
         """(d, vector) for every degree d in ascending order: the coordinates,
         on the Hom^d basis, of the reps `cocycle_reps(d)` returns, with the
         int-or-Fraction entries of the elimination.  Each differential is
-        eliminated once, and each vector lies in the kernel of D_d.
+        eliminated once (`linalg.kernel_and_image`), and each vector lies in
+        the kernel of D_d.
 
-        One carried elimination of D_d (`linalg.kernel_and_image`) gives two
-        things.  Its dependent columns reduce to ker D_d, the vectors
-        `nullspace` returns.  Its pivots, with the carried entries stripped,
-        span im D_d, and seed the complement test of the next degree.  When
-        d-1 is not a degree, the previous degree's differential maps into
-        the zero space Hom^{d-1}, so it has no pivots and the image it seeds
-        is empty, as it should be.  When d+1 is not a degree, D_d maps into
-        the zero space and `matrix(d)` returns empty columns: the
-        elimination returns the int unit vectors as the kernel and has no
-        pivots, so the image is empty.  `complement_reps` keeps a kernel
-        vector exactly when it lies outside the span of im D_{d-1} and the
-        kernel vectors before it.  That is a question of span membership
-        alone, and the pivots of D_{d-1} span the same space as its columns,
-        so the test keeps the same vectors and the reps equal
-        `cocycle_reps(d)`.
+        `cocycle_reps` keeps the kernel vector k_j of free column j exactly
+        when it lies outside the span of im D_{d-1} and the k_i with i < j.
+        k_j has its greatest index at j, since its other entries sit on
+        earlier pivot columns.  Let P be the set of greatest indices of the
+        nonzero vectors of im D_{d-1}, which the elimination of D_{d-1}
+        returns.  Claim: k_j lies in that span exactly when j is in P.
+        - If j is in P, some image vector b has greatest index j.  b lies
+          in ker D_d since d² = 0, so b = Σ c_i k_i, and the greatest index
+          of b is the greatest i with c_i ≠ 0.  So c_j ≠ 0, and k_j is in
+          the span of b and the k_i with i < j.
+        - If k_j = b + Σ_{i<j} c_i k_i with b in the image, then b has
+          greatest index j, so j is in P.
+        A column j in P is free: the b above gives D_d(b) = 0 with b_j ≠ 0,
+        so column j is a combination of the columns before it.  Skipping it
+        unread changes no pivot and no other kernel vector, so the kernel
+        vectors the elimination returns are the reps.  This is the pairing
+        lemma of persistent homology (Zomorodian and Carlsson, "Computing
+        persistent homology", DCG 33, 2005) with its clearing step (Chen
+        and Kerber, "Persistent homology computation with a twist", 2011).
 
-        The count dim H^d = #ker D_d - rank D_{d-1} settles two cases
-        without the test, since d² = 0 puts im D_{d-1} inside ker D_d.  At
-        rank 0 the image is empty and the test keeps every kernel vector,
-        as the kernel basis read off the echelon is independent.  At rank
-        = #ker the image is all of ker D_d and the test keeps none.  Only
-        a rank strictly between runs `complement_of_span`.
+        When d-1 is not a degree, nothing is skipped, as it should be: d is
+        the first degree, or the degree before it in the loop maps into the
+        zero space, so its image has no rows.
         """
         out = []
-        image = {}  # the previous degree's pivots, which span im D_{d-1}
+        paired: set[int] = set()
         for d in self.degrees():
-            kernel, pivots = linalg.kernel_and_image(self.matrix(d))
-            if not image:
-                reps = kernel
-            elif len(image) == len(kernel):
-                reps = []
-            else:
-                reps = linalg.complement_of_span(kernel, image)
+            reps, paired = linalg.kernel_and_image(self.matrix(d), paired)
             out.extend((d, vec) for vec in reps)
-            image = pivots
         return out
 
     def rep_maps(self) -> list[ConeMap]:

@@ -13,11 +13,17 @@ it in the column itself: the j-th column gets an extra entry 1 at index
 entry is never a pivot, and the loop stops once the lowest index left is a
 carried one.  What is left then is the combination of columns that a
 dependent column reduces to, and these are exactly the kernel basis of the
-reduced row echelon form, one vector per free column.  `kernel_and_image`
-returns both halves of one such elimination (the kernel basis, and the
-pivots, which span the image); `complement_reps` carries too, and `rank`
-and `complement_of_span` insert their vectors as they are.  Row indices
-must lie below `_CARRY`.
+reduced row echelon form, one vector per free column.  `complement_reps`
+carries, and `rank` inserts its columns as they are.
+
+`kernel_and_image` is the one elimination that picks cohomology reps.  It
+writes each carried column with its rows negated, so the lowest key is the
+column's greatest row and the pivots are keyed by the greatest rows of an
+echelon basis of the image.  That set of rows is the same for every
+echelon basis, and it is what the next degree needs: a kernel vector is a
+rep unless an image vector ends at its column (`HomComplex.rep_vectors`
+gives the proof), so the caller passes the set back in and those columns
+are skipped unread.  Row indices are non-negative and lie below `_CARRY`.
 
 Each elimination factor is an exact quotient (`exact_quotient`): a // p
 when the entry a and the pivot p are both ints and p divides a, and the
@@ -108,25 +114,37 @@ def nullspace(cols: list[Vector], ncols: int) -> list[Vector]:
         raise ValueError(f"expected {ncols} columns, got {len(cols)}")
     return [
         {i: x if type(x) is Fraction else Fraction(x) for i, x in comb.items()}
-        for comb in kernel_and_image(cols)[0]
+        for comb in kernel_and_image(cols, set())[0]
     ]
 
 
-def kernel_and_image(cols: list[Vector]) -> tuple[list[Vector], dict[int, Vector]]:
-    """One carried elimination of the map with columns `cols`.
+def kernel_and_image(cols: list[Vector], paired: set[int]) -> tuple[list[Vector], set[int]]:
+    """One carried elimination of the map with columns `cols`, skipping the
+    columns in `paired` unread.
 
-    Returns the kernel basis `nullspace` returns, with the int-or-Fraction
-    entries of the carried combinations, and the pivots (lowest index ->
-    carried pivot vector), whose entries below `_CARRY` span the image of
-    the map.
+    Each column is inserted with its rows negated (row i at -i), so the
+    pivot loop's lowest key is the column's greatest row and each pivot is
+    keyed by minus its greatest row.  Returns the kernel vectors of the
+    dependent columns not in `paired`, with the int-or-Fraction entries of
+    the carried combinations, and the set of greatest rows of the pivots,
+    which is the set of greatest rows of the nonzero vectors of the image.
+    With `paired` empty the kernel vectors are the basis `nullspace`
+    returns: the basis read off the reduced row echelon form is fixed by
+    which columns are pivot columns, and the order of the rows changes
+    none of them.  Skipping a column that depends on the columns before
+    it changes no pivot and no other kernel vector.
     """
     pivots: dict[int, Vector] = {}
     kernel = []
-    for j, col in enumerate(cols, _CARRY):
-        left = _insert(pivots, {**col, j: 1})
+    for j, col in enumerate(cols):
+        if j in paired:
+            continue
+        vec = {-i: x for i, x in col.items()}
+        vec[_CARRY + j] = 1
+        left = _insert(pivots, vec)
         if left is not None:
             kernel.append({i - _CARRY: x for i, x in left.items()})
-    return kernel, pivots
+    return kernel, {-low for low in pivots}
 
 
 def complement_reps(space: list[Vector], subspace: list[Vector]) -> list[Vector]:
@@ -136,17 +154,6 @@ def complement_reps(space: list[Vector], subspace: list[Vector]) -> list[Vector]
         _insert(pivots, {**vec, j: 1})
     return [vec for j, vec in enumerate(space, _CARRY + len(subspace))
             if _insert(pivots, {**vec, j: 1}) is None]
-
-
-def complement_of_span(space: list[Vector], pivots: dict[int, Vector]) -> list[Vector]:
-    """Vectors from `space`, in order, completing the span of the pivots
-    `kernel_and_image` returns to a basis of their joint span.
-
-    Membership is tested against the pivots with their carried entries
-    stripped, in a new table, so `pivots` is not changed.
-    """
-    seed = {low: {i: x for i, x in vec.items() if i < _CARRY} for low, vec in pivots.items()}
-    return [vec for vec in space if _insert(seed, vec) is None]
 
 
 def rank_mod_p(rows: list[list[Fraction]], p: int = FILTER_PRIME) -> int:

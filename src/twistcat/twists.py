@@ -157,7 +157,10 @@ def untwist_triangle(
 def apply_braid(
     alg: ZigzagAlgebra, word: BraidWord, y: TwistedComplex
 ) -> TwistedComplex:
-    """Apply the word's twists in the simples, first letter first; minimized throughout."""
+    """Apply the word's twists in the simples, first letter first; minimized
+    throughout, so the empty word returns the minimal model of y."""
+    if not word.letters:
+        return minimize(y)
     simples: dict[int, TwistedComplex] = {}
     cur = y
     for v, e in word.letters:

@@ -5,7 +5,6 @@ from twistcat.linalg import (
     _CARRY,
     _insert,
     _subtract,
-    complement_of_span,
     complement_reps,
     exact_quotient,
     kernel_and_image,
@@ -227,24 +226,58 @@ def test_complement_reps():
     assert reps == [{0: F(1)}]
 
 
+def combinations_of(rng, vectors, count, entry):
+    """`count` columns, each a random combination of `vectors` (some empty),
+    so the map they form lands in the span of `vectors`."""
+    cols = []
+    for _ in range(count):
+        col = {}
+        for vec in vectors:
+            if rng.random() < 0.5 and (c := entry(rng)):
+                _subtract(col, -c, vec)
+        cols.append(col)
+    return cols
+
+
+def greatest_rows(rows, ncols):
+    """The greatest rows of an echelon basis of the column space: row i is one
+    exactly when the rows from i on have a greater rank than those after i."""
+    return {i for i in range(len(rows))
+            if dense_rank(rows[i:], ncols) > dense_rank(rows[i + 1:], ncols)}
+
+
+def sorted_typed(vec):
+    """The entries of vec sorted by index, each with its type."""
+    return [(i, type(x), x) for i, x in sorted(vec.items())]
+
+
 def test_one_elimination_gives_the_kernel_and_seeds_the_complement():
-    """kernel_and_image returns nullspace's kernel (int-or-Fraction entries,
-    equal values) and pivots spanning the image; complement_of_span seeded
-    with those pivots keeps the vectors complement_reps keeps against the
-    columns, and leaves the seed unchanged."""
+    """kernel_and_image with nothing paired returns nullspace's kernel
+    (int-or-Fraction entries, equal values) and the greatest rows of an
+    echelon basis of the image.  For a map `before` into the domain with
+    d o before = 0, passing before's image rows as `paired` returns the
+    kernel vectors complement_reps keeps against before's columns (value
+    and type, sorted by index, since the key order may differ)."""
     rng = random.Random("kernel-and-image")
+    skipped = kept = 0
     for trial in range(300):
         nrows, ncols = rng.randint(0, 6), rng.randint(0, 6)
-        rows = random_rows(rng, nrows, ncols, mixed_entry if trial % 2 else int_entry)
+        entry = mixed_entry if trial % 2 else int_entry
+        rows = random_rows(rng, nrows, ncols, entry)
         cols = columns(rows, ncols)
-        kernel, pivots = kernel_and_image(cols)
+        kernel, image = kernel_and_image(cols, set())
         assert [list(v.items()) for v in kernel] == [list(v.items()) for v in nullspace(cols, ncols)]
         assert all(type(x) in (int, Fraction) for v in kernel for x in v.values())
-        assert len(pivots) == rank(cols)
-        space = [sparse(v) for v in random_rows(rng, rng.randint(0, 6), nrows, mixed_entry)]
-        seed = {low: dict(vec) for low, vec in pivots.items()}
-        assert complement_of_span(space, pivots) == complement_reps(space, cols)
-        assert pivots == seed
+        assert image == greatest_rows(rows, ncols)
+
+        before = combinations_of(rng, kernel, rng.randint(0, 5), entry)
+        paired = kernel_and_image(before, set())[1]
+        reps = kernel_and_image(cols, paired)[0]
+        want = complement_reps(kernel, before)
+        assert [sorted_typed(v) for v in reps] == [sorted_typed(v) for v in want]
+        skipped += len(kernel) - len(reps)
+        kept += len(reps)
+    assert skipped and kept
 
 
 # -- the oracle: a carried echelon that keeps each pivot's combination of
@@ -306,26 +339,41 @@ def random_column_set(rng):
 
 
 def test_the_carried_pivot_loop_is_the_reference_echelon():
-    """kernel_and_image, complement_reps and complement_of_span give exactly
-    what the two-dict reference echelon gives: the same kernel vectors with
-    the same entries, types and key order, the same pivots (their row part
-    and their carried part, re-indexed), and the same kept vectors."""
+    """kernel_and_image and complement_reps give exactly what the two-dict
+    reference echelon gives.  Run on the columns with their rows negated,
+    as kernel_and_image writes them, the reference has the same kernel
+    vectors with the same entries, types and key order, and its pivots'
+    greatest rows are the returned image rows.  Run on the columns as they
+    are, the reference has kernel vectors of equal values.  Given the image
+    rows of a map into the domain that composes to zero, kernel_and_image
+    keeps the kernel vectors that the reference keeps against that map's
+    columns (value and type, sorted by index); complement_reps keeps the
+    vectors the reference keeps, in key order."""
     rng = random.Random("carried-vs-reference")
-    dependent = carried_int = 0
+    dependent = carried_int = paired_some = 0
     for _ in range(1500):
         rows, cols = random_column_set(rng)
         ref = ReferenceEchelon()
-        want = [comb for col in cols if (comb := ref.insert(col)) is not None]
-        kernel, pivots = kernel_and_image(cols)
+        negated = [{-i: x for i, x in col.items()} for col in cols]
+        want = [comb for col in negated if (comb := ref.insert(col)) is not None]
+        kernel, image = kernel_and_image(cols, set())
         assert [typed(v) for v in kernel] == [typed(v) for v in want]
-        assert len(pivots) == rank(cols) == len(cols) - len(kernel)
-        assert list(pivots) == list(ref.pivots)
-        for low, vec in pivots.items():
-            ref_vec, ref_comb = ref.pivots[low]
-            assert typed({i: x for i, x in vec.items() if i < _CARRY}) == typed(ref_vec)
-            assert typed({i - _CARRY: x for i, x in vec.items() if i >= _CARRY}) == typed(ref_comb)
+        assert len(image) == rank(cols) == len(cols) - len(kernel)
+        assert image == {-low for low in ref.pivots}
         dependent += len(kernel)
         carried_int += sum(all(type(x) is int for x in v.values()) for v in kernel)
+
+        ref = ReferenceEchelon()
+        unnegated = [comb for col in cols if (comb := ref.insert(col)) is not None]
+        assert [sorted(v.items()) for v in unnegated] == [sorted(v.items()) for v in want]
+        before = combinations_of(rng, unnegated, rng.randint(0, 4), rng.choice([int_entry, mixed_entry]))
+        reps = kernel_and_image(cols, kernel_and_image(before, set())[1])[0]
+        ref = ReferenceEchelon()
+        for vec in before:
+            ref.insert(vec)
+        kept = [vec for vec, old in zip(want, unnegated) if ref.insert(old) is None]
+        assert [sorted_typed(v) for v in reps] == [sorted_typed(v) for v in kept]
+        paired_some += 0 < len(reps) < len(kernel)
 
         _, space = random_column_set(rng)
         space = [{rng.choice(rows): 1}] + space if rows else space
@@ -334,10 +382,7 @@ def test_the_carried_pivot_loop_is_the_reference_echelon():
             ref.insert(vec)
         kept = [vec for vec in space if ref.insert(vec) is None]
         assert complement_reps(space, cols) == kept
-        seed = {low: dict(vec) for low, vec in pivots.items()}
-        assert complement_of_span(space, pivots) == kept
-        assert pivots == seed
-    assert dependent and carried_int
+    assert dependent and carried_int and paired_some
 
 
 def test_exact_quotient_never_returns_a_float():

@@ -431,16 +431,18 @@ def test_one_pass_minimize_and_reps_match_the_oracles(image, seed, v):
 def test_rep_vectors_match_the_oracle_on_every_count_branch():
     """`rep_vectors` equals `cocycle_reps` degree by degree on drawn images,
     padded images and a simple, whichever branch the count
-    dim H^d = #ker D_d - rank D_{d-1} takes: rank 0 (every kernel vector),
-    rank = #ker (none) or a rank between (the complement test).  Each
-    branch is hit, and the complement test runs exactly on the third."""
-    hits = {"all": 0, "none": 0, "between": 0}
-    complement_of_span = linalg.complement_of_span
-    tested = []
+    dim H^d = #ker D_d - rank D_{d-1} takes: rank 0 (nothing paired, every
+    kernel vector kept), rank = #ker (every free column paired, none kept)
+    or a rank between (some paired).  Each branch is hit, and the columns
+    each elimination skips are exactly those the count calls for."""
+    hits = {"empty": 0, "every": 0, "some": 0}
+    kernel_and_image = linalg.kernel_and_image
+    seen = []
 
-    def counted(space, span):
-        tested.append(len(space))
-        return complement_of_span(space, span)
+    def counted(cols, paired):
+        free = len(cols) - linalg.rank(cols)
+        seen.append("empty" if not paired else "every" if len(paired) == free else "some")
+        return kernel_and_image(cols, paired)
 
     @settings(SETTINGS, max_examples=24)
     @given(braid_images_with_a_differential(), st.integers(0, 2**16), st.integers(0, 5))
@@ -450,17 +452,17 @@ def test_rep_vectors_match_the_oracle_on_every_count_branch():
         for obj in (y, _padded(y, random.Random(seed))):
             for source, target in ((x, obj), (obj, x), (obj, obj)):
                 hom = HomComplex(source, target)
-                between = 0
+                branches = []
                 for d in hom.degrees():
                     kernel = len(linalg.nullspace(hom.matrix(d), hom.dim_at(d)))
                     rank = linalg.rank(hom.matrix(d - 1))
-                    branch = "all" if rank == 0 else "none" if rank == kernel else "between"
+                    branch = "empty" if rank == 0 else "every" if rank == kernel else "some"
                     hits[branch] += 1
-                    between += branch == "between"
-                tested.clear()
-                with mock.patch.object(linalg, "complement_of_span", counted):
+                    branches.append(branch)
+                seen.clear()
+                with mock.patch.object(linalg, "kernel_and_image", counted):
                     reps = all_cohomology_reps(HomComplex(source, target))
-                assert len(tested) == between
+                assert seen == branches
                 assert_same_reps(reps, reps_by_degree(hom))
 
     check()
@@ -701,7 +703,8 @@ VERIFY_TYPES = [f"A{n}" for n in range(1, 10)] + [f"D{n}" for n in range(4, 10)]
 @pytest.mark.parametrize("name", VERIFY_TYPES)
 def test_hom_dims_and_hom_tests_match_the_product_oracle_on_every_type(name):
     """The property above on every type `twistcat verify` accepts, with one
-    seeded pair of braid images of simples per type."""
+    seeded pair of braid images of simples per type; on the same pair, the
+    per-degree rep counts and `is_spherical` match the oracle too."""
     alg = ZigzagAlgebra(named_quiver(name))
     n = alg.quiver.vertex_count
     rng = random.Random(f"product-oracle-{name}")
@@ -712,6 +715,7 @@ def test_hom_dims_and_hom_tests_match_the_product_oracle_on_every_type(name):
         for _ in range(2)
     )
     _assert_hom_dims_and_hom_tests_match_the_product_oracle(x, y, rng)
+    _assert_reps_and_sphericity_match_the_oracle(x, y)
 
 
 def _assert_hom_dims_and_hom_tests_match_the_product_oracle(x, y, rng):
